@@ -11,6 +11,7 @@ from .core import (
     SingularFlowError,
     StructureReport,
     eval_dynamics,
+    port_power,
     power_balance_residual,
     validate_structure,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "implicit_midpoint",
     "models",
     "partition_blocks",
+    "port_power",
     "power_balance_residual",
     "strang_split",
     "validate_structure",

@@ -57,11 +57,18 @@ def _load(path: str, no_validate: bool, tol: float = 1e-10):
         raise CliError(f"{path}: {exc}")
     if not no_validate:
         for sub in _systems_of(obj):
-            rep = validate_structure(sub, tol=tol)
+            rep = _validate(sub, tol)
             if not rep.passed:
                 raise CliError(f"{path}: structure validation failed\n{rep.summary()}",
                                EXIT_VALIDATION)
     return obj
+
+
+def _validate(sub, tol: float):
+    try:
+        return validate_structure(sub, tol=tol)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _systems_of(obj):
@@ -82,14 +89,12 @@ def _write(path: str | None, text: str):
 
 
 def _cmd_validate(args):
-    try:
-        obj = _load(args.system, no_validate=True)
-    except CliError:
-        raise
+    obj = _load(args.system, no_validate=True)
+    systems = _systems_of(obj)
     failed = False
-    for i, sub in enumerate(_systems_of(obj)):
-        rep = validate_structure(sub, tol=args.tol)
-        label = "system" if len(_systems_of(obj)) == 1 else f"subsystem {i + 1}"
+    for i, sub in enumerate(systems):
+        rep = _validate(sub, args.tol)
+        label = "system" if len(systems) == 1 else f"subsystem {i + 1}"
         print(f"== {label} ==")
         print(rep.summary())
         failed = failed or not rep.passed
@@ -159,6 +164,8 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
         x0 = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise CliError(f"bad state list {text!r}")
+    if not np.all(np.isfinite(x0)):
+        raise CliError(f"x0 must be finite, got {text!r}")
     if x0.size != n:
         raise CliError(f"x0 has {x0.size} entries, state dimension is {n}")
     return x0
@@ -174,7 +181,7 @@ def _cmd_simulate(args):
             traj = implicit_midpoint(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
         else:
             traj = strang_split(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    except (SingularFlowError, NewtonError) as exc:
+    except (SingularFlowError, NewtonError, FloatingPointError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -193,7 +200,7 @@ def _cmd_cosim(args):
         traj = dynamic_iteration(obj, mode=args.mode, window=args.window,
                                  sweeps=args.sweeps, inner=inner,
                                  x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    except (SingularFlowError, NewtonError) as exc:
+    except (SingularFlowError, NewtonError, FloatingPointError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -207,16 +214,16 @@ def _cmd_report(args):
     obj = _load(args.system, args.no_validate)
     if not isinstance(obj, LinearPHSystem):
         raise CliError(f"{args.system}: expected a linear system document")
+    m = obj.m
     try:
         t, x, h, _ = read_trajectory(Path(args.trajectory).read_text())
-    except (OSError, ParseError) as exc:
+        traj = Trajectory(t=t, x=x, u=np.zeros((len(t), m)),
+                          y=np.zeros((len(t), m)), H=h, method="file")
+    except (OSError, ValueError) as exc:
         raise CliError(f"{args.trajectory}: {exc}")
     if x.shape[0] and x.shape[1] != obj.n:
         raise CliError(f"trajectory has {x.shape[1]} state columns, "
                        f"system dimension is {obj.n}")
-    m = obj.m
-    traj = Trajectory(t=t, x=x, u=np.zeros((len(t), m)),
-                      y=np.zeros((len(t), m)), H=h, method="file")
     rep = energy_report(traj, obj)
     print(rep.summary())
     return EXIT_OK
@@ -266,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="run the structural checks")
     v.add_argument("system")
     v.add_argument("--tol", type=float, default=1e-10)
-    v.add_argument("--samples", type=int, default=32)
     v.set_defaults(func=_cmd_validate)
 
     c = sub.add_parser("condense", help="condense a network into one system")

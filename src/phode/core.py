@@ -14,7 +14,8 @@ callback one with state-dependent coefficient functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,10 +97,12 @@ class LinearPHSystem:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @property
+    @cached_property
     def Q(self) -> np.ndarray:
-        """Hamiltonian matrix Q = E^T L."""
-        return self.E.T @ self.L
+        """Hamiltonian matrix Q = E^T L (computed once, read-only)."""
+        q = self.E.T @ self.L
+        q.setflags(write=False)
+        return q
 
     @property
     def is_linear(self) -> bool:
@@ -246,7 +249,9 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
     w_scale = 0.0
     a_scale = 0.0
     for x in states:
-        E, J, R, B, P, S, N = sys.coefficients(x)
+        E, J, R, B, P, S, N = coeffs = sys.coefficients(x)
+        if not all(np.all(np.isfinite(a)) for a in coeffs):
+            raise ValueError("system coefficients contain non-finite entries")
         gamma, w = _gamma_w(E, J, R, B, P, S, N)
         skew_viol = max(skew_viol, _skew_violation(gamma))
         min_eig = min(min_eig, _min_eig_sym(w))
@@ -313,6 +318,20 @@ def eval_dynamics(sys: PHSystem, x, u=None):
     return xdot, y
 
 
+def port_power(coeffs, z, u):
+    """Power balance rate -[z; u]^T W [z; u] + u^T y with the output
+    y = (B + P)^T z + (S - N) u, for coefficients (E, J, R, B, P, S, N).
+
+    z and u are one sample each or one sample per row; this is the single
+    formula behind every energy balance in the package.
+    """
+    E, J, R, B, P, S, N = coeffs
+    w = _gamma_w(E, J, R, B, P, S, N)[1]
+    zu = np.concatenate([z, u], axis=-1)
+    y = z @ (B + P) + u @ (S - N).T
+    return np.sum(u * y, axis=-1) - np.sum((zu @ w) * zu, axis=-1)
+
+
 def power_balance_residual(sys: PHSystem, x, u=None) -> float:
     """Pointwise defect of the dissipation identity
 
@@ -323,12 +342,8 @@ def power_balance_residual(sys: PHSystem, x, u=None) -> float:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = _check_input(sys, u)
-    xdot, y = eval_dynamics(sys, x, u)
-    E, J, R, B, P, S, N = sys.coefficients(x)
+    xdot, _ = eval_dynamics(sys, x, u)
     z = np.asarray(sys.effort(x), dtype=float)
-    w = _gamma_w(E, J, R, B, P, S, N)[1]
-    zu = np.concatenate([z, u])
-    supplied = float(u @ y) if u.size else 0.0
-    rhs = -float(zu @ w @ zu) + supplied
+    rhs = float(port_power(sys.coefficients(x), z, u))
     lhs = float(sys.grad_hamiltonian(x) @ xdot)
     return abs(lhs - rhs)

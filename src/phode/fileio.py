@@ -9,8 +9,6 @@ re-read reproduces the stored values bit-exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -39,6 +37,8 @@ def _mat(doc, key, rows=None, cols=None, required=True, default=None):
         m = np.array(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r} is not a numeric matrix") from exc
+    if not np.all(np.isfinite(m)):
+        raise ParseError(f"field {key!r} has non-finite entries")
     if m.ndim == 1:
         m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
     if m.ndim != 2:
@@ -58,12 +58,17 @@ def _parse_linear(doc) -> LinearPHSystem:
         params_cls, ctor = models.REGISTRY[name]
         try:
             params = params_cls(**doc.get("params", {}))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad parameters for model {name!r}: {exc}") from exc
         return ctor(params)
     if "n" not in doc:
         raise ParseError("missing field 'n'")
-    n = int(doc["n"])
+    try:
+        n = int(doc["n"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError("field 'n' must be an integer") from exc
+    if n < 0:
+        raise ParseError("field 'n' must be nonnegative")
     J = _mat(doc, "J", n, n)
     R = _mat(doc, "R", n, n)
     E = _mat(doc, "E", n, n, required=False, default=np.eye(n))
@@ -191,36 +196,38 @@ def dump_document(obj) -> str:
 # ---------------------------------------------------------------------------
 # trajectory CSV
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
     """Render a trajectory and its energy report as CSV text with
     deterministic 17-significant-digit formatting."""
     n = traj.x.shape[1] if traj.x.ndim == 2 else 0
     if len(report.residuals) not in (0, max(traj.steps, 0)):
         raise ValueError("energy report length does not match the trajectory")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
-    for k in range(len(traj.t)):
-        res = report.residuals[k - 1] if k > 0 and len(report.residuals) else 0.0
-        w.writerow([_fmt(traj.t[k])] + [_fmt(v) for v in traj.x[k]]
-                   + [_fmt(traj.H[k]), _fmt(res)])
-    return buf.getvalue()
+    res = np.zeros(len(traj.t))
+    if len(report.residuals):
+        res[1:] = report.residuals
+    table = np.column_stack([traj.t, traj.x.reshape(len(traj.t), n), traj.H, res])
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
+    # '%.17g' renders exactly as format(v, '.17g'): a re-read is bit-exact
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def read_trajectory(text: str):
     """Read a trajectory CSV back into (t, x, H, residuals) arrays."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    lines = text.splitlines()
+    if not lines:
         raise ParseError("empty trajectory file")
-    header = rows[0]
+    header = lines[0].split(",")
     if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
         raise ParseError("unexpected trajectory header")
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-    if data.size == 0:
-        n = len(header) - 3
-        return np.zeros(0), np.zeros((0, n)), np.zeros(0), np.zeros(0)
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"row {k + 1} has {len(row)} cells, header has {len(header)}")
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ParseError(f"non-numeric cell: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]

@@ -9,13 +9,14 @@ waveform relaxation) for skew-coupled networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
+from . import coupling
 from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
-                   SingularFlowError, _rcond, E_RCOND_MIN)
+                   SingularFlowError, _rcond, E_RCOND_MIN, port_power)
 from .coupling import CoupledNetwork, CouplingSpec
 
 
@@ -48,7 +49,7 @@ class Trajectory:
 class EnergyReport:
     """Per-step defect of the discrete energy balance
 
-        H(x_{k+1}) - H(x_k) = dt (-z_m^T R z_m + u_m^T y_m)
+        H(x_{k+1}) - H(x_k) = dt (-[z_m; u_m]^T W [z_m; u_m] + u_m^T y_m)
 
     with midpoint quantities; the implicit midpoint rule satisfies this
     identity exactly for linear-constant systems."""
@@ -79,23 +80,19 @@ def _time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(steps + 1)
 
 
-def _input_fn(u, m: int) -> Callable[[float], np.ndarray]:
+def _inputs(u, m: int, times: np.ndarray) -> np.ndarray:
+    """Input samples u(t) at the given times, one row per time."""
     if u is None:
-        zero = np.zeros(m)
-        return lambda t: zero
-    if callable(u):
-        return lambda t: np.atleast_1d(np.asarray(u(t), dtype=float))
-    const = np.atleast_1d(np.asarray(u, dtype=float))
-    return lambda t: const
+        return np.zeros((len(times), m))
+    rows = [u(t) for t in times] if callable(u) else [u] * len(times)
+    return np.asarray(rows, dtype=float).reshape(len(times), m)
 
 
-def _finalize(sys, t, xs, ufn, method) -> Trajectory:
-    xs = np.asarray(xs)
-    us = np.array([ufn(tk) for tk in t])
+def _finalize(sys, t, xs, us, method) -> Trajectory:
     if sys.is_linear:
-        ys = np.array([(sys.B + sys.P).T @ (sys.L @ xk) + (sys.S - sys.N) @ uk
-                       for xk, uk in zip(xs, us)])
-        hs = np.array([sys.hamiltonian(xk) for xk in xs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = xs @ (sys.L.T @ (sys.B + sys.P)) + us @ (sys.S - sys.N).T
+            hs = 0.5 * np.einsum("ki,ki->k", xs @ sys.Q.T, xs)
     else:
         ys, hs = [], []
         for xk, uk in zip(xs, us):
@@ -104,26 +101,68 @@ def _finalize(sys, t, xs, ufn, method) -> Trajectory:
             ys.append((B + P).T @ z + (S - N) @ uk)
             hs.append(sys.hamiltonian(xk))
         ys, hs = np.array(ys), np.array(hs)
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1) & np.isfinite(hs)
+    if not finite.all():
+        raise FloatingPointError(f"trajectory is not finite from step "
+                                 f"{int(np.argmin(finite))} on")
     return Trajectory(t=t, x=xs, u=us, y=ys, H=hs, method=method)
 
 
-def _check_regular(sys):
-    if sys.is_linear and _rcond(sys.E) <= E_RCOND_MIN:
+def _propagator(sys: LinearPHSystem, method: str, dt: float):
+    """One-step map (Phi, Gamma) of a linear system: the step is
+    x_{k+1} = Phi x_k + Gamma f_k with the forcing f_k at the step midpoint.
+
+    A midpoint step of E xdot = A x + f is Phi = (E - h/2 A)^-1 (E + h/2 A),
+    Gamma = h (E - h/2 A)^-1, from one LU.  "strang" composes a half
+    dissipative step D, a conservative step C and another D into
+    Phi = D C D, Gamma = D Gamma_C.
+    """
+    n = sys.n
+
+    def midpoint(A, h):
+        minus = sys.E - 0.5 * h * A
+        if _rcond(minus) <= E_RCOND_MIN:
+            raise SingularFlowError("singular implicit step matrix")
+        lu = scipy.linalg.lu_factor(minus)
+        rhs = np.hstack([sys.E + 0.5 * h * A, h * np.eye(n)])
+        sol = scipy.linalg.lu_solve(lu, rhs)
+        return sol[:, :n], sol[:, n:]
+
+    if method == "midpoint":
+        return midpoint((sys.J - sys.R) @ sys.L, dt)
+    if method == "strang":
+        diss, _ = midpoint(-sys.R @ sys.L, 0.5 * dt)
+        cons, gamma = midpoint(sys.J @ sys.L, dt)
+        return diss @ cons @ diss, diss @ gamma
+    raise ValueError(f"unknown inner integrator {method!r}")
+
+
+def _propagate(phi: np.ndarray, x0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """States x_0..x_k of x_{j+1} = Phi x_j + g_j, one row of g per step."""
+    xs = np.empty((len(g) + 1, x0.size))
+    xs[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(g)):
+            xs[j + 1] = phi @ xs[j] + g[j]
+    return xs
+
+
+def _initial_state(x0, n: int) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x.shape != (n,):
+        raise DimensionError(f"x0 must have length {n}")
+    return x
+
+
+def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
+    if _rcond(sys.E) <= E_RCOND_MIN:
         raise SingularFlowError("descriptor system: integrate unsupported (singular E)")
-
-
-def _midpoint_stepper(E, A, dt):
-    """Return a solver x -> x1 for (E - dt/2 A) x1 = (E + dt/2 A) x + dt*f."""
-    minus = E - 0.5 * dt * A
-    plus = E + 0.5 * dt * A
-    if _rcond(minus) <= E_RCOND_MIN:
-        raise SingularFlowError("singular implicit step matrix")
-    lu = scipy.linalg.lu_factor(minus)
-
-    def step(x, forcing):
-        return scipy.linalg.lu_solve(lu, plus @ x + dt * forcing)
-
-    return step
+    x = _initial_state(x0, sys.n)
+    t = _time_grid(t0, t1, dt)
+    phi, gamma = _propagator(sys, method, dt)
+    u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
+    xs = _propagate(phi, x, u_mid @ (gamma @ (sys.B - sys.P)).T)
+    return _finalize(sys, t, xs, _inputs(u, sys.m, t), method)
 
 
 def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
@@ -131,31 +170,19 @@ def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
                       newton_maxit: int = 25) -> Trajectory:
     """Integrate with the implicit midpoint rule (second order).
 
-    Linear-constant systems reduce to one LU solve per step; callback
-    systems use a damped-free Newton iteration with a finite-difference
-    Jacobian.
+    Linear-constant systems reduce to one matrix-vector product per step
+    with the prebuilt propagator; callback systems use a damped-free
+    Newton iteration with a finite-difference Jacobian.
     """
-    _check_regular(sys)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (sys.n,):
-        raise DimensionError(f"x0 must have length {sys.n}")
-    t = _time_grid(t0, t1, dt)
-    ufn = _input_fn(u, sys.m)
-    xs = [x]
-
     if sys.is_linear:
-        A = (sys.J - sys.R) @ sys.L
-        Bin = sys.B - sys.P
-        step = _midpoint_stepper(sys.E, A, dt)
-        for tk in t[:-1]:
-            x = step(x, Bin @ ufn(tk + 0.5 * dt))
-            xs.append(x)
-    else:
-        for tk in t[:-1]:
-            x = _newton_midpoint_step(sys, x, ufn(tk + 0.5 * dt), dt,
-                                      newton_tol, newton_maxit)
-            xs.append(x)
-    return _finalize(sys, t, xs, ufn, "midpoint")
+        return _integrate_linear(sys, "midpoint", u, x0, t0, t1, dt)
+    x = _initial_state(x0, sys.n)
+    t = _time_grid(t0, t1, dt)
+    xs = [x]
+    for um in _inputs(u, sys.m, t[:-1] + 0.5 * dt):
+        x = _newton_midpoint_step(sys, x, um, dt, newton_tol, newton_maxit)
+        xs.append(x)
+    return _finalize(sys, t, np.array(xs), _inputs(u, sys.m, t), "midpoint")
 
 
 def _midpoint_residual(sys: CallbackPHSystem, x0, x1, um, dt):
@@ -198,41 +225,7 @@ def strang_split(sys: LinearPHSystem, u=None, x0=None, t0: float = 0.0,
     half-step dissipative (second order)."""
     if not sys.is_linear:
         raise TypeError("operator splitting is implemented for linear-constant systems")
-    _check_regular(sys)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (sys.n,):
-        raise DimensionError(f"x0 must have length {sys.n}")
-    t = _time_grid(t0, t1, dt)
-    ufn = _input_fn(u, sys.m)
-    diss = _midpoint_stepper(sys.E, -sys.R @ sys.L, 0.5 * dt)
-    cons = _midpoint_stepper(sys.E, sys.J @ sys.L, dt)
-    Bin = sys.B - sys.P
-    zero = np.zeros(sys.n)
-    xs = [x]
-    for tk in t[:-1]:
-        x = diss(x, zero)
-        x = cons(x, Bin @ ufn(tk + 0.5 * dt))
-        x = diss(x, zero)
-        xs.append(x)
-    return _finalize(sys, t, xs, ufn, "strang")
-
-
-def _subsystem_steppers(sub: LinearPHSystem, method: str, dt: float):
-    """One-step propagators x, forcing -> x1 for a subsystem; the forcing
-    already contains Bhat u_hat + Bbar u at the step midpoint."""
-    if method == "midpoint":
-        step = _midpoint_stepper(sub.E, (sub.J - sub.R) @ sub.L, dt)
-        return step
-    if method == "strang":
-        diss = _midpoint_stepper(sub.E, -sub.R @ sub.L, 0.5 * dt)
-        cons = _midpoint_stepper(sub.E, sub.J @ sub.L, dt)
-        zero = np.zeros(sub.n)
-
-        def step(x, forcing):
-            return diss(cons(diss(x, zero), forcing), zero)
-
-        return step
-    raise ValueError(f"unknown inner integrator {method!r}")
+    return _integrate_linear(sys, "strang", u, x0, t0, t1, dt)
 
 
 def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
@@ -278,14 +271,17 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         raise ValueError("t1 - t0 must be an integer multiple of the window")
     n_windows = total_steps // q
 
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (net.n,):
-        raise DimensionError(f"x0 must have length {net.n}")
+    x = _initial_state(x0, net.n)
     ext_m = sum(sub.m for sub in subs)
-    ufn = _input_fn(u, ext_m)
+    u_mid = _inputs(u, ext_m, t[:-1] + 0.5 * dt)
     ext_offs = np.cumsum([0] + [sub.m for sub in subs])
 
-    steppers = [_subsystem_steppers(sub, inner[i], dt) for i, sub in enumerate(subs)]
+    # per subsystem: step matrix, input gains of the port and external
+    # forcing, and the port output map y_hat = x @ out_map
+    props = [_propagator(sub, inner[i], dt) for i, sub in enumerate(subs)]
+    port_gain = [gamma @ b for b, (_, gamma) in zip(ports, props)]
+    ext_gain = [gamma @ sub.B for sub, (_, gamma) in zip(subs, props)]
+    out_map = [sub.L.T @ b for sub, b in zip(subs, ports)]
 
     xs = np.empty((total_steps + 1, net.n))
     xs[0] = x
@@ -295,15 +291,12 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         state_slices.append(slice(k, k + ni))
         k += ni
 
-    def out_wave(i, xi):
-        return ports[i].T @ (subs[i].L @ xi)
-
     for w in range(n_windows):
         k0 = w * q
-        x_start = [xs[k0, sl].copy() for sl in state_slices]
+        x_start = [xs[k0, sl] for sl in state_slices]
         # previous-sweep output waveforms, initialized by constant
         # extrapolation of the window-initial outputs
-        waves = [np.tile(out_wave(i, x_start[i]), (q + 1, 1)) for i in range(s)]
+        waves = [np.tile(x_start[i] @ out_map[i], (q + 1, 1)) for i in range(s)]
         x_block = [None] * s
         for _sweep in range(sweeps):
             new_waves = [None] * s
@@ -317,31 +310,18 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
                     src = new_waves[j] if (mode == "gauss-seidel"
                                            and new_waves[j] is not None) else waves[j]
                     uh -= src @ cij.T
-                xi = x_start[i].copy()
-                block = np.empty((q + 1, subs[i].n))
-                block[0] = xi
-                for kk in range(q):
-                    tk = t[k0 + kk]
-                    um_hat = 0.5 * (uh[kk] + uh[kk + 1])
-                    ue = ufn(tk + 0.5 * dt)[ext_offs[i]:ext_offs[i + 1]]
-                    forcing = ports[i] @ um_hat + subs[i].B @ ue
-                    xi = steppers[i](xi, forcing)
-                    block[kk + 1] = xi
-                new_waves[i] = np.array([out_wave(i, xk) for xk in block])
+                um_hat = 0.5 * (uh[:-1] + uh[1:])
+                ue = u_mid[k0:k0 + q, ext_offs[i]:ext_offs[i + 1]]
+                g = um_hat @ port_gain[i].T + ue @ ext_gain[i].T
+                block = _propagate(props[i][0], x_start[i], g)
+                new_waves[i] = block @ out_map[i]
                 x_block[i] = block
             waves = new_waves
         for i, sl in enumerate(state_slices):
             xs[k0:k0 + q + 1, sl] = x_block[i]
 
-    mono = condensed_for(net)
-    return _finalize(mono, t, xs, _input_fn(u, mono.m), f"dynamic-{mode}")
-
-
-def condensed_for(net: CoupledNetwork) -> LinearPHSystem:
-    """Monolithic system used for Hamiltonian/output bookkeeping of a
-    network trajectory."""
-    from .coupling import condense_skew
-    return condense_skew(net)
+    mono = coupling.condense_skew(net)
+    return _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}")
 
 
 def energy_report(traj: Trajectory, sys: LinearPHSystem,
@@ -349,7 +329,8 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem,
     """Recompute the discrete energy balance of a stored trajectory.
 
     Residuals use midpoint quantities z_m = L (x_k + x_{k+1})/2 and
-    u_m = (u_k + u_{k+1})/2; when no input acts, monotone decay of the
+    u_m = (u_k + u_{k+1})/2 in the power balance of
+    :func:`phode.core.port_power`; when no input acts, monotone decay of the
     Hamiltonian is additionally flagged.
     """
     if not sys.is_linear:
@@ -359,18 +340,11 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem,
     k = traj.steps
     if k <= 0:
         return EnergyReport(residuals=np.zeros(0), dissipation_ok=True, driven=False)
-    res = np.empty(k)
     driven = bool(np.any(traj.u))
-    dts = np.diff(traj.t)
-    for i in range(k):
-        xm = 0.5 * (traj.x[i] + traj.x[i + 1])
-        um = 0.5 * (traj.u[i] + traj.u[i + 1])
-        zm = sys.L @ xm
-        ym = (sys.B + sys.P).T @ zm + (sys.S - sys.N) @ um
-        rate = -float(zm @ sys.R @ zm)
-        if um.size:
-            rate += float(um @ ym)
-        res[i] = abs(traj.H[i + 1] - traj.H[i] - dts[i] * rate)
+    xm = 0.5 * (traj.x[1:] + traj.x[:-1])
+    um = 0.5 * (traj.u[1:] + traj.u[:-1])
+    rate = port_power(sys.coefficients(), xm @ sys.L.T, um)
+    res = np.abs(np.diff(traj.H) - np.diff(traj.t) * rate)
     diss_ok = True
     if not driven:
         diss_ok = bool(np.all(np.diff(traj.H) <= 1e-12 * (1.0 + np.abs(traj.H[:-1]))))

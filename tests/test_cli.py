@@ -17,6 +17,12 @@ def write_json(path, doc):
     return str(path)
 
 
+def assert_one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("phode: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 class TestValidateCommand:
     def test_valid_system(self, capsys):
         assert main(["validate", TWO_MASS]) == 0
@@ -33,6 +39,23 @@ class TestValidateCommand:
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["validate", TWO_MASS, "--frobnicate"]) == 1
+
+    def test_non_finite_matrix_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"n": 1, "J": [[0]], "R": [[NaN]], "L": [[1]]}')
+        assert main(["validate", str(bad)]) == 1
+        assert_one_line_error(capsys, "non-finite")
+
+    def test_non_integer_dimension_exit_1(self, tmp_path, capsys):
+        bad = write_json(tmp_path / "n.json", {"n": "abc", "J": [[0.]], "R": [[0.]]})
+        assert main(["validate", bad]) == 1
+        assert_one_line_error(capsys, "'n'")
+
+    def test_nan_model_parameter_exit_1(self, tmp_path, capsys):
+        doc = tmp_path / "model.json"
+        doc.write_text('{"model": "two-mass", "params": {"r1": NaN}}')
+        assert main(["validate", str(doc)]) == 1
+        assert_one_line_error(capsys, "non-finite")
 
 
 class TestPipeline:
@@ -123,6 +146,31 @@ class TestSimulateAndReport:
     def test_bad_x0_exit_1(self, tmp_path):
         assert main(["simulate", TWO_MASS, "--x0", "1,2",
                      "-o", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("x0", ["nan,0,0,0,0", "1,inf,0,0,0", "1,0,0,0,-inf"])
+    def test_non_finite_x0_exit_1(self, tmp_path, capsys, x0):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", TWO_MASS, "--x0", x0, "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "finite")
+        assert not out.exists()
+
+    def test_diverging_trajectory_exit_4_without_csv(self, tmp_path, capsys):
+        unstable = write_json(tmp_path / "unstable.json",
+                              {"n": 1, "J": [[0.]], "R": [[-1000.]], "L": [[1.]]})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", unstable, "--no-validate", "--x0", "1e200",
+                     "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "not finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", ["0,1,2,3,4,5,abc,0\n",
+                                      "0,1,2,3,4,5,6,0\n0.01,1,2\n",
+                                      "0,1,2,3,4,5,6,0\n0,1,2,3,4,5,6,0\n"])
+    def test_report_malformed_csv_exit_1(self, tmp_path, capsys, body):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("t,x1,x2,x3,x4,x5,H,balance_residual\n" + body)
+        assert main(["report", str(csv), TWO_MASS]) == 1
+        assert_one_line_error(capsys, "bad.csv")
 
 
 class TestCosim:

@@ -54,6 +54,10 @@ class TestValidateStructure:
             LinearPHSystem(E=np.eye(2), J=np.zeros((3, 3)), R=np.zeros((3, 3)),
                            B=np.zeros((3, 0)), L=np.eye(3))
 
+    def test_non_finite_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_structure(make(J=[[0., 1.], [-1., 0.]], R=[[np.nan, 0.], [0., 1.]]))
+
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             validate_structure(two_mass(), tol=0.0)
@@ -141,6 +145,17 @@ class TestPowerBalance:
     def test_broken_skewness_detected(self):
         sys = make(J=[[0., 1.], [1., 0.]], R=np.zeros((2, 2)))
         assert power_balance_residual(sys, [1.0, 1.0]) == pytest.approx(2.0)
+
+    def test_random_systems_with_feedthrough(self):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            sys = random_linear_ph(rng, n=4, m=2, feedthrough=True,
+                                   implicit=bool(rng.integers(2)))
+            x = rng.standard_normal(4)
+            u = rng.standard_normal(2)
+            z = sys.effort(x)
+            scale = 1.0 + z @ z + u @ u
+            assert power_balance_residual(sys, x, u) <= 1e-10 * scale
 
     def test_q_symmetric_for_linear_systems(self):
         rng = np.random.default_rng(7)

@@ -8,7 +8,8 @@ from phode.core import LinearPHSystem
 from phode.coupling import CoupledNetwork, LinearPortRelation, PHDAESystem
 from phode.fileio import (ParseError, dump_document, parse_system_text,
                           read_trajectory, write_trajectory)
-from phode.integrate import Trajectory, energy_report, implicit_midpoint
+from phode.integrate import (EnergyReport, Trajectory, energy_report,
+                             implicit_midpoint)
 from phode.models import two_mass, two_mass_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,6 +74,16 @@ class TestParseSystem:
             parse_system_text('{"kind": "weird"}')
         with pytest.raises(ParseError, match="unknown model"):
             parse_system_text('{"model": "three-mass"}')
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            parse_system_text('{"n": "abc", "J": [[0]], "R": [[0]]}')
+        with pytest.raises(ParseError, match="bad parameters"):
+            parse_system_text('{"model": "two-mass", "params": {"m1": -1}}')
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_matrix_rejected(self, value):
+        text = f'{{"n": 1, "J": [[0]], "R": [[{value}]]}}'
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_system_text(text)
 
 
 class TestTrajectoryCsv:
@@ -106,3 +117,35 @@ class TestTrajectoryCsv:
         traj = implicit_midpoint(sys, x0=np.ones(5), t1=0.5, dt=0.01)
         rep = energy_report(traj, sys)
         assert write_trajectory(traj, rep) == write_trajectory(traj, rep)
+
+    def test_format_matches_format_reference(self):
+        values = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                  -1.2345678901234567e-300, 0.1, 1e22, 123456789012345680.0]
+        n = len(values)
+        x = np.array([values, values[::-1]])
+        traj = Trajectory(t=np.array([0.0, 0.1]), x=x, u=np.zeros((2, 0)),
+                          y=np.zeros((2, 0)), H=np.array([-0.0, 3e-310]),
+                          method="none")
+        rep = EnergyReport(residuals=np.array([7.5e-17]), dissipation_ok=True,
+                           driven=False)
+        text = write_trajectory(traj, rep)
+        rows = [[traj.t[k], *x[k], traj.H[k], [0.0, 7.5e-17][k]] for k in range(2)]
+        ref = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
+        ref += "\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                              for row in rows)
+        assert text == ref
+        t, xr, h, res = read_trajectory(text)
+        assert np.array_equal(xr.view(np.int64), x.view(np.int64))  # keeps -0.0
+        assert np.array_equal(h.view(np.int64), traj.H.view(np.int64))
+        assert np.array_equal(res, [0.0, 7.5e-17])
+
+    @pytest.mark.parametrize("body", [
+        "0,1,2,abc,0\n",          # non-numeric cell
+        "0,1,2,3,0\n0.1,1,2\n",   # short row
+        "0,1,2,3,0,9\n",          # long row
+        "0,1,nan,3,0\n",          # non-finite value
+        "0,1,2,3,0\n\n",          # blank line
+    ])
+    def test_malformed_rows_rejected(self, body):
+        with pytest.raises(ParseError):
+            read_trajectory("t,x1,x2,H,balance_residual\n" + body)

@@ -7,13 +7,18 @@ from phode.core import LinearPHSystem
 from phode.coupling import CoupledNetwork, CouplingSpec
 
 
-def random_linear_ph(rng, n=4, m=2, implicit=False):
+def random_linear_ph(rng, n=4, m=2, implicit=False, feedthrough=False):
     """Random valid linear pH system: skew J, PSD R = A^T A, SPD Q and a
-    compatible effort matrix L = E^{-T} Q."""
+    compatible effort matrix L = E^{-T} Q.  With ``feedthrough`` the
+    system also gets P, S (from a PSD W = [[R, P], [P^T, S]]) and a skew N."""
     A = rng.standard_normal((n, n))
     J = A - A.T
-    A = rng.standard_normal((n, n))
-    R = A.T @ A
+    A = rng.standard_normal((n + m, n + m)) if feedthrough else rng.standard_normal((n, n))
+    W = A.T @ A
+    R = W[:n, :n]
+    extra = {}
+    if feedthrough:
+        extra = {"P": W[:n, n:], "S": W[n:, n:], "N": random_skew(rng, m)}
     B = rng.standard_normal((n, m)) if m else np.zeros((n, 0))
     A = rng.standard_normal((n, n))
     Q = A.T @ A + n * np.eye(n)
@@ -23,7 +28,7 @@ def random_linear_ph(rng, n=4, m=2, implicit=False):
     else:
         E = np.eye(n)
     L = np.linalg.solve(E.T, Q)
-    return LinearPHSystem(E=E, J=J, R=R, B=B, L=L)
+    return LinearPHSystem(E=E, J=J, R=R, B=B, L=L, **extra)
 
 
 def random_skew(rng, k):
