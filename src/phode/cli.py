@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -40,6 +41,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as "-0.3,0.5" is a number list, not an option (the
+        # Python 3.11 matcher accepts only a single negative number)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on usage errors; the contract wants 1
     def error(self, message):
         self.print_usage(_sys.stderr)

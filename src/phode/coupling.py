@@ -168,12 +168,18 @@ def _stack_blocks(net: CoupledNetwork):
     return E, Jd, Rd, Bbar, L, Bhat
 
 
+def _stacked_feedthrough(net: CoupledNetwork) -> dict:
+    # external ports stay per subsystem, so their feedthrough stacks like B
+    return {k: _blockdiag([getattr(s, k) for s in net.subsystems]) for k in ("P", "S", "N")}
+
+
 def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
     """Condense a skew-coupled network into one monolithic pH system.
 
     The monolithic structure matrix is blockdiag(J_i) - Bhat C Bhat^T;
-    flow, dissipation, external ports and effort stay block-diagonal and
-    the Hamiltonian is the sum of the subsystem Hamiltonians.
+    flow, dissipation, external ports with their feedthrough P, S, N and
+    effort stay block-diagonal and the Hamiltonian is the sum of the
+    subsystem Hamiltonians.
     """
     if not isinstance(net.coupling, CouplingSpec):
         raise TypeError("network carries a general relation; use eliminate_ports")
@@ -181,7 +187,7 @@ def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
         raise ValueError("coupling matrix is not skew-symmetric; use condense_general")
     E, Jd, Rd, Bbar, L, Bhat = _stack_blocks(net)
     J = Jd - Bhat @ net.coupling.C @ Bhat.T
-    return LinearPHSystem(E=E, J=J, R=Rd, B=Bbar, L=L)
+    return LinearPHSystem(E=E, J=J, R=Rd, B=Bbar, L=L, **_stacked_feedthrough(net))
 
 
 def condense_general(net: CoupledNetwork, C: np.ndarray | None = None):
@@ -212,7 +218,7 @@ def condense_general(net: CoupledNetwork, C: np.ndarray | None = None):
                     "lift to the extended descriptor form via build_phdae",
             min_eigenvalue=lam,
         )
-    return LinearPHSystem(E=E, J=J, R=R, B=Bbar, L=L)
+    return LinearPHSystem(E=E, J=J, R=R, B=Bbar, L=L, **_stacked_feedthrough(net))
 
 
 def build_phdae(net: CoupledNetwork, rel: LinearPortRelation | None = None) -> PHDAESystem:

@@ -180,6 +180,10 @@ def partition_blocks(sys: LinearPHSystem, partition: Partition | Sequence[int]) 
 
 
 def _require_separable(sys: LinearPHSystem, view: BlockView):
+    # each block would take the whole external port, and condensation stacks
+    # the blocks' external ports, so there is no split of S and N to give back
+    if np.any(sys.P) or np.any(sys.S) or np.any(sys.N):
+        raise ValueError("cannot decouple a system with feedthrough: P, S and N must be zero")
     if not view.q_separable:
         raise ValueError("Hamiltonian not separable: Q has nonzero off-diagonal blocks")
     if not view.e_blockdiag:
@@ -222,10 +226,32 @@ def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> 
     return CoupledNetwork(subsystems=subs, coupling=coupling)
 
 
+def _verify_blocks(view: BlockView, ports, block, pairs):
+    """Check Bhat_i C_ij Bhat_j^T = -(J_ij - R_ij) for each block pair (i, j)
+    to 1e-12 relative; return a :class:`VerificationFailure` for the worst
+    pair that misses, or None."""
+    worst, worst_pair, worst_res = 0.0, None, None
+    for i, j in pairs:
+        target = view.J_block(i, j) - view.R_block(i, j)
+        # residual = computed product minus the required -(J_ij - R_ij)
+        res = ports[i] @ block(i, j) @ ports[j].T + target
+        mr = float(np.max(np.abs(res), initial=0.0))
+        scale = np.max(np.abs(target), initial=0.0) + 1.0
+        if mr > 1e-12 * scale and mr > worst:
+            worst, worst_pair, worst_res = mr, (i, j), res
+    if worst_pair is None:
+        return None
+    return VerificationFailure(
+        message=f"ports do not reproduce off-diagonal block {worst_pair}",
+        residual=worst_res, max_residual=worst, pair=worst_pair,
+    )
+
+
 def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int],
                         ports: Sequence[np.ndarray], blocks: dict):
     """Split with user-chosen port matrices Bhat_i and coupling blocks
-    C_ij (i < j), verifying J_ij - R_ij = -Bhat_i C_ij Bhat_j^T.
+    C_ij (i < j), verifying J_ij - R_ij = -Bhat_i C_ij Bhat_j^T for
+    every block pair, the fitted lower blocks C_ji included.
 
     On success returns the coupled network; on failure returns a
     :class:`VerificationFailure` with the worst residual and offending
@@ -243,55 +269,42 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
             raise DimensionError(
                 f"port matrix {i} has {b.shape[0]} rows, block size is {p.sizes[i]}")
 
-    cblocks = {}
+    offs = np.cumsum([0] + [b.shape[1] for b in ports])
+    c_full = np.zeros((offs[-1], offs[-1]))
+
+    def block(i, j):
+        return c_full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+
     for (i, j), cij in blocks.items():
         if not (0 <= i < j < p.s):
             raise DimensionError(f"block pair {(i, j)} must satisfy 0 <= i < j < s")
         cij = np.atleast_2d(np.asarray(cij, dtype=float))
-        if cij.shape != (ports[i].shape[1], ports[j].shape[1]):
+        if cij.shape != block(i, j).shape:
             raise DimensionError(f"coupling block {(i, j)} has shape {cij.shape}, "
-                                 f"expected {(ports[i].shape[1], ports[j].shape[1])}")
-        cblocks[(i, j)] = cij
+                                 f"expected {block(i, j).shape}")
+        block(i, j)[...] = cij
+    upper = [(i, j) for i in range(p.s) for j in range(i + 1, p.s)]
+    failure = _verify_blocks(view, ports, block, upper)
+    if failure is not None:
+        return failure
 
-    worst = 0.0
-    worst_pair = None
-    worst_res = None
-    for i in range(p.s):
-        for j in range(i + 1, p.s):
-            target = view.J_block(i, j) - view.R_block(i, j)
-            cij = cblocks.get((i, j), np.zeros((ports[i].shape[1], ports[j].shape[1])))
-            # residual = computed product minus the required -(J_ij - R_ij)
-            res = ports[i] @ cij @ ports[j].T + target
-            mr = float(np.max(np.abs(res), initial=0.0))
-            scale = np.max(np.abs(target), initial=0.0) + 1.0
-            if mr > 1e-12 * scale and mr > worst:
-                worst, worst_pair, worst_res = mr, (i, j), res
-    if worst_pair is not None:
-        return VerificationFailure(
-            message=f"ports do not reproduce off-diagonal block {worst_pair}",
-            residual=worst_res, max_residual=worst, pair=worst_pair,
-        )
-
-    # assemble the full coupling matrix; with zero off-diagonal dissipation
-    # the skew completion C_ji = -C_ij^T is exact, otherwise the lower
-    # blocks are recovered from the (j, i) system blocks by least squares
-    layout = [b.shape[1] for b in ports]
-    offs = np.cumsum([0] + layout)
-    mt = offs[-1]
-    c_full = np.zeros((mt, mt))
+    # with zero off-diagonal dissipation the skew completion C_ji = -C_ij^T is
+    # exact, otherwise the lower blocks are fitted to the (j, i) system blocks
+    # by least squares, which need not reproduce them
     skew = view.r_offdiag_zero
-    for (i, j), cij in cblocks.items():
-        c_full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = cij
+    for i, j in upper:
         if skew:
-            cji = -cij.T
+            block(j, i)[...] = -block(i, j).T
         else:
             target = view.J_block(j, i) - view.R_block(j, i)
-            cji = -np.linalg.pinv(ports[j]) @ target @ np.linalg.pinv(ports[i]).T
-        c_full[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = cji
+            block(j, i)[...] = -np.linalg.pinv(ports[j]) @ target @ np.linalg.pinv(ports[i]).T
+    failure = _verify_blocks(view, ports, block, [(j, i) for i, j in upper])
+    if failure is not None:
+        return failure
     subs = _subsystems_from_view(view)
     if skew:
         coupling = CouplingSpec(port_matrices=tuple(ports), C=c_full)
     else:
         coupling = LinearPortRelation(port_matrices=tuple(ports),
-                                      M=np.eye(mt), N=c_full)
+                                      M=np.eye(len(c_full)), N=c_full)
     return CoupledNetwork(subsystems=subs, coupling=coupling)

@@ -143,8 +143,8 @@ def parse_system_text(text: str):
     raise ParseError(f"unknown kind {kind!r}")
 
 
-def _mat_out(m: np.ndarray):
-    return [[float(v) for v in row] for row in np.atleast_2d(m)]
+def _mat_out(m: np.ndarray) -> list:
+    return np.atleast_2d(m).tolist()
 
 
 def system_to_doc(sys: LinearPHSystem) -> dict:
@@ -180,7 +180,22 @@ def network_to_doc(net: CoupledNetwork) -> dict:
     }
 
 
+def _layout(value, pad: str) -> str:
+    """JSON text of ``value`` in the two-space layout, except that a list
+    whose first item is a number (a matrix row) is encoded on one line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (inner + json.dumps(k) + ": " + _layout(v, inner) for k, v in value.items())
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        return "[" + ",".join(inner + _layout(v, inner) for v in value) + pad + "]"
+    return json.dumps(value)
+
+
 def dump_document(obj) -> str:
+    """Serialize a system, network or pH-DAE as a JSON document with one
+    matrix row per line; numbers are written as ``json.dumps`` writes them
+    (``float.__repr__``), so a re-read is bit-exact."""
     if isinstance(obj, LinearPHSystem):
         doc = system_to_doc(obj)
     elif isinstance(obj, CoupledNetwork):
@@ -190,7 +205,7 @@ def dump_document(obj) -> str:
         doc["kind"] = "phdae"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
+    return _layout(doc, "\n") + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,33 @@ class TestPipeline:
         assert main(["decouple", TWO_MASS, "--partition", "3,2",
                      "--ports", ports, "-o", str(tmp_path / "out.json")]) == 3
 
+    def test_decouple_lower_block_verification_failure_exit_3(self, tmp_path, capsys):
+        system = write_json(tmp_path / "sys.json", {
+            "n": 3, "J": [[0., 0., 1.], [0., 0., 0.], [-1., 0., 0.]],
+            "R": [[0., 0., 0.], [0., 1., 0.5], [0., 0.5, 1.]]})
+        ports = write_json(tmp_path / "ports.json", {
+            "ports": [[[-1.], [0.5]], [[1.]]],
+            "blocks": [{"i": 0, "j": 1, "C": [[1.]]}],
+        })
+        out = tmp_path / "out.json"
+        assert main(["decouple", system, "--partition", "2,1",
+                     "--ports", ports, "-o", str(out)]) == 3
+        assert "block pair (1, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decouple_feedthrough_exit_2(self, tmp_path, capsys):
+        system = write_json(tmp_path / "sys.json", {
+            "n": 4, "J": [[0., 0., 1., 0.], [0., 0., 0., 0.],
+                          [-1., 0., 0., 0.], [0., 0., 0., 0.]],
+            "R": [[0.2, 0., 0., 0.], [0., 0.1, 0., 0.],
+                  [0., 0., 0., 0.], [0., 0., 0., 0.]],
+            "B": [[1.], [0.], [0.], [0.]], "P": [[0.1], [0.], [0.], [0.]],
+            "S": [[0.5]]})
+        out = tmp_path / "out.json"
+        assert main(["decouple", system, "--partition", "2,2", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "feedthrough")
+        assert not out.exists()
+
     def test_decouple_with_good_ports(self, tmp_path):
         ports = write_json(tmp_path / "ports.json", {
             "ports": [[[0.], [0.], [1.]], [[-1.], [0.]]],
@@ -143,6 +170,13 @@ class TestSimulateAndReport:
         assert main(["simulate", maxwell, "--x0", x0,
                      "-o", str(tmp_path / "t.csv")]) == 4
 
+    def test_negative_x0_list_as_separate_argument(self, tmp_path):
+        out = str(tmp_path / "traj.csv")
+        assert main(["simulate", TWO_MASS, "--x0", "-0.3,0.5,0.1,0.2,-0.4",
+                     "--t1", "0.1", "-o", out]) == 0
+        _, x, _, _ = read_trajectory(Path(out).read_text())
+        assert np.array_equal(x[0], [-0.3, 0.5, 0.1, 0.2, -0.4])
+
     def test_bad_x0_exit_1(self, tmp_path):
         assert main(["simulate", TWO_MASS, "--x0", "1,2",
                      "-o", str(tmp_path / "t.csv")]) == 1
@@ -188,6 +222,15 @@ class TestCosim:
         _, xa, _, _ = read_trajectory(Path(out).read_text())
         _, xb, _, _ = read_trajectory(Path(mono).read_text())
         assert np.max(np.abs(xa - xb)) <= 1e-8
+
+    def test_negative_x0_list_as_separate_argument(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        out = str(tmp_path / "traj.csv")
+        assert main(["cosim", net, "--x0", "-0.3,0.5,0.1,0.2,-0.4",
+                     "--t1", "0.2", "-o", out]) == 0
+        _, x, _, _ = read_trajectory(Path(out).read_text())
+        assert np.array_equal(x[0], [-0.3, 0.5, 0.1, 0.2, -0.4])
 
 
 class TestModelCommand:

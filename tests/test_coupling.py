@@ -7,7 +7,7 @@ from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             condense_skew, eliminate_ports)
 from phode.models import two_mass, two_mass_network
 
-from util import random_network
+from util import random_linear_ph, random_network
 
 
 def scalar_sub(r=1.0):
@@ -180,3 +180,18 @@ class TestEliminatePorts:
         dae = build_phdae(net)
         with pytest.raises(ValueError, match="not eliminable"):
             eliminate_ports(dae)
+
+
+class TestFeedthroughCondensed:
+    def test_external_feedthrough_stacks_blockdiagonally(self):
+        import scipy.linalg
+        rng = np.random.default_rng(21)
+        subs = (random_linear_ph(rng, n=2, m=1, feedthrough=True),
+                random_linear_ph(rng, n=3, m=2, feedthrough=True))
+        ports = (rng.standard_normal((2, 1)), rng.standard_normal((3, 1)))
+        net = CoupledNetwork(subs, CouplingSpec(ports, [[0., 1.], [-1., 0.]]))
+        for mono in (condense_skew(net), condense_general(net)):
+            for a in ("B", "P", "S", "N"):
+                expected = scipy.linalg.block_diag(*[getattr(s, a) for s in subs])
+                assert np.array_equal(getattr(mono, a), expected)
+            assert validate_structure(mono, tol=1e-10).passed

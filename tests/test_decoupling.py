@@ -234,3 +234,53 @@ class TestDecoupleWithPorts:
         sys = two_mass()
         with pytest.raises(Exception):
             decouple_with_ports(sys, (3, 2), [np.eye(2), np.eye(2)], {})
+
+
+def off_diagonal_dissipation_system():
+    """3 states, J13 = 1 and R23 = 0.5: case 2 for the partition (2, 1)."""
+    J = np.zeros((3, 3))
+    J[0, 2], J[2, 0] = 1.0, -1.0
+    R = np.array([[0., 0., 0.], [0., 1., 0.5], [0., 0.5, 1.]])
+    return LinearPHSystem(E=np.eye(3), J=J, R=R, B=np.zeros((3, 0)), L=np.eye(3))
+
+
+class TestLowerCouplingBlocks:
+    def test_unreproducible_lower_block_fails(self):
+        sys = off_diagonal_dissipation_system()
+        b1 = -(sys.J - sys.R)[:2, 2:]
+        out = decouple_with_ports(sys, (2, 1), [b1, np.eye(1)], {(0, 1): [[1.]]})
+        assert isinstance(out, VerificationFailure)
+        assert out.pair == (1, 0)
+        assert np.isclose(out.max_residual, 0.8)
+
+    def test_identity_ports_reproduce_both_triangles(self):
+        sys = off_diagonal_dissipation_system()
+        c12 = (sys.J - sys.R)[:2, 2:]
+        net = decouple_with_ports(sys, (2, 1), [np.eye(2), np.eye(1)], {(0, 1): -c12})
+        assert not isinstance(net, VerificationFailure)
+        mono = eliminate_ports(build_phdae(net))
+        assert np.max(np.abs(mono.J - sys.J)) <= 1e-15
+        assert np.max(np.abs(mono.R - sys.R)) <= 1e-15
+
+
+class TestFeedthroughRejected:
+    @staticmethod
+    def feedthrough_system():
+        J = np.zeros((4, 4))
+        J[0, 2], J[2, 0] = 1.0, -1.0
+        B = np.zeros((4, 1))
+        B[0, 0] = 1.0
+        return LinearPHSystem(E=np.eye(4), J=J, R=np.diag([0.2, 0.1, 0.0, 0.0]),
+                              B=B, L=np.eye(4), P=0.1 * B, S=[[0.5]])
+
+    def test_valid_input(self):
+        assert validate_structure(self.feedthrough_system(), tol=1e-12).passed
+
+    def test_decouple_auto(self):
+        with pytest.raises(ValueError, match="feedthrough"):
+            decouple_auto(self.feedthrough_system(), (2, 2))
+
+    def test_decouple_with_ports(self):
+        with pytest.raises(ValueError, match="feedthrough"):
+            decouple_with_ports(self.feedthrough_system(), (2, 2),
+                                [np.eye(2), np.eye(2)], {})

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from phode.core import LinearPHSystem
-from phode.coupling import CoupledNetwork, LinearPortRelation, PHDAESystem
-from phode.fileio import (ParseError, dump_document, parse_system_text,
-                          read_trajectory, write_trajectory)
+from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
+                            PHDAESystem, build_phdae)
+from phode.decoupling import decouple_auto
+from phode.fileio import (ParseError, _mat_out, dump_document, network_to_doc,
+                          parse_system_text, read_trajectory, system_to_doc,
+                          write_trajectory)
 from phode.integrate import (EnergyReport, Trajectory, energy_report,
                              implicit_midpoint)
 from phode.models import two_mass, two_mass_network
+
+from util import random_linear_ph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,6 +89,87 @@ class TestParseSystem:
         text = f'{{"n": 1, "J": [[0]], "R": [[{value}]]}}'
         with pytest.raises(ParseError, match="non-finite"):
             parse_system_text(text)
+
+
+def _documents():
+    """One object of each document shape, keyed by a test id."""
+    rng = np.random.default_rng(5)
+    relation = decouple_auto(LinearPHSystem(E=np.eye(3), J=np.zeros((3, 3)),
+                                            R=[[1., .5, 0.], [.5, 1., .2], [0., .2, 1.]],
+                                            B=np.zeros((3, 0)), L=np.eye(3)), (1, 2))
+    general = CoupledNetwork(
+        (random_linear_ph(rng, n=2, m=1), random_linear_ph(rng, n=3, m=0)),
+        CouplingSpec((rng.standard_normal((2, 1)), rng.standard_normal((3, 2))),
+                     np.diag([1., 2., 3.]) + np.triu(np.ones((3, 3)), 1)))
+    return {
+        "linear-empty-B": two_mass(),
+        "linear": random_linear_ph(rng, n=4, m=2),
+        "linear-PSN": random_linear_ph(rng, n=4, m=2, feedthrough=True),
+        "skew-network": two_mass_network(variant="b"),
+        "general-network": general,
+        "relation-network": relation,
+        "phdae": build_phdae(relation),
+    }
+
+
+def _indent2_reference(obj) -> str:
+    """The same document encoded by ``json.dumps(indent=2)``."""
+    if isinstance(obj, LinearPHSystem):
+        return json.dumps(system_to_doc(obj), indent=2)
+    doc = network_to_doc(getattr(obj, "network", obj))
+    if isinstance(obj, PHDAESystem):
+        doc["kind"] = "phdae"
+    return json.dumps(doc, indent=2)
+
+
+def _number_rows(value):
+    """Every non-empty list of numbers in a parsed document."""
+    items = value.values() if isinstance(value, dict) else value
+    if isinstance(value, list) and value and not isinstance(value[0], (list, dict)):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in items:
+            yield from _number_rows(item)
+
+
+DOCUMENTS = _documents()
+
+
+class TestDumpDocument:
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_same_document_as_indent2_encoder(self, name):
+        obj = DOCUMENTS[name]
+        text = dump_document(obj)
+        assert json.loads(text) == json.loads(_indent2_reference(obj))
+        # same keys in the same order and the same number text
+        assert json.dumps(json.loads(text), indent=2) == _indent2_reference(obj)
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_one_matrix_row_per_line(self, name):
+        text = dump_document(DOCUMENTS[name])
+        lines = [line.strip().rstrip(",") for line in text.splitlines()]
+        row_lines = [json.loads(line) for line in lines
+                     if line.startswith("[") and line not in ("[", "[]")]
+        assert row_lines == list(_number_rows(json.loads(text)))
+        assert len(text) < 0.8 * len(_indent2_reference(DOCUMENTS[name]))
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_dump_is_deterministic(self, name):
+        assert dump_document(DOCUMENTS[name]) == dump_document(DOCUMENTS[name])
+
+    def test_matrix_lists_match_per_entry_conversion(self):
+        m = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3], [1e308, 0.1, 1e22]])
+        ref = [[float(v) for v in row] for row in m]
+        out = _mat_out(m)
+        assert [[(type(v), repr(v)) for v in row] for row in out] == \
+            [[(type(v), repr(v)) for v in row] for row in ref]
+
+    def test_reread_bit_exact_edge_values(self):
+        sys = LinearPHSystem(E=np.eye(2), J=[[0., 0.1], [-0.1, 0.]], R=np.zeros((2, 2)),
+                             B=[[-0.0, 5e-324], [1e308, 0.1]], L=np.eye(2))
+        again = parse_system_text(dump_document(sys))
+        assert again.B.tobytes() == sys.B.tobytes()
+        assert again.J.tobytes() == sys.J.tobytes()
 
 
 class TestTrajectoryCsv:
