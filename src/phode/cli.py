@@ -21,7 +21,7 @@ from .coupling import (CoupledNetwork, LinearPortRelation, PHDAESystem,
                        condense_skew, eliminate_ports)
 from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
-from .fileio import (ParseError, dump_document, parse_system_text,
+from .fileio import (ParseError, dump_document, parse_ports_text, parse_system_text,
                      read_trajectory, write_trajectory)
 from .integrate import (NewtonError, Trajectory, dynamic_iteration,
                         energy_report, implicit_midpoint, strang_split)
@@ -53,15 +53,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_USAGE)
 
 
-def _load(path: str, no_validate: bool, tol: float = 1e-10):
+def _read(path: str, parse):
+    """``parse`` applied to the text of a file; a file that cannot be read
+    or parsed is a usage error."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    try:
-        obj = parse_system_text(text)
-    except ParseError as exc:
+        return parse(Path(path).read_text())
+    except (OSError, ParseError) as exc:
         raise CliError(f"{path}: {exc}")
+
+
+def _load(path: str, no_validate: bool, tol: float = 1e-10):
+    obj = _read(path, parse_system_text)
     if not no_validate:
         for sub in _systems_of(obj):
             rep = _validate(sub, tol)
@@ -116,23 +118,22 @@ def _cmd_condense(args):
         net, dae = obj, None
     else:
         raise CliError(f"{args.network}: expected a network document")
-    if args.mode == "skew":
-        try:
+    if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
+        raise CliError("phdae condensation requires a coupling of type 'relation'")
+    try:
+        if args.mode == "skew":
             result = condense_skew(net)
-        except (ValueError, TypeError) as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
-    elif args.mode == "general":
-        if isinstance(net.coupling, LinearPortRelation):
+        elif args.mode == "phdae":
+            result = dae or build_phdae(net)
+        elif isinstance(net.coupling, LinearPortRelation):
             result = eliminate_ports(dae or build_phdae(net))
         else:
             result = condense_general(net)
-        if isinstance(result, StructureFailure):
-            raise CliError(f"{result.message} (min eigenvalue "
-                           f"{result.min_eigenvalue:.3e})", EXIT_VALIDATION)
-    else:  # phdae
-        if not isinstance(net.coupling, LinearPortRelation):
-            raise CliError("phdae condensation requires a coupling of type 'relation'")
-        result = dae or build_phdae(net)
+    except (ValueError, TypeError) as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
+    if isinstance(result, StructureFailure):
+        raise CliError(f"{result.message} (min eigenvalue "
+                       f"{result.min_eigenvalue:.3e})", EXIT_VALIDATION)
     _write(args.output, dump_document(result))
     return EXIT_OK
 
@@ -147,11 +148,7 @@ def _cmd_decouple(args):
         raise CliError(f"bad partition {args.partition!r}")
     try:
         if args.ports:
-            import json
-            pdoc = json.loads(Path(args.ports).read_text())
-            ports = [np.array(b, dtype=float) for b in pdoc["ports"]]
-            blocks = {(int(b["i"]), int(b["j"])): np.array(b["C"], dtype=float)
-                      for b in pdoc.get("blocks", [])}
+            ports, blocks = _read(args.ports, parse_ports_text)
             result = decouple_with_ports(obj, Partition(sizes), ports, blocks)
             if isinstance(result, VerificationFailure):
                 print(f"verification failed for block pair {result.pair}: "

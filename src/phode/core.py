@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +41,11 @@ def _as_matrix(a, rows, cols, name):
     if m.shape != (rows, cols):
         raise DimensionError(f"{name} must be {rows}x{cols}, got {m.shape}")
     return m
+
+
+def _slices(sizes) -> tuple:
+    """Slices of consecutive blocks of the given sizes along one axis."""
+    return tuple(slice(end - k, end) for k, end in zip(sizes, accumulate(sizes)))
 
 
 def _rcond(mat: np.ndarray) -> float:

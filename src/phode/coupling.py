@@ -11,13 +11,14 @@ descriptor system with dummy port variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .core import DimensionError, LinearPHSystem, _min_eig_sym, _rcond, _skew_violation
+from .core import (DimensionError, LinearPHSystem, _min_eig_sym, _rcond, _skew_violation,
+                   _slices)
 
 
 def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -113,11 +114,7 @@ class CoupledNetwork:
 
     def split_state(self, x: np.ndarray) -> list:
         x = np.asarray(x, dtype=float)
-        out, k = [], 0
-        for ni in self.state_sizes:
-            out.append(x[k:k + ni])
-            k += ni
-        return out
+        return [x[sl] for sl in _slices(self.state_sizes)]
 
     def stacked_port_matrix(self) -> np.ndarray:
         return _blockdiag(list(self.coupling.port_matrices))
@@ -142,7 +139,6 @@ class PHDAESystem:
     and a multiplier block enforcing M u_hat + N y_hat = 0."""
 
     network: CoupledNetwork
-    relation: LinearPortRelation
     E_ext: np.ndarray
     A_ext: np.ndarray
     R_ext: np.ndarray
@@ -154,23 +150,25 @@ class PHDAESystem:
         return sum(self.layout)
 
 
-def _stack_blocks(net: CoupledNetwork):
-    subs = net.subsystems
-    for s in subs:
+def _stack(net: CoupledNetwork) -> LinearPHSystem:
+    """The subsystems of a network stacked block-diagonally, uncoupled: the
+    monolithic system for C = 0.  The Hamiltonian is the sum of the
+    subsystem Hamiltonians, and external ports with their feedthrough P, S,
+    N stay per subsystem."""
+    for s in net.subsystems:
         if not s.is_linear:
             raise TypeError("condensation is defined for linear-constant subsystems")
-    E = _blockdiag([s.E for s in subs])
-    Jd = _blockdiag([s.J for s in subs])
-    Rd = _blockdiag([s.R for s in subs])
-    Bbar = _blockdiag([s.B for s in subs])
-    L = _blockdiag([s.L for s in subs])
+    return LinearPHSystem(**{k: _blockdiag([getattr(s, k) for s in net.subsystems])
+                             for k in ("E", "J", "R", "B", "L", "P", "S", "N")})
+
+
+def _couple(net: CoupledNetwork, C: np.ndarray) -> LinearPHSystem:
+    """The monolithic system under u_hat + C y_hat = 0: the skew part of C
+    adds -Bhat C_skew Bhat^T to J, the symmetric part Bhat C_sym Bhat^T to R."""
+    mono = _stack(net)
     Bhat = net.stacked_port_matrix()
-    return E, Jd, Rd, Bbar, L, Bhat
-
-
-def _stacked_feedthrough(net: CoupledNetwork) -> dict:
-    # external ports stay per subsystem, so their feedthrough stacks like B
-    return {k: _blockdiag([getattr(s, k) for s in net.subsystems]) for k in ("P", "S", "N")}
+    return replace(mono, J=mono.J - Bhat @ (0.5 * (C - C.T)) @ Bhat.T,
+                   R=mono.R + Bhat @ (0.5 * (C + C.T)) @ Bhat.T)
 
 
 def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
@@ -179,18 +177,17 @@ def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
     The monolithic structure matrix is blockdiag(J_i) - Bhat C Bhat^T;
     flow, dissipation, external ports with their feedthrough P, S, N and
     effort stay block-diagonal and the Hamiltonian is the sum of the
-    subsystem Hamiltonians.
+    subsystem Hamiltonians.  Structure is preserved by construction, so
+    no semidefiniteness check runs.
     """
     if not isinstance(net.coupling, CouplingSpec):
         raise TypeError("network carries a general relation; use eliminate_ports")
     if not net.coupling.is_skew:
         raise ValueError("coupling matrix is not skew-symmetric; use condense_general")
-    E, Jd, Rd, Bbar, L, Bhat = _stack_blocks(net)
-    J = Jd - Bhat @ net.coupling.C @ Bhat.T
-    return LinearPHSystem(E=E, J=J, R=Rd, B=Bbar, L=L, **_stacked_feedthrough(net))
+    return _couple(net, net.coupling.C)
 
 
-def condense_general(net: CoupledNetwork, C: np.ndarray | None = None):
+def condense_general(net: CoupledNetwork):
     """Condense a network with an arbitrary square coupling matrix.
 
     C is split into symmetric and skew parts; the skew part enters the
@@ -199,56 +196,44 @@ def condense_general(net: CoupledNetwork, C: np.ndarray | None = None):
     a :class:`StructureFailure` naming the descriptor fallback is
     returned instead of a system.
     """
-    if C is None:
-        if not isinstance(net.coupling, CouplingSpec):
-            raise TypeError("network carries a general relation; use eliminate_ports")
-        C = net.coupling.C
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    E, Jd, Rd, Bbar, L, Bhat = _stack_blocks(net)
-    if C.shape != (Bhat.shape[1], Bhat.shape[1]):
-        raise DimensionError(f"C must be {Bhat.shape[1]}x{Bhat.shape[1]}, got {C.shape}")
-    Csym = 0.5 * (C + C.T)
-    Cskew = 0.5 * (C - C.T)
-    J = Jd - Bhat @ Cskew @ Bhat.T
-    R = Rd + Bhat @ Csym @ Bhat.T
-    lam = _min_eig_sym(R)
-    if lam < -1e-12 * (1.0 + (np.linalg.norm(R) if R.size else 0.0)):
+    if not isinstance(net.coupling, CouplingSpec):
+        raise TypeError("network carries a general relation; use eliminate_ports")
+    mono = _couple(net, net.coupling.C)
+    lam = _min_eig_sym(mono.R)
+    if lam < -1e-12 * (1.0 + (np.linalg.norm(mono.R) if mono.R.size else 0.0)):
         return StructureFailure(
             message="assembled dissipation matrix is indefinite; "
                     "lift to the extended descriptor form via build_phdae",
             min_eigenvalue=lam,
         )
-    return LinearPHSystem(E=E, J=J, R=R, B=Bbar, L=L, **_stacked_feedthrough(net))
+    return mono
 
 
-def build_phdae(net: CoupledNetwork, rel: LinearPortRelation | None = None) -> PHDAESystem:
+def build_phdae(net: CoupledNetwork) -> PHDAESystem:
     """Lift a network with relation M u_hat + N y_hat = 0 to the extended
     descriptor system with dummy port variables.
 
     Extended state (x, u_hat, y_hat, multiplier); the extended structure
     operator A satisfies A + A^T = -2 diag(blockdiag(R_i), 0, 0, 0).
     """
-    if rel is None:
-        if not isinstance(net.coupling, LinearPortRelation):
-            raise TypeError("network does not carry a linear port relation")
-        rel = net.coupling
-    E, Jd, Rd, Bbar, L, Bhat = _stack_blocks(net)
-    mt = Bhat.shape[1]
-    if rel.M.shape[1] != mt:
-        raise DimensionError(f"relation has {rel.M.shape[1]} port columns, expected {mt}")
+    rel = net.coupling
+    if not isinstance(rel, LinearPortRelation):
+        raise TypeError("network does not carry a linear port relation")
+    mono = _stack(net)
+    Bhat = net.stacked_port_matrix()
+    n, mt = Bhat.shape
     k = rel.M.shape[0]
-    n = E.shape[0]
     zmm = np.zeros((mt, mt))
     A = np.block([
-        [Jd - Rd,               Bhat,            np.zeros((n, mt)),  np.zeros((n, k))],
+        [mono.J - mono.R,       Bhat,            np.zeros((n, mt)),  np.zeros((n, k))],
         [-Bhat.T,               zmm,             np.eye(mt),         -rel.M.T],
         [np.zeros((mt, n)),     -np.eye(mt),     zmm,                -rel.N.T],
         [np.zeros((k, n)),      rel.M,           rel.N,              np.zeros((k, k))],
     ])
-    E_ext = _blockdiag([E, np.zeros((mt, mt)), np.zeros((mt, mt)), np.zeros((k, k))])
-    R_ext = _blockdiag([Rd, np.zeros((mt, mt)), np.zeros((mt, mt)), np.zeros((k, k))])
+    E_ext = _blockdiag([mono.E, np.zeros((mt, mt)), np.zeros((mt, mt)), np.zeros((k, k))])
+    R_ext = _blockdiag([mono.R, np.zeros((mt, mt)), np.zeros((mt, mt)), np.zeros((k, k))])
     G_ext = np.vstack([np.zeros((n, mt)), np.zeros((mt, mt)), np.eye(mt), np.zeros((k, mt))])
-    return PHDAESystem(network=net, relation=rel, E_ext=E_ext, A_ext=A,
+    return PHDAESystem(network=net, E_ext=E_ext, A_ext=A,
                        R_ext=R_ext, G_ext=G_ext, layout=(n, mt, mt, k))
 
 
@@ -256,13 +241,13 @@ def eliminate_ports(dae: PHDAESystem):
     """Eliminate the dummy port variables of an extended descriptor
     system with square regular M.
 
-    Substituting u_hat = -M^{-1} N y_hat reduces the relation to the
-    coupling matrix M^{-1} N, which is condensed via the symmetric/skew
-    split; trajectories agree with the descriptor system on the state
-    components.
+    Substituting u_hat = -M^{-1} N y_hat gives the coupling matrix
+    C = M^{-1} N, and the result is :func:`condense_general` of the network
+    with that C.  ``A_ext`` is not used.
     """
-    M, N = dae.relation.M, dae.relation.N
-    if M.shape[0] != M.shape[1] or _rcond(M) <= 1e-12:
+    rel = dae.network.coupling
+    if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= 1e-12:
         raise ValueError("general relation not eliminable: M must be square and regular")
-    C = np.linalg.solve(M, N)
-    return condense_general(dae.network, C)
+    C = np.linalg.solve(rel.M, rel.N)
+    return condense_general(CoupledNetwork(dae.network.subsystems,
+                                           CouplingSpec(rel.port_matrices, C)))

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionError, LinearPHSystem, _rcond
-from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation, _blockdiag
+from .core import DimensionError, LinearPHSystem, _rcond, _slices
+from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,7 @@ class Partition:
 
     @property
     def ranges(self) -> tuple:
-        out, k = [], 0
-        for ni in self.sizes:
-            out.append(slice(k, k + ni))
-            k += ni
-        return tuple(out)
+        return _slices(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -140,6 +136,14 @@ def apply_transform(sys: LinearPHSystem, transform: LinearTransform | np.ndarray
     )
 
 
+def _offdiag(mat: np.ndarray, ranges) -> np.ndarray:
+    """Copy of ``mat`` with the diagonal blocks of the partition zeroed."""
+    out = mat.copy()
+    for ri in ranges:
+        out[ri, ri] = 0.0
+    return out
+
+
 def partition_blocks(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> BlockView:
     """Slice the system matrices into diagonal blocks and off-diagonal
     aggregates; reassembly diag + offdiag is exact.
@@ -156,15 +160,6 @@ def partition_blocks(sys: LinearPHSystem, partition: Partition | Sequence[int]) 
     def diag_of(mat):
         return tuple(mat[ri, ri].copy() for ri in r)
 
-    def offdiag_of(mat):
-        out = mat.copy()
-        for ri in r:
-            out[ri, ri] = 0.0
-        return out
-
-    q = sys.Q
-    q_off = offdiag_of(q)
-    e_off = offdiag_of(sys.E)
     return BlockView(
         partition=partition,
         J_diag=diag_of(sys.J),
@@ -172,10 +167,10 @@ def partition_blocks(sys: LinearPHSystem, partition: Partition | Sequence[int]) 
         E_diag=diag_of(sys.E),
         B_rows=tuple(sys.B[ri, :].copy() for ri in r),
         L_diag=diag_of(sys.L),
-        J_offdiag=offdiag_of(sys.J),
-        R_offdiag=offdiag_of(sys.R),
-        q_separable=not np.any(q_off),
-        e_blockdiag=not np.any(e_off),
+        J_offdiag=_offdiag(sys.J, r),
+        R_offdiag=_offdiag(sys.R, r),
+        q_separable=not np.any(_offdiag(sys.Q, r)),
+        e_blockdiag=not np.any(_offdiag(sys.E, r)),
     )
 
 
@@ -190,40 +185,40 @@ def _require_separable(sys: LinearPHSystem, view: BlockView):
         raise ValueError("flow matrix not block-diagonal w.r.t. the partition")
     # with E block-diagonal and regular blocks, L = E^{-T} Q inherits the
     # block structure; guard against descriptor corner cases anyway
-    r = view.partition.ranges
-    l_off = sys.L.copy()
-    for ri in r:
-        l_off[ri, ri] = 0.0
+    l_off = _offdiag(sys.L, view.partition.ranges)
     if np.max(np.abs(l_off), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(sys.L))):
         raise ValueError("effort matrix not block-diagonal w.r.t. the partition")
 
 
-def _subsystems_from_view(view: BlockView):
-    return tuple(
-        LinearPHSystem(E=view.E_diag[i], J=view.J_diag[i], R=view.R_diag[i],
-                       B=view.B_rows[i], L=view.L_diag[i])
-        for i in range(view.partition.s)
-    )
+def _network(view: BlockView, ports, C: np.ndarray) -> CoupledNetwork:
+    """The network of the diagonal blocks wired by ports Bhat_i and the
+    full coupling matrix C: skew coupling C without off-diagonal
+    dissipation (case 1), otherwise the relation M = I, N = C (case 2)."""
+    subs = tuple(LinearPHSystem(E=view.E_diag[i], J=view.J_diag[i], R=view.R_diag[i],
+                                B=view.B_rows[i], L=view.L_diag[i])
+                 for i in range(view.partition.s))
+    if view.r_offdiag_zero:
+        coupling = CouplingSpec(port_matrices=tuple(ports), C=C)
+    else:
+        coupling = LinearPortRelation(port_matrices=tuple(ports), M=np.eye(len(C)), N=C)
+    return CoupledNetwork(subsystems=subs, coupling=coupling)
 
 
 def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> CoupledNetwork:
-    """Split a separable monolithic system with identity port matrices.
+    """Split a separable monolithic system with identity port matrices and
+    C = -(J_offdiag - R_offdiag).
 
     Case 1 (no off-diagonal dissipation): skew coupling C = -J_offdiag.
     Case 2 (otherwise): general relation M = I, N = -J_offdiag + R_offdiag.
-    Recoupling reproduces the original system exactly.
+    Recoupling reproduces J, R, E and L.  External ports do not come back
+    as they were: every subsystem keeps all m external inputs (its rows of
+    B), so the condensed system has one m-column block of B per subsystem,
+    and these blocks sum to the original B.
     """
     view = partition_blocks(sys, partition)
     _require_separable(sys, view)
-    subs = _subsystems_from_view(view)
-    ports = tuple(np.eye(ni) for ni in view.partition.sizes)
-    if view.r_offdiag_zero:
-        coupling = CouplingSpec(port_matrices=ports, C=-view.J_offdiag)
-    else:
-        coupling = LinearPortRelation(port_matrices=ports,
-                                      M=np.eye(sys.n),
-                                      N=-view.J_offdiag + view.R_offdiag)
-    return CoupledNetwork(subsystems=subs, coupling=coupling)
+    ports = [np.eye(ni) for ni in view.partition.sizes]
+    return _network(view, ports, -(view.J_offdiag - view.R_offdiag))
 
 
 def _verify_blocks(view: BlockView, ports, block, pairs):
@@ -269,11 +264,11 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
             raise DimensionError(
                 f"port matrix {i} has {b.shape[0]} rows, block size is {p.sizes[i]}")
 
-    offs = np.cumsum([0] + [b.shape[1] for b in ports])
-    c_full = np.zeros((offs[-1], offs[-1]))
+    cols = _slices([b.shape[1] for b in ports])
+    c_full = np.zeros((cols[-1].stop, cols[-1].stop))
 
     def block(i, j):
-        return c_full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+        return c_full[cols[i], cols[j]]
 
     for (i, j), cij in blocks.items():
         if not (0 <= i < j < p.s):
@@ -301,10 +296,4 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
     failure = _verify_blocks(view, ports, block, [(j, i) for i, j in upper])
     if failure is not None:
         return failure
-    subs = _subsystems_from_view(view)
-    if skew:
-        coupling = CouplingSpec(port_matrices=tuple(ports), C=c_full)
-    else:
-        coupling = LinearPortRelation(port_matrices=tuple(ports),
-                                      M=np.eye(len(c_full)), N=c_full)
-    return CoupledNetwork(subsystems=subs, coupling=coupling)
+    return _network(view, ports, c_full)

@@ -143,6 +143,21 @@ def parse_system_text(text: str):
     raise ParseError(f"unknown kind {kind!r}")
 
 
+def parse_ports_text(text: str):
+    """Parse a JSON ports document ``{"ports": [Bhat_1, ...], "blocks":
+    [{"i": i, "j": j, "C": C_ij}, ...]}`` into the port matrices and the
+    coupling blocks keyed by (i, j)."""
+    try:
+        doc = json.loads(text)
+        ports = [_mat({"ports": b}, "ports") for b in doc["ports"]]
+        blocks = {(int(b["i"]), int(b["j"])): _mat(b, "C") for b in doc.get("blocks", [])}
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed ports document: {exc}") from exc
+    return ports, blocks
+
+
 def _mat_out(m: np.ndarray) -> list:
     return np.atleast_2d(m).tolist()
 

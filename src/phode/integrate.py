@@ -16,7 +16,7 @@ import scipy.linalg
 
 from . import coupling
 from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
-                   SingularFlowError, _rcond, E_RCOND_MIN, port_power)
+                   SingularFlowError, _rcond, _slices, E_RCOND_MIN, port_power)
 from .coupling import CoupledNetwork, CouplingSpec
 
 
@@ -260,67 +260,47 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         inner = [inner] * s
     if len(inner) != s:
         raise ValueError("one inner integrator per subsystem required")
-    ports = net.coupling.port_matrices
-    layout = net.coupling.layout
-    offs = np.cumsum([0] + list(layout))
     C = net.coupling.C
 
     t = _time_grid(t0, t1, dt)
     total_steps = len(t) - 1
     if total_steps % q != 0:
         raise ValueError("t1 - t0 must be an integer multiple of the window")
-    n_windows = total_steps // q
 
     x = _initial_state(x0, net.n)
-    ext_m = sum(sub.m for sub in subs)
-    u_mid = _inputs(u, ext_m, t[:-1] + 0.5 * dt)
-    ext_offs = np.cumsum([0] + [sub.m for sub in subs])
+    mono = coupling._stack(net)
+    state_sl = _slices(net.state_sizes)
+    port_sl = _slices(net.coupling.layout)
 
-    # per subsystem: step matrix, input gains of the port and external
-    # forcing, and the port output map y_hat = x @ out_map
+    # per subsystem a step matrix; block-diagonal over all subsystems the
+    # input gains of the ports and the external forcing per step, and the
+    # port output map y_hat = x @ out_map
     props = [_propagator(sub, inner[i], dt) for i, sub in enumerate(subs)]
-    port_gain = [gamma @ b for b, (_, gamma) in zip(ports, props)]
-    ext_gain = [gamma @ sub.B for sub, (_, gamma) in zip(subs, props)]
-    out_map = [sub.L.T @ b for sub, b in zip(subs, ports)]
+    gamma = coupling._blockdiag([g for _, g in props])
+    bhat = net.stacked_port_matrix()
+    port_gain = gamma @ bhat
+    out_map = mono.L.T @ bhat
+    ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ mono.B).T
 
     xs = np.empty((total_steps + 1, net.n))
     xs[0] = x
-    state_slices = []
-    k = 0
-    for ni in net.state_sizes:
-        state_slices.append(slice(k, k + ni))
-        k += ni
-
-    for w in range(n_windows):
-        k0 = w * q
-        x_start = [xs[k0, sl] for sl in state_slices]
-        # previous-sweep output waveforms, initialized by constant
-        # extrapolation of the window-initial outputs
-        waves = [np.tile(x_start[i] @ out_map[i], (q + 1, 1)) for i in range(s)]
-        x_block = [None] * s
+    for k0 in range(0, total_steps, q):
+        win = xs[k0:k0 + q + 1]
+        # port output waveforms of all subsystems on the window grid,
+        # initialized by constant extrapolation of the window-initial outputs
+        waves = np.tile(win[0] @ out_map, (q + 1, 1))
         for _sweep in range(sweeps):
-            new_waves = [None] * s
-            for i in range(s):
-                # internal input waveform on the window grid
-                uh = np.zeros((q + 1, layout[i]))
-                for j in range(s):
-                    cij = C[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
-                    if not np.any(cij):
-                        continue
-                    src = new_waves[j] if (mode == "gauss-seidel"
-                                           and new_waves[j] is not None) else waves[j]
-                    uh -= src @ cij.T
-                um_hat = 0.5 * (uh[:-1] + uh[1:])
-                ue = u_mid[k0:k0 + q, ext_offs[i]:ext_offs[i + 1]]
-                g = um_hat @ port_gain[i].T + ue @ ext_gain[i].T
-                block = _propagate(props[i][0], x_start[i], g)
-                new_waves[i] = block @ out_map[i]
-                x_block[i] = block
-            waves = new_waves
-        for i, sl in enumerate(state_slices):
-            xs[k0:k0 + q + 1, sl] = x_block[i]
+            # Gauss-Seidel reads the waveforms updated so far in this sweep,
+            # Jacobi those of the previous sweep
+            src = waves if mode == "gauss-seidel" else waves.copy()
+            for (phi, _), sl, psl in zip(props, state_sl, port_sl):
+                uh = -(src @ C[psl].T)
+                g = 0.5 * (uh[:-1] + uh[1:]) @ port_gain[sl, psl].T + ext[k0:k0 + q, sl]
+                block = _propagate(phi, win[0, sl], g)
+                win[:, sl] = block
+                waves[:, psl] = block @ out_map[sl, psl]
 
-    mono = coupling.condense_skew(net)
+    # y and H depend on L, B, P, S, N and Q only, which coupling leaves alone
     return _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}")
 
 

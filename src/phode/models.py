@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LinearPHSystem, DimensionError
-from .coupling import CoupledNetwork, CouplingSpec
-from .decoupling import Partition, decouple_auto
+from .coupling import CoupledNetwork
+from .decoupling import Partition, decouple_auto, decouple_with_ports
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +70,9 @@ def two_mass_network(params: TwoMassParams | None = None,
         return decouple_auto(sys, Partition((3, 2)))
     if variant != "b":
         raise ValueError(f"unknown variant {variant!r}")
-    from .decoupling import partition_blocks
-    view = partition_blocks(sys, Partition((3, 2)))
-    subs = tuple(
-        LinearPHSystem(E=view.E_diag[i], J=view.J_diag[i], R=view.R_diag[i],
-                       B=np.zeros((view.partition.sizes[i], 0)), L=view.L_diag[i])
-        for i in range(2)
-    )
     b1 = np.array([[0.], [0.], [1.]])
     b2 = np.array([[-1.], [0.]])
-    C = np.array([[0., -1.], [1., 0.]])
-    return CoupledNetwork(subsystems=subs,
-                          coupling=CouplingSpec(port_matrices=(b1, b2), C=C))
+    return decouple_with_ports(sys, Partition((3, 2)), [b1, b2], {(0, 1): [[-1.]]})
 
 
 def two_mass_alt_ports():

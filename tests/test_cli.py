@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phode.cli
+import phode.coupling
 from phode.cli import main
 from phode.fileio import parse_system_text, read_trajectory
 from phode.models import two_mass
@@ -125,6 +127,45 @@ class TestPipeline:
         assert main(["condense", net, "--mode", "general",
                      "-o", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("M,N", [([[0., 0.], [0., 0.]], [[1., 0.], [0., 1.]]),
+                                     ([[1., 0.]], [[0., 1.]])],
+                             ids=["singular", "not-square"])
+    def test_condense_general_uneliminable_relation_exit_2(self, tmp_path, capsys, M, N):
+        sub = {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]}
+        net = write_json(tmp_path / "net.json", {
+            "kind": "network", "subsystems": [sub, sub],
+            "coupling": {"type": "relation", "ports": [[[1.]], [[1.]]], "M": M, "N": N},
+        })
+        out = tmp_path / "m.json"
+        assert main(["condense", net, "--mode", "general", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "not eliminable")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"blocks": []}, "'ports'"),
+        ({"ports": [[[0.], [0.], [1.]], [[-1.], [0.]]],
+          "blocks": [{"j": 1, "C": [[-1.]]}]}, "'i'"),
+        ({"ports": [[[0.], [0.], [1.]], [[-1.], [0.]]],
+          "blocks": [{"i": 0, "C": [[-1.]]}]}, "'j'"),
+        ({"ports": [[[0.], [0.], [1.]], [[-1.], [0.]]],
+          "blocks": [{"i": 0, "j": 1}]}, "'C'"),
+    ], ids=["no-ports", "no-i", "no-j", "no-C"])
+    def test_decouple_malformed_ports_document_exit_1(self, tmp_path, capsys, doc, fragment):
+        ports = write_json(tmp_path / "ports.json", doc)
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "--ports", ports]) == 1
+        assert_one_line_error(capsys, fragment)
+
+    def test_decouple_ports_not_json_exit_1(self, tmp_path, capsys):
+        ports = tmp_path / "ports.json"
+        ports.write_text("{ports: nope")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "--ports", str(ports)]) == 1
+        assert_one_line_error(capsys, "ports.json")
+
+    def test_decouple_missing_ports_file_exit_1(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "--ports", missing]) == 1
+        assert_one_line_error(capsys, "absent.json")
+
     def test_condense_phdae_mode(self, tmp_path):
         sub = {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]}
         net = write_json(tmp_path / "net.json", {
@@ -231,6 +272,24 @@ class TestCosim:
                      "--t1", "0.2", "-o", out]) == 0
         _, x, _, _ = read_trajectory(Path(out).read_text())
         assert np.array_equal(x[0], [-0.3, 0.5, 0.1, 0.2, -0.4])
+
+
+    def test_cosim_condenses_once(self, tmp_path, monkeypatch):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (phode.coupling, phode.cli):
+            monkeypatch.setattr(mod, "condense_skew", counted(mod.condense_skew))
+        assert main(["cosim", net, "--x0", "1,0.5,-0.3,0.2,0.4", "--t1", "0.2",
+                     "-o", str(tmp_path / "traj.csv")]) == 0
+        assert len(calls) == 1
 
 
 class TestModelCommand:

@@ -9,7 +9,7 @@ from phode.integrate import (EnergyReport, Trajectory, dynamic_iteration,
 from phode.models import (PoroelasticParams, TwoMassParams, poroelastic,
                           two_mass, two_mass_network)
 
-from util import explicit_euler, random_linear_ph, rk4_reference
+from util import explicit_euler, random_linear_ph, random_network, rk4_reference
 
 X0 = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
 
@@ -151,6 +151,26 @@ class TestDynamicIteration:
                               t1=0.5, dt=0.01)
         assert np.array_equal(a.x[:, :3], c.x[:, 2:])
         assert np.array_equal(a.x[:, 3:], c.x[:, :2])
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("net", [two_mass_network(variant="b"),
+                                     random_network(np.random.default_rng(0), s=3)],
+                             ids=["two-mass-b", "random-3-block"])
+    def test_fixed_point_is_monolithic_midpoint(self, mode, net):
+        x0 = np.random.default_rng(1).standard_normal(net.n)
+        ref = implicit_midpoint(condense_skew(net), x0=x0, t1=1.0, dt=0.01)
+        traj = dynamic_iteration(net, mode=mode, window=0.1, sweeps=20,
+                                 x0=x0, t1=1.0, dt=0.01)
+        assert np.max(np.abs(traj.x - ref.x)) <= 1e-10 * np.max(np.abs(ref.x))
+
+    def test_outputs_and_energy_are_those_of_the_condensed_system(self):
+        _, net = poroelastic()
+        x0 = np.random.default_rng(1).standard_normal(net.n)
+        traj = dynamic_iteration(net, sweeps=3, window=0.1, x0=x0, t1=0.5, dt=0.01)
+        mono = condense_skew(net)
+        assert traj.y.shape == (traj.steps + 1, mono.m) and mono.m > 0
+        assert np.allclose(traj.y, traj.x @ mono.L.T @ (mono.B + mono.P), rtol=1e-13, atol=1e-15)
+        assert np.allclose(traj.H, [mono.hamiltonian(x) for x in traj.x], rtol=1e-13, atol=0)
 
     def test_nonskew_coupling_rejected(self):
         net = two_mass_network(variant="b")
