@@ -15,14 +15,18 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import (DimensionError, LinearPHSystem, _min_eig_sym, _rcond, _skew_violation,
                    _slices)
 
 
 def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
+    """Block-diagonal matrix of 2-D blocks; 0x0 for no blocks."""
+    rows, cols = [m.shape[0] for m in mats], [m.shape[1] for m in mats]
+    out = np.zeros((sum(rows), sum(cols)))
+    for m, rs, cs in zip(mats, _slices(rows), _slices(cols)):
+        out[rs, cs] = m
+    return out
 
 
 @dataclass(frozen=True)

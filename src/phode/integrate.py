@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import coupling
 from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
@@ -123,9 +122,7 @@ def _propagator(sys: LinearPHSystem, method: str, dt: float):
         minus = sys.E - 0.5 * h * A
         if _rcond(minus) <= E_RCOND_MIN:
             raise SingularFlowError("singular implicit step matrix")
-        lu = scipy.linalg.lu_factor(minus)
-        rhs = np.hstack([sys.E + 0.5 * h * A, h * np.eye(n)])
-        sol = scipy.linalg.lu_solve(lu, rhs)
+        sol = np.linalg.solve(minus, np.hstack([sys.E + 0.5 * h * A, h * np.eye(n)]))
         return sol[:, :n], sol[:, n:]
 
     if method == "midpoint":
@@ -250,6 +247,8 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     mode = mode.lower().replace("_", "-")
     if mode not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown mode {mode!r}")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
     q = int(round(window / dt))
     if q < 1 or abs(q * dt - window) > 1e-9 * max(1.0, window):
         raise ValueError("window must be a positive integer multiple of dt")
@@ -280,7 +279,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     bhat = net.stacked_port_matrix()
     port_gain = gamma @ bhat
     out_map = mono.L.T @ bhat
-    ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ mono.B).T
+    ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ (mono.B - mono.P)).T
 
     xs = np.empty((total_steps + 1, net.n))
     xs[0] = x

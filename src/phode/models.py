@@ -32,6 +32,9 @@ class TwoMassParams:
     r2: float = 0.1
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.m1, self.m2, self.K, self.K1, self.K2,
+                                   self.r1, self.r2])):
+            raise ValueError("non-finite parameter values")
         if min(self.m1, self.m2, self.K, self.K1, self.K2) <= 0:
             raise ValueError("masses and stiffnesses must be positive")
         if min(self.r1, self.r2) < 0:
@@ -116,6 +119,11 @@ class PoroelasticParams:
     B_g: np.ndarray = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.rho, self.mu, self.lam, self.alpha, self.kappa,
+                                   self.nu, self.biot_modulus])):
+            raise ValueError("non-finite parameter values")
+        if min(self.rho, self.nu, self.biot_modulus) <= 0 or self.kappa < 0:
+            raise ValueError("rho, nu and biot_modulus must be positive, kappa nonnegative")
         nw, npp = self.dim_w, self.dim_p
         defaults = {
             "M_u": np.eye(nw),

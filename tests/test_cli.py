@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +293,16 @@ class TestCosim:
                      "-o", str(tmp_path / "traj.csv")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("sweeps", ["0", "-2"])
+    def test_sweeps_below_one_exit_1(self, tmp_path, capsys, sweeps):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,0,0,0,0", "--sweeps", sweeps,
+                     "--t1", "0.2", "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "sweeps")
+        assert not out.exists()
+
 
 class TestModelCommand:
     def test_emit_and_validate(self, tmp_path):
@@ -306,3 +318,23 @@ class TestModelCommand:
 
     def test_bad_params_exit_1(self):
         assert main(["model", "two-mass", "--params", "m1=-1"]) == 1
+
+    @pytest.mark.parametrize("name, params", [
+        ("two-mass", "m1=nan"), ("two-mass", "K=inf"), ("poroelastic", "rho=nan"),
+        ("poroelastic", "alpha=-inf"), ("poroelastic", "rho=0"),
+        ("poroelastic", "nu=0"), ("poroelastic", "kappa=-1"),
+    ])
+    def test_non_finite_or_non_physical_params_exit_1(self, tmp_path, capsys, name, params):
+        out = tmp_path / "model.json"
+        assert main(["model", name, "--params", params, "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "bad parameters")
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(phode.cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import phode, phode.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

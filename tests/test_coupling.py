@@ -4,7 +4,7 @@ import pytest
 from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             StructureFailure, build_phdae, condense_general,
-                            condense_skew, eliminate_ports)
+                            _blockdiag, condense_skew, eliminate_ports)
 from phode.models import two_mass, two_mass_network
 
 from util import random_linear_ph, random_network
@@ -195,3 +195,16 @@ class TestFeedthroughCondensed:
                 expected = scipy.linalg.block_diag(*[getattr(s, a) for s in subs])
                 assert np.array_equal(getattr(mono, a), expected)
             assert validate_structure(mono, tol=1e-10).passed
+
+
+@pytest.mark.parametrize("shapes", [
+    [], [(1, 1), (1, 1)], [(3, 0), (2, 0)], [(2, 2), (3, 0), (1, 2)],
+    [(0, 2), (0, 3)], [(0, 1), (2, 2)], [(2, 3), (1, 1), (4, 2)],
+], ids=["empty", "1x1", "nx0", "mixed-nx0", "0xm", "mixed-0xm", "mixed"])
+def test_blockdiag_matches_scipy(shapes):
+    import scipy.linalg
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal(s) for s in shapes]
+    # scipy gives 1x0 for no blocks; a stack of no subsystems is 0x0
+    expected = scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
+    assert np.array_equal(_blockdiag(mats), expected)

@@ -172,6 +172,28 @@ class TestDynamicIteration:
         assert np.allclose(traj.y, traj.x @ mono.L.T @ (mono.B + mono.P), rtol=1e-13, atol=1e-15)
         assert np.allclose(traj.H, [mono.hamiltonian(x) for x in traj.x], rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_fixed_point_with_driven_feedthrough(self, mode):
+        rng = np.random.default_rng(4)
+        subs = tuple(random_linear_ph(rng, n=n, m=1, feedthrough=True) for n in (3, 2))
+        ports = tuple(rng.standard_normal((n, 1)) for n in (3, 2))
+        net = CoupledNetwork(subs, CouplingSpec(ports, [[0., 1.], [-1., 0.]]))
+        x0 = rng.standard_normal(5)
+
+        def u(t):
+            return np.array([np.sin(t), np.cos(t)])
+
+        ref = implicit_midpoint(condense_skew(net), u=u, x0=x0, t1=1.0, dt=0.01)
+        traj = dynamic_iteration(net, mode=mode, window=0.1, sweeps=30, u=u,
+                                 x0=x0, t1=1.0, dt=0.01)
+        assert np.max(np.abs(traj.x - ref.x)) <= 1e-10 * np.max(np.abs(ref.x))
+
+    @pytest.mark.parametrize("sweeps", [0, -2])
+    def test_sweeps_below_one_rejected(self, sweeps):
+        with pytest.raises(ValueError, match="sweeps"):
+            dynamic_iteration(two_mass_network(variant="b"), sweeps=sweeps,
+                              x0=X0, t1=0.2, dt=0.01)
+
     def test_nonskew_coupling_rejected(self):
         net = two_mass_network(variant="b")
         bad = CoupledNetwork(net.subsystems,
