@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys as _sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,13 +202,17 @@ def _cmd_cosim(args):
     x0 = _parse_x0(args.x0, obj.n)
     inner = args.inner.split(",") if args.inner else "midpoint"
     try:
-        traj = dynamic_iteration(obj, mode=args.mode, window=args.window,
-                                 sweeps=args.sweeps, inner=inner,
-                                 x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            traj = dynamic_iteration(obj, mode=args.mode, window=args.window,
+                                     sweeps=args.sweeps, inner=inner,
+                                     x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
     except (SingularFlowError, NewtonError, FloatingPointError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
     except ValueError as exc:
         raise CliError(str(exc))
+    for w in caught:
+        print(f"phode: warning: {w.message}", file=_sys.stderr)
     mono = condense_skew(obj)
     rep = energy_report(traj, mono)
     _write(args.output, write_trajectory(traj, rep))

@@ -8,6 +8,7 @@ waveform relaxation) for skew-coupled networks.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +18,15 @@ from . import coupling
 from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
                    SingularFlowError, _rcond, _slices, E_RCOND_MIN, port_power)
 from .coupling import CoupledNetwork, CouplingSpec
+
+# entries of each prebuilt lifted map in dynamic_iteration at most, and the
+# time of one Python-level step counted in multiply-adds of a matrix
+# product; together they set the chunk length a window is cut into
+_MAP_ENTRIES = 2 ** 18
+_CHUNK_OVERHEAD = 30000
+# relative change of the coupling inputs in the last sweep above which
+# dynamic_iteration warns that it has not converged
+_SWEEP_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 class NewtonError(RuntimeError):
@@ -135,8 +145,9 @@ def _propagator(sys: LinearPHSystem, method: str, dt: float):
 
 
 def _propagate(phi: np.ndarray, x0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """States x_0..x_k of x_{j+1} = Phi x_j + g_j, one row of g per step."""
-    xs = np.empty((len(g) + 1, x0.size))
+    """States x_0..x_k of x_{j+1} = Phi x_j + g_j, one row of g per step.
+    x0 may also be a matrix, stepped column by column."""
+    xs = np.empty((len(g) + 1,) + x0.shape)
     xs[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(len(g)):
@@ -225,6 +236,68 @@ def strang_split(sys: LinearPHSystem, u=None, x0=None, t0: float = 0.0,
     return _integrate_linear(sys, "strang", u, x0, t0, t1, dt)
 
 
+def _chunk_steps(q: int, n: int, p: int) -> int:
+    """Steps per chunk of a q-step window for a block with n states and p
+    coupling inputs.
+
+    Per sweep a window cut into chunks of c steps costs c*p*c*n
+    multiply-adds per chunk (the wave map product), three more per entry of
+    the c*p x c*n wave map (read from memory once per product) and, when
+    there is more than one chunk, ``_CHUNK_OVERHEAD`` once plus
+    ``_CHUNK_OVERHEAD + n*n`` per chunk after the first (the chunk
+    recursion).  The cheapest c is taken among those whose maps hold at
+    most ``_MAP_ENTRIES`` entries; c = 1 always qualifies.
+    """
+    c = np.arange(1, q + 1)
+    work = ((-(-q // c) - 1) * (_CHUNK_OVERHEAD + n * n) + (c < q) * _CHUNK_OVERHEAD
+            + (q // c * c * c + (q % c) ** 2 + 3 * c * c) * p * n).astype(float)
+    work[(c > 1) & (c * n * np.maximum(c * p, n) > _MAP_ENTRIES)] = np.inf
+    return int(c[np.argmin(work)])
+
+
+def _lifted_maps(phi: np.ndarray, gain: np.ndarray, q: int):
+    """Chunk length c, c-step matrix Phi^c, carry map and wave map of the
+    steps x_{j+1} = Phi x_j + gain v_j: the stacked states x_{a+1}..x_{a+c}
+    are ``x_a @ carry_map + vec(v_a..v_{a+c-1}) @ wave_map``, and the leading
+    blocks of both maps give a shorter chunk.
+
+    The powers Phi^k and Phi^k gain come from stepping matrices through the
+    same recursion with ``_propagate``; the wave map is their lower block
+    Toeplitz arrangement.
+    """
+    n, p = gain.shape
+    c = _chunk_steps(q, n, p)
+    powers = _propagate(phi, phi, np.zeros((c - 1, n, n)))
+    resp = _propagate(phi, gain, np.zeros((c - 1, n, p)))
+    carry_map = powers.transpose(2, 0, 1).reshape(n, c * n)
+    resp = resp.transpose(2, 0, 1).reshape(p, c * n)
+    wave_map = np.zeros((c * p, c * n))
+    for j in range(c):   # v_{a+j} drives x_{a+j+1} on
+        wave_map[j * p:(j + 1) * p, j * n:] = resp[:, :(c - j) * n]
+    return c, powers[-1], carry_map, wave_map
+
+
+def _coupling_response(v: np.ndarray, lifted) -> np.ndarray:
+    """States x_1..x_q driven from x_0 = 0 by the inputs v_0..v_{q-1} (one
+    row per step) through the maps of ``_lifted_maps``."""
+    c, phi_c, carry_map, wave_map = lifted
+    (q, p), n = v.shape, len(phi_c)
+    f, r = divmod(q, c)
+    # every full chunk from a zero start state in one product; then the
+    # chunk end states, stepped c steps at a time, and the start state of
+    # each chunk carried into the states inside it
+    x = v[:f * c].reshape(f, c * p) @ wave_map
+    if f > 1:
+        ends = _propagate(phi_c, x[0, -n:], x[1:, -n:])
+        x[1:, :-n] += ends[:-1] @ carry_map[:, :-n]
+        x[:, -n:] = ends
+    x = x.reshape(f * c, n)
+    if not r:
+        return x
+    tail = v[f * c:].ravel() @ wave_map[:r * p, :r * n] + x[-1] @ carry_map[:, :r * n]
+    return np.vstack([x, tail.reshape(r, n)])
+
+
 def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
                       window: float = 0.1, sweeps: int = 5,
                       inner: Sequence[str] | str = "midpoint",
@@ -235,9 +308,20 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     Per window each subsystem is integrated with internal inputs
     u_hat_i(t) = -sum_j C_ij y_hat_j(t), where y_hat_j comes from the
     previous sweep (Jacobi) or, for already-updated subsystems, from the
-    current sweep (Gauss-Seidel).  Output waveforms are exchanged on the
-    shared dt-grid; midpoint input values are endpoint averages, so the
-    fixed point is exactly the monolithic implicit midpoint trajectory.
+    current sweep (Gauss-Seidel).  Subsystems exchange their port outputs
+    at the step midpoints of the shared dt-grid as endpoint averages, so
+    the fixed point is exactly the monolithic implicit midpoint trajectory.
+
+    A subsystem's states in a window are its free response to the
+    window-initial state and the external input, stepped once per window,
+    plus its response to u_hat_i, which is linear in u_hat_i: per sweep one
+    matrix product with a prebuilt lifted map over all chunks of the
+    window, and one step per chunk (see ``_chunk_steps``).
+
+    When, in some window, the coupling inputs given by the last sweep's
+    outputs differ from those the last sweep was driven with by more than
+    sqrt(eps) relative to their maximum, a ``RuntimeWarning`` names the
+    worst window; the trajectory is returned all the same.
     """
     if not isinstance(net.coupling, CouplingSpec):
         raise ValueError("dynamic iteration requires a skew coupling; "
@@ -271,36 +355,59 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     state_sl = _slices(net.state_sizes)
     port_sl = _slices(net.coupling.layout)
 
-    # per subsystem a step matrix; block-diagonal over all subsystems the
-    # input gains of the ports and the external forcing per step, and the
-    # port output map y_hat = x @ out_map
+    # per subsystem a step matrix and the lifted maps of its coupling input
+    # C_i y_hat (the sign of u_hat = -C y_hat is folded into the gain);
+    # block-diagonal over all subsystems the external forcing per step and
+    # the port output map y_hat = x @ out_map, also halved, which turns the
+    # sum of neighbouring states into the step-midpoint output
     props = [_propagator(sub, inner[i], dt) for i, sub in enumerate(subs)]
     gamma = coupling._blockdiag([g for _, g in props])
     bhat = net.stacked_port_matrix()
     port_gain = gamma @ bhat
+    maps = [_lifted_maps(phi, -port_gain[sl, psl], q)
+            for (phi, _), sl, psl in zip(props, state_sl, port_sl)]
     out_map = mono.L.T @ bhat
+    half_out = 0.5 * out_map
     ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ (mono.B - mono.P)).T
 
     xs = np.empty((total_steps + 1, net.n))
     xs[0] = x
-    for k0 in range(0, total_steps, q):
-        win = xs[k0:k0 + q + 1]
-        # port output waveforms of all subsystems on the window grid,
-        # initialized by constant extrapolation of the window-initial outputs
-        waves = np.tile(win[0] @ out_map, (q + 1, 1))
-        for _sweep in range(sweeps):
-            # Gauss-Seidel reads the waveforms updated so far in this sweep,
-            # Jacobi those of the previous sweep
-            src = waves if mode == "gauss-seidel" else waves.copy()
-            for (phi, _), sl, psl in zip(props, state_sl, port_sl):
-                uh = -(src @ C[psl].T)
-                g = 0.5 * (uh[:-1] + uh[1:]) @ port_gain[sl, psl].T + ext[k0:k0 + q, sl]
-                block = _propagate(phi, win[0, sl], g)
-                win[:, sl] = block
-                waves[:, psl] = block @ out_map[sl, psl]
+    worst, worst_k0 = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, total_steps, q):
+            win = xs[k0:k0 + q + 1]
+            free = [_propagate(phi, win[0, sl], ext[k0:k0 + q, sl])[1:]
+                    for (phi, _), sl in zip(props, state_sl)]
+            # step-midpoint port outputs of all subsystems in the window,
+            # initialized by constant extrapolation of the window-initial outputs
+            mids = np.tile(win[0] @ out_map, (q, 1))
+            for _sweep in range(sweeps):
+                # Gauss-Seidel reads the outputs updated so far in this sweep,
+                # Jacobi those of the previous sweep
+                src = mids if mode == "gauss-seidel" else mids.copy()
+                used = []
+                for x_free, lifted, sl, psl in zip(free, maps, state_sl, port_sl):
+                    used.append(src @ C[psl].T)
+                    win[1:, sl] = x_free + _coupling_response(used[-1], lifted)
+                    mids[:, psl] = (win[:-1, sl] + win[1:, sl]) @ half_out[sl, psl]
+            # the coupling inputs the last sweep's outputs give, against those
+            # it was driven with
+            coupled = mids @ C.T
+            change = np.max(np.abs(coupled - np.hstack(used)))
+            scale = np.max(np.abs(coupled))
+            if scale > 0 and change / scale > worst:
+                worst, worst_k0 = change / scale, k0
 
     # y and H depend on L, B, P, S, N and Q only, which coupling leaves alone
-    return _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}")
+    traj = _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}")
+    if worst > _SWEEP_TOL:
+        warnings.warn(f"dynamic iteration has not converged: in window "
+                      f"{worst_k0 // q + 1} of {total_steps // q} "
+                      f"(t = {t[worst_k0]:g} to {t[worst_k0 + q]:g}) the last of {sweeps} "
+                      f"sweeps changed the coupling inputs by {worst:.1e} of their "
+                      f"maximum, above {_SWEEP_TOL:.1e}; use more sweeps or a shorter window",
+                      RuntimeWarning, stacklevel=2)
+    return traj
 
 
 def energy_report(traj: Trajectory, sys: LinearPHSystem,

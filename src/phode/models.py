@@ -102,8 +102,6 @@ def _tridiag(n: int, lo: float, di: float, up: float) -> np.ndarray:
 @dataclass(frozen=True)
 class PoroelasticParams:
     rho: float = 1.0
-    mu: float = 1.0
-    lam: float = 1.0
     alpha: float = 1.0
     kappa: float = 1.0
     nu: float = 1.0
@@ -119,8 +117,8 @@ class PoroelasticParams:
     B_g: np.ndarray = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.rho, self.mu, self.lam, self.alpha, self.kappa,
-                                   self.nu, self.biot_modulus])):
+        if not np.all(np.isfinite([self.rho, self.alpha, self.kappa, self.nu,
+                                   self.biot_modulus])):
             raise ValueError("non-finite parameter values")
         if min(self.rho, self.nu, self.biot_modulus) <= 0 or self.kappa < 0:
             raise ValueError("rho, nu and biot_modulus must be positive, kappa nonnegative")

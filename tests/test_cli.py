@@ -9,7 +9,9 @@ import pytest
 import phode.cli
 import phode.coupling
 from phode.cli import main
-from phode.fileio import parse_system_text, read_trajectory
+from phode.coupling import condense_skew
+from phode.fileio import parse_system_text, read_trajectory, write_trajectory
+from phode.integrate import dynamic_iteration, energy_report
 from phode.models import two_mass
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -303,6 +305,33 @@ class TestCosim:
         assert_one_line_error(capsys, "sweeps")
         assert not out.exists()
 
+    def test_unconverged_cosim_warns_on_one_line(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", str(net)]) == 0
+        capsys.readouterr()
+        argv = ["cosim", str(net), "--x0", "1,0.5,-0.3,0.2,0.4", "--sweeps", "2",
+                "--t1", "0.2"]
+        out = tmp_path / "traj.csv"
+        assert main(argv + ["-o", str(out)]) == 0
+        written = capsys.readouterr()
+        assert written.out == ""
+        assert written.err.startswith("phode: warning: ") and written.err.count("\n") == 1
+        assert "in window 2 of 2 (t = 0.1 to 0.2) the last of 2 sweeps" in written.err
+        # the warning changes neither the CSV nor standard output
+        obj = parse_system_text(net.read_text())
+        with pytest.warns(RuntimeWarning):
+            traj = dynamic_iteration(obj, sweeps=2, x0=[1, 0.5, -0.3, 0.2, 0.4], t1=0.2)
+        assert out.read_text() == write_trajectory(traj, energy_report(traj, condense_skew(obj)))
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out.read_text(), written.err)
+
+    def test_converged_cosim_prints_nothing_on_stderr(self, tmp_path, capsys):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        assert main(["cosim", net, "--x0", "1,0.5,-0.3,0.2,0.4", "--sweeps", "20",
+                     "--t1", "0.2", "-o", str(tmp_path / "traj.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestModelCommand:
     def test_emit_and_validate(self, tmp_path):
@@ -327,6 +356,13 @@ class TestModelCommand:
     def test_non_finite_or_non_physical_params_exit_1(self, tmp_path, capsys, name, params):
         out = tmp_path / "model.json"
         assert main(["model", name, "--params", params, "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "bad parameters")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", ["mu=-7", "lam=2"])
+    def test_unused_poroelastic_params_exit_1(self, tmp_path, capsys, params):
+        out = tmp_path / "model.json"
+        assert main(["model", "poroelastic", "--params", params, "-o", str(out)]) == 1
         assert_one_line_error(capsys, "bad parameters")
         assert not out.exists()
 

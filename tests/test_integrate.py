@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import phode.integrate
 from phode.core import CallbackPHSystem, LinearPHSystem, SingularFlowError
 from phode.coupling import CoupledNetwork, CouplingSpec, condense_skew
 from phode.integrate import (EnergyReport, Trajectory, dynamic_iteration,
@@ -9,7 +12,8 @@ from phode.integrate import (EnergyReport, Trajectory, dynamic_iteration,
 from phode.models import (PoroelasticParams, TwoMassParams, poroelastic,
                           two_mass, two_mass_network)
 
-from util import explicit_euler, random_linear_ph, random_network, rk4_reference
+from util import (explicit_euler, per_step_dynamic_iteration, random_linear_ph,
+                  random_network, random_skew, rk4_reference)
 
 X0 = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
 
@@ -206,6 +210,133 @@ class TestDynamicIteration:
         net = two_mass_network(variant="b")
         with pytest.raises(ValueError):
             dynamic_iteration(net, window=0.015, x0=X0, t1=1.0, dt=0.01)
+
+
+def driven_feedthrough_network(rng):
+    subs = tuple(random_linear_ph(rng, n=n, m=1, feedthrough=True) for n in (3, 2))
+    ports = tuple(rng.standard_normal((n, 1)) for n in (3, 2))
+    return CoupledNetwork(subs, CouplingSpec(ports, [[0., 1.], [-1., 0.]]))
+
+
+def fixed_size_network(rng, sizes, port_sizes, implicit=False, scale=1.0):
+    subs = tuple(random_linear_ph(rng, n=n, m=0, implicit=implicit) for n in sizes)
+    ports = tuple(rng.standard_normal((n, p)) for n, p in zip(sizes, port_sizes))
+    C = scale * random_skew(rng, sum(port_sizes))
+    return CoupledNetwork(subs, CouplingSpec(ports, C))
+
+
+def sin_cos(t):
+    return np.array([np.sin(t), np.cos(t)])
+
+
+def spy_lifted_maps(monkeypatch):
+    """Record the chunk plan of every block built by dynamic_iteration."""
+    plans = []
+    build = phode.integrate._lifted_maps
+
+    def spy(*args):
+        plans.append(build(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(phode.integrate, "_lifted_maps", spy)
+    return plans
+
+
+def relative_error(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
+class TestLiftedWindowMaps:
+    CASES = {
+        "midpoint": lambda: dict(net=random_network(np.random.default_rng(20), s=3)),
+        "strang-midpoint-spd-E": lambda: dict(
+            net=fixed_size_network(np.random.default_rng(21), (4, 3), (2, 2), implicit=True),
+            inner=["strang", "midpoint"]),
+        "driven-feedthrough": lambda: dict(
+            net=driven_feedthrough_network(np.random.default_rng(4)), u=sin_cos),
+    }
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_per_step_sweeps(self, mode, case):
+        kw = self.CASES[case]()
+        x0 = np.random.default_rng(22).standard_normal(kw["net"].n)
+        for sweeps in (1, 3):
+            traj = dynamic_iteration(mode=mode, window=0.1, sweeps=sweeps, x0=x0,
+                                     t1=1.0, dt=0.01, **kw)
+            ref = per_step_dynamic_iteration(mode=mode, window=0.1, sweeps=sweeps,
+                                             x0=x0, t1=1.0, dt=0.01, **kw)
+            assert relative_error(traj.x, ref) <= 1e-13
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_window_cut_into_chunks(self, monkeypatch, mode):
+        # with 48 entries per map the (3, 4, 2)-state blocks take chunks of
+        # 2, 3 and 3 steps, so a 10-step window ends in a partial chunk
+        monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 48)
+        plans = spy_lifted_maps(monkeypatch)
+        net = fixed_size_network(np.random.default_rng(23), (3, 4, 2), (2, 1, 2))
+        x0 = np.random.default_rng(24).standard_normal(net.n)
+        traj = dynamic_iteration(net, mode=mode, window=0.1, sweeps=4, x0=x0,
+                                 t1=0.5, dt=0.01)
+        assert [c for c, _, _, _ in plans] == [2, 3, 3]
+        ref = per_step_dynamic_iteration(net, mode=mode, window=0.1, sweeps=4,
+                                         x0=x0, t1=0.5, dt=0.01)
+        assert relative_error(traj.x, ref) <= 1e-13
+
+    def test_long_window_maps_stay_within_budget(self, monkeypatch):
+        plans = spy_lifted_maps(monkeypatch)
+        net = fixed_size_network(np.random.default_rng(25), (10, 10), (3, 10), scale=0.3)
+        x0 = np.random.default_rng(26).standard_normal(net.n)
+        traj = dynamic_iteration(net, window=5.0, sweeps=2, x0=x0, t1=5.0, dt=0.01)
+        budget = phode.integrate._MAP_ENTRIES
+        for c, _, carry_map, wave_map in plans:
+            assert 1 < c < 500 and 500 % c
+            assert carry_map.size <= budget and wave_map.size <= budget
+        ref = per_step_dynamic_iteration(net, window=5.0, sweeps=2, x0=x0, t1=5.0, dt=0.01)
+        assert relative_error(traj.x, ref) <= 1e-13
+
+    def test_chunk_length_by_cost(self, monkeypatch):
+        chunk = phode.integrate._chunk_steps
+        # blocks of the size of the benchmark networks solve a 10-step window
+        # in one product, and a 100-step window in a few chunks
+        assert chunk(10, 10, 10) == 10
+        assert 10 <= chunk(100, 10, 10) <= 25
+        assert 20 <= chunk(100, 4, 2) <= 50
+        # large blocks take short chunks, down to single steps
+        assert chunk(10, 100, 100) == 2
+        assert chunk(5, 200, 200) == 1
+        # the map budget caps the chunk length, but never below one step
+        monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 6 * 10 * 6 * 10)
+        assert chunk(100, 10, 10) == 6
+        monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 1)
+        assert chunk(100, 10, 10) == 1
+
+
+class TestSweepWarning:
+    def test_unconverged_sweeps_warn_with_worst_window(self):
+        net = two_mass_network(variant="b")
+        with pytest.warns(RuntimeWarning, match=r"window \d+ of 10 .* last of 2 sweeps"):
+            dynamic_iteration(net, sweeps=2, window=0.1, x0=X0, t1=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_zero_coupling_never_warns(self, mode):
+        net = two_mass_network(variant="b")
+        zero = CoupledNetwork(net.subsystems,
+                              CouplingSpec(net.coupling.port_matrices, np.zeros((2, 2))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dynamic_iteration(zero, mode=mode, sweeps=1, window=0.1, x0=X0, t1=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("net", [two_mass_network(variant="b"),
+                                     random_network(np.random.default_rng(0), s=3)],
+                             ids=["two-mass-b", "random-3-block"])
+    def test_converged_sweeps_do_not_warn(self, mode, net):
+        x0 = np.random.default_rng(1).standard_normal(net.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dynamic_iteration(net, mode=mode, window=0.1, sweeps=20, x0=x0, t1=1.0, dt=0.01)
 
 
 class TestEnergyReport:

@@ -3,8 +3,10 @@ reference integrator used as an independent oracle."""
 
 import numpy as np
 
-from phode.core import LinearPHSystem
+from phode import coupling
+from phode.core import LinearPHSystem, _slices
 from phode.coupling import CoupledNetwork, CouplingSpec
+from phode.integrate import _inputs, _propagate, _propagator
 
 
 def random_linear_ph(rng, n=4, m=2, implicit=False, feedthrough=False):
@@ -72,3 +74,38 @@ def explicit_euler(sys, x0, t0, t1, dt):
     for _ in range(steps):
         xs.append(xs[-1] + dt * A @ xs[-1])
     return t0 + dt * np.arange(steps + 1), np.array(xs)
+
+
+def per_step_dynamic_iteration(net, mode="jacobi", window=0.1, sweeps=5,
+                               inner="midpoint", u=None, x0=None, t1=1.0, dt=0.01):
+    """States of windowed waveform relaxation that steps every subsystem
+    through every window in every sweep (oracle for the lifted maps)."""
+    q = int(round(window / dt))
+    steps = int(round(t1 / dt))
+    subs = net.subsystems
+    inner = [inner] * len(subs) if isinstance(inner, str) else inner
+    C = net.coupling.C
+    mono = coupling._stack(net)
+    state_sl = _slices(net.state_sizes)
+    port_sl = _slices(net.coupling.layout)
+    props = [_propagator(sub, method, dt) for sub, method in zip(subs, inner)]
+    gamma = coupling._blockdiag([g for _, g in props])
+    bhat = net.stacked_port_matrix()
+    port_gain = gamma @ bhat
+    out_map = mono.L.T @ bhat
+    t = dt * np.arange(steps + 1)
+    ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ (mono.B - mono.P)).T
+    xs = np.empty((steps + 1, net.n))
+    xs[0] = x0
+    for k0 in range(0, steps, q):
+        win = xs[k0:k0 + q + 1]
+        waves = np.tile(win[0] @ out_map, (q + 1, 1))
+        for _ in range(sweeps):
+            src = waves if mode == "gauss-seidel" else waves.copy()
+            for (phi, _), sl, psl in zip(props, state_sl, port_sl):
+                uh = -(src @ C[psl].T)
+                g = 0.5 * (uh[:-1] + uh[1:]) @ port_gain[sl, psl].T + ext[k0:k0 + q, sl]
+                block = _propagate(phi, win[0, sl], g)
+                win[:, sl] = block
+                waves[:, psl] = block @ out_map[sl, psl]
+    return xs
