@@ -200,7 +200,8 @@ def _cmd_cosim(args):
     if not isinstance(obj, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
     x0 = _parse_x0(args.x0, obj.n)
-    inner = args.inner.split(",") if args.inner else "midpoint"
+    # one name applies to every subsystem, a comma list names one each
+    inner = args.inner.split(",") if "," in args.inner else args.inner
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
@@ -315,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--mode", choices=["jacobi", "gauss-seidel"], default="jacobi")
     co.add_argument("--window", type=float, default=0.1)
     co.add_argument("--sweeps", type=int, default=5)
-    co.add_argument("--inner", default=None,
-                    help="comma list of per-subsystem integrators (midpoint|strang)")
+    co.add_argument("--inner", default="midpoint",
+                    help="integrator of every subsystem (midpoint|strang), or a "
+                         "comma list with one per subsystem")
     co.add_argument("--x0", required=True, metavar="csv-list")
     co.add_argument("--t0", type=float, default=0.0)
     co.add_argument("--t1", type=float, default=1.0)

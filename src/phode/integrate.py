@@ -8,6 +8,7 @@ waveform relaxation) for skew-coupled networks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,9 +20,9 @@ from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
                    SingularFlowError, _rcond, _slices, E_RCOND_MIN, port_power)
 from .coupling import CoupledNetwork, CouplingSpec
 
-# entries of each prebuilt lifted map in dynamic_iteration at most, and the
-# time of one Python-level step counted in multiply-adds of a matrix
-# product; together they set the chunk length a window is cut into
+# entries of each prebuilt lifted map and window map in dynamic_iteration
+# at most, and the time of one Python-level step counted in multiply-adds of
+# a matrix product; the two set the chunk length a window is cut into
 _MAP_ENTRIES = 2 ** 18
 _CHUNK_OVERHEAD = 30000
 # relative change of the coupling inputs in the last sweep above which
@@ -81,9 +82,15 @@ class EnergyReport:
 
 
 def _time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = int(round((t1 - t0) / dt))
+        raise ValueError(f"dt must be positive, got {dt}")
+    steps = (t1 - t0) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"dt = {dt} is too small for t1 - t0")
+    steps = int(round(steps))
     if steps < 0 or abs(t0 + steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("t1 - t0 must be a (positive) integer multiple of dt")
     return t0 + dt * np.arange(steps + 1)
@@ -146,12 +153,13 @@ def _propagator(sys: LinearPHSystem, method: str, dt: float):
 
 def _propagate(phi: np.ndarray, x0: np.ndarray, g: np.ndarray) -> np.ndarray:
     """States x_0..x_k of x_{j+1} = Phi x_j + g_j, one row of g per step.
-    x0 may also be a matrix, stepped column by column."""
+    x0 may also be a matrix, stepped column by column.  Overflow is left to
+    the caller, which silences its warnings (``_finalize`` rejects
+    non-finite trajectories)."""
     xs = np.empty((len(g) + 1,) + x0.shape)
     xs[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(g)):
-            xs[j + 1] = phi @ xs[j] + g[j]
+    for j in range(len(g)):
+        xs[j + 1] = phi @ xs[j] + g[j]
     return xs
 
 
@@ -169,7 +177,8 @@ def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
     t = _time_grid(t0, t1, dt)
     phi, gamma = _propagator(sys, method, dt)
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
-    xs = _propagate(phi, x, u_mid @ (gamma @ (sys.B - sys.P)).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = _propagate(phi, x, u_mid @ (gamma @ (sys.B - sys.P)).T)
     return _finalize(sys, t, xs, _inputs(u, sys.m, t), method)
 
 
@@ -267,8 +276,9 @@ def _lifted_maps(phi: np.ndarray, gain: np.ndarray, q: int):
     """
     n, p = gain.shape
     c = _chunk_steps(q, n, p)
-    powers = _propagate(phi, phi, np.zeros((c - 1, n, n)))
-    resp = _propagate(phi, gain, np.zeros((c - 1, n, p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _propagate(phi, phi, np.zeros((c - 1, n, n)))
+        resp = _propagate(phi, gain, np.zeros((c - 1, n, p)))
     carry_map = powers.transpose(2, 0, 1).reshape(n, c * n)
     resp = resp.transpose(2, 0, 1).reshape(p, c * n)
     wave_map = np.zeros((c * p, c * n))
@@ -278,24 +288,79 @@ def _lifted_maps(phi: np.ndarray, gain: np.ndarray, q: int):
 
 
 def _coupling_response(v: np.ndarray, lifted) -> np.ndarray:
-    """States x_1..x_q driven from x_0 = 0 by the inputs v_0..v_{q-1} (one
-    row per step) through the maps of ``_lifted_maps``."""
+    """States x_1..x_q driven from x_0 = 0 by the inputs v_0..v_{q-1}
+    through the maps of ``_lifted_maps``, for a batch of input sequences:
+    v is (b, q, p), one row per step, and the states (b, q, n)."""
     c, phi_c, carry_map, wave_map = lifted
-    (q, p), n = v.shape, len(phi_c)
+    (b, q, p), n = v.shape, len(phi_c)
     f, r = divmod(q, c)
     # every full chunk from a zero start state in one product; then the
-    # chunk end states, stepped c steps at a time, and the start state of
-    # each chunk carried into the states inside it
-    x = v[:f * c].reshape(f, c * p) @ wave_map
+    # chunk end states, stepped c steps at a time with the batch as columns,
+    # and the start state of each chunk carried into the states inside it
+    x = v[:, :f * c].reshape(b, f, c * p) @ wave_map
     if f > 1:
-        ends = _propagate(phi_c, x[0, -n:], x[1:, -n:])
-        x[1:, :-n] += ends[:-1] @ carry_map[:, :-n]
-        x[:, -n:] = ends
-    x = x.reshape(f * c, n)
+        ends = _propagate(phi_c, x[:, 0, -n:].T, x[:, 1:, -n:].transpose(1, 2, 0))
+        ends = ends.transpose(2, 0, 1)
+        x[:, 1:, :-n] += ends[:, :-1] @ carry_map[:, :-n]
+        x[:, :, -n:] = ends
+    x = x.reshape(b, f * c, n)
     if not r:
         return x
-    tail = v[f * c:].ravel() @ wave_map[:r * p, :r * n] + x[-1] @ carry_map[:, :r * n]
-    return np.vstack([x, tail.reshape(r, n)])
+    tail = (v[:, f * c:].reshape(b, r * p) @ wave_map[:r * p, :r * n]
+            + x[:, -1] @ carry_map[:, :r * n])
+    return np.concatenate([x, tail.reshape(b, r, n)], axis=1)
+
+
+def _window_sweeps(xw: np.ndarray, free: list, blocks: list, out_map: np.ndarray,
+                   C: np.ndarray, gauss_seidel: bool, sweeps: int):
+    """Sweeps of waveform relaxation over a batch of windows.
+
+    xw is (b, q+1, n), one window of states per batch entry with the
+    window-initial states in its first row; free[i] is (b, q, n_i), the
+    free response of subsystem i; blocks[i] holds its lifted maps, state
+    and port slices, C_i^T and half its output map.  The last sweep's
+    states go into xw[:, 1:].  Returns their coupling response (b, q, n),
+    the coupling inputs that sweep was driven with and those its outputs
+    give (b, q, P each).
+    """
+    q = xw.shape[1] - 1
+    # step-midpoint port outputs of all subsystems in the window,
+    # initialized by constant extrapolation of the window-initial outputs
+    mids = np.repeat(xw[:, :1] @ out_map, q, axis=1)
+    # per subsystem views of its states from the second row on, of those
+    # up to the last row and of its step-midpoint outputs
+    views = [(xw[:, 1:, sl], xw[:, :-1, sl], mids[:, :, psl]) for _, sl, psl, _, _ in blocks]
+    for _sweep in range(sweeps):
+        # Gauss-Seidel reads the outputs updated so far in this sweep,
+        # Jacobi those of the previous sweep
+        src = mids if gauss_seidel else mids.copy()
+        used, resp = [], []
+        for x_free, (lifted, _, _, c_rows, half_out), (x_next, x_prev, y_mid) in zip(
+                free, blocks, views):
+            used.append(src @ c_rows)
+            resp.append(_coupling_response(used[-1], lifted))
+            np.add(x_free, resp[-1], out=x_next)
+            np.matmul(x_prev + x_next, half_out, out=y_mid)
+    return np.concatenate(resp, axis=2), np.concatenate(used, axis=2), mids @ C.T
+
+
+def _window_maps(props, state_sl, drive, inputs: int, q: int, sweep: dict):
+    """Maps from a window's basis coefficients [x_0, vec(u_mid)] (n + inputs
+    entries, u_mid one row of midpoint inputs per step) to the coupling
+    response of its states (q*n) and to the coupling inputs of the
+    convergence check (2*q*P: those the last sweep was driven with, then
+    those its outputs give), from one batched relaxation of the unit
+    basis."""
+    n = drive.shape[1]
+    basis = n + inputs
+    unit = np.eye(basis)
+    xw = np.empty((basis, q + 1, n))
+    xw[:, 0] = unit[:, :n]
+    g = unit[:, n:].reshape(basis, q, -1) @ drive if inputs else np.zeros((basis, q, n))
+    free = [_propagate(phi, xw[:, 0, sl].T, g[:, :, sl].transpose(1, 2, 0))[1:]
+            .transpose(2, 0, 1) for (phi, _), sl in zip(props, state_sl)]
+    resp, used, coupled = _window_sweeps(xw, free, **sweep)
+    return resp.reshape(basis, -1), np.concatenate([used, coupled], axis=1).reshape(basis, -1)
 
 
 def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
@@ -316,7 +381,13 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     window-initial state and the external input, stepped once per window,
     plus its response to u_hat_i, which is linear in u_hat_i: per sweep one
     matrix product with a prebuilt lifted map over all chunks of the
-    window, and one step per chunk (see ``_chunk_steps``).
+    window, and one step per chunk (see ``_chunk_steps``).  The sweeps
+    themselves are linear in the window-initial state and the window's
+    midpoint inputs.  When these have no more entries than the run has
+    windows, the sweeps run once, on the unit vectors, into window maps
+    (``_MAP_ENTRIES`` entries each at most); each window then adds its
+    coupling response with one product per subsystem.  Otherwise every
+    window runs its own sweeps.
 
     When, in some window, the coupling inputs given by the last sweep's
     outputs differ from those the last sweep was driven with by more than
@@ -333,6 +404,9 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         raise ValueError(f"unknown mode {mode!r}")
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    t = _time_grid(t0, t1, dt)
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be positive and finite, got {window}")
     q = int(round(window / dt))
     if q < 1 or abs(q * dt - window) > 1e-9 * max(1.0, window):
         raise ValueError("window must be a positive integer multiple of dt")
@@ -345,66 +419,83 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         raise ValueError("one inner integrator per subsystem required")
     C = net.coupling.C
 
-    t = _time_grid(t0, t1, dt)
     total_steps = len(t) - 1
     if total_steps % q != 0:
         raise ValueError("t1 - t0 must be an integer multiple of the window")
+    windows = total_steps // q
 
     x = _initial_state(x0, net.n)
     mono = coupling._stack(net)
+    n, ports = net.n, len(C)
     state_sl = _slices(net.state_sizes)
     port_sl = _slices(net.coupling.layout)
 
-    # per subsystem a step matrix and the lifted maps of its coupling input
-    # C_i y_hat (the sign of u_hat = -C y_hat is folded into the gain);
-    # block-diagonal over all subsystems the external forcing per step and
-    # the port output map y_hat = x @ out_map, also halved, which turns the
-    # sum of neighbouring states into the step-midpoint output
+    # per subsystem a step matrix, the lifted maps of its coupling input
+    # C_i y_hat (the sign of u_hat = -C y_hat is folded into the gain), C_i^T
+    # and its block of the port output map y_hat = x @ out_map, halved,
+    # which turns the sum of neighbouring states into the step-midpoint
+    # output; block-diagonal over all subsystems the external forcing
     props = [_propagator(sub, inner[i], dt) for i, sub in enumerate(subs)]
     gamma = coupling._blockdiag([g for _, g in props])
     bhat = net.stacked_port_matrix()
     port_gain = gamma @ bhat
-    maps = [_lifted_maps(phi, -port_gain[sl, psl], q)
-            for (phi, _), sl, psl in zip(props, state_sl, port_sl)]
     out_map = mono.L.T @ bhat
-    half_out = 0.5 * out_map
-    ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ (mono.B - mono.P)).T
+    blocks = [(_lifted_maps(phi, -port_gain[sl, psl], q), sl, psl, C[psl].T,
+               0.5 * out_map[sl, psl])
+              for (phi, _), sl, psl in zip(props, state_sl, port_sl)]
+    drive = (gamma @ (mono.B - mono.P)).T
+    u_mid = _inputs(u, mono.m, t[:-1] + 0.5 * dt)
+    ext = u_mid @ drive
+    sweep = dict(blocks=blocks, out_map=out_map, C=C,
+                 gauss_seidel=mode == "gauss-seidel", sweeps=sweeps)
 
-    xs = np.empty((total_steps + 1, net.n))
+    # window maps when the basis (the unit window-initial states and, when
+    # an input acts, the unit midpoint inputs of a window) has no more
+    # vectors than the run has windows and the maps stay within budget
+    inputs = q * mono.m if u is not None else 0
+    basis = n + inputs
+    u_win = u_mid.reshape(windows, q * mono.m)[:, :inputs]
+    mapped = basis <= windows and basis * q * max(n, 2 * ports) <= _MAP_ENTRIES
+
+    xs = np.empty((total_steps + 1, n))
     xs[0] = x
-    worst, worst_k0 = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, total_steps, q):
-            win = xs[k0:k0 + q + 1]
-            free = [_propagate(phi, win[0, sl], ext[k0:k0 + q, sl])[1:]
+        if mapped:
+            resp_map, check_map = _window_maps(props, state_sl, drive, inputs, q, sweep)
+            source_maps = [resp_map[sl] for sl in state_sl]
+            driven = u_win @ resp_map[n:]
+        else:
+            checks = np.empty((windows, 2, q, ports))
+        for w in range(windows):
+            win = xs[w * q:(w + 1) * q + 1]
+            free = [_propagate(phi, win[0, sl], ext[w * q:(w + 1) * q, sl])[1:]
                     for (phi, _), sl in zip(props, state_sl)]
-            # step-midpoint port outputs of all subsystems in the window,
-            # initialized by constant extrapolation of the window-initial outputs
-            mids = np.tile(win[0] @ out_map, (q, 1))
-            for _sweep in range(sweeps):
-                # Gauss-Seidel reads the outputs updated so far in this sweep,
-                # Jacobi those of the previous sweep
-                src = mids if mode == "gauss-seidel" else mids.copy()
-                used = []
-                for x_free, lifted, sl, psl in zip(free, maps, state_sl, port_sl):
-                    used.append(src @ C[psl].T)
-                    win[1:, sl] = x_free + _coupling_response(used[-1], lifted)
-                    mids[:, psl] = (win[:-1, sl] + win[1:, sl]) @ half_out[sl, psl]
-            # the coupling inputs the last sweep's outputs give, against those
-            # it was driven with
-            coupled = mids @ C.T
-            change = np.max(np.abs(coupled - np.hstack(used)))
-            scale = np.max(np.abs(coupled))
-            if scale > 0 and change / scale > worst:
-                worst, worst_k0 = change / scale, k0
+            if mapped:
+                # one product per source subsystem, summed in subsystem order
+                resp = driven[w]
+                for x_free, sl, source_map in zip(free, state_sl, source_maps):
+                    win[1:, sl] = x_free
+                    resp = resp + win[0, sl] @ source_map
+                win[1:] += resp.reshape(q, n)
+            else:
+                _, used, coupled = _window_sweeps(win[None], [f[None] for f in free], **sweep)
+                checks[w, 0], checks[w, 1] = used[0], coupled[0]
+        if mapped:
+            checks = (np.hstack([xs[:-1:q], u_win]) @ check_map).reshape(windows, 2, q, ports)
 
     # y and H depend on L, B, P, S, N and Q only, which coupling leaves alone
     traj = _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}")
-    if worst > _SWEEP_TOL:
+    # the coupling inputs the last sweep's outputs give, against those it
+    # was driven with, per window relative to their maximum
+    change = np.abs(checks[:, 1] - checks[:, 0]).max(axis=(1, 2), initial=0.0)
+    scale = np.abs(checks[:, 1]).max(axis=(1, 2), initial=0.0)
+    defect = np.divide(change, scale, out=np.zeros(windows), where=scale > 0)
+    worst = int(np.argmax(defect)) if windows else 0
+    if windows and defect[worst] > _SWEEP_TOL:
         warnings.warn(f"dynamic iteration has not converged: in window "
-                      f"{worst_k0 // q + 1} of {total_steps // q} "
-                      f"(t = {t[worst_k0]:g} to {t[worst_k0 + q]:g}) the last of {sweeps} "
-                      f"sweeps changed the coupling inputs by {worst:.1e} of their "
+                      f"{worst + 1} of {windows} "
+                      f"(t = {t[worst * q]:g} to {t[(worst + 1) * q]:g}) the last of {sweeps} "
+                      f"sweeps changed the coupling inputs by {defect[worst]:.1e} of their "
                       f"maximum, above {_SWEEP_TOL:.1e}; use more sweeps or a shorter window",
                       RuntimeWarning, stacklevel=2)
     return traj

@@ -242,6 +242,16 @@ class TestSimulateAndReport:
         assert_one_line_error(capsys, "not finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--t1", "inf"), ("--t1", "nan"),
+                                             ("--t0", "inf"), ("--dt", "nan"),
+                                             ("--dt", "0")])
+    def test_bad_time_argument_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", TWO_MASS, "--x0", "1,0,0,0,0", flag, value,
+                     "-o", str(out)]) == 1
+        assert_one_line_error(capsys, flag[2:])
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", ["0,1,2,3,4,5,abc,0\n",
                                       "0,1,2,3,4,5,6,0\n0.01,1,2\n",
                                       "0,1,2,3,4,5,6,0\n0,1,2,3,4,5,6,0\n"])
@@ -304,6 +314,34 @@ class TestCosim:
                      "--t1", "0.2", "-o", str(out)]) == 1
         assert_one_line_error(capsys, "sweeps")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--t1", "inf"), ("--t1", "nan"),
+                                             ("--dt", "0"), ("--dt", "nan"),
+                                             ("--window", "nan"), ("--window", "0")])
+    def test_bad_time_argument_exit_1(self, tmp_path, capsys, flag, value):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        capsys.readouterr()
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,0,0,0,0", flag, value, "-o", str(out)]) == 1
+        assert_one_line_error(capsys, flag[2:])
+        assert not out.exists()
+
+    def test_one_inner_name_for_every_subsystem(self, tmp_path):
+        net = tmp_path / "net.json"
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", str(net)]) == 0
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", str(net), "--x0", "1,0.5,-0.3,0.2,0.4", "--inner", "strang",
+                     "--sweeps", "8", "--t1", "0.2", "-o", str(out)]) == 0
+        obj = parse_system_text(net.read_text())
+        traj = dynamic_iteration(obj, sweeps=8, inner="strang", x0=[1, 0.5, -0.3, 0.2, 0.4],
+                                 t1=0.2)
+        assert out.read_text() == write_trajectory(traj, energy_report(traj, condense_skew(obj)))
+        # a comma list still names one integrator per subsystem
+        assert main(["cosim", str(net), "--x0", "1,0,0,0,0", "--inner", "strang,midpoint",
+                     "--t1", "0.2", "-o", str(out)]) == 0
+        assert main(["cosim", str(net), "--x0", "1,0,0,0,0", "--inner", "strang,midpoint,strang",
+                     "--t1", "0.2", "-o", str(out)]) == 1
 
     def test_unconverged_cosim_warns_on_one_line(self, tmp_path, capsys):
         net = tmp_path / "net.json"

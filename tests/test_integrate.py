@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -311,6 +312,123 @@ class TestLiftedWindowMaps:
         assert chunk(100, 10, 10) == 6
         monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 1)
         assert chunk(100, 10, 10) == 1
+
+
+def spy_window_sweeps(monkeypatch):
+    """Record the batch size of every batched sweep call and the window maps
+    dynamic_iteration builds."""
+    calls, maps = [], []
+    sweep, build = phode.integrate._window_sweeps, phode.integrate._window_maps
+
+    def spy_sweep(xw, *args, **kwargs):
+        calls.append(len(xw))
+        return sweep(xw, *args, **kwargs)
+
+    def spy_build(*args):
+        maps.append(build(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(phode.integrate, "_window_sweeps", spy_sweep)
+    monkeypatch.setattr(phode.integrate, "_window_maps", spy_build)
+    return calls, maps
+
+
+@pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
+class TestWindowMaps:
+    @pytest.mark.parametrize("path", ["maps", "per-window"])
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("case", TestLiftedWindowMaps.CASES)
+    def test_both_paths_match_per_step_sweeps(self, monkeypatch, path, mode, case):
+        kw = TestLiftedWindowMaps.CASES[case]()
+        net = kw["net"]
+        if path == "per-window":
+            monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 0)
+        calls, _ = spy_window_sweeps(monkeypatch)
+        x0 = np.random.default_rng(22).standard_normal(net.n)
+        # 30 windows cover the basis of the driven network: 5 states and
+        # 10 steps of 2 inputs
+        traj = dynamic_iteration(mode=mode, window=0.1, sweeps=3, x0=x0, t1=3.0,
+                                 dt=0.01, **kw)
+        ref = per_step_dynamic_iteration(mode=mode, window=0.1, sweeps=3, x0=x0,
+                                         t1=3.0, dt=0.01, **kw)
+        assert relative_error(traj.x, ref) <= 1e-13
+        basis = net.n + (10 * sum(sub.m for sub in net.subsystems) if "u" in kw else 0)
+        assert calls == ([basis] if path == "maps" else [1] * 30)
+
+    @pytest.mark.parametrize("t1, entries, expected", [
+        (0.5, None, [5]),          # 5 windows for 5 unit start states
+        (0.4, None, [1] * 4),      # fewer windows than basis vectors
+        (0.5, 250, [5]),           # maps of 5 x 10*5 entries fit ...
+        (0.5, 249, [1] * 5),       # ... and one entry less does not
+    ])
+    def test_path_choice(self, monkeypatch, t1, entries, expected):
+        if entries is not None:
+            monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", entries)
+        calls, maps = spy_window_sweeps(monkeypatch)
+        dynamic_iteration(two_mass_network(variant="b"), sweeps=3, x0=X0, t1=t1, dt=0.01)
+        assert calls == expected
+        for resp_map, check_map in maps:
+            assert resp_map.shape == (5, 10 * 5) and check_map.shape == (5, 2 * 10 * 2)
+            assert max(resp_map.size, check_map.size) <= phode.integrate._MAP_ENTRIES
+
+    @pytest.mark.parametrize("u, t1, expected", [
+        (sin_cos, 2.5, [25]),      # 5 start states and 10 steps of 2 inputs
+        (sin_cos, 2.4, [1] * 24),
+        (None, 0.5, [5]),          # no input: start states only
+    ])
+    def test_inputs_join_the_basis(self, monkeypatch, u, t1, expected):
+        net = driven_feedthrough_network(np.random.default_rng(4))
+        calls, _ = spy_window_sweeps(monkeypatch)
+        x0 = np.random.default_rng(5).standard_normal(net.n)
+        traj = dynamic_iteration(net, sweeps=3, u=u, x0=x0, t1=t1, dt=0.01)
+        assert calls == expected
+        ref = per_step_dynamic_iteration(net, sweeps=3, u=u, x0=x0, t1=t1, dt=0.01)
+        assert relative_error(traj.x, ref) <= 1e-13
+
+    def test_zero_coupling_single_sweep_exact_per_window(self, monkeypatch):
+        net = two_mass_network(variant="b")
+        zero = CoupledNetwork(net.subsystems,
+                              CouplingSpec(net.coupling.port_matrices, np.zeros((2, 2))))
+        calls, _ = spy_window_sweeps(monkeypatch)
+        traj = dynamic_iteration(zero, sweeps=1, window=0.1, x0=X0, t1=0.2, dt=0.01)
+        assert calls == [1, 1]
+        a = implicit_midpoint(net.subsystems[0], x0=X0[:3], t1=0.2, dt=0.01)
+        b = implicit_midpoint(net.subsystems[1], x0=X0[3:], t1=0.2, dt=0.01)
+        assert np.max(np.abs(traj.x[:, :3] - a.x)) == 0.0
+        assert np.max(np.abs(traj.x[:, 3:] - b.x)) == 0.0
+
+    def test_jacobi_order_independent_per_window(self, monkeypatch):
+        net = two_mass_network(variant="b")
+        swapped = CoupledNetwork(
+            (net.subsystems[1], net.subsystems[0]),
+            CouplingSpec((net.coupling.port_matrices[1], net.coupling.port_matrices[0]),
+                         -net.coupling.C))
+        x0s = np.concatenate([X0[3:], X0[:3]])
+        calls, _ = spy_window_sweeps(monkeypatch)
+        a = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.2, dt=0.01)
+        c = dynamic_iteration(swapped, sweeps=3, window=0.1, x0=x0s, t1=0.2, dt=0.01)
+        assert calls == [1] * 4
+        assert np.array_equal(a.x[:, :3], c.x[:, 2:])
+        assert np.array_equal(a.x[:, 3:], c.x[:, :2])
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_unconverged_run_warns_about_the_same_window_on_both_paths(
+            self, monkeypatch, mode):
+        net = fixed_size_network(np.random.default_rng(27), (3, 4, 2), (2, 1, 2))
+        x0 = np.random.default_rng(28).standard_normal(net.n)
+        found = []
+        for entries in (phode.integrate._MAP_ENTRIES, 0):
+            monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", entries)
+            calls, _ = spy_window_sweeps(monkeypatch)
+            with pytest.warns(RuntimeWarning) as record:
+                dynamic_iteration(net, mode=mode, sweeps=2, window=0.1, x0=x0, t1=1.0, dt=0.01)
+            assert calls == ([9] if entries else [1] * 10)
+            message = str(record[0].message)
+            window, value = re.search(r"in window (\d+ of 10) .* by (\S+) of", message).groups()
+            found.append((window, float(value)))
+        (map_window, map_value), (own_window, own_value) = found
+        assert map_window == own_window
+        assert map_value == pytest.approx(own_value, rel=0.1)
 
 
 class TestSweepWarning:
