@@ -38,6 +38,7 @@ from .decoupling import (
 )
 from .integrate import (
     EnergyReport,
+    StepCountError,
     Trajectory,
     dynamic_iteration,
     energy_report,
@@ -59,6 +60,7 @@ __all__ = [
     "PHDAESystem",
     "Partition",
     "SingularFlowError",
+    "StepCountError",
     "StructureFailure",
     "StructureReport",
     "Trajectory",

@@ -24,7 +24,7 @@ from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
 from .fileio import (ParseError, dump_document, parse_ports_text, parse_system_text,
                      read_trajectory, write_trajectory)
-from .integrate import (NewtonError, Trajectory, dynamic_iteration,
+from .integrate import (NewtonError, StepCountError, Trajectory, dynamic_iteration,
                         energy_report, implicit_midpoint, strang_split)
 from . import models
 
@@ -132,11 +132,16 @@ def _cmd_condense(args):
             result = condense_general(net)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
+    _write(args.output, dump_document(_condensed(result)))
+    return EXIT_OK
+
+
+def _condensed(result):
+    """A condensed system; a structure failure is a validation failure."""
     if isinstance(result, StructureFailure):
         raise CliError(f"{result.message} (min eigenvalue "
                        f"{result.min_eigenvalue:.3e})", EXIT_VALIDATION)
-    _write(args.output, dump_document(result))
-    return EXIT_OK
+    return result
 
 
 def _cmd_decouple(args):
@@ -188,6 +193,8 @@ def _cmd_simulate(args):
             traj = strang_split(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
     except (SingularFlowError, NewtonError, FloatingPointError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
+    except StepCountError as exc:
+        raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
     except ValueError as exc:
         raise CliError(str(exc))
     rep = energy_report(traj, obj)
@@ -199,7 +206,12 @@ def _cmd_cosim(args):
     obj = _load(args.network, args.no_validate)
     if not isinstance(obj, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
+    if isinstance(obj.coupling, LinearPortRelation):
+        raise CliError(f"{args.network}: cosim needs a coupling matrix, not a port relation")
     x0 = _parse_x0(args.x0, obj.n)
+    # the monolithic system whose energy balance the report checks; a
+    # structure failure ends the command before the run
+    mono = _condensed(condense_skew(obj) if obj.coupling.is_skew else condense_general(obj))
     # one name applies to every subsystem, a comma list names one each
     inner = args.inner.split(",") if "," in args.inner else args.inner
     try:
@@ -210,11 +222,12 @@ def _cmd_cosim(args):
                                      x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
     except (SingularFlowError, NewtonError, FloatingPointError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
+    except StepCountError as exc:
+        raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
     except ValueError as exc:
         raise CliError(str(exc))
     for w in caught:
         print(f"phode: warning: {w.message}", file=_sys.stderr)
-    mono = condense_skew(obj)
     rep = energy_report(traj, mono)
     _write(args.output, write_trajectory(traj, rep))
     return EXIT_OK

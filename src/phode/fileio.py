@@ -243,21 +243,40 @@ def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
 
 
 def read_trajectory(text: str):
-    """Read a trajectory CSV back into (t, x, H, residuals) arrays."""
+    """Read a trajectory CSV back into (t, x, H, residuals) arrays.
+
+    The data lines are converted in one ``np.loadtxt`` pass.  A bad
+    header, a row whose cell count differs from the header's, a blank
+    line, a cell that is not a plain decimal number (``1_0``, which Python's
+    ``float`` takes, included) and a non-finite value raise a ParseError.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty trajectory file")
     header = lines[0].split(",")
     if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
         raise ParseError("unexpected trajectory header")
-    rows = [line.split(",") for line in lines[1:]]
-    for k, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"row {k + 1} has {len(row)} cells, header has {len(header)}")
-    try:
-        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    except ValueError as exc:
-        raise ParseError(f"non-numeric cell: {exc}") from exc
+    rows, cells = lines[1:], len(header)
+    data = np.empty((0, cells))
+    if rows:
+        # loadtxt compares rows only with each other, skips blank lines and
+        # names a bad cell by its row and column
+        try:
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ParseError(_ragged_row(rows, cells) or f"non-numeric cell: {exc}") from exc
+        if data.shape != (len(rows), cells):
+            raise ParseError(_ragged_row(rows, cells))
     if not np.all(np.isfinite(data)):
         raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+
+
+def _ragged_row(rows: list, cells: int) -> str | None:
+    """Message naming the first row without ``cells`` cells, if any."""
+    for k, row in enumerate(rows):
+        if not row:
+            return f"row {k + 1} is blank"
+        if row.count(",") + 1 != cells:
+            return f"row {k + 1} has {row.count(',') + 1} cells, header has {cells}"
+    return None

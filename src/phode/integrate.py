@@ -3,12 +3,13 @@
 Monolithic implicit midpoint (exact discrete energy balance for
 linear-constant systems), Strang splitting into conservative and
 dissipative flows, and windowed dynamic iteration (Jacobi/Gauss-Seidel
-waveform relaxation) for skew-coupled networks.
+waveform relaxation) for networks coupled by u_hat = -C y_hat.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,7 +82,23 @@ class EnergyReport:
         return "\n".join(lines)
 
 
-def _time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+class StepCountError(ValueError):
+    """A run has more steps than memory holds its time grid and states for."""
+
+
+def _memory_bytes() -> float:
+    """Physical memory of the machine in bytes; where the system does not
+    tell, the largest array NumPy can index."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return float(np.iinfo(np.intp).max)
+
+
+def _time_grid(t0: float, t1: float, dt: float, n: int) -> np.ndarray:
+    """Time grid t0, t0 + dt, ..., t1 of a run with n states; before
+    allocating, checks that the grid and the states of every step fit in
+    physical memory (``StepCountError``)."""
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -93,7 +110,16 @@ def _time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     steps = int(round(steps))
     if steps < 0 or abs(t0 + steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("t1 - t0 must be a (positive) integer multiple of dt")
-    return t0 + dt * np.arange(steps + 1)
+    need, memory = 8.0 * (steps + 1) * (n + 1), _memory_bytes()
+    if need <= memory:
+        try:
+            return t0 + dt * np.arange(steps + 1)
+        except MemoryError:
+            pass
+    raise StepCountError(
+        f"t1 - t0 = {t1 - t0:g} at dt = {dt:g} is {float(steps):.3g} steps, whose "
+        f"time grid and {n} states per step take {need / 2 ** 30:.3g} GiB, more "
+        f"than memory can hold ({memory / 2 ** 30:.3g} GiB installed)")
 
 
 def _inputs(u, m: int, times: np.ndarray) -> np.ndarray:
@@ -174,7 +200,7 @@ def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
     if _rcond(sys.E) <= E_RCOND_MIN:
         raise SingularFlowError("descriptor system: integrate unsupported (singular E)")
     x = _initial_state(x0, sys.n)
-    t = _time_grid(t0, t1, dt)
+    t = _time_grid(t0, t1, dt, sys.n)
     phi, gamma = _propagator(sys, method, dt)
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,7 +220,7 @@ def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
     if sys.is_linear:
         return _integrate_linear(sys, "midpoint", u, x0, t0, t1, dt)
     x = _initial_state(x0, sys.n)
-    t = _time_grid(t0, t1, dt)
+    t = _time_grid(t0, t1, dt, sys.n)
     xs = [x]
     for um in _inputs(u, sys.m, t[:-1] + 0.5 * dt):
         x = _newton_midpoint_step(sys, x, um, dt, newton_tol, newton_maxit)
@@ -368,7 +394,8 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
                       inner: Sequence[str] | str = "midpoint",
                       u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
                       dt: float = 0.01) -> Trajectory:
-    """Windowed waveform relaxation for a skew-coupled network.
+    """Windowed waveform relaxation for a network coupled by a square
+    matrix C (skew or not).
 
     Per window each subsystem is integrated with internal inputs
     u_hat_i(t) = -sum_j C_ij y_hat_j(t), where y_hat_j comes from the
@@ -395,16 +422,14 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     worst window; the trajectory is returned all the same.
     """
     if not isinstance(net.coupling, CouplingSpec):
-        raise ValueError("dynamic iteration requires a skew coupling; "
+        raise ValueError("dynamic iteration requires a coupling matrix; "
                          "run eliminate_ports first")
-    if not net.coupling.is_skew:
-        raise ValueError("dynamic iteration requires a skew coupling matrix")
     mode = mode.lower().replace("_", "-")
     if mode not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown mode {mode!r}")
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
-    t = _time_grid(t0, t1, dt)
+    t = _time_grid(t0, t1, dt, net.n)
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"window must be positive and finite, got {window}")
     q = int(round(window / dt))

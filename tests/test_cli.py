@@ -9,7 +9,7 @@ import pytest
 import phode.cli
 import phode.coupling
 from phode.cli import main
-from phode.coupling import condense_skew
+from phode.coupling import condense_general, condense_skew
 from phode.fileio import parse_system_text, read_trajectory, write_trajectory
 from phode.integrate import dynamic_iteration, energy_report
 from phode.models import two_mass
@@ -21,6 +21,13 @@ TWO_MASS = str(FIXTURES / "two_mass.json")
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def general_network_doc(C):
+    """Two dissipative one-state subsystems coupled by the 2x2 matrix C."""
+    sub = {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]}
+    return {"kind": "network", "subsystems": [sub, sub],
+            "coupling": {"type": "general", "ports": [[[1.]], [[1.]]], "C": C}}
 
 
 def assert_one_line_error(capsys, fragment):
@@ -252,6 +259,14 @@ class TestSimulateAndReport:
         assert_one_line_error(capsys, flag[2:])
         assert not out.exists()
 
+    @pytest.mark.parametrize("t1", ["1e12", "1e300"])
+    def test_step_count_beyond_memory_exit_1(self, tmp_path, capsys, t1):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", TWO_MASS, "--x0", "1,0,0,0,0", "--t1", t1,
+                     "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "lower --t1 or raise --dt")
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", ["0,1,2,3,4,5,abc,0\n",
                                       "0,1,2,3,4,5,6,0\n0.01,1,2\n",
                                       "0,1,2,3,4,5,6,0\n0,1,2,3,4,5,6,0\n"])
@@ -326,6 +341,44 @@ class TestCosim:
         assert main(["cosim", net, "--x0", "1,0,0,0,0", flag, value, "-o", str(out)]) == 1
         assert_one_line_error(capsys, flag[2:])
         assert not out.exists()
+
+    @pytest.mark.parametrize("t1", ["1e12", "1e300"])
+    def test_step_count_beyond_memory_exit_1(self, tmp_path, capsys, t1):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,0,0,0,0", "--t1", t1, "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "lower --t1 or raise --dt")
+        assert not out.exists()
+
+    def test_general_coupling_reports_against_condense_general(self, tmp_path, capsys):
+        # C = [[1, 2], [0, 1]] is not skew; its symmetric part is semidefinite
+        net = tmp_path / "net.json"
+        write_json(net, general_network_doc([[1., 2.], [0., 1.]]))
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", str(net), "--x0", "1,-0.5", "--sweeps", "30", "--t1", "0.5",
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        obj = parse_system_text(net.read_text())
+        traj = dynamic_iteration(obj, sweeps=30, x0=[1, -0.5], t1=0.5)
+        assert out.read_text() == write_trajectory(traj,
+                                                   energy_report(traj, condense_general(obj)))
+
+    def test_indefinite_coupling_exit_2(self, tmp_path, capsys):
+        net = write_json(tmp_path / "net.json", general_network_doc([[0., 2.], [2., 0.]]))
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,-0.5", "--t1", "0.2", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "indefinite")
+        assert not out.exists()
+
+    def test_port_relation_exit_1(self, tmp_path, capsys):
+        doc = general_network_doc(None)
+        doc["coupling"] = {"type": "relation", "ports": [[[1.]], [[1.]]],
+                           "M": [[1., 0.], [0., 1.]], "N": [[0., -1.], [1., 0.]]}
+        net = write_json(tmp_path / "net.json", doc)
+        assert main(["cosim", net, "--x0", "1,-0.5", "--t1", "0.2",
+                     "-o", str(tmp_path / "traj.csv")]) == 1
+        assert_one_line_error(capsys, "not a port relation")
 
     def test_one_inner_name_for_every_subsystem(self, tmp_path):
         net = tmp_path / "net.json"

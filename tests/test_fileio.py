@@ -1,8 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phode.core import LinearPHSystem
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
@@ -15,7 +18,7 @@ from phode.integrate import (EnergyReport, Trajectory, energy_report,
                              implicit_midpoint)
 from phode.models import two_mass, two_mass_network
 
-from util import random_linear_ph
+from util import random_linear_ph, split_read_trajectory
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +175,27 @@ class TestDumpDocument:
         assert again.J.tobytes() == sys.J.tobytes()
 
 
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e22, 0.1, -1.2345678901234567e-300]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FAST = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def csv_text(table, cell):
+    """Trajectory CSV of a table with t, n states, H and residual columns,
+    every cell written with the %-format ``cell``."""
+    n = table.shape[1] - 3
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
+    return header + "\n" + "".join(",".join(cell % float(v) for v in row) + "\n" for row in table)
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (-0.0 differs from 0.0)."""
+    assert a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                          np.ascontiguousarray(b, dtype=float).view(np.int64))
+
+
 class TestTrajectoryCsv:
     def test_empty_trajectory_header_only(self):
         sys = two_mass()
@@ -231,7 +255,87 @@ class TestTrajectoryCsv:
         "0,1,2,3,0,9\n",          # long row
         "0,1,nan,3,0\n",          # non-finite value
         "0,1,2,3,0\n\n",          # blank line
+        "0,1,2\n0.1,1,2\n",       # first row short against the header
+        "0,1_0,2,3,0\n",          # underscore: Python's float reads 10.0
     ])
     def test_malformed_rows_rejected(self, body):
         with pytest.raises(ParseError):
             read_trajectory("t,x1,x2,H,balance_residual\n" + body)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,1,2\n0.1,1,2\n", "row 1 has 3 cells, header has 5"),
+        ("0,1,2,3,0\n0.1,1,2\n", "row 2 has 3 cells, header has 5"),
+        ("0,1,2,3,0\n\n0.1,1,2,3,0\n", "row 2 is blank"),
+        ("0,1,2,3,0\n   \n", "row 2 has 1 cells, header has 5"),
+        ("0,1,2,3,0\n0.1,1,2,abc,0\n", "non-numeric cell: could not convert string 'abc'"),
+        ("0,1,2,1e400,0\n", "non-finite"),
+    ])
+    def test_rejection_messages(self, body, message):
+        with pytest.raises(ParseError, match=message):
+            read_trajectory("t,x1,x2,H,balance_residual\n" + body)
+
+    @pytest.mark.parametrize("body", [
+        "0,1,2,abc,0\n", "0,1,2,3,0\n0.1,1,2\n", "0,1,2,3,0,9\n", "0,1,nan,3,0\n",
+        "0,1,2,3,0\n\n", "0,1,2\n0.1,1,2\n", "0,1,2,3,0\n   \n", "0,1,2,1e400,0\n",
+    ])
+    def test_oracle_rejects_the_same_rows(self, body):
+        # every rejection of read_trajectory but the underscore one is a
+        # rejection of the split reader too
+        with pytest.raises(ParseError):
+            split_read_trajectory("t,x1,x2,H,balance_residual\n" + body)
+
+    def test_underscore_cell_is_taken_by_the_oracle_only(self):
+        # np.array(..., dtype=float) reads "1_0" as Python's float does; a
+        # trajectory file is written with plain decimal cells, and the reader
+        # refuses any other
+        text = "t,x1,x2,H,balance_residual\n0,1_0,2,3,0\n"
+        assert split_read_trajectory(text)[1][0, 0] == 10.0
+        with pytest.raises(ParseError, match="1_0"):
+            read_trajectory(text)
+
+    @pytest.mark.parametrize("text", ["", "x,x1,H,balance_residual\n0,1,2,3\n",
+                                      "t,x1,H\n0,1,2\n", "t,x1,H,residual\n"])
+    def test_bad_header_rejected(self, text):
+        with pytest.raises(ParseError):
+            read_trajectory(text)
+
+    def test_header_only_gives_empty_arrays_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, x, h, res = read_trajectory("t,x1,x2,H,balance_residual\n")
+        assert (t.shape, x.shape, h.shape, res.shape) == ((0,), (0, 2), (0,), (0,))
+        for a, b in zip((t, x, h, res), split_read_trajectory("t,x1,x2,H,balance_residual\n")):
+            assert a.shape == b.shape and a.dtype == b.dtype
+
+    @pytest.mark.parametrize("ending", ["lf", "crlf", "lf-no-final", "crlf-no-final"])
+    @pytest.mark.parametrize("cell", ["%.17g", "%r"])
+    def test_bit_exact_against_split_oracle(self, ending, cell):
+        table = np.array([EDGE_VALUES, [-v for v in EDGE_VALUES], EDGE_VALUES[::-1]])
+        text = csv_text(table, cell)
+        if ending.startswith("crlf"):
+            text = text.replace("\n", "\r\n")
+        if ending.endswith("no-final"):
+            text = text.rstrip("\r\n")
+        for a, b in zip(read_trajectory(text), split_read_trajectory(text)):
+            assert_same_bits(a, b)
+        assert_same_bits(read_trajectory(text)[1], table[:, 1:-2])
+
+    @FAST
+    @given(data=st.data())
+    def test_write_then_read_is_bit_exact(self, data):
+        rows = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 4))
+        t = np.array(sorted(data.draw(st.lists(FINITE, min_size=rows, max_size=rows,
+                                               unique=True))))
+        x = data.draw(arrays(float, (rows, n), elements=FINITE))
+        h = data.draw(arrays(float, rows, elements=FINITE))
+        res = data.draw(arrays(float, rows - 1, elements=FINITE))
+        with np.errstate(over="ignore"):  # the time grid check takes differences
+            traj = Trajectory(t=t, x=x, u=np.zeros((rows, 0)), y=np.zeros((rows, 0)),
+                              H=h, method="none")
+        text = write_trajectory(traj, EnergyReport(residuals=res, dissipation_ok=True,
+                                                   driven=False))
+        tr, xr, hr, rr = read_trajectory(text)
+        for a, b in ((tr, t), (xr, x), (hr, h), (rr, np.concatenate([[0.0], res]))):
+            assert_same_bits(a, b)
+

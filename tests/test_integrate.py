@@ -7,8 +7,9 @@ import scipy.linalg
 
 import phode.integrate
 from phode.core import CallbackPHSystem, LinearPHSystem, SingularFlowError
-from phode.coupling import CoupledNetwork, CouplingSpec, condense_skew
-from phode.integrate import (EnergyReport, Trajectory, dynamic_iteration,
+from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
+                            condense_general, condense_skew)
+from phode.integrate import (EnergyReport, StepCountError, Trajectory, dynamic_iteration,
                              energy_report, implicit_midpoint, strang_split)
 from phode.models import (PoroelasticParams, TwoMassParams, poroelastic,
                           two_mass, two_mass_network)
@@ -199,13 +200,25 @@ class TestDynamicIteration:
             dynamic_iteration(two_mass_network(variant="b"), sweeps=sweeps,
                               x0=X0, t1=0.2, dt=0.01)
 
-    def test_nonskew_coupling_rejected(self):
+    def test_relation_coupling_rejected(self):
         net = two_mass_network(variant="b")
-        bad = CoupledNetwork(net.subsystems,
-                             CouplingSpec(net.coupling.port_matrices,
-                                          [[0., 1.], [1., 0.]]))
-        with pytest.raises(ValueError):
-            dynamic_iteration(bad, x0=X0, t1=1.0, dt=0.01)
+        relation = CoupledNetwork(net.subsystems,
+                                  LinearPortRelation(net.coupling.port_matrices,
+                                                     M=np.eye(2), N=net.coupling.C))
+        with pytest.raises(ValueError, match="requires a coupling matrix"):
+            dynamic_iteration(relation, x0=X0, t1=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_fixed_point_of_general_coupling(self, mode):
+        # u_hat = -C y_hat needs no skew C: the fixed point is the midpoint
+        # solution of the network condensed with C's symmetric part in R
+        net = general_coupling_network()
+        assert not net.coupling.is_skew
+        x0 = np.random.default_rng(1).standard_normal(net.n)
+        ref = implicit_midpoint(condense_general(net), x0=x0, t1=1.0, dt=0.01)
+        traj = dynamic_iteration(net, mode=mode, window=0.1, sweeps=25,
+                                 x0=x0, t1=1.0, dt=0.01)
+        assert relative_error(traj.x, ref.x) <= 1e-10
 
     def test_window_grid_mismatch_rejected(self):
         net = two_mass_network(variant="b")
@@ -217,6 +230,17 @@ def driven_feedthrough_network(rng):
     subs = tuple(random_linear_ph(rng, n=n, m=1, feedthrough=True) for n in (3, 2))
     ports = tuple(rng.standard_normal((n, 1)) for n in (3, 2))
     return CoupledNetwork(subs, CouplingSpec(ports, [[0., 1.], [-1., 0.]]))
+
+
+def general_coupling_network():
+    """Three blocks coupled by a C that is not skew; its symmetric part is
+    positive semidefinite, so condense_general gives a pH system."""
+    rng = np.random.default_rng(23)
+    sizes, port_sizes = (3, 4, 2), (2, 1, 2)
+    subs = tuple(random_linear_ph(rng, n=n, m=0) for n in sizes)
+    ports = tuple(rng.standard_normal((n, p)) for n, p in zip(sizes, port_sizes))
+    A = rng.standard_normal((5, 5))
+    return CoupledNetwork(subs, CouplingSpec(ports, 0.5 * (random_skew(rng, 5) + A @ A.T / 5)))
 
 
 def fixed_size_network(rng, sizes, port_sizes, implicit=False, scale=1.0):
@@ -256,6 +280,7 @@ class TestLiftedWindowMaps:
             inner=["strang", "midpoint"]),
         "driven-feedthrough": lambda: dict(
             net=driven_feedthrough_network(np.random.default_rng(4)), u=sin_cos),
+        "general-coupling": lambda: dict(net=general_coupling_network()),
     }
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
@@ -585,3 +610,35 @@ class TestFeedthroughBalance:
         assert np.max(ref) > 1e-9  # O(dt^3) input sampling defect, not zero
         got = energy_report(traj, sys).residuals
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(traj.H))
+
+
+class TestStepCount:
+    # 1e13 steps: no machine holds their time grid, and nothing is allocated
+    RUNS = {
+        "midpoint": lambda: implicit_midpoint(two_mass(), x0=X0, t1=1e11, dt=0.01),
+        "strang": lambda: strang_split(two_mass(), x0=X0, t1=1e11, dt=0.01),
+        "dynamic-iteration": lambda: dynamic_iteration(two_mass_network(variant="b"),
+                                                       x0=X0, t1=1e11, dt=0.01),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_too_many_steps_rejected_before_allocating(self, run):
+        with pytest.raises(StepCountError, match=r"is 1e\+13 steps, whose time grid and "
+                                                 r"5 states per step take 4.47e\+05 GiB"):
+            self.RUNS[run]()
+
+    def test_grid_and_states_are_counted(self, monkeypatch):
+        # 101 steps of grid and state take 808 bytes per state column
+        monkeypatch.setattr(phode.integrate, "_memory_bytes", lambda: 1000.0)
+        assert len(phode.integrate._time_grid(0.0, 1.0, 0.01, 0)) == 101
+        with pytest.raises(StepCountError, match="1 states per step"):
+            phode.integrate._time_grid(0.0, 1.0, 0.01, 1)
+
+    def test_memory_error_from_the_grid_is_the_same_error(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(phode.integrate, "_memory_bytes", lambda: np.inf)
+        monkeypatch.setattr(phode.integrate.np, "arange", no_memory)
+        with pytest.raises(StepCountError, match=r"is 1e\+13 steps"):
+            phode.integrate._time_grid(0.0, 1e11, 0.01, 5)

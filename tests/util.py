@@ -6,6 +6,7 @@ import numpy as np
 from phode import coupling
 from phode.core import LinearPHSystem, _slices
 from phode.coupling import CoupledNetwork, CouplingSpec
+from phode.fileio import ParseError
 from phode.integrate import _inputs, _propagate, _propagator
 
 
@@ -109,3 +110,26 @@ def per_step_dynamic_iteration(net, mode="jacobi", window=0.1, sweeps=5,
                 win[:, sl] = block
                 waves[:, psl] = block @ out_map[sl, psl]
     return xs
+
+
+def split_read_trajectory(text):
+    """Trajectory CSV reader that splits every line into one string per cell
+    and converts the lists with ``np.array`` (oracle for ``read_trajectory``;
+    unlike it, this one takes Python's float syntax, underscores included)."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty trajectory file")
+    header = lines[0].split(",")
+    if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
+        raise ParseError("unexpected trajectory header")
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"row {k + 1} has {len(row)} cells, header has {len(header)}")
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ParseError(f"non-numeric cell: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ParseError("trajectory has non-finite values")
+    return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
