@@ -113,11 +113,8 @@ def _cmd_validate(args):
 
 def _cmd_condense(args):
     obj = _load(args.network, args.no_validate)
-    if isinstance(obj, PHDAESystem):
-        net, dae = obj.network, obj
-    elif isinstance(obj, CoupledNetwork):
-        net, dae = obj, None
-    else:
+    net = obj.network if isinstance(obj, PHDAESystem) else obj
+    if not isinstance(net, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
     if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
         raise CliError("phdae condensation requires a coupling of type 'relation'")
@@ -125,9 +122,9 @@ def _cmd_condense(args):
         if args.mode == "skew":
             result = condense_skew(net)
         elif args.mode == "phdae":
-            result = dae or build_phdae(net)
+            result = build_phdae(net)
         elif isinstance(net.coupling, LinearPortRelation):
-            result = eliminate_ports(dae or build_phdae(net))
+            result = eliminate_ports(build_phdae(net))
         else:
             result = condense_general(net)
     except (ValueError, TypeError) as exc:

@@ -5,8 +5,9 @@ u_hat + C y_hat = 0 condense into one monolithic system whose structure
 matrix gains the Schur-type term -Bhat C Bhat^T.  A skew C keeps the
 result port-Hamiltonian directly; a general C is split into symmetric and
 skew parts (the symmetric part moves into the dissipation matrix), and if
-that fails semidefiniteness the network is lifted to an extended
-descriptor system with dummy port variables.
+that fails semidefiniteness no monolithic pH system is returned.  A
+relation M u_hat + N y_hat = 0 with square regular M gives the coupling
+matrix C = M^{-1} N.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class StructureFailure:
 
     message: str
     min_eigenvalue: float
-    fallback: str = "build_phdae"
 
     def __bool__(self):
         return False
@@ -139,19 +139,11 @@ class StructureFailure:
 
 @dataclass(frozen=True)
 class PHDAESystem:
-    """Extended descriptor system with dummy port variables (u_hat, y_hat)
-    and a multiplier block enforcing M u_hat + N y_hat = 0."""
+    """A network coupled by a linear port relation M u_hat + N y_hat = 0,
+    kept uncondensed: a ``"kind": "phdae"`` document, condensed by
+    :func:`eliminate_ports`."""
 
     network: CoupledNetwork
-    E_ext: np.ndarray
-    A_ext: np.ndarray
-    R_ext: np.ndarray
-    G_ext: np.ndarray
-    layout: tuple  # (n_state, n_ports, n_ports, n_multipliers)
-
-    @property
-    def size(self) -> int:
-        return sum(self.layout)
 
 
 def _stack(net: CoupledNetwork) -> LinearPHSystem:
@@ -175,6 +167,12 @@ def _couple(net: CoupledNetwork, C: np.ndarray) -> LinearPHSystem:
                    R=mono.R + Bhat @ (0.5 * (C + C.T)) @ Bhat.T)
 
 
+def _require_matrix(net: CoupledNetwork):
+    if not isinstance(net.coupling, CouplingSpec):
+        raise TypeError("network carries a linear port relation; "
+                        "condense it with eliminate_ports(build_phdae(net))")
+
+
 def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
     """Condense a skew-coupled network into one monolithic pH system.
 
@@ -184,8 +182,7 @@ def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
     subsystem Hamiltonians.  Structure is preserved by construction, so
     no semidefiniteness check runs.
     """
-    if not isinstance(net.coupling, CouplingSpec):
-        raise TypeError("network carries a general relation; use eliminate_ports")
+    _require_matrix(net)
     if not net.coupling.is_skew:
         raise ValueError("coupling matrix is not skew-symmetric; use condense_general")
     return _couple(net, net.coupling.C)
@@ -197,57 +194,34 @@ def condense_general(net: CoupledNetwork):
     C is split into symmetric and skew parts; the skew part enters the
     structure matrix, the symmetric part the dissipation matrix.  When
     the assembled dissipation matrix fails the semidefiniteness check,
-    a :class:`StructureFailure` naming the descriptor fallback is
-    returned instead of a system.
+    the network has no monolithic pH system under this coupling, and a
+    :class:`StructureFailure` with the least eigenvalue is returned
+    instead of a system.
     """
-    if not isinstance(net.coupling, CouplingSpec):
-        raise TypeError("network carries a general relation; use eliminate_ports")
+    _require_matrix(net)
     mono = _couple(net, net.coupling.C)
     lam = _min_eig_sym(mono.R)
     if lam < -1e-12 * (1.0 + (np.linalg.norm(mono.R) if mono.R.size else 0.0)):
         return StructureFailure(
-            message="assembled dissipation matrix is indefinite; "
-                    "lift to the extended descriptor form via build_phdae",
+            message="assembled dissipation matrix is indefinite",
             min_eigenvalue=lam,
         )
     return mono
 
 
 def build_phdae(net: CoupledNetwork) -> PHDAESystem:
-    """Lift a network with relation M u_hat + N y_hat = 0 to the extended
-    descriptor system with dummy port variables.
-
-    Extended state (x, u_hat, y_hat, multiplier); the extended structure
-    operator A satisfies A + A^T = -2 diag(blockdiag(R_i), 0, 0, 0).
-    """
-    rel = net.coupling
-    if not isinstance(rel, LinearPortRelation):
+    """Mark a network with a linear port relation as a :class:`PHDAESystem`."""
+    if not isinstance(net.coupling, LinearPortRelation):
         raise TypeError("network does not carry a linear port relation")
-    mono = _stack(net)
-    Bhat = net.stacked_port_matrix()
-    n, mt = Bhat.shape
-    k = rel.M.shape[0]
-    zmm = np.zeros((mt, mt))
-    A = np.block([
-        [mono.J - mono.R,       Bhat,            np.zeros((n, mt)),  np.zeros((n, k))],
-        [-Bhat.T,               zmm,             np.eye(mt),         -rel.M.T],
-        [np.zeros((mt, n)),     -np.eye(mt),     zmm,                -rel.N.T],
-        [np.zeros((k, n)),      rel.M,           rel.N,              np.zeros((k, k))],
-    ])
-    E_ext = _blockdiag([mono.E, np.zeros((mt, mt)), np.zeros((mt, mt)), np.zeros((k, k))])
-    R_ext = _blockdiag([mono.R, np.zeros((mt, mt)), np.zeros((mt, mt)), np.zeros((k, k))])
-    G_ext = np.vstack([np.zeros((n, mt)), np.zeros((mt, mt)), np.eye(mt), np.zeros((k, mt))])
-    return PHDAESystem(network=net, E_ext=E_ext, A_ext=A,
-                       R_ext=R_ext, G_ext=G_ext, layout=(n, mt, mt, k))
+    return PHDAESystem(net)
 
 
 def eliminate_ports(dae: PHDAESystem):
-    """Eliminate the dummy port variables of an extended descriptor
-    system with square regular M.
+    """Condense a relation network with square regular M.
 
     Substituting u_hat = -M^{-1} N y_hat gives the coupling matrix
     C = M^{-1} N, and the result is :func:`condense_general` of the network
-    with that C.  ``A_ext`` is not used.
+    with that C.
     """
     rel = dae.network.coupling
     if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= 1e-12:

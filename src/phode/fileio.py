@@ -1,10 +1,11 @@
 """JSON system/network documents and CSV trajectory files.
 
-System files are JSON with kind "linear", "network" or "phdae"; matrices
-are nested row-major arrays.  Linear documents may instead reference a
-registered model constructor by name.  Trajectories are CSV with columns
-t, x1..xn, H, balance_residual, printed with 17 significant digits so a
-re-read reproduces the stored values bit-exactly.
+System files are JSON with kind "linear", "network" or "phdae" (a network
+coupled by a linear port relation); matrices are nested row-major arrays.
+Linear documents may instead reference a registered model constructor by
+name.  Trajectories are CSV with columns t, x1..xn, H, balance_residual,
+printed with 17 significant digits so a re-read reproduces the stored
+values bit-exactly.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def _parse_network(doc) -> CoupledNetwork:
 
 
 def parse_system_text(text: str):
-    """Parse a JSON system document into a system, network or extended
-    descriptor system (structure validation is the caller's business)."""
+    """Parse a JSON system document into a system, network or
+    :class:`PHDAESystem` (structure validation is the caller's business)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -208,9 +209,10 @@ def _layout(value, pad: str) -> str:
 
 
 def dump_document(obj) -> str:
-    """Serialize a system, network or pH-DAE as a JSON document with one
-    matrix row per line; numbers are written as ``json.dumps`` writes them
-    (``float.__repr__``), so a re-read is bit-exact."""
+    """Serialize a system, network or :class:`PHDAESystem` as a JSON
+    document with one matrix row per line; numbers are written as
+    ``json.dumps`` writes them (``float.__repr__``), so a re-read is
+    bit-exact."""
     if isinstance(obj, LinearPHSystem):
         doc = system_to_doc(obj)
     elif isinstance(obj, CoupledNetwork):
@@ -259,17 +261,32 @@ def read_trajectory(text: str):
     rows, cells = lines[1:], len(header)
     data = np.empty((0, cells))
     if rows:
-        # loadtxt compares rows only with each other, skips blank lines and
-        # names a bad cell by its row and column
+        # loadtxt compares rows only with each other and skips blank lines
         try:
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+            data = _loadtxt(rows)
         except ValueError as exc:
-            raise ParseError(_ragged_row(rows, cells) or f"non-numeric cell: {exc}") from exc
+            raise ParseError(_ragged_row(rows, cells) or _bad_cell(rows, exc)) from exc
         if data.shape != (len(rows), cells):
             raise ParseError(_ragged_row(rows, cells))
     if not np.all(np.isfinite(data)):
         raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+
+
+def _loadtxt(rows: list) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+
+
+def _bad_cell(rows: list, exc: ValueError) -> str:
+    """Message naming the first row with a cell that ``_loadtxt`` refuses,
+    counted from 1 as in ``_ragged_row``."""
+    for k, row in enumerate(rows):
+        try:
+            _loadtxt([row])
+        except ValueError as row_exc:
+            # loadtxt counts the rows it is given from 0, columns from 1
+            return f"row {k + 1}: non-numeric cell: {row_exc}".replace(" at row 0,", " in")
+    return f"non-numeric cell: {exc}"
 
 
 def _ragged_row(rows: list, cells: int) -> str | None:

@@ -422,8 +422,9 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     worst window; the trajectory is returned all the same.
     """
     if not isinstance(net.coupling, CouplingSpec):
-        raise ValueError("dynamic iteration requires a coupling matrix; "
-                         "run eliminate_ports first")
+        raise ValueError("dynamic iteration requires a coupling matrix; a relation "
+                         "M u_hat + N y_hat = 0 with regular M has the coupling "
+                         "matrix C = M^-1 N")
     mode = mode.lower().replace("_", "-")
     if mode not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -189,6 +189,36 @@ class TestPipeline:
         assert main(["condense", net, "--mode", "phdae", "-o", out]) == 0
         assert json.loads(Path(out).read_text())["kind"] == "phdae"
 
+    def test_phdae_document_condenses_as_its_network(self, tmp_path):
+        # off-diagonal dissipation decouples into a relation network (case 2)
+        src = write_json(tmp_path / "sys.json", {
+            "n": 4, "J": [[0., -1., 0., 0.], [1., 0., 0., 0.],
+                          [0., 0., 0., -2.], [0., 0., 2., 0.]],
+            "R": [[1., 0., .3, 0.], [0., 1., 0., .2],
+                  [.3, 0., 1., 0.], [0., .2, 0., 1.]]})
+        net, dae = str(tmp_path / "net.json"), str(tmp_path / "dae.json")
+        direct, via = tmp_path / "direct.json", tmp_path / "via.json"
+        assert main(["decouple", src, "--partition", "2,2", "-o", net]) == 0
+        assert json.loads(Path(net).read_text())["coupling"]["type"] == "relation"
+        assert main(["condense", net, "--mode", "general", "-o", str(direct)]) == 0
+        assert main(["condense", net, "--mode", "phdae", "-o", dae]) == 0
+        assert main(["condense", dae, "--mode", "general", "-o", str(via)]) == 0
+        assert via.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("coupling", [
+        {"type": "general", "C": [[0., 2.], [2., 0.]]},
+        {"type": "relation", "M": [[1., 0.], [0., 1.]], "N": [[0., 2.], [2., 0.]]},
+    ], ids=["general", "relation"])
+    def test_condense_indefinite_exit_2_names_no_lift(self, tmp_path, capsys, coupling):
+        doc = general_network_doc(None)
+        doc["coupling"] = {"ports": [[[1.]], [[1.]]], **coupling}
+        net = write_json(tmp_path / "net.json", doc)
+        assert main(["condense", net, "--mode", "general",
+                     "-o", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("phode: ") and err.count("\n") == 1
+        assert "indefinite" in err and "build_phdae" not in err
+
 
 class TestSimulateAndReport:
     def test_simulate_writes_csv(self, tmp_path, capsys):

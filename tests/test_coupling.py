@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,7 +105,7 @@ class TestCondenseGeneral:
         assert out.min_eigenvalue == pytest.approx(-1.0)
         assert np.allclose(np.linalg.eigvalsh(np.array([[1., 2.], [2., 1.]])),
                            [out.min_eigenvalue, 3.0])
-        assert out.fallback == "build_phdae"
+        assert "build_phdae" not in out.message
 
     def test_skew_input_matches_condense_skew(self):
         rng = np.random.default_rng(5)
@@ -119,26 +121,22 @@ class TestBuildPhdae:
         rel = LinearPortRelation(ports, M=M, N=N)
         return CoupledNetwork((scalar_sub(), scalar_sub()), rel)
 
-    def test_extended_structure_antisymmetry(self):
+    def test_wraps_the_relation_network(self):
         net = self.rel_net(np.eye(2), [[0., -1.], [1., 0.]])
-        dae = build_phdae(net)
-        # state(2) + u_hat(2) + y_hat(2) + multipliers(2)
-        assert dae.A_ext.shape == (8, 8)
-        assert np.max(np.abs(dae.A_ext + dae.A_ext.T + 2.0 * dae.R_ext)) <= 1e-14
+        assert build_phdae(net).network is net
 
-    def test_block_placement(self):
+    def test_coupling_matrix_rejected(self):
+        with pytest.raises(TypeError, match="linear port relation"):
+            build_phdae(two_scalar_net([[0., -1.], [1., 0.]]))
+
+    @pytest.mark.parametrize("condense", [condense_skew, condense_general])
+    def test_condense_names_the_call_that_works(self, condense):
         net = self.rel_net(np.eye(2), [[0., -1.], [1., 0.]])
-        dae = build_phdae(net)
-        A = dae.A_ext
-        Bhat = net.stacked_port_matrix()
-        assert np.array_equal(A[:2, 2:4], Bhat)
-        assert np.array_equal(A[2:4, :2], -Bhat.T)
-        assert np.array_equal(A[2:4, 4:6], np.eye(2))
-        assert np.array_equal(A[4:6, 2:4], -np.eye(2))
-        assert np.array_equal(A[2:4, 6:8], -np.eye(2))       # -M^T
-        assert np.array_equal(A[4:6, 6:8], -np.array([[0., -1.], [1., 0.]]).T)
-        assert np.array_equal(A[6:8, 2:4], np.eye(2))        # M
-        assert np.array_equal(dae.G_ext[4:6], np.eye(2))
+        with pytest.raises(TypeError, match=re.escape("eliminate_ports(build_phdae(net))")):
+            condense(net)
+        mono = eliminate_ports(build_phdae(net))
+        assert isinstance(mono, LinearPHSystem)
+        assert np.array_equal(mono.J, [[0., 1.], [-1., 0.]])
 
     def test_identity_relation_uncouples(self):
         net = self.rel_net(np.eye(2), np.zeros((2, 2)))

@@ -69,7 +69,7 @@ class TestParseSystem:
         }
         dae = parse_system_text(json.dumps(doc))
         assert isinstance(dae, PHDAESystem)
-        assert dae.A_ext.shape == (8, 8)
+        assert np.array_equal(dae.network.coupling.N, doc["coupling"]["N"])
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="JSON"):
@@ -268,6 +268,9 @@ class TestTrajectoryCsv:
         ("0,1,2,3,0\n\n0.1,1,2,3,0\n", "row 2 is blank"),
         ("0,1,2,3,0\n   \n", "row 2 has 1 cells, header has 5"),
         ("0,1,2,3,0\n0.1,1,2,abc,0\n", "non-numeric cell: could not convert string 'abc'"),
+        ("0,1,2,abc,0\n", r"^row 1: non-numeric cell: .*'abc'.* in column 4\.$"),
+        ("0,1,2,3,0\n0.1,1,2,3,0\n0.2,x,2,3,0\n",
+         r"^row 3: non-numeric cell: .*'x'.* in column 2\.$"),
         ("0,1,2,1e400,0\n", "non-finite"),
     ])
     def test_rejection_messages(self, body, message):

@@ -119,6 +119,7 @@ class TestDynamicIteration:
         assert np.max(np.abs(traj.x[:, :3] - a.x)) == 0.0
         assert np.max(np.abs(traj.x[:, 3:] - b.x)) == 0.0
 
+    @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_error_decreases_over_sweeps(self, mode):
         net = two_mass_network(variant="b")
@@ -141,6 +142,7 @@ class TestDynamicIteration:
                                  x0=x0, t1=1.0, dt=0.01)
         assert np.max(np.abs(traj.x - ref.x)) <= 1e-6
 
+    @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
     def test_jacobi_deterministic_and_order_independent(self):
         net = two_mass_network(variant="b")
         a = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.5, dt=0.01)
@@ -169,6 +171,7 @@ class TestDynamicIteration:
                                  x0=x0, t1=1.0, dt=0.01)
         assert np.max(np.abs(traj.x - ref.x)) <= 1e-10 * np.max(np.abs(ref.x))
 
+    @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
     def test_outputs_and_energy_are_those_of_the_condensed_system(self):
         _, net = poroelastic()
         x0 = np.random.default_rng(1).standard_normal(net.n)
@@ -207,6 +210,21 @@ class TestDynamicIteration:
                                                      M=np.eye(2), N=net.coupling.C))
         with pytest.raises(ValueError, match="requires a coupling matrix"):
             dynamic_iteration(relation, x0=X0, t1=1.0, dt=0.01)
+
+    def test_relation_message_gives_the_coupling_matrix(self):
+        # the refusal says how to get the coupling matrix dynamic_iteration
+        # takes; following it runs the network condense_general condenses
+        net = general_coupling_network()
+        M = np.diag(np.arange(1.0, net.coupling.C.shape[0] + 1.0))
+        rel = LinearPortRelation(net.coupling.port_matrices, M=M, N=M @ net.coupling.C)
+        relation = CoupledNetwork(net.subsystems, rel)
+        with pytest.raises(ValueError, match=re.escape("C = M^-1 N")):
+            dynamic_iteration(relation, x0=np.ones(net.n), t1=0.2, dt=0.01)
+        coupled = CoupledNetwork(net.subsystems, CouplingSpec(rel.port_matrices,
+                                                              np.linalg.solve(rel.M, rel.N)))
+        traj = dynamic_iteration(coupled, sweeps=25, x0=np.ones(net.n), t1=0.2, dt=0.01)
+        ref = implicit_midpoint(condense_general(net), x0=np.ones(net.n), t1=0.2, dt=0.01)
+        assert relative_error(traj.x, ref.x) <= 1e-10
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_fixed_point_of_general_coupling(self, mode):
