@@ -116,14 +116,18 @@ def _cmd_condense(args):
     net = obj.network if isinstance(obj, PHDAESystem) else obj
     if not isinstance(net, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
-    if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
+    relation = isinstance(net.coupling, LinearPortRelation)
+    if args.mode == "phdae" and not relation:
         raise CliError("phdae condensation requires a coupling of type 'relation'")
+    if args.mode == "skew" and relation:
+        raise CliError("network carries a linear port relation; condense it with "
+                       "phode condense --mode general", EXIT_VALIDATION)
     try:
         if args.mode == "skew":
             result = condense_skew(net)
         elif args.mode == "phdae":
             result = build_phdae(net)
-        elif isinstance(net.coupling, LinearPortRelation):
+        elif relation:
             result = eliminate_ports(build_phdae(net))
         else:
             result = condense_general(net)
@@ -280,79 +284,111 @@ def _cmd_model(args):
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_no_validate(sp):
+    sp.add_argument("--no-validate", action="store_true",
+                    help="skip structure validation on load")
+
+
+def _add_validate(sp):
+    sp.add_argument("system")
+    sp.add_argument("--tol", type=float, default=1e-10)
+
+
+def _add_condense(sp):
+    sp.add_argument("network")
+    sp.add_argument("-o", "--output", default=None)
+    sp.add_argument("--mode", choices=["skew", "general", "phdae"], default="skew")
+    _add_no_validate(sp)
+
+
+def _add_decouple(sp):
+    sp.add_argument("system")
+    sp.add_argument("--partition", required=True, metavar="n1,n2,...")
+    sp.add_argument("--ports", default=None, help="JSON file with port matrices")
+    sp.add_argument("-o", "--output", default=None)
+    _add_no_validate(sp)
+
+
+def _add_simulate(sp):
+    sp.add_argument("system")
+    sp.add_argument("--x0", required=True, metavar="csv-list")
+    sp.add_argument("--t0", type=float, default=0.0)
+    sp.add_argument("--t1", type=float, default=10.0)
+    sp.add_argument("--dt", type=float, default=0.01)
+    sp.add_argument("--method", choices=["midpoint", "strang"], default="midpoint")
+    sp.add_argument("-o", "--output", default=None)
+    _add_no_validate(sp)
+
+
+def _add_cosim(sp):
+    sp.add_argument("network")
+    sp.add_argument("--mode", choices=["jacobi", "gauss-seidel"], default="jacobi")
+    sp.add_argument("--window", type=float, default=0.1)
+    sp.add_argument("--sweeps", type=int, default=5)
+    sp.add_argument("--inner", default="midpoint",
+                    help="integrator of every subsystem (midpoint|strang), or a "
+                         "comma list with one per subsystem")
+    sp.add_argument("--x0", required=True, metavar="csv-list")
+    sp.add_argument("--t0", type=float, default=0.0)
+    sp.add_argument("--t1", type=float, default=1.0)
+    sp.add_argument("--dt", type=float, default=0.01)
+    sp.add_argument("-o", "--output", default=None)
+    _add_no_validate(sp)
+
+
+def _add_report(sp):
+    sp.add_argument("trajectory")
+    sp.add_argument("system")
+    _add_no_validate(sp)
+
+
+def _add_model(sp):
+    sp.add_argument("name")
+    sp.add_argument("--params", default="", metavar="k=v,...")
+    sp.add_argument("-o", "--output", default=None)
+
+
+# command name -> (help text, function adding its arguments, handler)
+COMMANDS = {
+    "validate": ("run the structural checks", _add_validate, _cmd_validate),
+    "condense": ("condense a network into one system", _add_condense, _cmd_condense),
+    "decouple": ("split a monolithic system", _add_decouple, _cmd_decouple),
+    "simulate": ("integrate a single system", _add_simulate, _cmd_simulate),
+    "cosim": ("dynamic iteration on a network", _add_cosim, _cmd_cosim),
+    "report": ("energy report for a stored trajectory", _add_report, _cmd_report),
+    "model": ("emit a registered benchmark model", _add_model, _cmd_model),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` (a key of
+    ``COMMANDS``) the parser of that one command.  Both parse that
+    command's arguments and print the same usage lines and messages."""
     p = _Parser(prog="phode",
                 description="Build, validate, couple, decouple and simulate "
                             "port-Hamiltonian ODE systems.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--no-validate", action="store_true",
-                        help="skip structure validation on load")
-
-    v = sub.add_parser("validate", help="run the structural checks")
-    v.add_argument("system")
-    v.add_argument("--tol", type=float, default=1e-10)
-    v.set_defaults(func=_cmd_validate)
-
-    c = sub.add_parser("condense", help="condense a network into one system")
-    c.add_argument("network")
-    c.add_argument("-o", "--output", default=None)
-    c.add_argument("--mode", choices=["skew", "general", "phdae"], default="skew")
-    add_common(c)
-    c.set_defaults(func=_cmd_condense)
-
-    d = sub.add_parser("decouple", help="split a monolithic system")
-    d.add_argument("system")
-    d.add_argument("--partition", required=True, metavar="n1,n2,...")
-    d.add_argument("--ports", default=None, help="JSON file with port matrices")
-    d.add_argument("-o", "--output", default=None)
-    add_common(d)
-    d.set_defaults(func=_cmd_decouple)
-
-    s = sub.add_parser("simulate", help="integrate a single system")
-    s.add_argument("system")
-    s.add_argument("--x0", required=True, metavar="csv-list")
-    s.add_argument("--t0", type=float, default=0.0)
-    s.add_argument("--t1", type=float, default=10.0)
-    s.add_argument("--dt", type=float, default=0.01)
-    s.add_argument("--method", choices=["midpoint", "strang"], default="midpoint")
-    s.add_argument("-o", "--output", default=None)
-    add_common(s)
-    s.set_defaults(func=_cmd_simulate)
-
-    co = sub.add_parser("cosim", help="dynamic iteration on a network")
-    co.add_argument("network")
-    co.add_argument("--mode", choices=["jacobi", "gauss-seidel"], default="jacobi")
-    co.add_argument("--window", type=float, default=0.1)
-    co.add_argument("--sweeps", type=int, default=5)
-    co.add_argument("--inner", default="midpoint",
-                    help="integrator of every subsystem (midpoint|strang), or a "
-                         "comma list with one per subsystem")
-    co.add_argument("--x0", required=True, metavar="csv-list")
-    co.add_argument("--t0", type=float, default=0.0)
-    co.add_argument("--t1", type=float, default=1.0)
-    co.add_argument("--dt", type=float, default=0.01)
-    co.add_argument("-o", "--output", default=None)
-    add_common(co)
-    co.set_defaults(func=_cmd_cosim)
-
-    r = sub.add_parser("report", help="energy report for a stored trajectory")
-    r.add_argument("trajectory")
-    r.add_argument("system")
-    add_common(r)
-    r.set_defaults(func=_cmd_report)
-
-    m = sub.add_parser("model", help="emit a registered benchmark model")
-    m.add_argument("name")
-    m.add_argument("--params", default="", metavar="k=v,...")
-    m.add_argument("-o", "--output", default=None)
-    m.set_defaults(func=_cmd_model)
+    # one command's usage line lists every command, as the full parser's
+    # does; the full parser keeps argparse's metavar, because its message
+    # for a missing command names the dest ("command")
+    if command is None:
+        names, metavar = list(COMMANDS), None
+    else:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        add_arguments(sp)
+        sp.set_defaults(func=handler)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; ``argv`` defaults to the process arguments.  Only
+    the command that ``argv[0]`` names gets its parser built; with no
+    command there, the full parser reports usage or prints help."""
+    argv = _sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

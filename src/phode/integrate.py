@@ -45,6 +45,7 @@ class Trajectory:
     y: np.ndarray        # (k+1, m)
     H: np.ndarray        # (k+1,)
     method: str
+    u_mid: np.ndarray | None = None   # (k, m) step-midpoint inputs of the stepper
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -130,7 +131,7 @@ def _inputs(u, m: int, times: np.ndarray) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(len(times), m)
 
 
-def _finalize(sys, t, xs, us, method) -> Trajectory:
+def _finalize(sys, t, xs, us, method, u_mid) -> Trajectory:
     if sys.is_linear:
         with np.errstate(over="ignore", invalid="ignore"):
             ys = xs @ (sys.L.T @ (sys.B + sys.P)) + us @ (sys.S - sys.N).T
@@ -147,7 +148,7 @@ def _finalize(sys, t, xs, us, method) -> Trajectory:
     if not finite.all():
         raise FloatingPointError(f"trajectory is not finite from step "
                                  f"{int(np.argmin(finite))} on")
-    return Trajectory(t=t, x=xs, u=us, y=ys, H=hs, method=method)
+    return Trajectory(t=t, x=xs, u=us, y=ys, H=hs, method=method, u_mid=u_mid)
 
 
 def _propagator(sys: LinearPHSystem, method: str, dt: float):
@@ -205,7 +206,7 @@ def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
         xs = _propagate(phi, x, u_mid @ (gamma @ (sys.B - sys.P)).T)
-    return _finalize(sys, t, xs, _inputs(u, sys.m, t), method)
+    return _finalize(sys, t, xs, _inputs(u, sys.m, t), method, u_mid)
 
 
 def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
@@ -222,10 +223,11 @@ def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
     x = _initial_state(x0, sys.n)
     t = _time_grid(t0, t1, dt, sys.n)
     xs = [x]
-    for um in _inputs(u, sys.m, t[:-1] + 0.5 * dt):
+    u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
+    for um in u_mid:
         x = _newton_midpoint_step(sys, x, um, dt, newton_tol, newton_maxit)
         xs.append(x)
-    return _finalize(sys, t, np.array(xs), _inputs(u, sys.m, t), "midpoint")
+    return _finalize(sys, t, np.array(xs), _inputs(u, sys.m, t), "midpoint", u_mid)
 
 
 def _midpoint_residual(sys: CallbackPHSystem, x0, x1, um, dt):
@@ -510,7 +512,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
             checks = (np.hstack([xs[:-1:q], u_win]) @ check_map).reshape(windows, 2, q, ports)
 
     # y and H depend on L, B, P, S, N and Q only, which coupling leaves alone
-    traj = _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}")
+    traj = _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}", u_mid)
     # the coupling inputs the last sweep's outputs give, against those it
     # was driven with, per window relative to their maximum
     change = np.abs(checks[:, 1] - checks[:, 0]).max(axis=(1, 2), initial=0.0)
@@ -531,10 +533,11 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem,
                   tol: float = 1e-10) -> EnergyReport:
     """Recompute the discrete energy balance of a stored trajectory.
 
-    Residuals use midpoint quantities z_m = L (x_k + x_{k+1})/2 and
-    u_m = (u_k + u_{k+1})/2 in the power balance of
-    :func:`phode.core.port_power`; when no input acts, monotone decay of the
-    Hamiltonian is additionally flagged.
+    Residuals use midpoint quantities z_m = L (x_k + x_{k+1})/2 and u_m,
+    the step-midpoint inputs the stepper used (``traj.u_mid``), in the
+    power balance of :func:`phode.core.port_power`; a trajectory without
+    them (one read from a file) takes u_m = (u_k + u_{k+1})/2.  When no
+    input acts, monotone decay of the Hamiltonian is additionally flagged.
     """
     if not sys.is_linear:
         raise TypeError("energy accounting is defined for linear-constant systems")
@@ -543,9 +546,9 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem,
     k = traj.steps
     if k <= 0:
         return EnergyReport(residuals=np.zeros(0), dissipation_ok=True, driven=False)
-    driven = bool(np.any(traj.u))
+    um = traj.u_mid if traj.u_mid is not None else 0.5 * (traj.u[1:] + traj.u[:-1])
+    driven = bool(np.any(traj.u) or np.any(um))
     xm = 0.5 * (traj.x[1:] + traj.x[:-1])
-    um = 0.5 * (traj.u[1:] + traj.u[:-1])
     rate = port_power(sys.coefficients(), xm @ sys.L.T, um)
     res = np.abs(np.diff(traj.H) - np.diff(traj.t) * rate)
     diss_ok = True

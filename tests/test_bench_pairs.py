@@ -117,3 +117,66 @@ def test_claim_argument():
     for bad in ("wall_s", "wall_s@sim-dense", "@cosim-3block"):
         with pytest.raises(SystemExit):
             bench_pairs.parse_args(["--out", "B.json", "--claim", bad, "cosim-3block:10"])
+
+
+def test_traced_argument():
+    assert bench_pairs.parse_args(["--out", "B.json", "cli-docs:3"]).traced == 0
+    assert bench_pairs.parse_args(["--out", "B.json", "--traced", "2", "cli-docs:3"]).traced == 2
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--out", "B.json", "--traced", "-1", "cli-docs:3"])
+
+
+def canned_run(side, trace, k):
+    """Output of the k-th run of one side: an untraced run reports wall_s, a
+    traced one the per-layer cli.self_s and fileio.self_s."""
+    host = {"python": "3.11.7", "numpy": "1.26", "scipy": "1.11", "nproc": 2,
+            "blas_threads": "1"}
+    if trace:
+        values = {"cli.self_s": (0.4 if side == "parent" else 0.1) + 0.01 * k,
+                  "fileio.self_s": 1.0 + 0.01 * k}
+    else:
+        values = {"wall_s": (2.5 if side == "parent" else 2.4) + 0.01 * k}
+    probes = {"cosim_default_sweeps": {"passed": True, "detail": "reported"}}
+    return "\n".join([json.dumps({"run": host}), json.dumps({"known_defect_probes": probes}),
+                      json.dumps(result_line(**values))]) + "\n"
+
+
+def test_traced_pairs_keep_per_layer_medians_and_quartiles(tmp_path, monkeypatch):
+    calls = []
+
+    def run_side(tree, workload, seed, seconds, trace):
+        side = "parent" if tree != bench_pairs.ROOT else "change"
+        calls.append((side, trace))
+        k = sum(1 for c in calls if c == (side, trace))
+        return bench_pairs.parse_output(canned_run(side, trace, k))
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: "abc1234")
+    out = tmp_path / "B.json"
+    assert bench_pairs.main(["--out", str(out), "--traced", "4", "cli-docs:2"]) == 0
+    # untraced pairs first, then the traced ones, each pair alternating sides
+    assert calls == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                     ("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
+                     ("parent", 1), ("change", 1), ("change", 1), ("parent", 1)]
+    doc = json.loads(out.read_text())
+    assert doc["traced_pairs"] == 4 and doc["host"]["nproc"] == 2
+    entry = doc["workloads"]["cli-docs"]
+    assert entry["verdict"] == {"wall_s": "ok"}
+    traced = entry["traced"]
+    assert [p["pair"] for p in traced["pairs"]] == [1, 2, 3, 4]
+    assert "run" not in traced["pairs"][0]["change"]
+    assert traced["pairs"][0]["parent"]["known_defect_probes"]["cosim_default_sweeps"]["passed"]
+    assert traced["medians"]["parent"]["cli.self_s"] == pytest.approx(0.425)
+    assert traced["medians"]["change"]["cli.self_s"] == pytest.approx(0.125)
+    assert traced["quartiles"]["parent"]["cli.self_s"] == pytest.approx([0.4175, 0.4325])
+    assert traced["change_wins"] == {"cli.self_s": 4, "fileio.self_s": 0}
+    assert "verdict" not in traced
+
+
+def test_no_traced_section_by_default(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_side", lambda tree, w, seed, s, trace:
+                        bench_pairs.parse_output(canned_run("change", trace, 1)))
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: "abc1234")
+    out = tmp_path / "B.json"
+    assert bench_pairs.main(["--out", str(out), "cli-docs:1"]) == 0
+    assert "traced" not in json.loads(out.read_text())["workloads"]["cli-docs"]

@@ -219,6 +219,21 @@ class TestPipeline:
         assert err.startswith("phode: ") and err.count("\n") == 1
         assert "indefinite" in err and "build_phdae" not in err
 
+    def test_condense_skew_of_relation_names_the_general_mode(self, tmp_path, capsys):
+        doc = general_network_doc(None)
+        doc["coupling"] = {"type": "relation", "ports": [[[1.]], [[1.]]],
+                           "M": [[1., 0.], [0., 1.]], "N": [[0., -1.], [1., 0.]]}
+        net = write_json(tmp_path / "net.json", doc)
+        out = tmp_path / "m.json"
+        assert main(["condense", net, "--mode", "skew", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("phode: ") and err.count("\n") == 1
+        assert "phode condense --mode general" in err and "eliminate_ports" not in err
+        assert not out.exists()
+        # the advice works
+        assert main(["condense", net, "--mode", "general", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 2
+
 
 class TestSimulateAndReport:
     def test_simulate_writes_csv(self, tmp_path, capsys):
@@ -486,6 +501,80 @@ class TestModelCommand:
         assert main(["model", "poroelastic", "--params", params, "-o", str(out)]) == 1
         assert_one_line_error(capsys, "bad parameters")
         assert not out.exists()
+
+
+COMMAND_NAMES = ["validate", "condense", "decouple", "simulate", "cosim", "report", "model"]
+PARITY_ARGV = [
+    [], ["-h"], ["--"], ["frobnicate"], ["-h", "validate"],
+    *[[name, "-h"] for name in COMMAND_NAMES],
+    ["decouple", TWO_MASS],                       # missing required argument
+    ["validate", TWO_MASS, "--frobnicate"],       # unrecognized option
+    ["condense", TWO_MASS, "--mode", "bogus"],    # bad choice
+    ["cosim", TWO_MASS, "--sweeps", "many"],      # bad type
+    ["simulate", TWO_MASS, "--x0", "-0.3,0.5,0,0.1,0", "--t1", "0.05"],
+    ["simulate", TWO_MASS, "--x0", "-0.3,0.5,0,0.1,0", "--t1", "0.05", "--method", "strang"],
+    ["model", "two-mass", "--params", "r1=0.2"],
+]
+
+
+def full_parser_main(argv):
+    """``main`` as it runs with the parser of every command."""
+    parser = phode.cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except phode.cli.CliError as exc:
+        print(f"phode: {exc}", file=sys.stderr)
+        return exc.code
+
+
+def outcome(run, argv, capsys):
+    """Exit code (or ``SystemExit`` code), stdout and stderr of one run."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda a: " ".join(
+        "SYSTEM" if word == TWO_MASS else word for word in a) or "none")
+    def test_same_output_as_the_full_parser(self, argv, capsys):
+        assert outcome(main, argv, capsys) == outcome(full_parser_main, argv, capsys)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["model", "two-mass"], ["model"]),
+        (["validate", TWO_MASS, "--frobnicate"], ["validate"]),
+        ([], COMMAND_NAMES), (["frobnicate"], COMMAND_NAMES), (["--", "model"], COMMAND_NAMES),
+    ])
+    def test_builds_the_named_command_only(self, argv, built, monkeypatch, capsys):
+        added = []
+        for name, (help_text, add_arguments, handler) in list(phode.cli.COMMANDS.items()):
+            def counted(sp, name=name, add_arguments=add_arguments):
+                added.append(name)
+                add_arguments(sp)
+            monkeypatch.setitem(phode.cli.COMMANDS, name, (help_text, counted, handler))
+        main(argv)
+        assert added == built
+
+    def test_commands_in_one_process_share_no_arguments(self, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(sorted(vars(args)))
+            return 0
+
+        for name in ("model", "validate"):
+            help_text, add_arguments, _ = phode.cli.COMMANDS[name]
+            monkeypatch.setitem(phode.cli.COMMANDS, name, (help_text, add_arguments, record))
+        assert main(["model", "two-mass"]) == 0
+        assert main(["validate", TWO_MASS]) == 0
+        assert main(["model", "maxwell"]) == 0
+        assert seen == [["command", "func", "name", "output", "params"],
+                        ["command", "func", "system", "tol"],
+                        ["command", "func", "name", "output", "params"]]
 
 
 def test_cli_import_loads_no_scipy():

@@ -15,8 +15,11 @@ last line: ``correct``, ``attempted``, ``failed``, ``metrics``) and its
 medians and quartiles, per metric the number of pairs the change won
 (ties count for neither side), and a ``verdict`` per end-to-end metric
 (see ``verdict``): ``--claim METRIC@WORKLOAD`` names the metric the change
-claims to improve on that workload.  The file is rewritten after every
-pair.
+claims to improve on that workload.  ``--traced N`` then runs N more
+alternating pairs per workload with ``--trace 1`` and keeps, under
+``traced``, each side's medians and quartiles of the per-layer metrics
+(such as ``cli.self_s``) and the pairs the change won.  The file is
+rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -111,15 +114,28 @@ def verdict(pairs: list, end_to_end: dict, claim: str | None = None) -> dict:
     return out
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     try:
         return parse_output(proc.stdout)
     except ValueError:
         raise SystemExit(f"bench_pairs: {workload} in {tree} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
+
+
+def run_pair(trees: dict, workload: str, i: int, n: int, seed: int, seconds: float,
+             trace: int = 0):
+    """Pair i of n, the parent first when i is odd; returns the pair and the
+    change side's host record."""
+    sides, label = {}, " traced" if trace else ""
+    for side in (SIDES if i % 2 else SIDES[::-1]):
+        print(f"bench_pairs: {workload}{label} pair {i}/{n} {side}", file=sys.stderr)
+        sides[side] = run_side(trees[side], workload, seed, seconds, trace)
+    runs = {s: sides[s].pop("run") for s in SIDES}
+    return {"pair": i, **sides}, {k: runs["change"][k] for k in HOST_KEYS}
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -142,7 +158,11 @@ def parse_args(argv=None):
     p.add_argument("--seed", type=int, default=41)
     p.add_argument("--claim", default=None, metavar="METRIC@WORKLOAD",
                    help="the end-to-end metric the change claims to improve, and where")
+    p.add_argument("--traced", type=int, default=0, metavar="N",
+                   help="traced pairs per workload after the untraced ones")
     args = p.parse_args(argv)
+    if args.traced < 0:
+        p.error("--traced must be at least 0")
     try:
         args.plan = [(w, int(n)) for w, n in (item.rsplit(":", 1) for item in args.plan)]
     except ValueError:
@@ -161,7 +181,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
-    better = {k: m["better"] for k, m in end_to_end.items()}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     seconds = bench["run_seconds"]
     claim, claim_workload = args.claim or (None, None)
     if claim is not None and claim not in end_to_end:
@@ -172,23 +192,24 @@ def main(argv=None) -> int:
                "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                           f"--seconds {seconds:g} --trace 0",
                "host": None, "seed": args.seed, "pairs": dict(args.plan),
+               "traced_pairs": args.traced,
                "order": "odd pairs run the parent first, even pairs the change first",
                "claim": args.claim and "@".join(args.claim), "workloads": {}}
         for workload, n in args.plan:
-            pairs = []
+            entry = doc["workloads"][workload] = {}
+            pairs, traced = [], []
             for i in range(1, n + 1):
-                sides = {}
-                for side in (SIDES if i % 2 else SIDES[::-1]):
-                    print(f"bench_pairs: {workload} pair {i}/{n} {side}", file=sys.stderr)
-                    sides[side] = run_side(trees[side], workload, args.seed, seconds)
-                runs = {s: sides[s].pop("run") for s in SIDES}
-                doc["host"] = {k: runs["change"][k] for k in HOST_KEYS}
-                pairs.append({"pair": i, **sides})
-                doc["workloads"][workload] = {
-                    **summarize(pairs, better),
-                    "verdict": verdict(pairs, end_to_end,
-                                       claim if workload == claim_workload else None),
-                    "pairs": pairs}
+                pair, doc["host"] = run_pair(trees, workload, i, n, args.seed, seconds)
+                pairs.append(pair)
+                entry.update(summarize(pairs, better),
+                             verdict=verdict(pairs, end_to_end,
+                                             claim if workload == claim_workload else None),
+                             pairs=pairs)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            for i in range(1, args.traced + 1):
+                traced.append(run_pair(trees, workload, i, args.traced, args.seed, seconds,
+                                       trace=1)[0])
+                entry["traced"] = {**summarize(traced, better), "pairs": traced}
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
