@@ -267,7 +267,12 @@ def strang_split(sys: LinearPHSystem, u=None, x0=None, t0: float = 0.0,
                  t1: float = 1.0, dt: float = 0.01) -> Trajectory:
     """Strang splitting: half-step of the dissipative flow E xdot = -R L x,
     full midpoint step of the conservative flow E xdot = J L x + B u,
-    half-step dissipative (second order)."""
+    half-step dissipative (second order).
+
+    The composed step D C D meets the midpoint energy identity that
+    ``energy_report`` checks only when R = 0; otherwise its balance
+    residual is the defect of that identity, O(dt^3) per step, not
+    round-off."""
     if not sys.is_linear:
         raise TypeError("operator splitting is implemented for linear-constant systems")
     return _integrate_linear(sys, "strang", u, x0, t0, t1, dt)
@@ -347,9 +352,8 @@ def _window_sweeps(xw: np.ndarray, free: list, blocks: list, out_map: np.ndarray
     window-initial states in its first row; free[i] is (b, q, n_i), the
     free response of subsystem i; blocks[i] holds its lifted maps, state
     and port slices, C_i^T and half its output map.  The last sweep's
-    states go into xw[:, 1:].  Returns their coupling response (b, q, n),
-    the coupling inputs that sweep was driven with and those its outputs
-    give (b, q, P each).
+    states go into xw[:, 1:].  Returns the coupling inputs that sweep was
+    driven with and those its outputs give (b, q, P each).
     """
     q = xw.shape[1] - 1
     # step-midpoint port outputs of all subsystems in the window,
@@ -362,23 +366,21 @@ def _window_sweeps(xw: np.ndarray, free: list, blocks: list, out_map: np.ndarray
         # Gauss-Seidel reads the outputs updated so far in this sweep,
         # Jacobi those of the previous sweep
         src = mids if gauss_seidel else mids.copy()
-        used, resp = [], []
+        used = []
         for x_free, (lifted, _, _, c_rows, half_out), (x_next, x_prev, y_mid) in zip(
                 free, blocks, views):
             used.append(src @ c_rows)
-            resp.append(_coupling_response(used[-1], lifted))
-            np.add(x_free, resp[-1], out=x_next)
+            np.add(x_free, _coupling_response(used[-1], lifted), out=x_next)
             np.matmul(x_prev + x_next, half_out, out=y_mid)
-    return np.concatenate(resp, axis=2), np.concatenate(used, axis=2), mids @ C.T
+    return np.concatenate(used, axis=2), mids @ C.T
 
 
 def _window_maps(props, state_sl, drive, inputs: int, q: int, sweep: dict):
     """Maps from a window's basis coefficients [x_0, vec(u_mid)] (n + inputs
-    entries, u_mid one row of midpoint inputs per step) to the coupling
-    response of its states (q*n) and to the coupling inputs of the
-    convergence check (2*q*P: those the last sweep was driven with, then
-    those its outputs give), from one batched relaxation of the unit
-    basis."""
+    entries, u_mid one row of midpoint inputs per step) to its states
+    x_1..x_q (q*n) and to the coupling inputs of the convergence check
+    (2*q*P: those the last sweep was driven with, then those its outputs
+    give), from one batched relaxation of the unit basis."""
     n = drive.shape[1]
     basis = n + inputs
     unit = np.eye(basis)
@@ -387,8 +389,9 @@ def _window_maps(props, state_sl, drive, inputs: int, q: int, sweep: dict):
     g = unit[:, n:].reshape(basis, q, -1) @ drive if inputs else np.zeros((basis, q, n))
     free = [_propagate(phi, xw[:, 0, sl].T, g[:, :, sl].transpose(1, 2, 0))[1:]
             .transpose(2, 0, 1) for (phi, _), sl in zip(props, state_sl)]
-    resp, used, coupled = _window_sweeps(xw, free, **sweep)
-    return resp.reshape(basis, -1), np.concatenate([used, coupled], axis=1).reshape(basis, -1)
+    used, coupled = _window_sweeps(xw, free, **sweep)
+    return (xw[:, 1:].reshape(basis, -1),
+            np.concatenate([used, coupled], axis=1).reshape(basis, -1))
 
 
 def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
@@ -407,16 +410,16 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     the fixed point is exactly the monolithic implicit midpoint trajectory.
 
     A subsystem's states in a window are its free response to the
-    window-initial state and the external input, stepped once per window,
-    plus its response to u_hat_i, which is linear in u_hat_i: per sweep one
-    matrix product with a prebuilt lifted map over all chunks of the
-    window, and one step per chunk (see ``_chunk_steps``).  The sweeps
-    themselves are linear in the window-initial state and the window's
-    midpoint inputs.  When these have no more entries than the run has
-    windows, the sweeps run once, on the unit vectors, into window maps
-    (``_MAP_ENTRIES`` entries each at most); each window then adds its
-    coupling response with one product per subsystem.  Otherwise every
-    window runs its own sweeps.
+    window-initial state and the external input plus its response to
+    u_hat_i, which is linear in u_hat_i: per sweep one matrix product with
+    a prebuilt lifted map over all chunks of the window, and one step per
+    chunk (see ``_chunk_steps``).  The sweeps themselves are linear in the
+    window-initial state and the window's midpoint inputs.  When these have
+    no more entries than the run has windows, the sweeps run once, on the
+    unit vectors, into window maps (``_MAP_ENTRIES`` entries each at most);
+    each window's states are then one product with the state map.
+    Otherwise every window steps its free response and runs its own
+    sweeps.
 
     When, in some window, the coupling inputs given by the last sweep's
     outputs differ from those the last sweep was driven with by more than
@@ -473,7 +476,6 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
               for (phi, _), sl, psl in zip(props, state_sl, port_sl)]
     drive = (gamma @ (mono.B - mono.P)).T
     u_mid = _inputs(u, mono.m, t[:-1] + 0.5 * dt)
-    ext = u_mid @ drive
     sweep = dict(blocks=blocks, out_map=out_map, C=C,
                  gauss_seidel=mode == "gauss-seidel", sweeps=sweeps)
 
@@ -489,27 +491,20 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     xs[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         if mapped:
-            resp_map, check_map = _window_maps(props, state_sl, drive, inputs, q, sweep)
-            source_maps = [resp_map[sl] for sl in state_sl]
-            driven = u_win @ resp_map[n:]
-        else:
-            checks = np.empty((windows, 2, q, ports))
-        for w in range(windows):
-            win = xs[w * q:(w + 1) * q + 1]
-            free = [_propagate(phi, win[0, sl], ext[w * q:(w + 1) * q, sl])[1:]
-                    for (phi, _), sl in zip(props, state_sl)]
-            if mapped:
-                # one product per source subsystem, summed in subsystem order
-                resp = driven[w]
-                for x_free, sl, source_map in zip(free, state_sl, source_maps):
-                    win[1:, sl] = x_free
-                    resp = resp + win[0, sl] @ source_map
-                win[1:] += resp.reshape(q, n)
-            else:
-                _, used, coupled = _window_sweeps(win[None], [f[None] for f in free], **sweep)
-                checks[w, 0], checks[w, 1] = used[0], coupled[0]
-        if mapped:
+            state_map, check_map = _window_maps(props, state_sl, drive, inputs, q, sweep)
+            x_map, driven = state_map[:n], u_win @ state_map[n:]
+            for w in range(windows):
+                xs[w * q + 1:(w + 1) * q + 1] = (xs[w * q] @ x_map + driven[w]).reshape(q, n)
             checks = (np.hstack([xs[:-1:q], u_win]) @ check_map).reshape(windows, 2, q, ports)
+        else:
+            ext = u_mid @ drive
+            checks = np.empty((windows, 2, q, ports))
+            for w in range(windows):
+                win = xs[w * q:(w + 1) * q + 1]
+                free = [_propagate(phi, win[0, sl], ext[w * q:(w + 1) * q, sl])[1:]
+                        for (phi, _), sl in zip(props, state_sl)]
+                used, coupled = _window_sweeps(win[None], [f[None] for f in free], **sweep)
+                checks[w, 0], checks[w, 1] = used[0], coupled[0]
 
     # y and H depend on L, B, P, S, N and Q only, which coupling leaves alone
     traj = _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}", u_mid)
@@ -538,6 +533,9 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem,
     power balance of :func:`phode.core.port_power`; a trajectory without
     them (one read from a file) takes u_m = (u_k + u_{k+1})/2.  When no
     input acts, monotone decay of the Hamiltonian is additionally flagged.
+    The identity is that of the implicit midpoint rule: a Strang trajectory
+    of a system with R != 0 misses it by O(dt^3) per step (the splitting
+    defect), so its residuals are not round-off.
     """
     if not sys.is_linear:
         raise TypeError("energy accounting is defined for linear-constant systems")

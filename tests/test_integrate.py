@@ -101,6 +101,16 @@ class TestStrangSplit:
         assert energy_report(traj, sys).driven
         assert relative_balance(traj, sys) <= 1e-14
 
+    def test_dissipative_balance_residual_is_third_order(self):
+        # with R != 0 the composed D C D step misses the midpoint identity
+        # energy_report checks by an O(dt^3) defect per step, not round-off
+        sys = two_mass()
+        res = [energy_report(strang_split(sys, x0=X0, t0=0.0, t1=2.0, dt=dt), sys)
+               .max_residual for dt in (0.02, 0.01, 0.005)]
+        assert res[0] > 1e-7
+        for coarse, fine in zip(res, res[1:]):
+            assert 7.0 <= coarse / fine <= 9.0
+
     def test_pure_dissipation_monotone(self):
         sys = LinearPHSystem(E=np.eye(2), J=np.zeros((2, 2)),
                              R=np.diag([1.0, 0.5]), B=np.zeros((2, 0)),
@@ -118,18 +128,37 @@ class TestStrangSplit:
             assert 1.8 <= p <= 2.2
 
 
+def take_path(monkeypatch, path, windows):
+    """Send dynamic_iteration down the window-map path or, with no map
+    budget, the per-window path; returns the batch sizes of its sweeps as
+    they would be on that path for the 5-state two-mass network."""
+    if path == "per-window":
+        monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 0)
+        return [1] * windows
+    return [5]
+
+
 class TestDynamicIteration:
-    def test_zero_coupling_single_sweep_exact(self):
+    # the per-window path steps each subsystem with the step implicit_midpoint
+    # takes and is exact; the map path forms the same states by other products
+    @pytest.mark.parametrize("path", ["maps", "per-window"])
+    def test_zero_coupling_single_sweep_exact(self, monkeypatch, path):
         net = two_mass_network(variant="b")
         zero = CoupledNetwork(net.subsystems,
                               CouplingSpec(net.coupling.port_matrices,
                                            np.zeros((2, 2))))
+        expected = take_path(monkeypatch, path, 10)
+        calls, _ = spy_window_sweeps(monkeypatch)
         traj = dynamic_iteration(zero, sweeps=1, window=0.1,
                                  x0=X0, t1=1.0, dt=0.01)
+        assert calls == expected
         a = implicit_midpoint(net.subsystems[0], x0=X0[:3], t1=1.0, dt=0.01)
         b = implicit_midpoint(net.subsystems[1], x0=X0[3:], t1=1.0, dt=0.01)
-        assert np.max(np.abs(traj.x[:, :3] - a.x)) == 0.0
-        assert np.max(np.abs(traj.x[:, 3:] - b.x)) == 0.0
+        ref = np.hstack([a.x, b.x])
+        if path == "per-window":
+            assert np.max(np.abs(traj.x - ref)) == 0.0
+        else:
+            assert relative_error(traj.x, ref) <= 1e-14
 
     @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
@@ -155,9 +184,13 @@ class TestDynamicIteration:
         assert np.max(np.abs(traj.x - ref.x)) <= 1e-6
 
     @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
-    def test_jacobi_deterministic_and_order_independent(self):
+    @pytest.mark.parametrize("path", ["maps", "per-window"])
+    def test_jacobi_deterministic_and_order_independent(self, monkeypatch, path):
         net = two_mass_network(variant="b")
+        expected = take_path(monkeypatch, path, 5)
+        calls, _ = spy_window_sweeps(monkeypatch)
         a = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.5, dt=0.01)
+        assert calls == expected
         b = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.5, dt=0.01)
         assert np.array_equal(a.x, b.x)
         # swapped subsystem order: same physics, permuted state layout
@@ -169,8 +202,11 @@ class TestDynamicIteration:
         x0s = np.concatenate([X0[3:], X0[:3]])
         c = dynamic_iteration(swapped, sweeps=3, window=0.1, x0=x0s,
                               t1=0.5, dt=0.01)
-        assert np.array_equal(a.x[:, :3], c.x[:, 2:])
-        assert np.array_equal(a.x[:, 3:], c.x[:, :2])
+        c = np.hstack([c.x[:, 2:], c.x[:, :2]])
+        if path == "per-window":
+            assert np.array_equal(a.x, c)
+        else:
+            assert relative_error(c, a.x) <= 1e-14
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     @pytest.mark.parametrize("net", [two_mass_network(variant="b"),
@@ -435,9 +471,27 @@ class TestWindowMaps:
         calls, maps = spy_window_sweeps(monkeypatch)
         dynamic_iteration(two_mass_network(variant="b"), sweeps=3, x0=X0, t1=t1, dt=0.01)
         assert calls == expected
-        for resp_map, check_map in maps:
-            assert resp_map.shape == (5, 10 * 5) and check_map.shape == (5, 2 * 10 * 2)
-            assert max(resp_map.size, check_map.size) <= phode.integrate._MAP_ENTRIES
+        for state_map, check_map in maps:
+            assert state_map.shape == (5, 10 * 5) and check_map.shape == (5, 2 * 10 * 2)
+            assert max(state_map.size, check_map.size) <= phode.integrate._MAP_ENTRIES
+
+    def test_map_path_steps_no_window(self, monkeypatch):
+        # the window map gives each window's states, free response included,
+        # so a run twice as long makes no further stepping call
+        calls = []
+        step = phode.integrate._propagate
+
+        def spy(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(phode.integrate, "_propagate", spy)
+        counts = []
+        for t1 in (1.0, 2.0):
+            calls.clear()
+            dynamic_iteration(two_mass_network(variant="b"), sweeps=3, x0=X0, t1=t1, dt=0.01)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("u, t1, expected", [
         (sin_cos, 2.5, [25]),      # 5 start states and 10 steps of 2 inputs
