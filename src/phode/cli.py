@@ -395,6 +395,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"phode: {exc}", file=_sys.stderr)
         return exc.code
+    except MemoryError:
+        # the step-count check bounds what a run keeps per step, not the
+        # copies that rendering, writing, reading or reporting it makes
+        print("phode: out of memory: the trajectory does not fit; make it "
+              "shorter (lower --t1 or raise --dt)", file=_sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

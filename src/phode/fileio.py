@@ -228,20 +228,33 @@ def dump_document(obj) -> str:
 # ---------------------------------------------------------------------------
 # trajectory CSV
 
+# values rendered by one '%' at most: each block of rows is formatted from
+# its own tuple of Python floats, so the floats, the tuple and the format
+# string alive at once stay bounded however long the trajectory is
+_CSV_BLOCK_VALUES = 2 ** 14
+
+
 def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
     """Render a trajectory and its energy report as CSV text with
-    deterministic 17-significant-digit formatting."""
+    deterministic 17-significant-digit formatting, in blocks of rows of
+    at most ``_CSV_BLOCK_VALUES`` values (at least one row each)."""
+    rows = len(traj.t)
     n = traj.x.shape[1] if traj.x.ndim == 2 else 0
     if len(report.residuals) not in (0, max(traj.steps, 0)):
         raise ValueError("energy report length does not match the trajectory")
-    res = np.zeros(len(traj.t))
+    res = np.zeros(rows)
     if len(report.residuals):
         res[1:] = report.residuals
-    table = np.column_stack([traj.t, traj.x.reshape(len(traj.t), n), traj.H, res])
+    x = traj.x.reshape(rows, n)
     header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
     # '%.17g' renders exactly as format(v, '.17g'): a re-read is bit-exact
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    row = ",".join(["%.17g"] * (n + 3)) + "\n"
+    k = max(1, _CSV_BLOCK_VALUES // (n + 3))
+    parts = [header + "\n"]
+    for a in range(0, rows, k):
+        block = np.column_stack([traj.t[a:a + k], x[a:a + k], traj.H[a:a + k], res[a:a + k]])
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def read_trajectory(text: str):

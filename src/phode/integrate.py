@@ -84,7 +84,7 @@ class EnergyReport:
 
 
 class StepCountError(ValueError):
-    """A run has more steps than memory holds its time grid and states for."""
+    """A run has more steps than memory holds the values it keeps per step."""
 
 
 def _memory_bytes() -> float:
@@ -96,10 +96,17 @@ def _memory_bytes() -> float:
         return float(np.iinfo(np.intp).max)
 
 
-def _time_grid(t0: float, t1: float, dt: float, n: int) -> np.ndarray:
-    """Time grid t0, t0 + dt, ..., t1 of a run with n states; before
-    allocating, checks that the grid and the states of every step fit in
-    physical memory (``StepCountError``)."""
+def _per_step(n: int, m: int) -> int:
+    """Values a run with n states and m inputs holds per step at its peak,
+    the time grid aside: the states twice (x and the product Q x that H is
+    formed from), H, and u, y and the step-midpoint inputs."""
+    return 2 * n + 1 + 3 * m
+
+
+def _time_grid(t0: float, t1: float, dt: float, values: int) -> np.ndarray:
+    """Time grid t0, t0 + dt, ..., t1 of a run that holds ``values`` further
+    values per step; before allocating, checks that the grid and those
+    values of every step fit in physical memory (``StepCountError``)."""
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -111,7 +118,7 @@ def _time_grid(t0: float, t1: float, dt: float, n: int) -> np.ndarray:
     steps = int(round(steps))
     if steps < 0 or abs(t0 + steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("t1 - t0 must be a (positive) integer multiple of dt")
-    need, memory = 8.0 * (steps + 1) * (n + 1), _memory_bytes()
+    need, memory = 8.0 * (steps + 1) * (values + 1), _memory_bytes()
     if need <= memory:
         try:
             return t0 + dt * np.arange(steps + 1)
@@ -119,7 +126,7 @@ def _time_grid(t0: float, t1: float, dt: float, n: int) -> np.ndarray:
             pass
     raise StepCountError(
         f"t1 - t0 = {t1 - t0:g} at dt = {dt:g} is {float(steps):.3g} steps, whose "
-        f"time grid and {n} states per step take {need / 2 ** 30:.3g} GiB, more "
+        f"time grid and {values} values per step take {need / 2 ** 30:.3g} GiB, more "
         f"than memory can hold ({memory / 2 ** 30:.3g} GiB installed)")
 
 
@@ -129,6 +136,14 @@ def _inputs(u, m: int, times: np.ndarray) -> np.ndarray:
         return np.zeros((len(times), m))
     rows = [u(t) for t in times] if callable(u) else [u] * len(times)
     return np.asarray(rows, dtype=float).reshape(len(times), m)
+
+
+def _forcing(u, u_in: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Forcing rows ``u_in @ drive``; without an input a read-only view of
+    zeros of the same shape, which holds no memory."""
+    if u is None:
+        return np.broadcast_to(0.0, (len(u_in), drive.shape[1]))
+    return u_in @ drive
 
 
 def _finalize(sys, t, xs, us, method, u_mid) -> Trajectory:
@@ -201,11 +216,11 @@ def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
     if _rcond(sys.E) <= E_RCOND_MIN:
         raise SingularFlowError("descriptor system: integrate unsupported (singular E)")
     x = _initial_state(x0, sys.n)
-    t = _time_grid(t0, t1, dt, sys.n)
+    t = _time_grid(t0, t1, dt, _per_step(sys.n, sys.m))
     phi, gamma = _propagator(sys, method, dt)
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = _propagate(phi, x, u_mid @ (gamma @ (sys.B - sys.P)).T)
+        xs = _propagate(phi, x, _forcing(u, u_mid, (gamma @ (sys.B - sys.P)).T))
     return _finalize(sys, t, xs, _inputs(u, sys.m, t), method, u_mid)
 
 
@@ -221,7 +236,7 @@ def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
     if sys.is_linear:
         return _integrate_linear(sys, "midpoint", u, x0, t0, t1, dt)
     x = _initial_state(x0, sys.n)
-    t = _time_grid(t0, t1, dt, sys.n)
+    t = _time_grid(t0, t1, dt, _per_step(sys.n, sys.m))
     xs = [x]
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     for um in u_mid:
@@ -435,7 +450,11 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         raise ValueError(f"unknown mode {mode!r}")
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
-    t = _time_grid(t0, t1, dt, net.n)
+    # the coupling inputs of the convergence check take 2 values per port and
+    # step, and a driven run keeps its forcing rows until the end
+    m = sum(sub.m for sub in net.subsystems)
+    t = _time_grid(t0, t1, dt, _per_step(net.n, m) + 2 * len(net.coupling.C)
+                   + (net.n if u is not None else 0))
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"window must be positive and finite, got {window}")
     q = int(round(window / dt))
@@ -492,12 +511,12 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     with np.errstate(over="ignore", invalid="ignore"):
         if mapped:
             state_map, check_map = _window_maps(props, state_sl, drive, inputs, q, sweep)
-            x_map, driven = state_map[:n], u_win @ state_map[n:]
+            x_map, driven = state_map[:n], _forcing(u, u_win, state_map[n:])
             for w in range(windows):
                 xs[w * q + 1:(w + 1) * q + 1] = (xs[w * q] @ x_map + driven[w]).reshape(q, n)
             checks = (np.hstack([xs[:-1:q], u_win]) @ check_map).reshape(windows, 2, q, ports)
         else:
-            ext = u_mid @ drive
+            ext = _forcing(u, u_mid, drive)
             checks = np.empty((windows, 2, q, ports))
             for w in range(windows):
                 win = xs[w * q:(w + 1) * q + 1]
@@ -524,8 +543,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     return traj
 
 
-def energy_report(traj: Trajectory, sys: LinearPHSystem,
-                  tol: float = 1e-10) -> EnergyReport:
+def energy_report(traj: Trajectory, sys: LinearPHSystem) -> EnergyReport:
     """Recompute the discrete energy balance of a stored trajectory.
 
     Residuals use midpoint quantities z_m = L (x_k + x_{k+1})/2 and u_m,

@@ -30,6 +30,10 @@ def general_network_doc(C):
             "coupling": {"type": "general", "ports": [[[1.]], [[1.]]], "C": C}}
 
 
+def no_memory(*args, **kwargs):
+    raise MemoryError
+
+
 def assert_one_line_error(capsys, fragment):
     err = capsys.readouterr().err
     assert err.startswith("phode: ") and err.count("\n") == 1
@@ -312,6 +316,22 @@ class TestSimulateAndReport:
         assert_one_line_error(capsys, "lower --t1 or raise --dt")
         assert not out.exists()
 
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(phode.cli, "write_trajectory", no_memory)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", TWO_MASS, "--x0", "1,0,0,0,0", "--t1", "0.1",
+                     "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "out of memory")
+        assert not out.exists()
+
+    def test_report_out_of_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+        csv = tmp_path / "t.csv"
+        assert main(["simulate", TWO_MASS, "--x0", "1,0,0,0,0", "--t1", "0.1",
+                     "-o", str(csv)]) == 0
+        monkeypatch.setattr(phode.cli, "read_trajectory", no_memory)
+        assert main(["report", str(csv), TWO_MASS]) == 1
+        assert_one_line_error(capsys, "out of memory")
+
     @pytest.mark.parametrize("body", ["0,1,2,3,4,5,abc,0\n",
                                       "0,1,2,3,4,5,6,0\n0.01,1,2\n",
                                       "0,1,2,3,4,5,6,0\n0,1,2,3,4,5,6,0\n"])
@@ -394,6 +414,16 @@ class TestCosim:
         out = tmp_path / "traj.csv"
         assert main(["cosim", net, "--x0", "1,0,0,0,0", "--t1", t1, "-o", str(out)]) == 1
         assert_one_line_error(capsys, "lower --t1 or raise --dt")
+        assert not out.exists()
+
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        monkeypatch.setattr(phode.cli, "write_trajectory", no_memory)
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,0,0,0,0", "--sweeps", "20", "--t1", "0.2",
+                     "-o", str(out)]) == 1
+        assert_one_line_error(capsys, "out of memory")
         assert not out.exists()
 
     def test_general_coupling_reports_against_condense_general(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,14 +12,14 @@ from phode.core import LinearPHSystem
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             PHDAESystem, build_phdae)
 from phode.decoupling import decouple_auto
-from phode.fileio import (ParseError, _mat_out, dump_document, network_to_doc,
-                          parse_system_text, read_trajectory, system_to_doc,
-                          write_trajectory)
+from phode.fileio import (_CSV_BLOCK_VALUES, ParseError, _mat_out, dump_document,
+                          network_to_doc, parse_system_text, read_trajectory,
+                          system_to_doc, write_trajectory)
 from phode.integrate import (EnergyReport, Trajectory, energy_report,
                              implicit_midpoint)
 from phode.models import two_mass, two_mass_network
 
-from util import random_linear_ph, split_read_trajectory
+from util import random_linear_ph, split_read_trajectory, whole_table_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -342,3 +343,47 @@ class TestTrajectoryCsv:
         for a, b in ((tr, t), (xr, x), (hr, h), (rr, np.concatenate([[0.0], res]))):
             assert_same_bits(a, b)
 
+    @staticmethod
+    def random_run(rows, n, seed=0):
+        """A trajectory of ``rows`` rows and n states with random values
+        (edge values among them) and its report."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-300, 300, (rows, n))
+        x.flat[:min(x.size, len(EDGE_VALUES))] = EDGE_VALUES[:x.size]
+        traj = Trajectory(t=0.01 * np.arange(rows), x=x, u=np.zeros((rows, 0)),
+                          y=np.zeros((rows, 0)), H=rng.standard_normal(rows),
+                          method="none")
+        rep = EnergyReport(residuals=np.abs(rng.standard_normal(max(rows - 1, 0))),
+                           dissipation_ok=True, driven=False)
+        return traj, rep
+
+    # rows of two states (five columns) in one block; the last two cases put
+    # every row in a block of its own
+    BLOCK = _CSV_BLOCK_VALUES // 5
+
+    @pytest.mark.parametrize("rows, n", [
+        (0, 2), (1, 2), (BLOCK - 1, 2), (BLOCK, 2), (BLOCK + 1, 2), (2 * BLOCK + 3, 2),
+        (3, _CSV_BLOCK_VALUES - 3), (3, _CSV_BLOCK_VALUES)])
+    def test_blocks_give_the_bytes_of_the_whole_table(self, rows, n):
+        traj, rep = self.random_run(rows, n)
+        assert write_trajectory(traj, rep) == whole_table_csv(traj, rep)
+
+    def test_driven_run_gives_the_bytes_of_the_whole_table(self):
+        sys = random_linear_ph(np.random.default_rng(3), n=4, m=2)
+        traj = implicit_midpoint(sys, u=lambda t: [np.sin(t), np.cos(3 * t)],
+                                 x0=[1., .5, -.3, .2], t1=30.0, dt=0.01)
+        rep = energy_report(traj, sys)
+        assert len(traj.t) > _CSV_BLOCK_VALUES // 7   # more than one block
+        assert write_trajectory(traj, rep) == whole_table_csv(traj, rep)
+
+    def test_transient_memory_bounded_by_the_text(self):
+        # n = 200, 1000 steps: the blocks and their join hold the text
+        # twice; the values of one block as Python floats add little
+        traj, rep = self.random_run(1001, 200)
+        tracemalloc.start()
+        try:
+            text = write_trajectory(traj, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -714,26 +715,59 @@ class TestFeedthroughBalance:
 
 
 class TestStepCount:
-    # 1e13 steps: no machine holds their time grid, and nothing is allocated
+    # 1e13 steps: no machine holds their time grid, and nothing is allocated.
+    # Two-mass (5 states, no input) counts its states twice and H; waveform
+    # relaxation of its network adds the check's coupling inputs, 2 per port
     RUNS = {
         "midpoint": lambda: implicit_midpoint(two_mass(), x0=X0, t1=1e11, dt=0.01),
         "strang": lambda: strang_split(two_mass(), x0=X0, t1=1e11, dt=0.01),
         "dynamic-iteration": lambda: dynamic_iteration(two_mass_network(variant="b"),
                                                        x0=X0, t1=1e11, dt=0.01),
     }
+    COUNTS = {"midpoint": r"11 values per step take 8.94e\+05 GiB",
+              "strang": r"11 values per step take 8.94e\+05 GiB",
+              "dynamic-iteration": r"15 values per step take 1.19e\+06 GiB"}
 
     @pytest.mark.parametrize("run", RUNS)
     def test_too_many_steps_rejected_before_allocating(self, run):
         with pytest.raises(StepCountError, match=r"is 1e\+13 steps, whose time grid and "
-                                                 r"5 states per step take 4.47e\+05 GiB"):
+                                                 + self.COUNTS[run]):
             self.RUNS[run]()
 
     def test_grid_and_states_are_counted(self, monkeypatch):
-        # 101 steps of grid and state take 808 bytes per state column
+        # 101 steps of grid and one value take 1616 bytes
         monkeypatch.setattr(phode.integrate, "_memory_bytes", lambda: 1000.0)
         assert len(phode.integrate._time_grid(0.0, 1.0, 0.01, 0)) == 101
-        with pytest.raises(StepCountError, match="1 states per step"):
+        with pytest.raises(StepCountError, match="1 values per step"):
             phode.integrate._time_grid(0.0, 1.0, 0.01, 1)
+
+    @pytest.mark.parametrize("run, factor", [("midpoint", 1.35), ("strang", 1.35),
+                                             ("dynamic-iteration", 1.05)])
+    def test_peak_memory_is_what_the_check_counts(self, run, factor, monkeypatch):
+        # tracemalloc's peak against the bytes the check counts; at n = 200
+        # and 1000 steps the n x n step matrices add the excess, on 10000
+        # steps of the two-mass network next to nothing is left over
+        counted = []
+        time_grid = phode.integrate._time_grid
+
+        def spy(t0, t1, dt, values):
+            t = time_grid(t0, t1, dt, values)
+            counted.append(8.0 * len(t) * (values + 1))
+            return t
+
+        monkeypatch.setattr(phode.integrate, "_time_grid", spy)
+        sys = random_linear_ph(np.random.default_rng(0), n=200, m=0)
+        runs = {"midpoint": lambda: implicit_midpoint(sys, x0=np.ones(200), t1=10.0),
+                "strang": lambda: strang_split(sys, x0=np.ones(200), t1=10.0),
+                "dynamic-iteration": lambda: dynamic_iteration(
+                    two_mass_network(variant="b"), sweeps=20, x0=X0, t1=100.0)}
+        tracemalloc.start()
+        try:
+            runs[run]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= factor * counted[0]
 
     def test_memory_error_from_the_grid_is_the_same_error(self, monkeypatch):
         def no_memory(*args, **kwargs):

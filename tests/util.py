@@ -133,3 +133,17 @@ def split_read_trajectory(text):
     if not np.all(np.isfinite(data)):
         raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+
+
+def whole_table_csv(traj, report):
+    """Trajectory CSV rendered by one '%' over a tuple of every value of
+    the table (byte-identity oracle for ``write_trajectory``, which renders
+    in blocks of rows)."""
+    n = traj.x.shape[1] if traj.x.ndim == 2 else 0
+    res = np.zeros(len(traj.t))
+    if len(report.residuals):
+        res[1:] = report.residuals
+    table = np.column_stack([traj.t, traj.x.reshape(len(traj.t), n), traj.H, res])
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
