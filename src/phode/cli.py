@@ -91,11 +91,28 @@ def _systems_of(obj):
     return []
 
 
+# characters handed to one write call: each slice is copied and encoded on
+# its own, so writing holds one slice beyond the text
+_WRITE_SLICE_CHARS = 2 ** 16
+
+
 def _write(path: str | None, text: str):
-    if path is None or path == "-":
-        _sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    """Write ``text`` to the file ``path``, or to standard output when path
+    is None or "-", in slices of ``_WRITE_SLICE_CHARS`` characters; a file
+    that cannot be written is a usage error."""
+    try:
+        if path is None or path == "-":
+            _write_slices(_sys.stdout, text)
+        else:
+            with open(path, "w") as f:
+                _write_slices(f, text)
+    except OSError as exc:
+        raise CliError(f"{path or '-'}: {exc}")
+
+
+def _write_slices(f, text: str):
+    for a in range(0, len(text), _WRITE_SLICE_CHARS):
+        f.write(text[a:a + _WRITE_SLICE_CHARS])
 
 
 def _cmd_validate(args):

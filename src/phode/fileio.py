@@ -10,7 +10,9 @@ values bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 import numpy as np
 
@@ -27,15 +29,16 @@ class ParseError(ValueError):
     """Malformed system document."""
 
 
-def _mat(doc, key, rows=None, cols=None, required=True, default=None):
+def _mat(doc, key, rows=None, cols=None, required=True):
+    """The matrix of field ``key``, or None when an optional field is
+    missing.  The field's nested lists are popped out of ``doc``, so they
+    are freed once converted."""
     if key not in doc:
         if required:
             raise ParseError(f"missing field {key!r}")
-        if default is not None:
-            return default
         return None
     try:
-        m = np.array(doc[key], dtype=float)
+        m = np.array(doc.pop(key), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r} is not a numeric matrix") from exc
     if not np.all(np.isfinite(m)):
@@ -72,8 +75,8 @@ def _parse_linear(doc) -> LinearPHSystem:
         raise ParseError("field 'n' must be nonnegative")
     J = _mat(doc, "J", n, n)
     R = _mat(doc, "R", n, n)
-    E = _mat(doc, "E", n, n, required=False, default=np.eye(n))
-    L = _mat(doc, "L", n, n, required=False, default=np.eye(n))
+    E = _mat(doc, "E", n, n, required=False)
+    L = _mat(doc, "L", n, n, required=False)
     B = _mat(doc, "B", required=False)
     if B is None or B.size == 0:
         B = np.zeros((n, 0))
@@ -86,7 +89,8 @@ def _parse_linear(doc) -> LinearPHSystem:
         if val is not None:
             kwargs[key] = val
     try:
-        return LinearPHSystem(E=E, J=J, R=R, B=B, L=L, **kwargs)
+        return LinearPHSystem(E=np.eye(n) if E is None else E, J=J, R=R, B=B,
+                              L=np.eye(n) if L is None else L, **kwargs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -260,50 +264,87 @@ def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
 def read_trajectory(text: str):
     """Read a trajectory CSV back into (t, x, H, residuals) arrays.
 
-    The data lines are converted in one ``np.loadtxt`` pass.  A bad
-    header, a row whose cell count differs from the header's, a blank
-    line, a cell that is not a plain decimal number (``1_0``, which Python's
-    ``float`` takes, included) and a non-finite value raise a ParseError.
+    The data lines are converted in one ``np.loadtxt`` pass, which takes
+    them one at a time from the text (see ``_lines``), so no copy of the
+    whole text is made.  A bad header, a row whose cell count differs from
+    the header's, a blank line, a cell that is not a plain decimal number
+    (``1_0``, which Python's ``float`` takes, included) and a non-finite
+    value raise a ParseError.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = _lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError("empty trajectory file")
-    header = lines[0].split(",")
+    header = header.split(",")
     if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
         raise ParseError("unexpected trajectory header")
-    rows, cells = lines[1:], len(header)
+    cells = len(header)
     data = np.empty((0, cells))
-    if rows:
-        # loadtxt compares rows only with each other and skips blank lines
+    first = next(lines, None)
+    if first is not None:
+        # loadtxt compares rows only with each other and skips blank lines,
+        # so the rows it is given are counted (seen[0]) as it takes them
+        seen = [0]
+        rows = (row for seen[0], row in enumerate(itertools.chain([first], lines), 1))
         try:
             data = _loadtxt(rows)
         except ValueError as exc:
-            raise ParseError(_ragged_row(rows, cells) or _bad_cell(rows, exc)) from exc
-        if data.shape != (len(rows), cells):
-            raise ParseError(_ragged_row(rows, cells))
+            raise ParseError(_ragged_row(text, cells) or _bad_cell(exc)) from exc
+        if data.shape != (seen[0], cells):
+            raise ParseError(_ragged_row(text, cells))
     if not np.all(np.isfinite(data)):
         raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
 
 
-def _loadtxt(rows: list) -> np.ndarray:
+# characters of the text that ``_lines`` copies and splits at a time, at
+# least (the piece runs on to the end of the line this many characters in)
+_READ_BLOCK_CHARS = 2 ** 16
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, one at a time.
+
+    The text is split piece by piece.  Each piece runs to the first line
+    end at or after ``_READ_BLOCK_CHARS`` characters: a "\n", a "\r\n" or a
+    "\r" not followed by "\n".  It thus ends with a line end that
+    ``splitlines`` knows and splits no "\r\n", so the lines of the pieces
+    are those of the text.
+    """
+    size, pos = len(text), 0
+    nl = cr = -1         # the next "\n" and "\r" at or after cut; size if none
+    while pos < size:
+        cut = pos + _READ_BLOCK_CHARS - 1
+        if nl < cut:
+            nl = text.find("\n", cut) % (size + 1)
+        if cr < cut:
+            cr = text.find("\r", cut) % (size + 1)
+        end = min(nl, cr + text.startswith("\n", cr + 1)) + 1
+        yield from text[pos:end].splitlines()
+        pos = end
+
+
+def _loadtxt(rows) -> np.ndarray:
     return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
 
 
-def _bad_cell(rows: list, exc: ValueError) -> str:
-    """Message naming the first row with a cell that ``_loadtxt`` refuses,
+# loadtxt's conversion error counts the rows it is given from 0, columns from 1
+_LOADTXT_CELL = re.compile(r"(.*) at row (\d+),( column \d+\.)", re.DOTALL)
+
+
+def _bad_cell(exc: ValueError) -> str:
+    """Message naming the row of the cell that ``_loadtxt`` refused,
     counted from 1 as in ``_ragged_row``."""
-    for k, row in enumerate(rows):
-        try:
-            _loadtxt([row])
-        except ValueError as row_exc:
-            # loadtxt counts the rows it is given from 0, columns from 1
-            return f"row {k + 1}: non-numeric cell: {row_exc}".replace(" at row 0,", " in")
-    return f"non-numeric cell: {exc}"
+    cell = _LOADTXT_CELL.fullmatch(str(exc))
+    if cell is None:
+        return f"non-numeric cell: {exc}"
+    return f"row {int(cell[2]) + 1}: non-numeric cell: {cell[1]} in{cell[3]}"
 
 
-def _ragged_row(rows: list, cells: int) -> str | None:
-    """Message naming the first row without ``cells`` cells, if any."""
+def _ragged_row(text: str, cells: int) -> str | None:
+    """Message naming the first data row without ``cells`` cells, if any."""
+    rows = _lines(text)
+    next(rows)           # the header
     for k, row in enumerate(rows):
         if not row:
             return f"row {k + 1} is blank"

@@ -26,6 +26,9 @@ from .coupling import CoupledNetwork, CouplingSpec
 # a matrix product; the two set the chunk length a window is cut into
 _MAP_ENTRIES = 2 ** 18
 _CHUNK_OVERHEAD = 30000
+# midpoint states and inputs of one block of steps in energy_report, at
+# most (one row at least): its temporaries are a few arrays of this size
+_REPORT_BLOCK_VALUES = 2 ** 14
 # relative change of the coupling inputs in the last sweep above which
 # dynamic_iteration warns that it has not converged
 _SWEEP_TOL = float(np.sqrt(np.finfo(float).eps))
@@ -562,10 +565,15 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem) -> EnergyReport:
     k = traj.steps
     if k <= 0:
         return EnergyReport(residuals=np.zeros(0), dissipation_ok=True, driven=False)
-    um = traj.u_mid if traj.u_mid is not None else 0.5 * (traj.u[1:] + traj.u[:-1])
-    driven = bool(np.any(traj.u) or np.any(um))
-    xm = 0.5 * (traj.x[1:] + traj.x[:-1])
-    rate = port_power(sys.coefficients(), xm @ sys.L.T, um)
+    # the midpoint inputs are zero where every input sample is
+    driven = bool(np.any(traj.u) or (traj.u_mid is not None and np.any(traj.u_mid)))
+    coeffs, x, u = sys.coefficients(), traj.x, traj.u
+    rate = np.empty(k)
+    rows = max(1, _REPORT_BLOCK_VALUES // max(1, sys.n + sys.m))
+    for a in range(0, k, rows):
+        b = min(a + rows, k)
+        um = traj.u_mid[a:b] if traj.u_mid is not None else 0.5 * (u[a + 1:b + 1] + u[a:b])
+        rate[a:b] = port_power(coeffs, 0.5 * (x[a + 1:b + 1] + x[a:b]) @ sys.L.T, um)
     res = np.abs(np.diff(traj.H) - np.diff(traj.t) * rate)
     diss_ok = True
     if not driven:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,3 +181,29 @@ def test_no_traced_section_by_default(tmp_path, monkeypatch):
     out = tmp_path / "B.json"
     assert bench_pairs.main(["--out", str(out), "cli-docs:1"]) == 0
     assert "traced" not in json.loads(out.read_text())["workloads"]["cli-docs"]
+
+
+def test_each_run_compiles_into_a_fresh_cache_of_its_own(tmp_path, monkeypatch):
+    # a checkout's __pycache__ must not speed up the change side only
+    runs = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        runs.append((cwd, cache, cache.is_dir() and not any(cache.iterdir()), env))
+        return SimpleNamespace(stdout=canned_run("change", 0, 1), stderr="", returncode=0)
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent = tmp_path / "parent"
+    for tree in (parent, bench_pairs.ROOT, bench_pairs.ROOT):
+        side = bench_pairs.run_side(tree, "cli-docs", 41, 1.0, 0)
+        assert side["metrics"]["wall_s"]["value"] == pytest.approx(2.41)
+    assert [cwd for cwd, *_ in runs] == [parent, bench_pairs.ROOT, bench_pairs.ROOT]
+    caches = [cache for _, cache, *_ in runs]
+    assert len(set(caches)) == 3 and all(fresh for _, _, fresh, _ in runs)
+    assert not any(cache.exists() for cache in caches)   # removed after the run
+    for cache in caches:
+        for tree in (parent, bench_pairs.ROOT):
+            assert tree not in cache.parents
+    # each side writes its own cache, so both run from compiled modules
+    assert all("PYTHONDONTWRITEBYTECODE" not in env for *_, env in runs)

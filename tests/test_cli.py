@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +533,46 @@ class TestModelCommand:
         assert main(["model", "poroelastic", "--params", params, "-o", str(out)]) == 1
         assert_one_line_error(capsys, "bad parameters")
         assert not out.exists()
+
+
+class TestOutput:
+    ARGV = {"model": ["model", "two-mass"],
+            "simulate": ["simulate", TWO_MASS, "--x0", "1,0.5,-0.3,0.2,0.4", "--t1", "0.5"]}
+
+    @pytest.mark.parametrize("command", ["model", "simulate"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, command, target):
+        out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+        assert main(self.ARGV[command] + ["-o", str(out)]) == 1
+        assert_one_line_error(capsys, f"phode: {out}: ")
+
+    @pytest.mark.parametrize("command", ["model", "simulate"])
+    def test_slices_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, command):
+        whole, sliced = tmp_path / "whole", tmp_path / "sliced"
+        assert main(self.ARGV[command] + ["-o", str(whole)]) == 0
+        text = whole.read_text()
+        assert len(text) < phode.cli._WRITE_SLICE_CHARS   # one write call
+        monkeypatch.setattr(phode.cli, "_WRITE_SLICE_CHARS", 7)
+        assert main(self.ARGV[command] + ["-o", str(sliced)]) == 0
+        assert main(self.ARGV[command]) == 0
+        assert sliced.read_bytes() == whole.read_bytes()
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("to", ["file", "stdout"])
+    def test_write_holds_one_slice_beyond_the_text(self, tmp_path, monkeypatch, to):
+        # about the size of a 1000-step CSV at n = 200; the slice and its
+        # encoded bytes are all that writing adds
+        text = "-0.12345678901234567," * 200_000
+        path = str(tmp_path / "out") if to == "file" else None
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(phode.cli._sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                phode.cli._write(path, text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * phode.cli._WRITE_SLICE_CHARS
 
 
 COMMAND_NAMES = ["validate", "condense", "decouple", "simulate", "cosim", "report", "model"]

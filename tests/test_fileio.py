@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phode.fileio
 from phode.core import LinearPHSystem
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             PHDAESystem, build_phdae)
@@ -87,6 +88,35 @@ class TestParseSystem:
             parse_system_text('{"n": "abc", "J": [[0]], "R": [[0]]}')
         with pytest.raises(ParseError, match="bad parameters"):
             parse_system_text('{"model": "two-mass", "params": {"m1": -1}}')
+
+    @pytest.mark.parametrize("given", [(), ("E",), ("L",), ("E", "L")])
+    def test_identity_built_only_for_a_missing_e_or_l(self, given, monkeypatch):
+        doc = {"n": 2, "J": [[0., 1.], [-1., 0.]], "R": [[1., 0.], [0., 0.]]}
+        doc.update({key: [[2., 0.], [0., 3.]] for key in given})
+        eyes, eye = [], np.eye
+        monkeypatch.setattr(np, "eye", lambda n: eyes.append(n) or eye(n))
+        sys = parse_system_text(json.dumps(doc))
+        assert eyes == [2] * (2 - len(given))
+        for key in ("E", "L"):
+            want = np.diag([2., 3.]) if key in given else np.eye(2)
+            assert np.array_equal(getattr(sys, key), want)
+
+    def test_transient_memory_is_the_document_and_one_matrix(self):
+        # n = 200 with E and L given: the parsed JSON objects and one matrix
+        # at a time; keeping every matrix's lists to the end would hold them
+        # beside all four matrices
+        text = dump_document(random_linear_ph(np.random.default_rng(0), n=200, m=0,
+                                              implicit=True))
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            document = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            parse_system_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= document + 2 * 8 * 200 * 200
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_matrix_rejected(self, value):
@@ -311,18 +341,68 @@ class TestTrajectoryCsv:
         for a, b in zip((t, x, h, res), split_read_trajectory("t,x1,x2,H,balance_residual\n")):
             assert a.shape == b.shape and a.dtype == b.dtype
 
-    @pytest.mark.parametrize("ending", ["lf", "crlf", "lf-no-final", "crlf-no-final"])
+    @pytest.mark.parametrize("ending", ["lf", "crlf", "lf-no-final", "crlf-no-final",
+                                        "cr", "cr-no-final", "mixed", "mixed-no-final"])
     @pytest.mark.parametrize("cell", ["%.17g", "%r"])
     def test_bit_exact_against_split_oracle(self, ending, cell):
         table = np.array([EDGE_VALUES, [-v for v in EDGE_VALUES], EDGE_VALUES[::-1]])
         text = csv_text(table, cell)
-        if ending.startswith("crlf"):
-            text = text.replace("\n", "\r\n")
+        kind = ending.removesuffix("-no-final")
+        if kind == "mixed":
+            ends = ["\r\n", "\r", "\n"]
+            text = "".join(line + ends[k % 3] for k, line in enumerate(text.splitlines()))
+        else:
+            text = text.replace("\n", {"lf": "\n", "crlf": "\r\n", "cr": "\r"}[kind])
         if ending.endswith("no-final"):
             text = text.rstrip("\r\n")
         for a, b in zip(read_trajectory(text), split_read_trajectory(text)):
             assert_same_bits(a, b)
         assert_same_bits(read_trajectory(text)[1], table[:, 1:-2])
+
+    LINE_ENDS = ["\n", "\r\n", "\r", "\n\r", "\r\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                 "\x1e", "\x85", "\u2028", "\u2029", "\n\n"]
+
+    @FAST
+    @given(data=st.data())
+    def test_lines_are_those_of_splitlines(self, data):
+        # pieces of a few characters cut the text at every kind of line end
+        pieces = data.draw(st.lists(st.sampled_from(self.LINE_ENDS + ["", "0", "1,2", "ab,"]),
+                                    max_size=12))
+        text = "".join(pieces)
+        for block in (1, 2, 3, 5, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(phode.fileio, "_READ_BLOCK_CHARS", block)
+                assert list(phode.fileio._lines(text)) == text.splitlines()
+
+    def test_bad_cell_named_from_one_pass(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(1)
+            return loadtxt(rows)
+
+        loadtxt = phode.fileio._loadtxt
+        monkeypatch.setattr(phode.fileio, "_loadtxt", counted)
+        text = "t,x1,x2,H,balance_residual\n" + "0,1,2,3,0\n" * 500 + "0.2,x,2,3,0\n"
+        with pytest.raises(ParseError, match=r"^row 501: non-numeric cell: "
+                                             r"could not convert string 'x' to float64 "
+                                             r"in column 2\.$"):
+            read_trajectory(text)
+        assert calls == [1]
+
+    def test_read_holds_the_result_and_little_else(self):
+        # n = 200, 1000 steps: the arrays, one piece of the text at a time
+        # and loadtxt's own buffers; a list of the text's lines would be a
+        # second copy of the text
+        traj, rep = self.random_run(1001, 200)
+        text = write_trajectory(traj, rep)
+        tracemalloc.start()
+        try:
+            t = read_trajectory(text)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= t.base.nbytes + 0.15 * len(text)
 
     @FAST
     @given(data=st.data())

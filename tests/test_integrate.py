@@ -607,6 +607,41 @@ class TestEnergyReport:
         rep = energy_report(traj, sys)
         assert rep.residuals.size == 0
 
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    def test_blocks_give_the_residuals_of_one_block(self, block, monkeypatch):
+        # rows per block: 1, 1 and 7 of the 7 states and inputs; the last
+        # block is short
+        rng = np.random.default_rng(14)
+        sys = random_linear_ph(rng, n=5, m=2, feedthrough=True)
+        driven = implicit_midpoint(sys, u=lambda t: [np.sin(t), np.cos(3 * t)],
+                                   x0=rng.standard_normal(5), t1=1.0, dt=0.01)
+        free = implicit_midpoint(sys, x0=rng.standard_normal(5), t1=1.0, dt=0.01)
+        runs = [driven, dataclasses.replace(driven, u_mid=None), free,
+                dataclasses.replace(free, u_mid=None),
+                dataclasses.replace(free, u_mid=np.ones_like(free.u_mid))]
+        whole = [energy_report(run, sys) for run in runs]
+        monkeypatch.setattr(phode.integrate, "_REPORT_BLOCK_VALUES", block)
+        for run, ref in zip(runs, whole):
+            rep = energy_report(run, sys)
+            assert (rep.driven, rep.dissipation_ok) == (ref.driven, ref.dissipation_ok)
+            assert np.max(np.abs(rep.residuals - ref.residuals)) <= 1e-14 * np.max(np.abs(run.H))
+        assert [rep.driven for rep in whole] == [True, True, False, False, True]
+
+    def test_transient_memory_bounded_by_one_block(self):
+        # n = 200, 1000 steps: a few arrays of one block (midpoint states,
+        # efforts, [z, u] and its products) and a few values per step
+        sys = random_linear_ph(np.random.default_rng(0), n=200, m=0)
+        traj = implicit_midpoint(sys, x0=np.ones(200), t1=10.0)
+        tracemalloc.start()
+        try:
+            energy_report(traj, sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = 8 * phode.integrate._REPORT_BLOCK_VALUES
+        assert traj.x.nbytes > 10 * block_bytes
+        assert peak <= 5 * block_bytes + 8 * 8 * traj.steps
+
 
 def lu_step_reference(sys, method, x0, u, dt, steps):
     """Per-step LU solves of the midpoint and Strang substeps (oracle)."""
@@ -744,9 +779,10 @@ class TestStepCount:
     @pytest.mark.parametrize("run, factor", [("midpoint", 1.35), ("strang", 1.35),
                                              ("dynamic-iteration", 1.05)])
     def test_peak_memory_is_what_the_check_counts(self, run, factor, monkeypatch):
-        # tracemalloc's peak against the bytes the check counts; at n = 200
-        # and 1000 steps the n x n step matrices add the excess, on 10000
-        # steps of the two-mass network next to nothing is left over
+        # tracemalloc's peak of a run and its energy report against the bytes
+        # the check counts; at n = 200 and 1000 steps the n x n step matrices
+        # add the excess, on 10000 steps of the two-mass network next to
+        # nothing is left over; the report's blocks fit below the run's peak
         counted = []
         time_grid = phode.integrate._time_grid
 
@@ -757,13 +793,15 @@ class TestStepCount:
 
         monkeypatch.setattr(phode.integrate, "_time_grid", spy)
         sys = random_linear_ph(np.random.default_rng(0), n=200, m=0)
-        runs = {"midpoint": lambda: implicit_midpoint(sys, x0=np.ones(200), t1=10.0),
-                "strang": lambda: strang_split(sys, x0=np.ones(200), t1=10.0),
-                "dynamic-iteration": lambda: dynamic_iteration(
-                    two_mass_network(variant="b"), sweeps=20, x0=X0, t1=100.0)}
+        net = two_mass_network(variant="b")
+        runs = {"midpoint": (lambda: implicit_midpoint(sys, x0=np.ones(200), t1=10.0), sys),
+                "strang": (lambda: strang_split(sys, x0=np.ones(200), t1=10.0), sys),
+                "dynamic-iteration": (lambda: dynamic_iteration(
+                    net, sweeps=20, x0=X0, t1=100.0), condense_skew(net))}
+        integrate, reported = runs[run]
         tracemalloc.start()
         try:
-            runs[run]()
+            energy_report(integrate(), reported)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,11 +9,12 @@ SECONDS the ``run_seconds`` of ``BENCHMARK.json``.  The parent side is
 ``git archive --parent`` (default ``HEAD``) unpacked by ``tar`` into a
 temporary directory; the change side is the checkout that holds this
 script, uncommitted edits included.  Odd pairs run the parent first, even
-pairs the change first.  Every side keeps the result line of its run (the
-last line: ``correct``, ``attempted``, ``failed``, ``metrics``) and its
-``known_defect_probes`` line; per workload the output has each side's
-medians and quartiles, per metric the number of pairs the change won
-(ties count for neither side), and a ``verdict`` per end-to-end metric
+pairs the change first, and each run compiles into a fresh bytecode cache
+of its own (see ``run_side``).  Every side keeps the result line of its
+run (the last line: ``correct``, ``attempted``, ``failed``, ``metrics``)
+and its ``known_defect_probes`` line; per workload the output has each
+side's medians and quartiles, per metric the number of pairs the change
+won (ties count for neither side), and a ``verdict`` per end-to-end metric
 (see ``verdict``): ``--claim METRIC@WORKLOAD`` names the metric the change
 claims to improve on that workload.  ``--traced N`` then runs N more
 alternating pairs per workload with ``--trace 1`` and keeps, under
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -115,10 +117,18 @@ def verdict(pairs: list, end_to_end: dict, claim: str | None = None) -> dict:
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds),
-                           "--trace", str(trace)],
-                          cwd=tree, capture_output=True, text=True)
+    """One benchmark run in ``tree``.  Its bytecode goes to a fresh cache
+    directory of its own (``PYTHONPYCACHEPREFIX``), written by the run
+    whatever ``PYTHONDONTWRITEBYTECODE`` says: a checkout's ``__pycache__``
+    would otherwise give the change side compiled modules that the
+    unpacked parent lacks, and ``setup_s`` would favour it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--trace", str(trace)],
+                              cwd=tree, capture_output=True, text=True,
+                              env={**env, "PYTHONPYCACHEPREFIX": cache})
     try:
         return parse_output(proc.stdout)
     except ValueError:
