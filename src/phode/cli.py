@@ -209,7 +209,7 @@ def _cmd_simulate(args):
             traj = implicit_midpoint(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
         else:
             traj = strang_split(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    except (SingularFlowError, NewtonError, FloatingPointError) as exc:
+    except (SingularFlowError, NewtonError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
     except StepCountError as exc:
         raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
@@ -228,7 +228,7 @@ def _cmd_cosim(args):
         raise CliError(f"{args.network}: cosim needs a coupling matrix, not a port relation")
     x0 = _parse_x0(args.x0, obj.n)
     # the monolithic system whose energy balance the report checks; a
-    # structure failure ends the command before the run
+    # structure failure or an overflow ends the command before the run
     mono = _condensed(condense_skew(obj) if obj.coupling.is_skew else condense_general(obj))
     # one name applies to every subsystem, a comma list names one each
     inner = args.inner.split(",") if "," in args.inner else args.inner
@@ -238,7 +238,7 @@ def _cmd_cosim(args):
             traj = dynamic_iteration(obj, mode=args.mode, window=args.window,
                                      sweeps=args.sweeps, inner=inner,
                                      x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    except (SingularFlowError, NewtonError, FloatingPointError) as exc:
+    except (SingularFlowError, NewtonError) as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
     except StepCountError as exc:
         raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
@@ -412,6 +412,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"phode: {exc}", file=_sys.stderr)
         return exc.code
+    except FloatingPointError as exc:
+        # a condensation, decoupling, run or document that leaves the
+        # finite range
+        print(f"phode: {exc}", file=_sys.stderr)
+        return EXIT_NUMERICAL
     except MemoryError:
         # the step-count check bounds what a run keeps per step, not the
         # copies that rendering, writing, reading or reporting it makes

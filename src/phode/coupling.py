@@ -160,11 +160,17 @@ def _stack(net: CoupledNetwork) -> LinearPHSystem:
 
 def _couple(net: CoupledNetwork, C: np.ndarray) -> LinearPHSystem:
     """The monolithic system under u_hat + C y_hat = 0: the skew part of C
-    adds -Bhat C_skew Bhat^T to J, the symmetric part Bhat C_sym Bhat^T to R."""
+    adds -Bhat C_skew Bhat^T to J, the symmetric part Bhat C_sym Bhat^T to R.
+    A J or R that overflows raises a FloatingPointError."""
     mono = _stack(net)
     Bhat = net.stacked_port_matrix()
-    return replace(mono, J=mono.J - Bhat @ (0.5 * (C - C.T)) @ Bhat.T,
-                   R=mono.R + Bhat @ (0.5 * (C + C.T)) @ Bhat.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = mono.J - Bhat @ (0.5 * (C - C.T)) @ Bhat.T
+        R = mono.R + Bhat @ (0.5 * (C + C.T)) @ Bhat.T
+    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(R))):
+        raise FloatingPointError("condensed system is not finite: the coupling "
+                                 "overflows J or R")
+    return replace(mono, J=J, R=R)
 
 
 def _require_matrix(net: CoupledNetwork):

@@ -213,12 +213,18 @@ def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> 
     Recoupling reproduces J, R, E and L.  External ports do not come back
     as they were: every subsystem keeps all m external inputs (its rows of
     B), so the condensed system has one m-column block of B per subsystem,
-    and these blocks sum to the original B.
+    and these blocks sum to the original B.  A C that overflows raises a
+    FloatingPointError.
     """
     view = partition_blocks(sys, partition)
     _require_separable(sys, view)
     ports = [np.eye(ni) for ni in view.partition.sizes]
-    return _network(view, ports, -(view.J_offdiag - view.R_offdiag))
+    with np.errstate(over="ignore"):
+        C = -(view.J_offdiag - view.R_offdiag)
+    if not np.all(np.isfinite(C)):
+        raise FloatingPointError("coupling matrix is not finite: J - R overflows "
+                                 "off the diagonal blocks")
+    return _network(view, ports, C)
 
 
 def _verify_blocks(view: BlockView, ports, block, pairs):

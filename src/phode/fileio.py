@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 
@@ -163,35 +164,33 @@ def parse_ports_text(text: str):
     return ports, blocks
 
 
-def _mat_out(m: np.ndarray) -> list:
-    return np.atleast_2d(m).tolist()
-
-
 def system_to_doc(sys: LinearPHSystem) -> dict:
+    """The document of a system, each matrix a 2-D array."""
     doc = {
         "format": FORMAT_VERSION,
         "kind": "linear",
         "n": sys.n,
-        "E": _mat_out(sys.E),
-        "J": _mat_out(sys.J),
-        "R": _mat_out(sys.R),
-        "B": _mat_out(sys.B) if sys.m else [],
-        "L": _mat_out(sys.L),
+        "E": np.atleast_2d(sys.E),
+        "J": np.atleast_2d(sys.J),
+        "R": np.atleast_2d(sys.R),
+        "B": np.atleast_2d(sys.B) if sys.m else [],
+        "L": np.atleast_2d(sys.L),
     }
     if np.any(sys.P) or np.any(sys.S) or np.any(sys.N):
-        doc.update(P=_mat_out(sys.P), S=_mat_out(sys.S), N=_mat_out(sys.N))
+        doc.update(P=np.atleast_2d(sys.P), S=np.atleast_2d(sys.S), N=np.atleast_2d(sys.N))
     return doc
 
 
 def network_to_doc(net: CoupledNetwork) -> dict:
-    cdoc = {"ports": [_mat_out(b) for b in net.coupling.port_matrices]}
+    """The document of a network, each matrix a 2-D array."""
+    cdoc = {"ports": [np.atleast_2d(b) for b in net.coupling.port_matrices]}
     if isinstance(net.coupling, CouplingSpec):
         cdoc["type"] = "skew" if net.coupling.is_skew else "general"
-        cdoc["C"] = _mat_out(net.coupling.C)
+        cdoc["C"] = np.atleast_2d(net.coupling.C)
     else:
         cdoc["type"] = "relation"
-        cdoc["M"] = _mat_out(net.coupling.M)
-        cdoc["N"] = _mat_out(net.coupling.N)
+        cdoc["M"] = np.atleast_2d(net.coupling.M)
+        cdoc["N"] = np.atleast_2d(net.coupling.N)
     return {
         "format": FORMAT_VERSION,
         "kind": "network",
@@ -200,15 +199,43 @@ def network_to_doc(net: CoupledNetwork) -> dict:
     }
 
 
-def _layout(value, pad: str) -> str:
-    """JSON text of ``value`` in the two-space layout, except that a list
-    whose first item is a number (a matrix row) is encoded on one line."""
+# the one formatter of matrix entries: json.dumps writes a float this way
+_repr = float.__repr__
+
+
+def _rows(m: np.ndarray, field: str) -> list:
+    """The JSON text of each row of the 2-D array ``m``, as ``json.dumps``
+    writes the row's list.
+
+    Each distinct magnitude is formatted once, and a negative entry takes
+    its magnitude's text behind a "-" (``repr(-x) == "-" + repr(x)`` for
+    every finite x >= 0, -0.0 included), so a skew or symmetric matrix, an
+    identity or a block of zeros costs a fraction of its entries' formats.
+    A non-finite entry, which JSON cannot hold, raises a FloatingPointError.
+    """
+    mags, index = np.unique(np.abs(m), return_inverse=True)
+    # sorted, so a NaN or an infinity comes last
+    if mags.size and not np.isfinite(mags[-1]):
+        raise FloatingPointError(f"field {field!r} has non-finite entries")
+    texts = list(map(_repr, mags.tolist()))
+    texts += ["-" + t for t in texts]
+    cells = np.array(texts, dtype=object)[index.reshape(m.shape) + len(mags) * np.signbit(m)]
+    return ["[" + ", ".join(row) + "]" for row in cells.tolist()]
+
+
+def _layout(value, pad: str, field: str = "") -> str:
+    """JSON text of ``value`` in the two-space layout, except that each row
+    of a matrix (an array, under the field ``field``) is written on one
+    line."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        items = (inner + json.dumps(k) + ": " + _layout(v, inner) for k, v in value.items())
+        items = (inner + json.dumps(k) + ": " + _layout(v, inner, k) for k, v in value.items())
         return "{" + ",".join(items) + pad + "}"
-    if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-        return "[" + ",".join(inner + _layout(v, inner) for v in value) + pad + "]"
+    if isinstance(value, np.ndarray):
+        rows = _rows(value, field)
+        return "[" + ",".join(inner + row for row in rows) + pad + "]" if rows else "[]"
+    if isinstance(value, list) and value and isinstance(value[0], (list, dict, np.ndarray)):
+        return "[" + ",".join(inner + _layout(v, inner, field) for v in value) + pad + "]"
     return json.dumps(value)
 
 
@@ -216,7 +243,8 @@ def dump_document(obj) -> str:
     """Serialize a system, network or :class:`PHDAESystem` as a JSON
     document with one matrix row per line; numbers are written as
     ``json.dumps`` writes them (``float.__repr__``), so a re-read is
-    bit-exact."""
+    bit-exact.  A matrix with a non-finite entry raises a
+    FloatingPointError naming its field."""
     if isinstance(obj, LinearPHSystem):
         doc = system_to_doc(obj)
     elif isinstance(obj, CoupledNetwork):
@@ -287,7 +315,12 @@ def read_trajectory(text: str):
         seen = [0]
         rows = (row for seen[0], row in enumerate(itertools.chain([first], lines), 1))
         try:
-            data = _loadtxt(rows)
+            # rows that are all blank give loadtxt no data, which it warns
+            # of; the shape check below names the first blank row
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = _loadtxt(rows)
         except ValueError as exc:
             raise ParseError(_ragged_row(text, cells) or _bad_cell(exc)) from exc
         if data.shape != (seen[0], cells):

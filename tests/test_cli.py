@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -533,6 +534,67 @@ class TestModelCommand:
         assert main(["model", "poroelastic", "--params", params, "-o", str(out)]) == 1
         assert_one_line_error(capsys, "bad parameters")
         assert not out.exists()
+
+
+def run_phode(*args):
+    """``phode ARGS`` in a fresh interpreter with the default warning
+    filters, so stderr holds what a user sees, warnings included."""
+    src = str(Path(phode.cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from phode.cli import main; "
+            "raise SystemExit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+
+
+# two one-state subsystems whose skew coupling overflows J: C - C^T is 2e308
+OVERFLOW_NETWORK = {"kind": "network",
+                    "subsystems": [{"n": 1, "J": [[0.]], "R": [[0.]]}] * 2,
+                    "coupling": {"type": "skew", "ports": [[[1.]], [[1.]]],
+                                 "C": [[0., 1e308], [-1e308, 0.]]}}
+# a system whose coupling -(J_12 - R_12) overflows
+OVERFLOW_SYSTEM = {"n": 2, "J": [[0., 1.5e308], [-1.5e308, 0.]],
+                   "R": [[0.8e308, -0.8e308], [-0.8e308, 0.8e308]]}
+
+
+class TestNonFiniteResult:
+    @pytest.mark.parametrize("args", [["condense", "{net}"],
+                                      ["condense", "{net}", "--mode", "general"],
+                                      ["cosim", "{net}", "--x0", "1,1"],
+                                      ["decouple", "{sys}", "--partition", "1,1",
+                                       "--no-validate"]])
+    def test_overflow_exit_4_one_line_no_file(self, tmp_path, args):
+        paths = {"net": write_json(tmp_path / "net.json", OVERFLOW_NETWORK),
+                 "sys": write_json(tmp_path / "sys.json", OVERFLOW_SYSTEM)}
+        out = tmp_path / "out"
+        proc = run_phode(*[a.format(**paths) for a in args], "-o", str(out))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("phode: ") and proc.stderr.count("\n") == 1
+        assert "not finite" in proc.stderr
+        assert not out.exists()
+
+    def test_condense_library_raises_on_overflow(self):
+        net = parse_system_text(json.dumps(OVERFLOW_NETWORK))
+        for condense in (condense_skew, condense_general):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                condense(net)
+
+    def test_non_finite_document_exit_4_no_file(self, tmp_path, capsys, monkeypatch):
+        # a condensed system that JSON cannot hold is refused when dumped
+        net = str(tmp_path / "net.json")
+        assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
+        J = two_mass().J.copy()
+        J[0, 1] = np.inf
+        monkeypatch.setattr(phode.cli, "condense_skew", lambda net: replace(two_mass(), J=J))
+        out = tmp_path / "mono.json"
+        assert main(["condense", net, "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "field 'J' has non-finite entries")
+        assert not out.exists()
+
+    def test_blank_trajectory_exit_1_one_line(self, tmp_path):
+        csv = tmp_path / "blank.csv"
+        csv.write_text("t,x1,x2,x3,x4,x5,H,balance_residual\n\n")
+        proc = run_phode("report", str(csv), TWO_MASS)
+        assert proc.returncode == 1
+        assert proc.stderr == f"phode: {csv}: row 1 is blank\n"
 
 
 class TestOutput:

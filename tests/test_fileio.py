@@ -13,14 +13,15 @@ from phode.core import LinearPHSystem
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             PHDAESystem, build_phdae)
 from phode.decoupling import decouple_auto
-from phode.fileio import (_CSV_BLOCK_VALUES, ParseError, _mat_out, dump_document,
-                          network_to_doc, parse_system_text, read_trajectory,
-                          system_to_doc, write_trajectory)
+from phode.fileio import (_CSV_BLOCK_VALUES, ParseError, _layout, _rows,
+                          dump_document, parse_system_text, read_trajectory,
+                          write_trajectory)
 from phode.integrate import (EnergyReport, Trajectory, energy_report,
                              implicit_midpoint)
 from phode.models import two_mass, two_mass_network
 
-from util import random_linear_ph, split_read_trajectory, whole_table_csv
+from util import (per_row_document, per_row_layout, plain_document, random_linear_ph,
+                  random_skew, split_read_trajectory, whole_table_csv)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -148,12 +149,7 @@ def _documents():
 
 def _indent2_reference(obj) -> str:
     """The same document encoded by ``json.dumps(indent=2)``."""
-    if isinstance(obj, LinearPHSystem):
-        return json.dumps(system_to_doc(obj), indent=2)
-    doc = network_to_doc(getattr(obj, "network", obj))
-    if isinstance(obj, PHDAESystem):
-        doc["kind"] = "phdae"
-    return json.dumps(doc, indent=2)
+    return json.dumps(plain_document(obj), indent=2)
 
 
 def _number_rows(value):
@@ -167,6 +163,35 @@ def _number_rows(value):
 
 
 DOCUMENTS = _documents()
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e22, 0.1, -1.2345678901234567e-300]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FAST = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices of edge values (±0.0, repeated values, subnormals, ±max)
+    and other finite floats: exactly symmetric, exactly skew, symmetric but
+    for one ulp, or as drawn; or shaped 0×k, k×0, 1×1 or n×1."""
+    cells = st.one_of(st.sampled_from(EDGE_VALUES + [0.0, 1.0, -1.0, -5e-324]), FINITE)
+    kind = draw(st.sampled_from(["symmetric", "skew", "ulp", "square", "0xk", "kx0",
+                                 "1x1", "nx1"]))
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    shape = {"0xk": (0, k), "kx0": (k, 0), "1x1": (1, 1), "nx1": (n, 1)}.get(kind, (n, n))
+    m = draw(arrays(float, shape, elements=cells))
+    if kind in ("symmetric", "ulp"):
+        m = np.triu(m) + np.triu(m, 1).T
+    if kind == "ulp" and n >= 2:
+        m[0, 1] = np.nextafter(m[0, 1], 0.0 if abs(m[0, 1]) > 1e308 else np.inf)
+    if kind == "skew":
+        m = np.triu(m, 1) - np.triu(m, 1).T
+    return m
+
+
+MATRICES = _matrices()
 
 
 class TestDumpDocument:
@@ -194,9 +219,42 @@ class TestDumpDocument:
     def test_matrix_lists_match_per_entry_conversion(self):
         m = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3], [1e308, 0.1, 1e22]])
         ref = [[float(v) for v in row] for row in m]
-        out = _mat_out(m)
-        assert [[(type(v), repr(v)) for v in row] for row in out] == \
-            [[(type(v), repr(v)) for v in row] for row in ref]
+        # the rendered rows hold each entry's float text
+        assert _rows(m, "M") == ["[" + ", ".join(map(repr, row)) + "]" for row in ref]
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_same_bytes_as_per_row_encoding(self, name):
+        assert dump_document(DOCUMENTS[name]) == per_row_document(DOCUMENTS[name])
+
+    @FAST
+    @given(m=MATRICES)
+    def test_same_bytes_as_per_row_encoding_on_structured_matrices(self, m):
+        assert _layout({"M": m}, "\n") == per_row_layout({"M": m.tolist()}, "\n")
+        if m.shape[0] == m.shape[1]:
+            sys = LinearPHSystem(E=m, J=m, R=m, B=m, L=m)
+            assert dump_document(sys) == per_row_document(sys)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_skew_matrix_formats_each_magnitude_once(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(phode.fileio, "_repr", lambda x: calls.append(x) or repr(x))
+        skew = random_skew(np.random.default_rng(n), n)
+        assert _rows(skew, "J") == [json.dumps(row) for row in skew.tolist()]
+        assert len(calls) <= n * (n - 1) // 2 + 1
+        calls.clear()
+        assert _rows(np.eye(n), "E") == [json.dumps(row) for row in np.eye(n).tolist()]
+        assert len(calls) == min(n, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused(self, value):
+        sys = LinearPHSystem(E=np.eye(2), J=np.zeros((2, 2)), R=[[1., 0.], [0., value]],
+                             B=np.zeros((2, 0)), L=np.eye(2))
+        with pytest.raises(FloatingPointError, match="field 'R' has non-finite entries"):
+            dump_document(sys)
+        sub = LinearPHSystem(E=[[1.]], J=[[0.]], R=[[0.]], B=np.zeros((1, 0)), L=[[1.]])
+        net = CoupledNetwork((sub, sub), CouplingSpec(([[1.]], [[value]]), [[0., 1.], [-1., 0.]]))
+        with pytest.raises(FloatingPointError, match="field 'ports' has non-finite entries"):
+            dump_document(net)
 
     def test_reread_bit_exact_edge_values(self):
         sys = LinearPHSystem(E=np.eye(2), J=[[0., 0.1], [-0.1, 0.]], R=np.zeros((2, 2)),
@@ -204,12 +262,6 @@ class TestDumpDocument:
         again = parse_system_text(dump_document(sys))
         assert again.B.tobytes() == sys.B.tobytes()
         assert again.J.tobytes() == sys.J.tobytes()
-
-
-EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
-               -1.7976931348623157e308, 1e22, 0.1, -1.2345678901234567e-300]
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-FAST = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def csv_text(table, cell):

@@ -1,12 +1,14 @@
 """Shared test helpers: random valid systems/networks and a high-order
 reference integrator used as an independent oracle."""
 
+import json
+
 import numpy as np
 
 from phode import coupling
 from phode.core import LinearPHSystem, _slices
-from phode.coupling import CoupledNetwork, CouplingSpec
-from phode.fileio import ParseError
+from phode.coupling import CoupledNetwork, CouplingSpec, PHDAESystem
+from phode.fileio import ParseError, network_to_doc, system_to_doc
 from phode.integrate import _inputs, _propagate, _propagator
 
 
@@ -147,3 +149,46 @@ def whole_table_csv(traj, report):
     header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _plain(value):
+    """``value`` with every array turned into nested lists of floats."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def plain_document(obj) -> dict:
+    """The document of a system, network or PHDAESystem as plain JSON
+    values (nested lists of floats)."""
+    if isinstance(obj, LinearPHSystem):
+        return _plain(system_to_doc(obj))
+    doc = _plain(network_to_doc(getattr(obj, "network", obj)))
+    if isinstance(obj, PHDAESystem):
+        doc["kind"] = "phdae"
+    return doc
+
+
+def per_row_layout(value, pad="\n") -> str:
+    """JSON text of plain JSON values in the two-space layout, with each
+    list whose first item is a number (a matrix row) encoded by one
+    ``json.dumps`` (byte-identity oracle for ``dump_document``, which
+    formats each distinct magnitude of a matrix once)."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (inner + json.dumps(k) + ": " + per_row_layout(v, inner)
+                 for k, v in value.items())
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        return "[" + ",".join(inner + per_row_layout(v, inner) for v in value) + pad + "]"
+    return json.dumps(value)
+
+
+def per_row_document(obj) -> str:
+    """``dump_document``'s text of ``obj``, every matrix row encoded by one
+    ``json.dumps``."""
+    return per_row_layout(plain_document(obj)) + "\n"
