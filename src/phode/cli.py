@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DimensionError, LinearPHSystem,
-                   SingularFlowError, validate_structure)
-from .coupling import (CoupledNetwork, LinearPortRelation, PHDAESystem,
-                       StructureFailure, build_phdae, condense_general,
-                       condense_skew, eliminate_ports)
+from .core import LinearPHSystem, SingularFlowError, validate_structure
+# no command calls eliminate_ports (condense_general takes relation
+# networks); it stays here for perfbench/tracing.py, which wraps it
+from .coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, PHDAESystem,
+                       build_phdae, condense_general, condense_skew, coupling_matrix,
+                       eliminate_ports)  # noqa: F401
 from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
 from .fileio import (ParseError, dump_document, parse_ports_text, parse_system_text,
@@ -133,33 +134,16 @@ def _cmd_condense(args):
     net = obj.network if isinstance(obj, PHDAESystem) else obj
     if not isinstance(net, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
-    relation = isinstance(net.coupling, LinearPortRelation)
-    if args.mode == "phdae" and not relation:
+    if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
         raise CliError("phdae condensation requires a coupling of type 'relation'")
-    if args.mode == "skew" and relation:
-        raise CliError("network carries a linear port relation; condense it with "
-                       "phode condense --mode general", EXIT_VALIDATION)
+    condense = {"skew": condense_skew, "general": condense_general, "phdae": build_phdae}
     try:
-        if args.mode == "skew":
-            result = condense_skew(net)
-        elif args.mode == "phdae":
-            result = build_phdae(net)
-        elif relation:
-            result = eliminate_ports(build_phdae(net))
-        else:
-            result = condense_general(net)
-    except (ValueError, TypeError) as exc:
+        result = condense[args.mode](net)
+    except ValueError as exc:
+        # a singular M, a non-skew C in skew mode or a StructureFailure
         raise CliError(str(exc), EXIT_VALIDATION)
-    _write(args.output, dump_document(_condensed(result)))
+    _write(args.output, dump_document(result))
     return EXIT_OK
-
-
-def _condensed(result):
-    """A condensed system; a structure failure is a validation failure."""
-    if isinstance(result, StructureFailure):
-        raise CliError(f"{result.message} (min eigenvalue "
-                       f"{result.min_eigenvalue:.3e})", EXIT_VALIDATION)
-    return result
 
 
 def _cmd_decouple(args):
@@ -174,14 +158,11 @@ def _cmd_decouple(args):
         if args.ports:
             ports, blocks = _read(args.ports, parse_ports_text)
             result = decouple_with_ports(obj, Partition(sizes), ports, blocks)
-            if isinstance(result, VerificationFailure):
-                print(f"verification failed for block pair {result.pair}: "
-                      f"max residual {result.max_residual:.3e}", file=_sys.stderr)
-                print(np.array2string(result.residual), file=_sys.stderr)
-                return EXIT_VERIFICATION
         else:
             result = decouple_auto(obj, Partition(sizes))
-    except (ValueError, DimensionError) as exc:
+    except VerificationFailure:
+        raise   # exit 3 in main
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     _write(args.output, dump_document(result))
     return EXIT_OK
@@ -224,18 +205,22 @@ def _cmd_cosim(args):
     obj = _load(args.network, args.no_validate)
     if not isinstance(obj, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
-    if isinstance(obj.coupling, LinearPortRelation):
-        raise CliError(f"{args.network}: cosim needs a coupling matrix, not a port relation")
     x0 = _parse_x0(args.x0, obj.n)
-    # the monolithic system whose energy balance the report checks; a
+    # the network with its coupling matrix, and the monolithic system whose
+    # energy balance the report checks; a relation without a regular M, a
     # structure failure or an overflow ends the command before the run
-    mono = _condensed(condense_skew(obj) if obj.coupling.is_skew else condense_general(obj))
+    try:
+        net = CoupledNetwork(obj.subsystems,
+                             CouplingSpec(obj.coupling.port_matrices, coupling_matrix(obj)))
+        mono = condense_skew(net) if net.coupling.is_skew else condense_general(net)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
     # one name applies to every subsystem, a comma list names one each
     inner = args.inner.split(",") if "," in args.inner else args.inner
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            traj = dynamic_iteration(obj, mode=args.mode, window=args.window,
+            traj = dynamic_iteration(net, mode=args.mode, window=args.window,
                                      sweeps=args.sweeps, inner=inner,
                                      x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
     except (SingularFlowError, NewtonError) as exc:
@@ -412,11 +397,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"phode: {exc}", file=_sys.stderr)
         return exc.code
-    except FloatingPointError as exc:
-        # a condensation, decoupling, run or document that leaves the
-        # finite range
+    except (VerificationFailure, FloatingPointError) as exc:
+        # ports that do not reproduce the system (the residual matrix stays
+        # on the exception), or a condensation, decoupling, run or document
+        # that leaves the finite range
         print(f"phode: {exc}", file=_sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_VERIFICATION if isinstance(exc, VerificationFailure) else EXIT_NUMERICAL
     except MemoryError:
         # the step-count check bounds what a run keeps per step, not the
         # copies that rendering, writing, reading or reporting it makes

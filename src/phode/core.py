@@ -14,6 +14,7 @@ callback one with state-dependent coefficient functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -232,6 +233,27 @@ def _min_eig_sym(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
 
 
+def _scaled(mats) -> tuple:
+    """``mats`` divided by the power of two s >= 1 that brings every entry
+    below 2 in magnitude, and s.  Skewness and semidefiniteness do not
+    change under scaling, and no sum or norm of the divided matrices
+    overflows; below 2 nothing is scaled."""
+    top = max((float(np.max(np.abs(a))) for a in mats if a.size), default=0.0)
+    s = 2.0 ** max(math.frexp(top)[1] - 1, 0)
+    return [a / s for a in mats], s
+
+
+def _psd_check(ws, tol: float = 1e-10) -> tuple:
+    """Whether the symmetric parts of the matrices ``ws`` are positive
+    semidefinite, by the rule lambda_min >= -tol (1 + max ||W||_F) over
+    all of them, and lambda_min (-inf where it leaves the float range).
+    The rule runs on the matrices divided by ``_scaled``'s s."""
+    ws, s = _scaled(ws)
+    lam = min(_min_eig_sym(w) for w in ws)
+    norm = max(float(np.linalg.norm(w)) for w in ws)
+    return lam >= -tol * (1.0 / s + norm), lam * s
+
+
 def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = None,
                        tol: float = 1e-10) -> StructureReport:
     """Check skewness of Gamma, semidefiniteness of W and Hamiltonian
@@ -239,6 +261,8 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
 
     For callback systems the checks are run at every sample state and the
     compatibility residual uses a central finite-difference gradient.
+    Gamma and W are checked divided by a power of two (see ``_scaled``),
+    so entries up to the largest float cannot overflow the checks.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -250,24 +274,15 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
             raise ValueError("callback systems require at least one sample state")
         states = [np.asarray(s, dtype=float) for s in samples]
 
-    skew_viol = 0.0
-    min_eig = np.inf
-    w_scale = 0.0
-    a_scale = 0.0
-    for x in states:
-        E, J, R, B, P, S, N = coeffs = sys.coefficients(x)
-        if not all(np.all(np.isfinite(a)) for a in coeffs):
-            raise ValueError("system coefficients contain non-finite entries")
-        gamma, w = _gamma_w(E, J, R, B, P, S, N)
-        skew_viol = max(skew_viol, _skew_violation(gamma))
-        min_eig = min(min_eig, _min_eig_sym(w))
-        w_scale = max(w_scale, np.linalg.norm(w) if w.size else 0.0)
-        a_scale = max(a_scale, np.max(np.abs(gamma)) if gamma.size else 0.0)
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-
-    skew_ok = skew_viol <= tol * (1.0 + a_scale)
-    psd_ok = min_eig >= -tol * (1.0 + w_scale)
+    coeffs = [sys.coefficients(x) for x in states]
+    if not all(np.all(np.isfinite(a)) for c in coeffs for a in c):
+        raise ValueError("system coefficients contain non-finite entries")
+    gammas, ws = zip(*(_gamma_w(*c) for c in coeffs))
+    gammas, s = _scaled(gammas)
+    skew_viol = max(_skew_violation(g) for g in gammas)
+    a_scale = max((np.max(np.abs(g)) for g in gammas if g.size), default=0.0)
+    skew_ok = skew_viol <= tol * (1.0 / s + a_scale)
+    psd_ok, min_eig = _psd_check(ws, tol)
 
     if sys.is_linear:
         # exact identity Q x = E^T L x requires E^T L symmetric
@@ -278,8 +293,7 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
     else:
         compat_res = 0.0
         rc = np.inf
-        for x in states:
-            E = sys.coefficients(x)[0]
+        for x, (E, *_) in zip(states, coeffs):
             ez = E.T @ np.asarray(sys.effort(x), dtype=float)
             g = _fd_gradient(sys.hamiltonian, x)
             compat_res = max(compat_res,
@@ -288,7 +302,7 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
         compat_ok = compat_res <= max(tol, 1e-6)
 
     return StructureReport(
-        skew_ok=skew_ok, skew_violation=skew_viol,
+        skew_ok=skew_ok, skew_violation=skew_viol * s,
         psd_ok=psd_ok, min_eigenvalue=min_eig,
         compat_ok=compat_ok, compat_residual=compat_res,
         e_regular=rc > E_RCOND_MIN, e_rcond=float(rc),

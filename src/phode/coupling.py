@@ -5,9 +5,10 @@ u_hat + C y_hat = 0 condense into one monolithic system whose structure
 matrix gains the Schur-type term -Bhat C Bhat^T.  A skew C keeps the
 result port-Hamiltonian directly; a general C is split into symmetric and
 skew parts (the symmetric part moves into the dissipation matrix), and if
-that fails semidefiniteness no monolithic pH system is returned.  A
-relation M u_hat + N y_hat = 0 with square regular M gives the coupling
-matrix C = M^{-1} N.
+the assembled W = [[R, P], [P^T, S]] fails semidefiniteness a
+:class:`StructureFailure` is raised.  A relation M u_hat + N y_hat = 0
+with square regular M has the coupling matrix C = M^{-1} N; every entry
+point takes C from :func:`coupling_matrix`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DimensionError, LinearPHSystem, _min_eig_sym, _rcond, _skew_violation,
-                   _slices)
+from .core import (DimensionError, LinearPHSystem, _gamma_w, _psd_check, _rcond,
+                   _skew_violation, _slices)
 
 
 def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -28,6 +29,10 @@ def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m, rs, cs in zip(mats, _slices(rows), _slices(cols)):
         out[rs, cs] = m
     return out
+
+
+def _is_skew(C: np.ndarray) -> bool:
+    return _skew_violation(C) <= 1e-12 * (1.0 + np.max(np.abs(C), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class CouplingSpec:
 
     @property
     def is_skew(self) -> bool:
-        return _skew_violation(self.C) <= 1e-12 * (1.0 + np.max(np.abs(self.C), initial=0.0))
+        return _is_skew(self.C)
 
 
 @dataclass(frozen=True)
@@ -125,16 +130,16 @@ class CoupledNetwork:
         return _blockdiag(list(self.coupling.port_matrices))
 
 
-@dataclass(frozen=True)
-class StructureFailure:
-    """A mathematically meaningful negative outcome: the assembled
-    dissipation matrix is not positive semidefinite."""
+@dataclass(eq=False)
+class StructureFailure(ValueError):
+    """A condensation without a monolithic pH system: the assembled
+    W = [[R, P], [P^T, S]] is not positive semidefinite."""
 
     message: str
     min_eigenvalue: float
 
-    def __bool__(self):
-        return False
+    def __str__(self):
+        return f"{self.message} (min eigenvalue {self.min_eigenvalue:.3e})"
 
 
 @dataclass(frozen=True)
@@ -161,26 +166,37 @@ def _stack(net: CoupledNetwork) -> LinearPHSystem:
 def _couple(net: CoupledNetwork, C: np.ndarray) -> LinearPHSystem:
     """The monolithic system under u_hat + C y_hat = 0: the skew part of C
     adds -Bhat C_skew Bhat^T to J, the symmetric part Bhat C_sym Bhat^T to R.
-    A J or R that overflows raises a FloatingPointError."""
+    Each term is formed from half of it, K, as K - K^T or K + K^T, so it is
+    skew or symmetric to the last bit, and a skew C adds nothing to R.  A J
+    or R that overflows raises a FloatingPointError."""
     mono = _stack(net)
     Bhat = net.stacked_port_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
-        J = mono.J - Bhat @ (0.5 * (C - C.T)) @ Bhat.T
-        R = mono.R + Bhat @ (0.5 * (C + C.T)) @ Bhat.T
+        skew = Bhat @ (0.25 * (C - C.T)) @ Bhat.T
+        sym = Bhat @ (0.25 * (C + C.T)) @ Bhat.T
+        J = mono.J - (skew - skew.T)
+        R = mono.R + (sym + sym.T)
     if not (np.all(np.isfinite(J)) and np.all(np.isfinite(R))):
         raise FloatingPointError("condensed system is not finite: the coupling "
                                  "overflows J or R")
     return replace(mono, J=J, R=R)
 
 
-def _require_matrix(net: CoupledNetwork):
-    if not isinstance(net.coupling, CouplingSpec):
-        raise TypeError("network carries a linear port relation; "
-                        "condense it with eliminate_ports(build_phdae(net))")
+def coupling_matrix(net: CoupledNetwork) -> np.ndarray:
+    """The coupling matrix C of the law u_hat + C y_hat = 0: the network's
+    C, or C = M^{-1} N for a relation M u_hat + N y_hat = 0 with square
+    regular M (otherwise a ValueError)."""
+    rel = net.coupling
+    if isinstance(rel, CouplingSpec):
+        return rel.C
+    if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= 1e-12:
+        raise ValueError("general relation not eliminable: M must be square and regular")
+    return np.linalg.solve(rel.M, rel.N)
 
 
 def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
-    """Condense a skew-coupled network into one monolithic pH system.
+    """Condense a network with a skew coupling matrix (see
+    :func:`coupling_matrix`) into one monolithic pH system.
 
     The monolithic structure matrix is blockdiag(J_i) - Bhat C Bhat^T;
     flow, dissipation, external ports with their feedthrough P, S, N and
@@ -188,30 +204,28 @@ def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
     subsystem Hamiltonians.  Structure is preserved by construction, so
     no semidefiniteness check runs.
     """
-    _require_matrix(net)
-    if not net.coupling.is_skew:
-        raise ValueError("coupling matrix is not skew-symmetric; use condense_general")
-    return _couple(net, net.coupling.C)
+    C = coupling_matrix(net)
+    if not _is_skew(C):
+        raise ValueError("coupling matrix is not skew-symmetric; use condense_general "
+                         "(phode condense --mode general)")
+    return _couple(net, C)
 
 
-def condense_general(net: CoupledNetwork):
-    """Condense a network with an arbitrary square coupling matrix.
+def condense_general(net: CoupledNetwork) -> LinearPHSystem:
+    """Condense a network with an arbitrary square coupling matrix (see
+    :func:`coupling_matrix`).
 
     C is split into symmetric and skew parts; the skew part enters the
     structure matrix, the symmetric part the dissipation matrix.  When
-    the assembled dissipation matrix fails the semidefiniteness check,
+    the assembled W = [[R, P], [P^T, S]] fails the semidefiniteness check
+    of :func:`~phode.core.validate_structure` (at its default tolerance),
     the network has no monolithic pH system under this coupling, and a
-    :class:`StructureFailure` with the least eigenvalue is returned
-    instead of a system.
+    :class:`StructureFailure` with the least eigenvalue of W is raised.
     """
-    _require_matrix(net)
-    mono = _couple(net, net.coupling.C)
-    lam = _min_eig_sym(mono.R)
-    if lam < -1e-12 * (1.0 + (np.linalg.norm(mono.R) if mono.R.size else 0.0)):
-        return StructureFailure(
-            message="assembled dissipation matrix is indefinite",
-            min_eigenvalue=lam,
-        )
+    mono = _couple(net, coupling_matrix(net))
+    ok, lam = _psd_check([_gamma_w(*mono.coefficients())[1]])
+    if not ok:
+        raise StructureFailure("assembled W = [[R, P], [P^T, S]] is indefinite", lam)
     return mono
 
 
@@ -222,16 +236,7 @@ def build_phdae(net: CoupledNetwork) -> PHDAESystem:
     return PHDAESystem(net)
 
 
-def eliminate_ports(dae: PHDAESystem):
-    """Condense a relation network with square regular M.
-
-    Substituting u_hat = -M^{-1} N y_hat gives the coupling matrix
-    C = M^{-1} N, and the result is :func:`condense_general` of the network
-    with that C.
-    """
-    rel = dae.network.coupling
-    if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= 1e-12:
-        raise ValueError("general relation not eliminable: M must be square and regular")
-    C = np.linalg.solve(rel.M, rel.N)
-    return condense_general(CoupledNetwork(dae.network.subsystems,
-                                           CouplingSpec(rel.port_matrices, C)))
+def eliminate_ports(dae: PHDAESystem) -> LinearPHSystem:
+    """Condense a relation network with square regular M: substituting
+    u_hat = -M^{-1} N y_hat gives :func:`condense_general` of its network."""
+    return condense_general(dae.network)

@@ -95,8 +95,8 @@ class BlockView:
         return not np.any(self.R_offdiag)
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
+@dataclass(eq=False)
+class VerificationFailure(ValueError):
     """A port/coupling choice that does not reproduce the off-diagonal
     blocks; carries the worst residual and the offending block pair."""
 
@@ -105,8 +105,8 @@ class VerificationFailure:
     max_residual: float
     pair: tuple
 
-    def __bool__(self):
-        return False
+    def __str__(self):
+        return f"{self.message}: max residual {self.max_residual:.3e}"
 
 
 def apply_transform(sys: LinearPHSystem, transform: LinearTransform | np.ndarray) -> LinearPHSystem:
@@ -229,8 +229,8 @@ def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> 
 
 def _verify_blocks(view: BlockView, ports, block, pairs):
     """Check Bhat_i C_ij Bhat_j^T = -(J_ij - R_ij) for each block pair (i, j)
-    to 1e-12 relative; return a :class:`VerificationFailure` for the worst
-    pair that misses, or None."""
+    to 1e-12 relative; raise a :class:`VerificationFailure` for the worst
+    pair that misses."""
     worst, worst_pair, worst_res = 0.0, None, None
     for i, j in pairs:
         target = view.J_block(i, j) - view.R_block(i, j)
@@ -240,12 +240,9 @@ def _verify_blocks(view: BlockView, ports, block, pairs):
         scale = np.max(np.abs(target), initial=0.0) + 1.0
         if mr > 1e-12 * scale and mr > worst:
             worst, worst_pair, worst_res = mr, (i, j), res
-    if worst_pair is None:
-        return None
-    return VerificationFailure(
-        message=f"ports do not reproduce off-diagonal block {worst_pair}",
-        residual=worst_res, max_residual=worst, pair=worst_pair,
-    )
+    if worst_pair is not None:
+        raise VerificationFailure(f"ports do not reproduce off-diagonal block pair {worst_pair}",
+                                  worst_res, worst, worst_pair)
 
 
 def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int],
@@ -254,10 +251,10 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
     C_ij (i < j), verifying J_ij - R_ij = -Bhat_i C_ij Bhat_j^T for
     every block pair, the fitted lower blocks C_ji included.
 
-    On success returns the coupled network; on failure returns a
-    :class:`VerificationFailure` with the worst residual and offending
-    block pair.  The skew part of the assembled coupling matrix generates
-    structure blocks and the symmetric part dissipation blocks.
+    Returns the coupled network, or raises a :class:`VerificationFailure`
+    (a ValueError) with the worst residual and offending block pair.  The
+    skew part of the assembled coupling matrix generates structure blocks
+    and the symmetric part dissipation blocks.
     """
     view = partition_blocks(sys, partition)
     _require_separable(sys, view)
@@ -285,9 +282,7 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
                                  f"expected {block(i, j).shape}")
         block(i, j)[...] = cij
     upper = [(i, j) for i in range(p.s) for j in range(i + 1, p.s)]
-    failure = _verify_blocks(view, ports, block, upper)
-    if failure is not None:
-        return failure
+    _verify_blocks(view, ports, block, upper)
 
     # with zero off-diagonal dissipation the skew completion C_ji = -C_ij^T is
     # exact, otherwise the lower blocks are fitted to the (j, i) system blocks
@@ -299,7 +294,5 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
         else:
             target = view.J_block(j, i) - view.R_block(j, i)
             block(j, i)[...] = -np.linalg.pinv(ports[j]) @ target @ np.linalg.pinv(ports[i]).T
-    failure = _verify_blocks(view, ports, block, [(j, i) for i, j in upper])
-    if failure is not None:
-        return failure
+    _verify_blocks(view, ports, block, [(j, i) for i, j in upper])
     return _network(view, ports, c_full)

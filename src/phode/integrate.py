@@ -19,7 +19,7 @@ import numpy as np
 from . import coupling
 from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
                    SingularFlowError, _rcond, _slices, E_RCOND_MIN, port_power)
-from .coupling import CoupledNetwork, CouplingSpec
+from .coupling import CoupledNetwork
 
 # entries of each prebuilt lifted map and window map in dynamic_iteration
 # at most, and the time of one Python-level step counted in multiply-adds of
@@ -418,7 +418,8 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
                       u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
                       dt: float = 0.01) -> Trajectory:
     """Windowed waveform relaxation for a network coupled by a square
-    matrix C (skew or not).
+    matrix C (skew or not), or by a relation with square regular M and
+    C = M^-1 N (see :func:`~phode.coupling.coupling_matrix`).
 
     Per window each subsystem is integrated with internal inputs
     u_hat_i(t) = -sum_j C_ij y_hat_j(t), where y_hat_j comes from the
@@ -444,10 +445,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     sqrt(eps) relative to their maximum, a ``RuntimeWarning`` names the
     worst window; the trajectory is returned all the same.
     """
-    if not isinstance(net.coupling, CouplingSpec):
-        raise ValueError("dynamic iteration requires a coupling matrix; a relation "
-                         "M u_hat + N y_hat = 0 with regular M has the coupling "
-                         "matrix C = M^-1 N")
+    C = coupling.coupling_matrix(net)
     mode = mode.lower().replace("_", "-")
     if mode not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -456,7 +454,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     # the coupling inputs of the convergence check take 2 values per port and
     # step, and a driven run keeps its forcing rows until the end
     m = sum(sub.m for sub in net.subsystems)
-    t = _time_grid(t0, t1, dt, _per_step(net.n, m) + 2 * len(net.coupling.C)
+    t = _time_grid(t0, t1, dt, _per_step(net.n, m) + 2 * len(C)
                    + (net.n if u is not None else 0))
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"window must be positive and finite, got {window}")
@@ -470,7 +468,6 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
         inner = [inner] * s
     if len(inner) != s:
         raise ValueError("one inner integrator per subsystem required")
-    C = net.coupling.C
 
     total_steps = len(t) - 1
     if total_steps % q != 0:

@@ -13,9 +13,11 @@ import phode.cli
 import phode.coupling
 from phode.cli import main
 from phode.coupling import condense_general, condense_skew
-from phode.fileio import parse_system_text, read_trajectory, write_trajectory
+from phode.fileio import dump_document, parse_system_text, read_trajectory, write_trajectory
 from phode.integrate import dynamic_iteration, energy_report
 from phode.models import two_mass
+
+from util import random_separable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_MASS = str(FIXTURES / "two_mass.json")
@@ -31,6 +33,17 @@ def general_network_doc(C):
     sub = {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]}
     return {"kind": "network", "subsystems": [sub, sub],
             "coupling": {"type": "general", "ports": [[[1.]], [[1.]]], "C": C}}
+
+
+def feedthrough_network_doc():
+    """Two one-state subsystems, the first with R = P = S = B = 1 (W on the
+    boundary of semidefiniteness), coupled by a C that keeps the assembled
+    R definite and makes the assembled W indefinite (min eigenvalue -0.281)."""
+    sub = {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]}
+    return {"kind": "network",
+            "subsystems": [{**sub, "B": [[1.]], "P": [[1.]], "S": [[1.]]}, sub],
+            "coupling": {"type": "general", "ports": [[[1.]], [[1.]]],
+                         "C": [[-0.5, 0.3], [-0.3, 0.]]}}
 
 
 def no_memory(*args, **kwargs):
@@ -53,6 +66,18 @@ class TestValidateCommand:
                          {"n": 1, "J": [[0.]], "R": [[-1.]], "L": [[1.]]})
         assert main(["validate", bad]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("J,R,row", [
+        ([[0., 0.], [0., 0.]], [[1.5e308, 0.], [0., -1e300]],
+         "FAIL  W positive semidefinite: min eigenvalue -1.000e+300"),
+        ([[0., 1.5e308], [1.5e308, 0.]], [[0., 0.], [0., 0.]],
+         "FAIL  Gamma skew-symmetric: max violation inf"),
+    ], ids=["indefinite-R", "symmetric-J"])
+    def test_entries_above_half_the_float_range_exit_2(self, tmp_path, capsys, J, R, row):
+        doc = write_json(tmp_path / "big.json", {"n": 2, "J": J, "R": R})
+        assert main(["validate", doc]) == 2
+        out, err = capsys.readouterr()
+        assert row in out.splitlines() and err == ""
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 1
@@ -90,13 +115,16 @@ class TestPipeline:
         assert np.array_equal(mono.J, ref.J)
         assert np.array_equal(mono.R, ref.R)
 
-    def test_decouple_with_ports_verification_failure_exit_3(self, tmp_path):
+    def test_decouple_with_ports_verification_failure_exit_3(self, tmp_path, capsys):
         ports = write_json(tmp_path / "ports.json", {
             "ports": [[[1.], [0.], [0.]], [[-1.], [0.]]],
             "blocks": [{"i": 0, "j": 1, "C": [[-1.]]}],
         })
+        out = tmp_path / "out.json"
         assert main(["decouple", TWO_MASS, "--partition", "3,2",
-                     "--ports", ports, "-o", str(tmp_path / "out.json")]) == 3
+                     "--ports", ports, "-o", str(out)]) == 3
+        assert_one_line_error(capsys, "block pair (0, 1): max residual 1.000e+00")
+        assert not out.exists()
 
     def test_decouple_lower_block_verification_failure_exit_3(self, tmp_path, capsys):
         system = write_json(tmp_path / "sys.json", {
@@ -109,7 +137,7 @@ class TestPipeline:
         out = tmp_path / "out.json"
         assert main(["decouple", system, "--partition", "2,1",
                      "--ports", ports, "-o", str(out)]) == 3
-        assert "block pair (1, 0)" in capsys.readouterr().err
+        assert_one_line_error(capsys, "block pair (1, 0)")
         assert not out.exists()
 
     def test_decouple_feedthrough_exit_2(self, tmp_path, capsys):
@@ -227,19 +255,37 @@ class TestPipeline:
         assert "indefinite" in err and "build_phdae" not in err
 
     def test_condense_skew_of_relation_names_the_general_mode(self, tmp_path, capsys):
+        # a relation with skew M^-1 N condenses in skew mode, to the document
+        # of the general mode
         doc = general_network_doc(None)
-        doc["coupling"] = {"type": "relation", "ports": [[[1.]], [[1.]]],
-                           "M": [[1., 0.], [0., 1.]], "N": [[0., -1.], [1., 0.]]}
+        ports, eye = [[[1.]], [[1.]]], [[1., 0.], [0., 1.]]
+        doc["coupling"] = {"type": "relation", "ports": ports, "M": eye,
+                           "N": [[0., -1.], [1., 0.]]}
         net = write_json(tmp_path / "net.json", doc)
+        skew, general = tmp_path / "skew.json", tmp_path / "general.json"
+        assert main(["condense", net, "--mode", "skew", "-o", str(skew)]) == 0
+        assert main(["condense", net, "--mode", "general", "-o", str(general)]) == 0
+        assert skew.read_bytes() == general.read_bytes()
+        # a non-skew M^-1 N or C is refused in skew mode, naming the general mode
+        for coupling in ({"type": "relation", "M": eye, "N": [[0., 1.], [1., 0.]]},
+                         {"type": "general", "C": [[0., 1.], [1., 0.]]}):
+            doc["coupling"] = {"ports": ports, **coupling}
+            net = write_json(tmp_path / "net.json", doc)
+            out = tmp_path / "m.json"
+            assert main(["condense", net, "--mode", "skew", "-o", str(out)]) == 2
+            assert_one_line_error(capsys, "phode condense --mode general")
+            assert not out.exists()
+            # the advice works
+            assert main(["condense", net, "--mode", "general", "-o", str(out)]) == 0
+            assert json.loads(out.read_text())["n"] == 2
+            out.unlink()
+
+    def test_condense_general_checks_w_exit_2(self, tmp_path, capsys):
+        net = write_json(tmp_path / "net.json", feedthrough_network_doc())
         out = tmp_path / "m.json"
-        assert main(["condense", net, "--mode", "skew", "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("phode: ") and err.count("\n") == 1
-        assert "phode condense --mode general" in err and "eliminate_ports" not in err
+        assert main(["condense", net, "--mode", "general", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "indefinite (min eigenvalue -2.808e-01)")
         assert not out.exists()
-        # the advice works
-        assert main(["condense", net, "--mode", "general", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["n"] == 2
 
 
 class TestSimulateAndReport:
@@ -450,13 +496,56 @@ class TestCosim:
         assert not out.exists()
 
     def test_port_relation_exit_1(self, tmp_path, capsys):
-        doc = general_network_doc(None)
+        # a relation runs with its coupling matrix: M = 2 I, N = 2 C writes
+        # the CSV of the network with C, byte for byte
+        doc = general_network_doc([[0., -1.], [1., 0.]])
+        matrix = write_json(tmp_path / "matrix.json", doc)
         doc["coupling"] = {"type": "relation", "ports": [[[1.]], [[1.]]],
-                           "M": [[1., 0.], [0., 1.]], "N": [[0., -1.], [1., 0.]]}
+                           "M": [[2., 0.], [0., 2.]], "N": [[0., -2.], [2., 0.]]}
+        relation = write_json(tmp_path / "relation.json", doc)
+        outs = [tmp_path / "matrix.csv", tmp_path / "relation.csv"]
+        for net, out in zip((matrix, relation), outs):
+            assert main(["cosim", net, "--x0", "1,-0.5", "--sweeps", "30", "--t1", "0.2",
+                         "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
+    @pytest.mark.parametrize("M,N", [([[0., 0.], [0., 0.]], [[1., 0.], [0., 1.]]),
+                                     ([[1., 0.]], [[0., 1.]])],
+                             ids=["singular", "not-square"])
+    def test_uneliminable_relation_exit_2(self, tmp_path, capsys, M, N):
+        doc = general_network_doc(None)
+        doc["coupling"] = {"type": "relation", "ports": [[[1.]], [[1.]]], "M": M, "N": N}
         net = write_json(tmp_path / "net.json", doc)
-        assert main(["cosim", net, "--x0", "1,-0.5", "--t1", "0.2",
-                     "-o", str(tmp_path / "traj.csv")]) == 1
-        assert_one_line_error(capsys, "not a port relation")
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,-0.5", "--t1", "0.2", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "not eliminable")
+        assert not out.exists()
+
+    def test_indefinite_w_exit_2(self, tmp_path, capsys):
+        net = write_json(tmp_path / "net.json", feedthrough_network_doc())
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0", "1,-0.5", "--t1", "0.2", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "indefinite (min eigenvalue -2.808e-01)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_case_2_split_runs_to_the_simulated_system(self, tmp_path, capsys, mode):
+        # off-diagonal dissipation decouples into a relation network, whose
+        # waveform relaxation converges to the simulation of the system
+        src = tmp_path / "sys.json"
+        src.write_text(dump_document(random_separable(np.random.default_rng(7), (2, 3))))
+        net, relaxed, direct = (str(tmp_path / f) for f in ("net.json", "co.csv", "sim.csv"))
+        assert main(["decouple", str(src), "--partition", "2,3", "-o", net]) == 0
+        assert json.loads(Path(net).read_text())["coupling"]["type"] == "relation"
+        x0 = "0.3,-1,0.5,0.2,-0.7"
+        assert main(["cosim", net, "--x0", x0, "--mode", mode, "--sweeps", "30",
+                     "--t1", "1", "-o", relaxed]) == 0
+        assert main(["simulate", str(src), "--x0", x0, "--t1", "1", "-o", direct]) == 0
+        assert capsys.readouterr().err == ""
+        x = read_trajectory(Path(relaxed).read_text())[1]
+        ref = read_trajectory(Path(direct).read_text())[1]
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_one_inner_name_for_every_subsystem(self, tmp_path):
         net = tmp_path / "net.json"

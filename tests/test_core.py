@@ -45,6 +45,37 @@ class TestValidateStructure:
         assert not rep.skew_ok
         assert rep.skew_violation == pytest.approx(2.0)
 
+    def test_indefinite_r_above_half_the_float_range_fails(self):
+        rep = validate_structure(make(J=np.zeros((2, 2)), R=[[1.5e308, 0.], [0., -1e300]]))
+        assert not rep.psd_ok and rep.skew_ok
+        assert rep.min_eigenvalue == -1e300
+
+    def test_symmetric_j_above_half_the_float_range_fails(self):
+        rep = validate_structure(make(J=[[0., 1.5e308], [1.5e308, 0.]], R=np.zeros((2, 2))))
+        assert not rep.skew_ok and rep.psd_ok
+        assert rep.skew_violation == np.inf
+
+    @pytest.mark.parametrize("t", [0.5, 2.0], ids=["inside", "outside"])
+    @pytest.mark.parametrize("exponent", [-300, -150, -20, 0, 0.3, 20, 150, 300])
+    def test_verdicts_at_every_scale(self, exponent, t):
+        # the checks run on Gamma and W divided by a power of two; the
+        # verdicts stay those of the rules violation <= tol (1 + max|Gamma|)
+        # and lambda_min >= -tol (1 + ||W||_F) on the unscaled matrices, here
+        # at t times the tolerance
+        rng = np.random.default_rng(int(100 * exponent) % 997)
+        scale, tol = 10.0 ** exponent, 1e-10
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        mu = -t * tol * (1.0 / scale + np.sqrt(5.0))
+        R = scale * (V @ np.diag([mu, 1.0, 2.0]) @ V.T)
+        S = rng.standard_normal((3, 3))
+        S = S - S.T
+        J = S.copy()
+        J[0, 0] = t * tol * (1.0 / scale + np.max(np.abs(S))) / 2.0
+        rep = validate_structure(make(J=scale * J, R=0.5 * (R + R.T)), tol=tol)
+        assert rep.psd_ok == rep.skew_ok == (t < 1.0)
+        assert rep.min_eigenvalue == pytest.approx(scale * mu, rel=1e-4)
+        assert rep.skew_violation == pytest.approx(2.0 * scale * J[0, 0], rel=1e-12)
+
     def test_idempotent_and_deterministic(self):
         sys = two_mass()
         assert validate_structure(sys) == validate_structure(sys)

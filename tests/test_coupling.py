@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -6,7 +5,8 @@ import pytest
 from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             StructureFailure, build_phdae, condense_general,
-                            _blockdiag, condense_skew, eliminate_ports)
+                            _blockdiag, _couple, condense_skew, coupling_matrix,
+                            eliminate_ports)
 from phode.models import two_mass, two_mass_network
 
 from util import random_linear_ph, random_network
@@ -91,6 +91,25 @@ class TestCondenseSkew:
             assert validate_structure(mono, tol=1e-10).passed
 
 
+class TestCouplingTerms:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skew_and_symmetric_to_the_last_bit(self, seed):
+        # random ports make Bhat K Bhat^T and its transpose round apart; the
+        # terms added to J and R are skew and symmetric all the same, and a
+        # skew C leaves R as stacked
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, s=3)
+        stacked = _blockdiag([s.R for s in net.subsystems])
+        mono = condense_skew(net)
+        assert np.array_equal(mono.J, -mono.J.T)
+        assert np.array_equal(mono.R, stacked)
+        C = net.coupling.C + rng.standard_normal(net.coupling.C.shape)
+        mono = _couple(net, C)
+        assert np.array_equal(mono.J, -mono.J.T)
+        added = mono.R - stacked
+        assert np.array_equal(added, added.T) and np.any(added)
+
+
 class TestCondenseGeneral:
     def test_psd_symmetric_part_succeeds(self):
         mono = condense_general(two_scalar_net([[0., 1.], [1., 0.]]))
@@ -99,13 +118,47 @@ class TestCondenseGeneral:
         assert np.allclose(np.linalg.eigvalsh(mono.R), [0.0, 2.0])
 
     def test_indefinite_result_returns_failure(self):
-        out = condense_general(two_scalar_net([[0., 2.], [2., 0.]]))
-        assert isinstance(out, StructureFailure)
-        assert not out
+        # the failure is raised, a ValueError that keeps its fields
+        with pytest.raises(StructureFailure) as info:
+            condense_general(two_scalar_net([[0., 2.], [2., 0.]]))
+        out = info.value
+        assert isinstance(out, ValueError)
         assert out.min_eigenvalue == pytest.approx(-1.0)
         assert np.allclose(np.linalg.eigvalsh(np.array([[1., 2.], [2., 1.]])),
                            [out.min_eigenvalue, 3.0])
         assert "build_phdae" not in out.message
+        assert str(out) == f"{out.message} (min eigenvalue -1.000e+00)"
+
+    def test_checks_w_not_only_r(self):
+        # feedthrough P = S = 1 on the boundary of W >= 0: the coupling keeps
+        # the assembled R definite (least eigenvalue 0.5) and makes W indefinite
+        s1 = LinearPHSystem(E=[[1.]], J=[[0.]], R=[[1.]], B=[[1.]], L=[[1.]],
+                            P=[[1.]], S=[[1.]])
+        net = CoupledNetwork((s1, scalar_sub()),
+                             CouplingSpec(([[1.]], [[1.]]), [[-0.5, 0.3], [-0.3, 0.]]))
+        with pytest.raises(StructureFailure) as info:
+            condense_general(net)
+        assert info.value.min_eigenvalue == pytest.approx(-0.2808, abs=1e-4)
+        assembled = _couple(net, net.coupling.C)
+        assert np.linalg.eigvalsh(assembled.R).min() == pytest.approx(0.5)
+        assert not validate_structure(assembled).psd_ok
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fails_exactly_where_validate_fails(self, seed):
+        # one W check: condense_general refuses the assembled systems that
+        # validate_structure (default tol) finds not semidefinite
+        rng = np.random.default_rng(seed)
+        subs = tuple(random_linear_ph(rng, n=n, m=1, feedthrough=True) for n in (2, 3))
+        ports = tuple(rng.standard_normal((n, 1)) for n in (2, 3))
+        # a small C keeps W semidefinite for most seeds, a large one does not
+        C = rng.standard_normal((2, 2)) * (0.02 if seed % 2 else 1.0)
+        net = CoupledNetwork(subs, CouplingSpec(ports, C))
+        passed = validate_structure(_couple(net, C)).psd_ok
+        if passed:
+            assert isinstance(condense_general(net), LinearPHSystem)
+        else:
+            with pytest.raises(StructureFailure):
+                condense_general(net)
 
     def test_skew_input_matches_condense_skew(self):
         rng = np.random.default_rng(5)
@@ -131,12 +184,13 @@ class TestBuildPhdae:
 
     @pytest.mark.parametrize("condense", [condense_skew, condense_general])
     def test_condense_names_the_call_that_works(self, condense):
-        net = self.rel_net(np.eye(2), [[0., -1.], [1., 0.]])
-        with pytest.raises(TypeError, match=re.escape("eliminate_ports(build_phdae(net))")):
-            condense(net)
-        mono = eliminate_ports(build_phdae(net))
-        assert isinstance(mono, LinearPHSystem)
+        # a relation network condenses directly, to what port elimination gives
+        net = self.rel_net(2.0 * np.eye(2), [[0., -2.], [2., 0.]])
+        mono = condense(net)
+        ref = eliminate_ports(build_phdae(net))
         assert np.array_equal(mono.J, [[0., 1.], [-1., 0.]])
+        for a in ("E", "J", "R", "B", "L", "P", "S", "N"):
+            assert np.array_equal(getattr(mono, a), getattr(ref, a))
 
     def test_identity_relation_uncouples(self):
         net = self.rel_net(np.eye(2), np.zeros((2, 2)))
@@ -147,6 +201,30 @@ class TestBuildPhdae:
     def test_wrong_column_count_rejected(self):
         with pytest.raises(DimensionError):
             self.rel_net(np.eye(3), np.zeros((3, 3)))
+
+
+class TestCouplingMatrix:
+    def test_matrix_coupling_is_its_c(self):
+        net = two_scalar_net([[0., 1.], [2., 0.]])
+        assert coupling_matrix(net) is net.coupling.C
+
+    def test_relation_gives_m_inverse_n(self):
+        M, N = np.array([[2., 1.], [0., 4.]]), np.array([[1., 3.], [-1., 2.]])
+        net = TestBuildPhdae().rel_net(M, N)
+        assert np.array_equal(coupling_matrix(net), np.linalg.solve(M, N))
+
+    @pytest.mark.parametrize("M,N", [(np.zeros((2, 2)), np.eye(2)),
+                                     ([[1., 0.]], [[0., 1.]])], ids=["singular", "not-square"])
+    @pytest.mark.parametrize("call", [coupling_matrix, condense_skew, condense_general])
+    def test_uneliminable_relation_rejected(self, call, M, N):
+        with pytest.raises(ValueError, match="not eliminable"):
+            call(TestBuildPhdae().rel_net(M, N))
+
+    def test_relation_with_non_skew_c_names_condense_general(self):
+        net = TestBuildPhdae().rel_net(np.eye(2), [[0., 1.], [1., 0.]])
+        with pytest.raises(ValueError, match="condense_general"):
+            condense_skew(net)
+        assert np.array_equal(condense_general(net).R, [[1., 1.], [1., 1.]])
 
 
 class TestEliminatePorts:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phode.core import LinearPHSystem, validate_structure
-from phode.coupling import (CouplingSpec, LinearPortRelation, build_phdae,
+from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_phdae,
                             condense_skew, eliminate_ports)
 from phode.decoupling import (LinearTransform, Partition, VerificationFailure,
                               apply_transform, decouple_auto,
@@ -193,7 +193,7 @@ class TestDecoupleWithPorts:
         b1 = np.array([[0.], [0.], [1.]])
         b2 = np.array([[-1.], [0.]])
         net = decouple_with_ports(sys, (3, 2), [b1, b2], {(0, 1): [[-1.]]})
-        assert not isinstance(net, VerificationFailure)
+        assert isinstance(net, CoupledNetwork)
         # printed check: B1 C12 B2^T = [[0,0],[0,0],[1,0]] = -J12
         assert np.array_equal(b1 @ np.array([[-1.]]) @ b2.T,
                               [[0., 0.], [0., 0.], [1., 0.]])
@@ -202,13 +202,15 @@ class TestDecoupleWithPorts:
 
     def test_wrong_port_fails(self):
         sys = two_mass()
-        out = decouple_with_ports(sys, (3, 2),
-                                  [np.array([[1.], [0.], [0.]]),
-                                   np.array([[-1.], [0.]])],
-                                  {(0, 1): [[-1.]]})
-        assert isinstance(out, VerificationFailure)
-        assert out.pair == (0, 1)
-        assert np.any(out.residual)
+        with pytest.raises(VerificationFailure) as out:
+            decouple_with_ports(sys, (3, 2),
+                                [np.array([[1.], [0.], [0.]]), np.array([[-1.], [0.]])],
+                                {(0, 1): [[-1.]]})
+        assert isinstance(out.value, ValueError)
+        assert out.value.pair == (0, 1)
+        assert np.any(out.value.residual)
+        assert str(out.value) == ("ports do not reproduce off-diagonal block pair (0, 1): "
+                                  f"max residual {out.value.max_residual:.3e}")
 
     def test_identity_fallback_always_verifies(self):
         rng = np.random.default_rng(13)
@@ -217,7 +219,7 @@ class TestDecoupleWithPorts:
         c12 = -(view.J_block(0, 1) - view.R_block(0, 1))
         net = decouple_with_ports(sys, (3, 2), [np.eye(3), np.eye(2)],
                                   {(0, 1): c12})
-        assert not isinstance(net, VerificationFailure)
+        assert isinstance(net, CoupledNetwork)
         mono = condense_skew(net)
         assert np.array_equal(mono.J, sys.J)
 
@@ -225,10 +227,10 @@ class TestDecoupleWithPorts:
         sys = two_mass()
         perm, part, ports, blocks = two_mass_alt_ports()
         w = apply_transform(sys, perm)
-        out = decouple_with_ports(w, part, ports, blocks)
-        assert isinstance(out, VerificationFailure)
-        assert out.pair == (0, 1)
-        assert np.array_equal(out.residual, [[0., 0., 0.], [-1., 1., 0.]])
+        with pytest.raises(VerificationFailure) as out:
+            decouple_with_ports(w, part, ports, blocks)
+        assert out.value.pair == (0, 1)
+        assert np.array_equal(out.value.residual, [[0., 0., 0.], [-1., 1., 0.]])
 
     def test_port_dimension_mismatch(self):
         sys = two_mass()
@@ -248,16 +250,16 @@ class TestLowerCouplingBlocks:
     def test_unreproducible_lower_block_fails(self):
         sys = off_diagonal_dissipation_system()
         b1 = -(sys.J - sys.R)[:2, 2:]
-        out = decouple_with_ports(sys, (2, 1), [b1, np.eye(1)], {(0, 1): [[1.]]})
-        assert isinstance(out, VerificationFailure)
-        assert out.pair == (1, 0)
-        assert np.isclose(out.max_residual, 0.8)
+        with pytest.raises(VerificationFailure) as out:
+            decouple_with_ports(sys, (2, 1), [b1, np.eye(1)], {(0, 1): [[1.]]})
+        assert out.value.pair == (1, 0)
+        assert np.isclose(out.value.max_residual, 0.8)
 
     def test_identity_ports_reproduce_both_triangles(self):
         sys = off_diagonal_dissipation_system()
         c12 = (sys.J - sys.R)[:2, 2:]
         net = decouple_with_ports(sys, (2, 1), [np.eye(2), np.eye(1)], {(0, 1): -c12})
-        assert not isinstance(net, VerificationFailure)
+        assert isinstance(net, CoupledNetwork)
         mono = eliminate_ports(build_phdae(net))
         assert np.max(np.abs(mono.J - sys.J)) <= 1e-15
         assert np.max(np.abs(mono.R - sys.R)) <= 1e-15

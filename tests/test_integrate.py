@@ -11,13 +11,14 @@ import phode.integrate
 from phode.core import CallbackPHSystem, LinearPHSystem, SingularFlowError
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             condense_general, condense_skew)
+from phode.decoupling import decouple_auto
 from phode.integrate import (EnergyReport, StepCountError, Trajectory, dynamic_iteration,
                              energy_report, implicit_midpoint, strang_split)
 from phode.models import (PoroelasticParams, TwoMassParams, poroelastic,
                           two_mass, two_mass_network)
 
 from util import (explicit_euler, per_step_dynamic_iteration, random_linear_ph,
-                  random_network, random_skew, rk4_reference)
+                  random_network, random_separable, random_skew, rk4_reference)
 
 X0 = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
 
@@ -266,27 +267,57 @@ class TestDynamicIteration:
                               x0=X0, t1=0.2, dt=0.01)
 
     def test_relation_coupling_rejected(self):
+        # a relation is no longer rejected: M = I, N = C runs as the network
+        # with C, to the same states and outputs
         net = two_mass_network(variant="b")
         relation = CoupledNetwork(net.subsystems,
                                   LinearPortRelation(net.coupling.port_matrices,
                                                      M=np.eye(2), N=net.coupling.C))
-        with pytest.raises(ValueError, match="requires a coupling matrix"):
-            dynamic_iteration(relation, x0=X0, t1=1.0, dt=0.01)
+        a = dynamic_iteration(relation, sweeps=20, x0=X0, t1=1.0, dt=0.01)
+        b = dynamic_iteration(net, sweeps=20, x0=X0, t1=1.0, dt=0.01)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_relation_message_gives_the_coupling_matrix(self):
-        # the refusal says how to get the coupling matrix dynamic_iteration
-        # takes; following it runs the network condense_general condenses
+        # a relation runs with its coupling matrix C = M^-1 N, to the same
+        # states as the network with that C, and to the midpoint solution of
+        # the relation condensed by condense_general
         net = general_coupling_network()
         M = np.diag(np.arange(1.0, net.coupling.C.shape[0] + 1.0))
         rel = LinearPortRelation(net.coupling.port_matrices, M=M, N=M @ net.coupling.C)
         relation = CoupledNetwork(net.subsystems, rel)
-        with pytest.raises(ValueError, match=re.escape("C = M^-1 N")):
-            dynamic_iteration(relation, x0=np.ones(net.n), t1=0.2, dt=0.01)
         coupled = CoupledNetwork(net.subsystems, CouplingSpec(rel.port_matrices,
                                                               np.linalg.solve(rel.M, rel.N)))
-        traj = dynamic_iteration(coupled, sweeps=25, x0=np.ones(net.n), t1=0.2, dt=0.01)
-        ref = implicit_midpoint(condense_general(net), x0=np.ones(net.n), t1=0.2, dt=0.01)
+        traj = dynamic_iteration(relation, sweeps=25, x0=np.ones(net.n), t1=0.2, dt=0.01)
+        same = dynamic_iteration(coupled, sweeps=25, x0=np.ones(net.n), t1=0.2, dt=0.01)
+        assert np.array_equal(traj.x, same.x)
+        ref = implicit_midpoint(condense_general(relation), x0=np.ones(net.n), t1=0.2, dt=0.01)
         assert relative_error(traj.x, ref.x) <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3, 3), (4, 5, 6)], ids=str)
+    def test_fixed_point_of_case_2_split(self, mode, sizes):
+        # off-diagonal dissipation splits into a relation network; its fixed
+        # point is the midpoint trajectory of the system that was split
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        sys = random_separable(rng, sizes)
+        net = decouple_auto(sys, sizes)
+        assert isinstance(net.coupling, LinearPortRelation)
+        x0 = rng.standard_normal(sys.n)
+        ref = implicit_midpoint(sys, x0=x0, t1=1.0, dt=0.01)
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            one = dynamic_iteration(net, mode=mode, window=0.1, sweeps=1, x0=x0, t1=1.0,
+                                    dt=0.01)
+        assert relative_error(one.x, ref.x) > 1e-6   # the coupling matters
+        traj = dynamic_iteration(net, mode=mode, window=0.1, sweeps=20,
+                                 x0=x0, t1=1.0, dt=0.01)
+        assert relative_error(traj.x, ref.x) <= 1e-10
+
+    def test_singular_relation_rejected(self):
+        net = two_mass_network(variant="b")
+        relation = CoupledNetwork(net.subsystems, LinearPortRelation(
+            net.coupling.port_matrices, M=np.zeros((2, 2)), N=net.coupling.C))
+        with pytest.raises(ValueError, match="not eliminable"):
+            dynamic_iteration(relation, x0=X0, t1=1.0, dt=0.01)
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_fixed_point_of_general_coupling(self, mode):

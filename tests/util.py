@@ -51,6 +51,21 @@ def random_network(rng, s=2, max_n=4, max_m=2, implicit=False):
     return CoupledNetwork(subsystems=subs, coupling=CouplingSpec(ports, C))
 
 
+def random_separable(rng, sizes, m=0):
+    """Random valid system with identity E and block-diagonal L = Q over
+    the partition ``sizes``, and J and R without zero blocks: decouple_auto
+    splits it into a relation network (case 2).  The off-diagonal blocks
+    are weak enough (J / n, R / n^2) for waveform relaxation at window 0.1
+    to converge in a few sweeps."""
+    n = sum(sizes)
+    blocks = [rng.standard_normal((k, k)) for k in sizes]
+    Q = coupling._blockdiag([a.T @ a / len(a) + np.eye(len(a)) for a in blocks])
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, m)) if m else np.zeros((n, 0))
+    return LinearPHSystem(E=np.eye(n), J=random_skew(rng, n) / n, R=A.T @ A / n ** 2,
+                          B=B, L=Q)
+
+
 def rk4_reference(sys, x0, t0, t1, dt):
     """Classical fourth-order reference solution (oracle only)."""
     A = np.linalg.solve(sys.E, (sys.J - sys.R) @ sys.L)
