@@ -67,11 +67,12 @@ def _read(path: str, parse):
 def _load(path: str, no_validate: bool, tol: float = 1e-10):
     obj = _read(path, parse_system_text)
     if not no_validate:
-        for sub in _systems_of(obj):
+        for i, sub in enumerate(_systems_of(obj)):
             rep = _validate(sub, tol)
             if not rep.passed:
-                raise CliError(f"{path}: structure validation failed\n{rep.summary()}",
-                               EXIT_VALIDATION)
+                where = "" if isinstance(obj, LinearPHSystem) else f"subsystem {i + 1}: "
+                raise CliError(f"{path}: structure validation failed: {where}"
+                               f"{rep.failures()}", EXIT_VALIDATION)
     return obj
 
 

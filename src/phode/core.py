@@ -128,7 +128,9 @@ class LinearPHSystem:
     def coefficients(self, x=None):
         return self.E, self.J, self.R, self.B, self.P, self.S, self.N
 
+    @cached_property
     def e_rcond(self) -> float:
+        """Reciprocal condition estimate of E (one SVD, computed once)."""
         return _rcond(self.E)
 
 
@@ -205,20 +207,37 @@ class StructureReport:
         informational: descriptor systems are structurally valid)."""
         return self.skew_ok and self.psd_ok and self.compat_ok
 
-    def summary(self) -> str:
-        rows = [
+    def _rows(self) -> list:
+        """(name, ok, figure) of the three structural checks, then E regular."""
+        return [
             ("Gamma skew-symmetric", self.skew_ok, f"max violation {self.skew_violation:.3e}"),
             ("W positive semidefinite", self.psd_ok, f"min eigenvalue {self.min_eigenvalue:.3e}"),
             ("gradient compatibility", self.compat_ok, f"max residual {self.compat_residual:.3e}"),
             ("E regular", self.e_regular, f"rcond {self.e_rcond:.3e}"),
         ]
-        return "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in rows)
+
+    def summary(self) -> str:
+        return "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+                         for name, ok, detail in self._rows())
+
+    def failures(self) -> str:
+        """The failed structural checks with their figures, on one line."""
+        return "; ".join(f"{name}: {detail}" for name, ok, detail in self._rows()[:3] if not ok)
+
+
+def _block2(a, b, c, d) -> np.ndarray:
+    """The block matrix [[a, b], [c, d]] of square a and d, as ``np.block``
+    builds it, by slice assignment; a alone when d is empty."""
+    if not d.size:
+        return a
+    n = len(a)
+    out = np.empty((n + len(d),) * 2)
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a, b, c, d
+    return out
 
 
 def _gamma_w(E, J, R, B, P, S, N):
-    gamma = np.block([[J, B], [-B.T, N]]) if B.shape[1] else J
-    w = np.block([[R, P], [P.T, S]]) if B.shape[1] else R
-    return gamma, w
+    return _block2(J, B, -B.T, N), _block2(R, P, P.T, S)
 
 
 def _skew_violation(a: np.ndarray) -> float:
@@ -240,7 +259,7 @@ def _scaled(mats) -> tuple:
     overflows; below 2 nothing is scaled."""
     top = max((float(np.max(np.abs(a))) for a in mats if a.size), default=0.0)
     s = 2.0 ** max(math.frexp(top)[1] - 1, 0)
-    return [a / s for a in mats], s
+    return ([a / s for a in mats] if s > 1 else list(mats)), s
 
 
 def _psd_check(ws, tol: float = 1e-10) -> tuple:
@@ -261,8 +280,9 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
 
     For callback systems the checks are run at every sample state and the
     compatibility residual uses a central finite-difference gradient.
-    Gamma and W are checked divided by a power of two (see ``_scaled``),
-    so entries up to the largest float cannot overflow the checks.
+    Gamma, W and Q = E^T L are checked divided by a power of two (see
+    ``_scaled``), so entries up to the largest float cannot overflow the
+    checks.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -285,11 +305,22 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
     psd_ok, min_eig = _psd_check(ws, tol)
 
     if sys.is_linear:
-        # exact identity Q x = E^T L x requires E^T L symmetric
-        q = sys.Q
-        compat_res = float(np.max(np.abs(q - q.T))) if q.size else 0.0
-        compat_ok = compat_res <= tol * (1.0 + np.max(np.abs(q), initial=0.0))
-        rc = sys.e_rcond()
+        # exact identity Q x = E^T L x requires E^T L symmetric; checked on Q
+        # divided by a power of two, formed from E and L divided by theirs
+        # where Q itself leaves the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = sys.Q
+        if np.isfinite(q).all():
+            (q,), es = _scaled([q])
+            ls = 1.0
+        else:
+            (e,), es = _scaled([sys.E])
+            (el,), ls = _scaled([sys.L])
+            q = e.T @ el
+        res = float(np.max(np.abs(q - q.T))) if q.size else 0.0
+        compat_ok = res <= tol * (1.0 / es / ls + np.max(np.abs(q), initial=0.0))
+        compat_res = res * es * ls
+        rc = sys.e_rcond
     else:
         compat_res = 0.0
         rc = np.inf
@@ -346,7 +377,7 @@ def port_power(coeffs, z, u):
     formula behind every energy balance in the package.
     """
     E, J, R, B, P, S, N = coeffs
-    w = _gamma_w(E, J, R, B, P, S, N)[1]
+    w = _block2(R, P, P.T, S)
     zu = np.concatenate([z, u], axis=-1)
     y = z @ (B + P) + u @ (S - N).T
     return np.sum(u * y, axis=-1) - np.sum((zu @ w) * zu, axis=-1)

@@ -141,14 +141,6 @@ def _inputs(u, m: int, times: np.ndarray) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(len(times), m)
 
 
-def _forcing(u, u_in: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Forcing rows ``u_in @ drive``; without an input a read-only view of
-    zeros of the same shape, which holds no memory."""
-    if u is None:
-        return np.broadcast_to(0.0, (len(u_in), drive.shape[1]))
-    return u_in @ drive
-
-
 def _finalize(sys, t, xs, us, method, u_mid) -> Trajectory:
     if sys.is_linear:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -176,35 +168,48 @@ def _propagator(sys: LinearPHSystem, method: str, dt: float):
     A midpoint step of E xdot = A x + f is Phi = (E - h/2 A)^-1 (E + h/2 A),
     Gamma = h (E - h/2 A)^-1, from one LU.  "strang" composes a half
     dissipative step D, a conservative step C and another D into
-    Phi = D C D, Gamma = D Gamma_C.
+    Phi = D C D, Gamma = D Gamma_C.  Phi is C-contiguous, as ``_propagate``
+    steps it.
     """
     n = sys.n
 
     def midpoint(A, h):
         minus = sys.E - 0.5 * h * A
+        if not np.isfinite(minus).all():
+            raise FloatingPointError("implicit step matrix leaves the floating-point range")
         if _rcond(minus) <= E_RCOND_MIN:
             raise SingularFlowError("singular implicit step matrix")
         sol = np.linalg.solve(minus, np.hstack([sys.E + 0.5 * h * A, h * np.eye(n)]))
-        return sol[:, :n], sol[:, n:]
+        # copies: Phi C-contiguous, and no run keeps the whole solution
+        return sol[:, :n].copy(), sol[:, n:].copy()
 
-    if method == "midpoint":
-        return midpoint((sys.J - sys.R) @ sys.L, dt)
-    if method == "strang":
-        diss, _ = midpoint(-sys.R @ sys.L, 0.5 * dt)
-        cons, gamma = midpoint(sys.J @ sys.L, dt)
-        return diss @ cons @ diss, diss @ gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "midpoint":
+            return midpoint((sys.J - sys.R) @ sys.L, dt)
+        if method == "strang":
+            diss, _ = midpoint(-sys.R @ sys.L, 0.5 * dt)
+            cons, gamma = midpoint(sys.J @ sys.L, dt)
+            return diss @ cons @ diss, diss @ gamma
     raise ValueError(f"unknown inner integrator {method!r}")
 
 
-def _propagate(phi: np.ndarray, x0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """States x_0..x_k of x_{j+1} = Phi x_j + g_j, one row of g per step.
-    x0 may also be a matrix, stepped column by column.  Overflow is left to
-    the caller, which silences its warnings (``_finalize`` rejects
-    non-finite trajectories)."""
-    xs = np.empty((len(g) + 1,) + x0.shape)
+def _propagate(phi: np.ndarray, x0: np.ndarray, steps: int, g=None) -> np.ndarray:
+    """States x_0..x_steps of x_{j+1} = Phi x_j + g_j, one row of g per step
+    (no forcing where g is None), stepped in place: the bits, signed zeros
+    included, are those of ``phi @ x + g``.  x0 may also be a matrix, stepped
+    column by column.  Phi is C-contiguous (``np.dot`` copies any other
+    layout on every call).  Overflow is left to the caller, which silences
+    its warnings (``_finalize`` rejects non-finite trajectories)."""
+    xs = np.empty((steps + 1,) + x0.shape)
     xs[0] = x0
-    for j in range(len(g)):
-        xs[j + 1] = phi @ xs[j] + g[j]
+    for j in range(steps):
+        np.dot(phi, xs[j], out=xs[j + 1])
+        if g is not None:
+            xs[j + 1] += g[j]
+    # np.dot of one-element operands is their plain product, which can be
+    # -0.0 where phi @ x is +0.0; adding +0.0 makes every zero +0.0, as each
+    # step of phi @ x + g does, and changes no other value
+    xs[1:] += 0.0
     return xs
 
 
@@ -216,14 +221,15 @@ def _initial_state(x0, n: int) -> np.ndarray:
 
 
 def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
-    if _rcond(sys.E) <= E_RCOND_MIN:
+    if sys.e_rcond <= E_RCOND_MIN:
         raise SingularFlowError("descriptor system: integrate unsupported (singular E)")
     x = _initial_state(x0, sys.n)
     t = _time_grid(t0, t1, dt, _per_step(sys.n, sys.m))
     phi, gamma = _propagator(sys, method, dt)
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = _propagate(phi, x, _forcing(u, u_mid, (gamma @ (sys.B - sys.P)).T))
+        g = None if u is None else u_mid @ (gamma @ (sys.B - sys.P)).T
+        xs = _propagate(phi, x, len(u_mid), g)
     return _finalize(sys, t, xs, _inputs(u, sys.m, t), method, u_mid)
 
 
@@ -328,8 +334,8 @@ def _lifted_maps(phi: np.ndarray, gain: np.ndarray, q: int):
     n, p = gain.shape
     c = _chunk_steps(q, n, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _propagate(phi, phi, np.zeros((c - 1, n, n)))
-        resp = _propagate(phi, gain, np.zeros((c - 1, n, p)))
+        powers = _propagate(phi, phi, c - 1)
+        resp = _propagate(phi, gain, c - 1)
     carry_map = powers.transpose(2, 0, 1).reshape(n, c * n)
     resp = resp.transpose(2, 0, 1).reshape(p, c * n)
     wave_map = np.zeros((c * p, c * n))
@@ -350,7 +356,7 @@ def _coupling_response(v: np.ndarray, lifted) -> np.ndarray:
     # and the start state of each chunk carried into the states inside it
     x = v[:, :f * c].reshape(b, f, c * p) @ wave_map
     if f > 1:
-        ends = _propagate(phi_c, x[:, 0, -n:].T, x[:, 1:, -n:].transpose(1, 2, 0))
+        ends = _propagate(phi_c, x[:, 0, -n:].T, f - 1, x[:, 1:, -n:].transpose(1, 2, 0))
         ends = ends.transpose(2, 0, 1)
         x[:, 1:, :-n] += ends[:, :-1] @ carry_map[:, :-n]
         x[:, :, -n:] = ends
@@ -404,8 +410,9 @@ def _window_maps(props, state_sl, drive, inputs: int, q: int, sweep: dict):
     unit = np.eye(basis)
     xw = np.empty((basis, q + 1, n))
     xw[:, 0] = unit[:, :n]
-    g = unit[:, n:].reshape(basis, q, -1) @ drive if inputs else np.zeros((basis, q, n))
-    free = [_propagate(phi, xw[:, 0, sl].T, g[:, :, sl].transpose(1, 2, 0))[1:]
+    g = unit[:, n:].reshape(basis, q, -1) @ drive if inputs else None
+    free = [_propagate(phi, xw[:, 0, sl].T, q,
+                       None if g is None else g[:, :, sl].transpose(1, 2, 0))[1:]
             .transpose(2, 0, 1) for (phi, _), sl in zip(props, state_sl)]
     used, coupled = _window_sweeps(xw, free, **sweep)
     return (xw[:, 1:].reshape(basis, -1),
@@ -511,16 +518,21 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     with np.errstate(over="ignore", invalid="ignore"):
         if mapped:
             state_map, check_map = _window_maps(props, state_sl, drive, inputs, q, sweep)
-            x_map, driven = state_map[:n], _forcing(u, u_win, state_map[n:])
+            x_map = state_map[:n]
+            driven = None if u is None else u_win @ state_map[n:]
             for w in range(windows):
-                xs[w * q + 1:(w + 1) * q + 1] = (xs[w * q] @ x_map + driven[w]).reshape(q, n)
+                win = xs[w * q] @ x_map
+                if driven is not None:
+                    win += driven[w]
+                xs[w * q + 1:(w + 1) * q + 1] = win.reshape(q, n)
             checks = (np.hstack([xs[:-1:q], u_win]) @ check_map).reshape(windows, 2, q, ports)
         else:
-            ext = _forcing(u, u_mid, drive)
+            ext = None if u is None else u_mid @ drive
             checks = np.empty((windows, 2, q, ports))
             for w in range(windows):
                 win = xs[w * q:(w + 1) * q + 1]
-                free = [_propagate(phi, win[0, sl], ext[w * q:(w + 1) * q, sl])[1:]
+                free = [_propagate(phi, win[0, sl], q,
+                                   None if ext is None else ext[w * q:(w + 1) * q, sl])[1:]
                         for (phi, _), sl in zip(props, state_sl)]
                 used, coupled = _window_sweeps(win[None], [f[None] for f in free], **sweep)
                 checks[w, 0], checks[w, 1] = used[0], coupled[0]
@@ -553,7 +565,8 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem) -> EnergyReport:
     input acts, monotone decay of the Hamiltonian is additionally flagged.
     The identity is that of the implicit midpoint rule: a Strang trajectory
     of a system with R != 0 misses it by O(dt^3) per step (the splitting
-    defect), so its residuals are not round-off.
+    defect), so its residuals are not round-off.  A residual that leaves
+    the float range raises ``FloatingPointError``.
     """
     if not sys.is_linear:
         raise TypeError("energy accounting is defined for linear-constant systems")
@@ -567,11 +580,16 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem) -> EnergyReport:
     coeffs, x, u = sys.coefficients(), traj.x, traj.u
     rate = np.empty(k)
     rows = max(1, _REPORT_BLOCK_VALUES // max(1, sys.n + sys.m))
-    for a in range(0, k, rows):
-        b = min(a + rows, k)
-        um = traj.u_mid[a:b] if traj.u_mid is not None else 0.5 * (u[a + 1:b + 1] + u[a:b])
-        rate[a:b] = port_power(coeffs, 0.5 * (x[a + 1:b + 1] + x[a:b]) @ sys.L.T, um)
-    res = np.abs(np.diff(traj.H) - np.diff(traj.t) * rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, k, rows):
+            b = min(a + rows, k)
+            um = traj.u_mid[a:b] if traj.u_mid is not None else 0.5 * (u[a + 1:b + 1] + u[a:b])
+            rate[a:b] = port_power(coeffs, 0.5 * (x[a + 1:b + 1] + x[a:b]) @ sys.L.T, um)
+        res = np.abs(np.diff(traj.H) - np.diff(traj.t) * rate)
+    bad = ~np.isfinite(res)
+    if bad.any():
+        raise FloatingPointError(f"the energy balance of step {int(np.argmax(bad)) + 1} "
+                                 "leaves the floating-point range")
     diss_ok = True
     if not driven:
         diss_ok = bool(np.all(np.diff(traj.H) <= 1e-12 * (1.0 + np.abs(traj.H[:-1]))))

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 import phode.cli
+import phode.core
 import phode.coupling
+import phode.integrate
 from phode.cli import main
 from phode.coupling import condense_general, condense_skew
 from phode.fileio import dump_document, parse_system_text, read_trajectory, write_trajectory
 from phode.integrate import dynamic_iteration, energy_report
 from phode.models import two_mass
 
-from util import random_separable
+from util import random_linear_ph, random_separable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_MASS = str(FIXTURES / "two_mass.json")
@@ -288,7 +290,62 @@ class TestPipeline:
         assert not out.exists()
 
 
+class TestLoadCheck:
+    # R = diag(1, -1) makes W indefinite; the network holds it as subsystem 2
+    SYSTEM = {"n": 2, "J": [[0., 0.], [0., 0.]], "R": [[1., 0.], [0., -1.]]}
+    FAILED = "structure validation failed: W positive semidefinite: min eigenvalue -1.000e+00"
+
+    def documents(self, tmp_path):
+        bad = write_json(tmp_path / "bad.json", self.SYSTEM)
+        sub = {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]}
+        net = write_json(tmp_path / "net.json", {
+            "kind": "network", "subsystems": [sub, self.SYSTEM],
+            "coupling": {"type": "skew", "ports": [[[1.]], [[1.], [0.]]],
+                         "C": [[0., 1.], [-1., 0.]]}})
+        return bad, net
+
+    @pytest.mark.parametrize("command", ["condense", "decouple", "simulate", "cosim",
+                                         "report"])
+    def test_one_line_exit_2_no_file(self, tmp_path, capsys, command):
+        bad, net = self.documents(tmp_path)
+        out = tmp_path / "out"
+        traj = str(tmp_path / "traj.csv")
+        assert main(["simulate", bad, "--x0=1,1", "--t1", "0.1", "--no-validate",
+                     "-o", traj]) == 0
+        argv, path, where = {
+            "condense": (["condense", net, "-o", str(out)], net, "subsystem 2: "),
+            "decouple": (["decouple", bad, "--partition", "1,1", "-o", str(out)], bad, ""),
+            "simulate": (["simulate", bad, "--x0=1,1", "-o", str(out)], bad, ""),
+            "cosim": (["cosim", net, "--x0=1,1,1", "-o", str(out)], net, "subsystem 2: "),
+            "report": (["report", traj, bad], bad, ""),
+        }[command]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        failed = self.FAILED.replace("W positive", where + "W positive")
+        assert err == f"phode: {path}: {failed}\n" and stdout == ""
+        assert not out.exists()
+
+
 class TestSimulateAndReport:
+    def test_one_svd_of_e_per_simulate(self, tmp_path, monkeypatch):
+        # the load check and the run share the rcond of E, computed once
+        calls = []
+        rcond = phode.core._rcond
+
+        def spy(mat):
+            calls.append(mat)
+            return rcond(mat)
+
+        monkeypatch.setattr(phode.core, "_rcond", spy)
+        monkeypatch.setattr(phode.integrate, "_rcond", spy)
+        sys = random_linear_ph(np.random.default_rng(3), n=4, m=1, implicit=True)
+        src = tmp_path / "sys.json"
+        src.write_text(dump_document(sys))
+        E = parse_system_text(src.read_text()).E
+        assert main(["simulate", str(src), "--x0=1,0,0,0", "--t1", "0.1",
+                     "-o", str(tmp_path / "traj.csv")]) == 0
+        assert len(calls) > 1 and sum(np.array_equal(mat, E) for mat in calls) == 1
+
     def test_simulate_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "traj.csv")
         assert main(["simulate", TWO_MASS, "--x0", "1,0.5,-0.3,0.2,0.4",

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem,
+from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem, _gamma_w,
                         eval_dynamics, power_balance_residual,
                         validate_structure)
 from phode.models import TwoMassParams, two_mass
@@ -71,10 +73,33 @@ class TestValidateStructure:
         S = S - S.T
         J = S.copy()
         J[0, 0] = t * tol * (1.0 / scale + np.max(np.abs(S))) / 2.0
-        rep = validate_structure(make(J=scale * J, R=0.5 * (R + R.T)), tol=tol)
-        assert rep.psd_ok == rep.skew_ok == (t < 1.0)
+        # E^T L = big^2 (Q0 + K) with one off-diagonal entry in K, for the
+        # rule residual <= tol (1 + max|Q|); at big = 1e300 Q leaves the
+        # float range, and the check forms it from E and L divided by powers
+        # of two
+        big = 10.0 ** abs(exponent)
+        Q0 = V @ np.diag([1.0, 2.0, 3.0]) @ V.T
+        Q0 = 0.5 * (Q0 + Q0.T)
+        K = np.zeros((3, 3))
+        K[0, 1] = t * tol * (1.0 / (big * big) + np.max(np.abs(Q0)))
+        rep = validate_structure(make(J=scale * J, R=0.5 * (R + R.T), E=big * V,
+                                      L=big * (V @ (Q0 + K))), tol=tol)
+        assert rep.psd_ok == rep.skew_ok == rep.compat_ok == (t < 1.0)
         assert rep.min_eigenvalue == pytest.approx(scale * mu, rel=1e-4)
         assert rep.skew_violation == pytest.approx(2.0 * scale * J[0, 0], rel=1e-12)
+        assert rep.compat_residual == pytest.approx(big * big * K[0, 1], rel=1e-4)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_gamma_and_w_are_those_of_np_block(self, m):
+        # zeros in B make -0.0 entries in -B^T
+        sys = random_linear_ph(np.random.default_rng(m), n=4, m=m, feedthrough=m > 0)
+        B = sys.B.copy()
+        B[:, :1] = 0.0
+        E, J, R, B, P, S, N = coeffs = dataclasses.replace(sys, B=B).coefficients()
+        blocks = ([[J, B], [-B.T, N]], [[R, P], [P.T, S]]) if m else (J, R)
+        for got, want in zip(_gamma_w(*coeffs), map(np.block, blocks)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want))
 
     def test_idempotent_and_deterministic(self):
         sys = two_mass()

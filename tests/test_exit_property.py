@@ -6,6 +6,10 @@ N, skew and general coupling matrices, regular and singular relations
 and entries from 1e-300 to 1e300.  When a command exits 0, the document
 it wrote passes ``phode validate`` and re-reads to the arrays the library
 computes; otherwise stderr holds exactly one line and no file is written.
+``phode simulate`` runs on such systems: on exit 0 its CSV passes ``phode
+report`` and re-reads to the states of the library's run.  Documents that
+fail the structure check go through every command that loads one: each
+exits 2 with one line and writes no file.
 """
 
 import contextlib
@@ -21,7 +25,8 @@ from phode.core import LinearPHSystem
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_phdae,
                             condense_general, condense_skew)
 from phode.decoupling import decouple_auto
-from phode.fileio import dump_document, parse_system_text
+from phode.fileio import dump_document, parse_system_text, read_trajectory
+from phode.integrate import implicit_midpoint, strang_split
 
 from util import plain_document, random_linear_ph, random_separable, random_skew
 
@@ -134,3 +139,84 @@ def test_exit_0_means_the_output_is_valid(case):
             parsed = parse_system_text(src.read_text())
             check(["decouple", str(src), "--partition", ",".join(map(str, sizes))],
                   tmp / "out.json", lambda: decouple_auto(parsed, sizes))
+
+
+@st.composite
+def systems(draw, n=st.integers(1, 3)):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sys = random_linear_ph(rng, n=draw(n), m=draw(st.integers(0, 2)),
+                           implicit=draw(st.booleans()), feedthrough=draw(st.booleans()))
+    return scaled(sys, 10.0 ** draw(EXPONENTS), 10.0 ** draw(EXPONENTS)), rng
+
+
+def x0_arg(x0):
+    return "--x0=" + ",".join(repr(float(v)) for v in x0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(systems(), st.sampled_from([("midpoint", implicit_midpoint),
+                                   ("strang", strang_split)]), EXPONENTS)
+def test_simulate_exit_0_means_the_csv_is_valid(case, method, x_exponent):
+    (sys, rng), (name, integrate) = case, method
+    x0 = 10.0 ** x_exponent * rng.standard_normal(sys.n)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.json", Path(tmp) / "out.csv"
+        src.write_text(dump_document(sys))
+        code, err = run(["simulate", str(src), x0_arg(x0), "--t1", "0.05", "--dt", "0.01",
+                         "--method", name, "-o", str(out)])
+        if code == 0:
+            assert err == ""
+            assert run(["report", str(out), str(src)]) == (0, "")
+            traj = integrate(parse_system_text(src.read_text()), x0=x0, t1=0.05, dt=0.01)
+            assert np.array_equal(read_trajectory(out.read_text())[1], traj.x)
+        else:
+            assert err.startswith("phode: ") and err.count("\n") == 1, err
+            assert not out.exists()
+
+
+def broken(sys, defect):
+    """``sys`` with one structural check made to fail by a margin far
+    beyond the tolerance at any scale of its entries."""
+    n, k = sys.n, {a: getattr(sys, a) for a in ("E", "J", "R", "B", "L", "P", "S", "N")}
+    if defect == "skew":
+        k["J"] = sys.J + (1.0 + max(np.max(np.abs(a), initial=0.0)
+                                    for a in (sys.J, sys.B, sys.N))) * np.eye(n)
+    elif defect == "psd":
+        # w bounds ||W||_2 from above
+        w = (n + sys.m) * max(np.max(np.abs(a), initial=0.0) for a in (sys.R, sys.P, sys.S))
+        k["R"] = sys.R - (1.0 + 2.0 * w) * np.eye(n)
+    else:   # E^T L = Q + c K with K skew
+        K = np.zeros((n, n))
+        K[0, 1], K[1, 0] = 1.0, -1.0
+        k["L"] = sys.L + (1.0 + np.max(np.abs(sys.Q))) * np.linalg.solve(sys.E.T, K)
+    return LinearPHSystem(**k)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(systems(n=st.integers(2, 3)), st.sampled_from(["skew", "psd", "compat"]),
+       st.integers(0, 1))
+def test_a_document_failing_the_load_check_exits_2_on_one_line(case, defect, position):
+    (sys, rng), n = case, case[0].n
+    bad = broken(sys, defect)
+    subs = [random_linear_ph(rng, n=2, m=0)]
+    subs.insert(position, bad)
+    ports = tuple(rng.standard_normal((sub.n, 1)) for sub in subs)
+    net = CoupledNetwork(tuple(subs), CouplingSpec(ports, random_skew(rng, 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, net_doc, csv, out = (Path(tmp) / f for f in ("sys.json", "net.json", "traj.csv",
+                                                           "out"))
+        doc.write_text(dump_document(bad))
+        net_doc.write_text(dump_document(net))
+        csv.write_text(",".join(["t", *(f"x{i + 1}" for i in range(n)), "H",
+                                 "balance_residual"]) + "\n" + ",".join(["0"] * (n + 3)) + "\n")
+        where = f"subsystem {position + 1}: "
+        for argv, path, prefix in (
+                (["condense", net_doc, "-o", out], net_doc, where),
+                (["cosim", net_doc, x0_arg(np.ones(n + 2)), "-o", out], net_doc, where),
+                (["decouple", doc, "--partition", f"1,{n - 1}", "-o", out], doc, ""),
+                (["simulate", doc, x0_arg(np.ones(n)), "-o", out], doc, ""),
+                (["report", csv, doc], doc, "")):
+            code, err = run([str(a) for a in argv])
+            assert code == 2 and err.count("\n") == 1, (argv[0], err)
+            assert err.startswith(f"phode: {path}: structure validation failed: {prefix}"), err
+            assert not out.exists()

@@ -630,6 +630,15 @@ class TestEnergyReport:
         assert euler_rep.max_residual > 100 * mid_rep.max_residual
         assert euler_rep.max_residual < 1e-2  # O(dt), not garbage
 
+    def test_balance_beyond_the_float_range_raises(self):
+        # H stays below the largest float, z^T R z at the midpoint does not
+        sys = LinearPHSystem(E=np.eye(1), J=np.zeros((1, 1)), R=[[0.0175]],
+                             B=np.zeros((1, 0)), L=[[141.0]])
+        traj = implicit_midpoint(sys, x0=[1e153], t1=0.02, dt=0.01)
+        assert np.isfinite(traj.H).all()
+        with pytest.raises(FloatingPointError, match="energy balance of step 1"):
+            energy_report(traj, sys)
+
     def test_empty_trajectory(self):
         sys = two_mass()
         traj = Trajectory(t=np.zeros(1), x=np.zeros((1, 5)),
@@ -730,6 +739,29 @@ class TestPropagator:
         ref = lu_step_reference(sys, method, x0, u, 0.01, 200)
         assert np.max(np.abs(traj.x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("start", ["random", "zero"])
+    @pytest.mark.parametrize("cols", [None, 1, 3], ids=["vector", "1-column", "3-column"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_propagate_gives_the_bits_of_the_recursion(self, n, cols, start, forced):
+        # in-place stepping against x_{j+1} = phi @ x_j + g_j (zero rows
+        # where nothing forces), np.signbit included: a zero start and a
+        # negative Phi make -0.0 products, and some forcing rows are -0.0
+        rng = np.random.default_rng(n)
+        shape = (n,) if cols is None else (n, cols)
+        phi = rng.standard_normal((n, n))
+        phi[0, 0] = -abs(phi[0, 0])
+        x0 = rng.standard_normal(shape) if start == "random" else np.zeros(shape)
+        g = rng.standard_normal((6,) + shape)
+        g[::2] = -0.0
+        rows = g if forced else np.broadcast_to(0.0, g.shape)
+        ref = [x0]
+        for j in range(6):
+            ref.append(phi @ ref[-1] + rows[j])
+        ref = np.array(ref)
+        xs = phode.integrate._propagate(phi, x0, 6, g if forced else None)
+        assert np.array_equal(xs, ref) and np.array_equal(np.signbit(xs), np.signbit(ref))
+
     def test_h_column_is_quadratic_form(self):
         rng = np.random.default_rng(6)
         sys = random_linear_ph(rng, n=12, m=0, implicit=True)
@@ -755,6 +787,14 @@ class TestPropagator:
             implicit_midpoint(sys, x0=[1e200], t1=10.0, dt=0.01)
         with pytest.raises(FloatingPointError):
             implicit_midpoint(two_mass(), x0=[np.nan, 0, 0, 0, 0], t1=0.1, dt=0.01)
+
+    @pytest.mark.parametrize("run", [implicit_midpoint, strang_split])
+    def test_step_matrix_beyond_the_float_range_raises(self, run):
+        # R L = 2.5e308 overflows; no NumPy warning on the way
+        sys = LinearPHSystem(E=np.eye(1), J=np.zeros((1, 1)), R=[[1.7e8]],
+                             B=np.zeros((1, 0)), L=[[1.5e300]])
+        with pytest.raises(FloatingPointError, match="step matrix"):
+            run(sys, x0=[1.0], t1=0.1, dt=0.01)
 
 
 class TestFeedthroughBalance:

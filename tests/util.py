@@ -123,7 +123,7 @@ def per_step_dynamic_iteration(net, mode="jacobi", window=0.1, sweeps=5,
             for (phi, _), sl, psl in zip(props, state_sl, port_sl):
                 uh = -(src @ C[psl].T)
                 g = 0.5 * (uh[:-1] + uh[1:]) @ port_gain[sl, psl].T + ext[k0:k0 + q, sl]
-                block = _propagate(phi, win[0, sl], g)
+                block = _propagate(phi, win[0, sl], q, g)
                 win[:, sl] = block
                 waves[:, psl] = block @ out_map[sl, psl]
     return xs
