@@ -19,7 +19,6 @@ from .coupling import (
     CoupledNetwork,
     CouplingSpec,
     LinearPortRelation,
-    PHDAESystem,
     StructureFailure,
     build_phdae,
     condense_general,
@@ -27,14 +26,12 @@ from .coupling import (
     eliminate_ports,
 )
 from .decoupling import (
-    BlockView,
     LinearTransform,
     Partition,
     VerificationFailure,
     apply_transform,
     decouple_auto,
     decouple_with_ports,
-    partition_blocks,
 )
 from .integrate import (
     EnergyReport,
@@ -48,7 +45,6 @@ from .integrate import (
 from . import models
 
 __all__ = [
-    "BlockView",
     "CallbackPHSystem",
     "CoupledNetwork",
     "CouplingSpec",
@@ -57,7 +53,6 @@ __all__ = [
     "LinearPHSystem",
     "LinearPortRelation",
     "LinearTransform",
-    "PHDAESystem",
     "Partition",
     "SingularFlowError",
     "StepCountError",
@@ -77,7 +72,6 @@ __all__ = [
     "eval_dynamics",
     "implicit_midpoint",
     "models",
-    "partition_blocks",
     "port_power",
     "power_balance_residual",
     "strang_split",

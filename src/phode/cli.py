@@ -18,8 +18,8 @@ import numpy as np
 from .core import LinearPHSystem, SingularFlowError, validate_structure
 # no command calls eliminate_ports (condense_general takes relation
 # networks); it stays here for perfbench/tracing.py, which wraps it
-from .coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, PHDAESystem,
-                       build_phdae, condense_general, condense_skew, coupling_matrix,
+from .coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_phdae,
+                       condense_general, condense_skew, coupling_matrix,
                        eliminate_ports)  # noqa: F401
 from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
@@ -84,13 +84,7 @@ def _validate(sub, tol: float):
 
 
 def _systems_of(obj):
-    if isinstance(obj, LinearPHSystem):
-        return [obj]
-    if isinstance(obj, CoupledNetwork):
-        return list(obj.subsystems)
-    if isinstance(obj, PHDAESystem):
-        return list(obj.network.subsystems)
-    return []
+    return list(obj.subsystems) if isinstance(obj, CoupledNetwork) else [obj]
 
 
 # characters handed to one write call: each slice is copied and encoded on
@@ -131,8 +125,7 @@ def _cmd_validate(args):
 
 
 def _cmd_condense(args):
-    obj = _load(args.network, args.no_validate)
-    net = obj.network if isinstance(obj, PHDAESystem) else obj
+    net = _load(args.network, args.no_validate)
     if not isinstance(net, CoupledNetwork):
         raise CliError(f"{args.network}: expected a network document")
     if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
@@ -143,7 +136,8 @@ def _cmd_condense(args):
     except ValueError as exc:
         # a singular M, a non-skew C in skew mode or a StructureFailure
         raise CliError(str(exc), EXIT_VALIDATION)
-    _write(args.output, dump_document(result))
+    kind = "phdae" if args.mode == "phdae" else None
+    _write(args.output, dump_document(result, kind=kind))
     return EXIT_OK
 
 
@@ -230,10 +224,11 @@ def _cmd_cosim(args):
         raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
     except ValueError as exc:
         raise CliError(str(exc))
-    for w in caught:
-        print(f"phode: warning: {w.message}", file=_sys.stderr)
     rep = energy_report(traj, mono)
     _write(args.output, write_trajectory(traj, rep))
+    # after the write, so that a failure stays the one line on stderr
+    for w in caught:
+        print(f"phode: warning: {w.message}", file=_sys.stderr)
     return EXIT_OK
 
 

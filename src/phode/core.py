@@ -360,7 +360,7 @@ def eval_dynamics(sys: PHSystem, x, u=None):
         raise DimensionError(f"state must have length {sys.n}, got {x.shape}")
     u = _check_input(sys, u)
     E, J, R, B, P, S, N = sys.coefficients(x)
-    if _rcond(E) <= E_RCOND_MIN:
+    if (sys.e_rcond if sys.is_linear else _rcond(E)) <= E_RCOND_MIN:
         raise SingularFlowError("descriptor system: integrate unsupported (singular E)")
     z = np.asarray(sys.effort(x), dtype=float)
     rhs = (J - R) @ z + (B - P) @ u

@@ -142,15 +142,6 @@ class StructureFailure(ValueError):
         return f"{self.message} (min eigenvalue {self.min_eigenvalue:.3e})"
 
 
-@dataclass(frozen=True)
-class PHDAESystem:
-    """A network coupled by a linear port relation M u_hat + N y_hat = 0,
-    kept uncondensed: a ``"kind": "phdae"`` document, condensed by
-    :func:`eliminate_ports`."""
-
-    network: CoupledNetwork
-
-
 def _stack(net: CoupledNetwork) -> LinearPHSystem:
     """The subsystems of a network stacked block-diagonally, uncoupled: the
     monolithic system for C = 0.  The Hamiltonian is the sum of the
@@ -185,13 +176,17 @@ def _couple(net: CoupledNetwork, C: np.ndarray) -> LinearPHSystem:
 def coupling_matrix(net: CoupledNetwork) -> np.ndarray:
     """The coupling matrix C of the law u_hat + C y_hat = 0: the network's
     C, or C = M^{-1} N for a relation M u_hat + N y_hat = 0 with square
-    regular M (otherwise a ValueError)."""
+    regular M (otherwise a ValueError; a FloatingPointError when M^{-1} N
+    overflows)."""
     rel = net.coupling
     if isinstance(rel, CouplingSpec):
         return rel.C
     if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= 1e-12:
         raise ValueError("general relation not eliminable: M must be square and regular")
-    return np.linalg.solve(rel.M, rel.N)
+    C = np.linalg.solve(rel.M, rel.N)
+    if not np.all(np.isfinite(C)):
+        raise FloatingPointError("coupling matrix is not finite: M^-1 N overflows")
+    return C
 
 
 def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
@@ -201,14 +196,17 @@ def condense_skew(net: CoupledNetwork) -> LinearPHSystem:
     The monolithic structure matrix is blockdiag(J_i) - Bhat C Bhat^T;
     flow, dissipation, external ports with their feedthrough P, S, N and
     effort stay block-diagonal and the Hamiltonian is the sum of the
-    subsystem Hamiltonians.  Structure is preserved by construction, so
-    no semidefiniteness check runs.
+    subsystem Hamiltonians.  An exactly skew C preserves structure by
+    construction, so no semidefiniteness check runs.  A C that is skew
+    only to the tolerance adds its symmetric remainder, scaled by the
+    ports, to R, and W is checked as in :func:`condense_general`.
     """
     C = coupling_matrix(net)
     if not _is_skew(C):
         raise ValueError("coupling matrix is not skew-symmetric; use condense_general "
                          "(phode condense --mode general)")
-    return _couple(net, C)
+    mono = _couple(net, C)
+    return mono if np.array_equal(C, -C.T) else _require_psd_w(mono)
 
 
 def condense_general(net: CoupledNetwork) -> LinearPHSystem:
@@ -222,21 +220,28 @@ def condense_general(net: CoupledNetwork) -> LinearPHSystem:
     the network has no monolithic pH system under this coupling, and a
     :class:`StructureFailure` with the least eigenvalue of W is raised.
     """
-    mono = _couple(net, coupling_matrix(net))
+    return _require_psd_w(_couple(net, coupling_matrix(net)))
+
+
+def _require_psd_w(mono: LinearPHSystem) -> LinearPHSystem:
+    """``mono``, or a :class:`StructureFailure` when its W fails the
+    semidefiniteness check of :func:`~phode.core.validate_structure`."""
     ok, lam = _psd_check([_gamma_w(*mono.coefficients())[1]])
     if not ok:
         raise StructureFailure("assembled W = [[R, P], [P^T, S]] is indefinite", lam)
     return mono
 
 
-def build_phdae(net: CoupledNetwork) -> PHDAESystem:
-    """Mark a network with a linear port relation as a :class:`PHDAESystem`."""
+def build_phdae(net: CoupledNetwork) -> CoupledNetwork:
+    """The network itself, checked to carry a linear port relation: the
+    pH-DAE of the subsystems and the relation kept uncondensed (a
+    ``"kind": "phdae"`` document)."""
     if not isinstance(net.coupling, LinearPortRelation):
         raise TypeError("network does not carry a linear port relation")
-    return PHDAESystem(net)
+    return net
 
 
-def eliminate_ports(dae: PHDAESystem) -> LinearPHSystem:
+def eliminate_ports(net: CoupledNetwork) -> LinearPHSystem:
     """Condense a relation network with square regular M: substituting
-    u_hat = -M^{-1} N y_hat gives :func:`condense_general` of its network."""
-    return condense_general(dae.network)
+    u_hat = -M^{-1} N y_hat gives :func:`condense_general` of the network."""
+    return condense_general(net)

@@ -63,38 +63,6 @@ class LinearTransform:
         return np.linalg.inv(self.T)
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """Diagonal/off-diagonal split of a system's matrices w.r.t. a partition."""
-
-    partition: Partition
-    J_diag: tuple
-    R_diag: tuple
-    E_diag: tuple
-    B_rows: tuple
-    L_diag: tuple
-    J_offdiag: np.ndarray
-    R_offdiag: np.ndarray
-    q_separable: bool
-    e_blockdiag: bool
-
-    def J_block(self, i: int, j: int) -> np.ndarray:
-        r = self.partition.ranges
-        if i == j:
-            return self.J_diag[i]
-        return self.J_offdiag[r[i], r[j]]
-
-    def R_block(self, i: int, j: int) -> np.ndarray:
-        r = self.partition.ranges
-        if i == j:
-            return self.R_diag[i]
-        return self.R_offdiag[r[i], r[j]]
-
-    @property
-    def r_offdiag_zero(self) -> bool:
-        return not np.any(self.R_offdiag)
-
-
 @dataclass(eq=False)
 class VerificationFailure(ValueError):
     """A port/coupling choice that does not reproduce the off-diagonal
@@ -144,60 +112,40 @@ def _offdiag(mat: np.ndarray, ranges) -> np.ndarray:
     return out
 
 
-def partition_blocks(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> BlockView:
-    """Slice the system matrices into diagonal blocks and off-diagonal
-    aggregates; reassembly diag + offdiag is exact.
-
-    Also reports whether the Hamiltonian matrix Q and the flow matrix E
-    are block-diagonal w.r.t. the partition (separability conditions).
-    """
+def _partition(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> Partition:
+    """``partition`` as a :class:`Partition` of the system's states."""
     if not isinstance(partition, Partition):
         partition = Partition(tuple(partition))
     if partition.n != sys.n:
         raise DimensionError(f"partition sums to {partition.n}, state dimension is {sys.n}")
-    r = partition.ranges
-
-    def diag_of(mat):
-        return tuple(mat[ri, ri].copy() for ri in r)
-
-    return BlockView(
-        partition=partition,
-        J_diag=diag_of(sys.J),
-        R_diag=diag_of(sys.R),
-        E_diag=diag_of(sys.E),
-        B_rows=tuple(sys.B[ri, :].copy() for ri in r),
-        L_diag=diag_of(sys.L),
-        J_offdiag=_offdiag(sys.J, r),
-        R_offdiag=_offdiag(sys.R, r),
-        q_separable=not np.any(_offdiag(sys.Q, r)),
-        e_blockdiag=not np.any(_offdiag(sys.E, r)),
-    )
+    return partition
 
 
-def _require_separable(sys: LinearPHSystem, view: BlockView):
+def _require_separable(sys: LinearPHSystem, ranges):
     # each block would take the whole external port, and condensation stacks
     # the blocks' external ports, so there is no split of S and N to give back
     if np.any(sys.P) or np.any(sys.S) or np.any(sys.N):
         raise ValueError("cannot decouple a system with feedthrough: P, S and N must be zero")
-    if not view.q_separable:
+    if np.any(_offdiag(sys.Q, ranges)):
         raise ValueError("Hamiltonian not separable: Q has nonzero off-diagonal blocks")
-    if not view.e_blockdiag:
+    if np.any(_offdiag(sys.E, ranges)):
         raise ValueError("flow matrix not block-diagonal w.r.t. the partition")
     # with E block-diagonal and regular blocks, L = E^{-T} Q inherits the
     # block structure; guard against descriptor corner cases anyway
-    l_off = _offdiag(sys.L, view.partition.ranges)
+    l_off = _offdiag(sys.L, ranges)
     if np.max(np.abs(l_off), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(sys.L))):
         raise ValueError("effort matrix not block-diagonal w.r.t. the partition")
 
 
-def _network(view: BlockView, ports, C: np.ndarray) -> CoupledNetwork:
-    """The network of the diagonal blocks wired by ports Bhat_i and the
-    full coupling matrix C: skew coupling C without off-diagonal
+def _network(sys: LinearPHSystem, ranges, ports, C: np.ndarray) -> CoupledNetwork:
+    """The network of the diagonal blocks of ``sys`` wired by ports Bhat_i
+    and the full coupling matrix C: skew coupling C without off-diagonal
     dissipation (case 1), otherwise the relation M = I, N = C (case 2)."""
-    subs = tuple(LinearPHSystem(E=view.E_diag[i], J=view.J_diag[i], R=view.R_diag[i],
-                                B=view.B_rows[i], L=view.L_diag[i])
-                 for i in range(view.partition.s))
-    if view.r_offdiag_zero:
+    subs = tuple(LinearPHSystem(E=sys.E[r, r].copy(), J=sys.J[r, r].copy(),
+                                R=sys.R[r, r].copy(), B=sys.B[r, :].copy(),
+                                L=sys.L[r, r].copy())
+                 for r in ranges)
+    if not np.any(_offdiag(sys.R, ranges)):
         coupling = CouplingSpec(port_matrices=tuple(ports), C=C)
     else:
         coupling = LinearPortRelation(port_matrices=tuple(ports), M=np.eye(len(C)), N=C)
@@ -216,24 +164,26 @@ def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> 
     and these blocks sum to the original B.  A C that overflows raises a
     FloatingPointError.
     """
-    view = partition_blocks(sys, partition)
-    _require_separable(sys, view)
-    ports = [np.eye(ni) for ni in view.partition.sizes]
+    p = _partition(sys, partition)
+    r = p.ranges
+    _require_separable(sys, r)
+    ports = [np.eye(ni) for ni in p.sizes]
     with np.errstate(over="ignore"):
-        C = -(view.J_offdiag - view.R_offdiag)
+        C = -(_offdiag(sys.J, r) - _offdiag(sys.R, r))
     if not np.all(np.isfinite(C)):
         raise FloatingPointError("coupling matrix is not finite: J - R overflows "
                                  "off the diagonal blocks")
-    return _network(view, ports, C)
+    return _network(sys, r, ports, C)
 
 
-def _verify_blocks(view: BlockView, ports, block, pairs):
+def _verify_blocks(sys: LinearPHSystem, ranges, ports, block, pairs):
     """Check Bhat_i C_ij Bhat_j^T = -(J_ij - R_ij) for each block pair (i, j)
     to 1e-12 relative; raise a :class:`VerificationFailure` for the worst
     pair that misses."""
     worst, worst_pair, worst_res = 0.0, None, None
     for i, j in pairs:
-        target = view.J_block(i, j) - view.R_block(i, j)
+        ri, rj = ranges[i], ranges[j]
+        target = sys.J[ri, rj] - sys.R[ri, rj]
         # residual = computed product minus the required -(J_ij - R_ij)
         res = ports[i] @ block(i, j) @ ports[j].T + target
         mr = float(np.max(np.abs(res), initial=0.0))
@@ -256,9 +206,9 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
     skew part of the assembled coupling matrix generates structure blocks
     and the symmetric part dissipation blocks.
     """
-    view = partition_blocks(sys, partition)
-    _require_separable(sys, view)
-    p = view.partition
+    p = _partition(sys, partition)
+    r = p.ranges
+    _require_separable(sys, r)
     ports = [np.atleast_2d(np.asarray(b, dtype=float)) for b in ports]
     if len(ports) != p.s:
         raise DimensionError("one port matrix per partition block required")
@@ -282,17 +232,17 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
                                  f"expected {block(i, j).shape}")
         block(i, j)[...] = cij
     upper = [(i, j) for i in range(p.s) for j in range(i + 1, p.s)]
-    _verify_blocks(view, ports, block, upper)
+    _verify_blocks(sys, r, ports, block, upper)
 
     # with zero off-diagonal dissipation the skew completion C_ji = -C_ij^T is
     # exact, otherwise the lower blocks are fitted to the (j, i) system blocks
     # by least squares, which need not reproduce them
-    skew = view.r_offdiag_zero
+    skew = not np.any(_offdiag(sys.R, r))
     for i, j in upper:
         if skew:
             block(j, i)[...] = -block(i, j).T
         else:
-            target = view.J_block(j, i) - view.R_block(j, i)
+            target = sys.J[r[j], r[i]] - sys.R[r[j], r[i]]
             block(j, i)[...] = -np.linalg.pinv(ports[j]) @ target @ np.linalg.pinv(ports[i]).T
-    _verify_blocks(view, ports, block, [(j, i) for i, j in upper])
-    return _network(view, ports, c_full)
+    _verify_blocks(sys, r, ports, block, [(j, i) for i, j in upper])
+    return _network(sys, r, ports, c_full)

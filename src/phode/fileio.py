@@ -18,8 +18,7 @@ import warnings
 import numpy as np
 
 from .core import LinearPHSystem
-from .coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
-                       PHDAESystem, build_phdae)
+from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 from .integrate import EnergyReport, Trajectory
 from . import models
 
@@ -125,8 +124,9 @@ def _parse_network(doc) -> CoupledNetwork:
 
 
 def parse_system_text(text: str):
-    """Parse a JSON system document into a system, network or
-    :class:`PHDAESystem` (structure validation is the caller's business)."""
+    """Parse a JSON system document into a system or a network; a phdae
+    document is its relation network (structure validation is the
+    caller's business)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -145,7 +145,7 @@ def parse_system_text(text: str):
         net = _parse_network(doc)
         if not isinstance(net.coupling, LinearPortRelation):
             raise ParseError("phdae documents require a coupling of type 'relation'")
-        return build_phdae(net)
+        return net
     raise ParseError(f"unknown kind {kind!r}")
 
 
@@ -239,21 +239,22 @@ def _layout(value, pad: str, field: str = "") -> str:
     return json.dumps(value)
 
 
-def dump_document(obj) -> str:
-    """Serialize a system, network or :class:`PHDAESystem` as a JSON
-    document with one matrix row per line; numbers are written as
-    ``json.dumps`` writes them (``float.__repr__``), so a re-read is
-    bit-exact.  A matrix with a non-finite entry raises a
-    FloatingPointError naming its field."""
+def dump_document(obj, kind: str | None = None) -> str:
+    """Serialize a system or network as a JSON document with one matrix
+    row per line; ``kind="phdae"`` labels a relation network as a phdae
+    document.  Numbers are written as ``json.dumps`` writes them
+    (``float.__repr__``), so a re-read is bit-exact.  A matrix with a
+    non-finite entry raises a FloatingPointError naming its field."""
     if isinstance(obj, LinearPHSystem):
         doc = system_to_doc(obj)
     elif isinstance(obj, CoupledNetwork):
         doc = network_to_doc(obj)
-    elif isinstance(obj, PHDAESystem):
-        doc = network_to_doc(obj.network)
-        doc["kind"] = "phdae"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if kind is not None and kind != doc["kind"]:
+        if kind != "phdae" or doc.get("coupling", {}).get("type") != "relation":
+            raise ValueError(f"cannot write a {doc['kind']} document as kind {kind!r}")
+        doc["kind"] = kind
     return _layout(doc, "\n") + "\n"
 
 

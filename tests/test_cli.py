@@ -282,6 +282,32 @@ class TestPipeline:
             assert json.loads(out.read_text())["n"] == 2
             out.unlink()
 
+    def test_near_skew_coupling_checks_w_exit_2(self, tmp_path, capsys):
+        # C is skew to the tolerance, but its symmetric remainder times the
+        # port 1e6 makes R indefinite
+        doc = general_network_doc([[-1e-13, 0.], [0., 0.]])
+        doc["subsystems"][0]["R"] = [[0.01]]
+        doc["coupling"]["ports"][0] = [[1e6]]
+        net = write_json(tmp_path / "net.json", doc)
+        out = tmp_path / "out"
+        for argv in (["condense", net, "--mode", "skew"], ["cosim", net, "--x0", "1,1"]):
+            assert main(argv + ["-o", str(out)]) == 2
+            assert_one_line_error(capsys, "indefinite (min eigenvalue -9.000e-02)")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["condense", "--mode", "skew"],
+                                      ["condense", "--mode", "general"],
+                                      ["cosim", "--x0", "1,1"]], ids=["skew", "general", "cosim"])
+    def test_overflowing_relation_exit_4(self, tmp_path, capsys, argv):
+        doc = general_network_doc(None)
+        doc["coupling"] = {"type": "relation", "ports": [[[1.]], [[1.]]],
+                           "M": [[1e-300, 0.], [0., 1e-300]], "N": [[0., 1e10], [-1e10, 0.]]}
+        net = write_json(tmp_path / "net.json", doc)
+        out = tmp_path / "out"
+        assert main([argv[0], net, *argv[1:], "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "coupling matrix is not finite: M^-1 N overflows")
+        assert not out.exists()
+
     def test_condense_general_checks_w_exit_2(self, tmp_path, capsys):
         net = write_json(tmp_path / "net.json", feedthrough_network_doc())
         out = tmp_path / "m.json"
@@ -603,6 +629,36 @@ class TestCosim:
         x = read_trajectory(Path(relaxed).read_text())[1]
         ref = read_trajectory(Path(direct).read_text())[1]
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_phdae_document_runs_as_its_network(self, tmp_path, capsys):
+        # a phdae document is its relation network: the same CSV, byte for byte
+        src = tmp_path / "sys.json"
+        src.write_text(dump_document(random_separable(np.random.default_rng(7), (2, 3))))
+        net, dae = str(tmp_path / "net.json"), str(tmp_path / "dae.json")
+        assert main(["decouple", str(src), "--partition", "2,3", "-o", net]) == 0
+        assert main(["condense", net, "--mode", "phdae", "-o", dae]) == 0
+        assert json.loads(Path(dae).read_text())["kind"] == "phdae"
+        outs = [tmp_path / "net.csv", tmp_path / "dae.csv"]
+        for doc, out in zip((net, dae), outs):
+            assert main(["cosim", doc, "--x0", "0.3,-1,0.5,0.2,-0.7", "--sweeps", "30",
+                         "--t1", "0.2", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
+    def test_failure_after_an_unconverged_run_is_one_line(self, tmp_path, capsys):
+        # the sweeps do not converge, then the energy balance overflows: the
+        # failure is the one stderr line, without the warning
+        net = write_json(tmp_path / "net.json", {
+            "kind": "network", "subsystems": [{
+                "n": 2, "J": [[0., -8e11], [8e11, 0.]], "R": [[2e12, 1e12], [1e12, 1e12]],
+                "L": [[3., 1.], [1., 4.]]}],
+            "coupling": {"type": "skew", "ports": [[[-200., -20.], [-100., -70.]]],
+                         "C": [[0., -7e34], [7e34, 0.]]}})
+        out = tmp_path / "traj.csv"
+        assert main(["cosim", net, "--x0=4,-16", "--t1", "0.04", "--window", "0.02",
+                     "--sweeps", "3", "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "the energy balance of step 3 leaves the floating-point")
+        assert not out.exists()
 
     def test_one_inner_name_for_every_subsystem(self, tmp_path):
         net = tmp_path / "net.json"

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem, _gamma_w,
-                        eval_dynamics, power_balance_residual,
+import phode.core
+from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem, SingularFlowError,
+                        _gamma_w, eval_dynamics, power_balance_residual,
                         validate_structure)
 from phode.models import TwoMassParams, two_mass
 
@@ -182,6 +183,35 @@ class TestEvalDynamics:
     def test_state_dimension_checked(self):
         with pytest.raises(DimensionError):
             eval_dynamics(two_mass(), [1.0, 2.0])
+
+    @staticmethod
+    def count_svds(monkeypatch) -> list:
+        calls, rcond = [], phode.core._rcond
+        monkeypatch.setattr(phode.core, "_rcond", lambda m: calls.append(m) or rcond(m))
+        return calls
+
+    def test_linear_system_takes_one_svd_of_e(self, monkeypatch):
+        calls = self.count_svds(monkeypatch)
+        sys = two_mass()
+        for x in np.eye(5):
+            power_balance_residual(sys, x)
+        assert len(calls) == 1
+
+    def test_callback_system_takes_an_svd_of_e_per_call(self, monkeypatch):
+        calls = self.count_svds(monkeypatch)
+        sys = TestCallbackVariant.pendulum()
+        for x in np.eye(2):
+            eval_dynamics(sys, x)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_singular_flow_refused(self, linear):
+        lin = make(J=np.zeros((2, 2)), R=np.eye(2), E=np.diag([1., 0.]))
+        sys = lin if linear else CallbackPHSystem(
+            n=2, m=0, E=lambda x: lin.E, J=lambda x: lin.J, R=lambda x: lin.R,
+            B=lambda x: lin.B, effort=lin.effort, hamiltonian=lin.hamiltonian)
+        with pytest.raises(SingularFlowError, match="singular E"):
+            eval_dynamics(sys, [1.0, 0.0])
 
 
 class TestPowerBalance:

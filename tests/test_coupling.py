@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import phode.coupling
 from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             StructureFailure, build_phdae, condense_general,
@@ -90,6 +91,29 @@ class TestCondenseSkew:
             mono = condense_skew(net)
             assert validate_structure(mono, tol=1e-10).passed
 
+    def test_exactly_skew_c_runs_no_w_check(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(phode.coupling, "_psd_check", lambda ws: checks.append(ws))
+        condense_skew(two_scalar_net([[0., -1e300], [1e300, 0.]]))
+        assert checks == []
+
+    def test_near_skew_c_is_checked_as_condense_general(self):
+        # skew to the tolerance, but 1e6 * (-1e-13) * 1e6 = -0.1 enters R
+        net = CoupledNetwork((scalar_sub(0.01), scalar_sub()),
+                             CouplingSpec(([[1e6]], [[1.]]), [[-1e-13, 0.], [0., 0.]]))
+        assert net.coupling.is_skew
+        with pytest.raises(StructureFailure) as out:
+            condense_skew(net)
+        with pytest.raises(StructureFailure) as ref:
+            condense_general(net)
+        assert out.value.min_eigenvalue == ref.value.min_eigenvalue < 0
+        # a positive remainder passes, with the system condense_general gives
+        net = CoupledNetwork(net.subsystems,
+                             CouplingSpec(net.coupling.port_matrices, [[1e-13, 0.], [0., 0.]]))
+        for a in ("J", "R"):
+            assert np.array_equal(getattr(condense_skew(net), a),
+                                  getattr(condense_general(net), a))
+
 
 class TestCouplingTerms:
     @pytest.mark.parametrize("seed", range(5))
@@ -174,9 +198,9 @@ class TestBuildPhdae:
         rel = LinearPortRelation(ports, M=M, N=N)
         return CoupledNetwork((scalar_sub(), scalar_sub()), rel)
 
-    def test_wraps_the_relation_network(self):
+    def test_returns_the_relation_network(self):
         net = self.rel_net(np.eye(2), [[0., -1.], [1., 0.]])
-        assert build_phdae(net).network is net
+        assert build_phdae(net) is net
 
     def test_coupling_matrix_rejected(self):
         with pytest.raises(TypeError, match="linear port relation"):
@@ -219,6 +243,12 @@ class TestCouplingMatrix:
     def test_uneliminable_relation_rejected(self, call, M, N):
         with pytest.raises(ValueError, match="not eliminable"):
             call(TestBuildPhdae().rel_net(M, N))
+
+    @pytest.mark.parametrize("call", [coupling_matrix, condense_skew, condense_general])
+    def test_overflowing_relation_raises(self, call):
+        net = TestBuildPhdae().rel_net(1e-300 * np.eye(2), [[0., 1e10], [-1e10, 0.]])
+        with pytest.raises(FloatingPointError, match="M\\^-1 N overflows"):
+            call(net)
 
     def test_relation_with_non_skew_c_names_condense_general(self):
         net = TestBuildPhdae().rel_net(np.eye(2), [[0., 1.], [1., 0.]])

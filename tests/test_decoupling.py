@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from phode.core import LinearPHSystem, validate_structure
+from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_phdae,
                             condense_skew, eliminate_ports)
 from phode.decoupling import (LinearTransform, Partition, VerificationFailure,
-                              apply_transform, decouple_auto,
-                              decouple_with_ports, partition_blocks)
+                              apply_transform, decouple_auto, decouple_with_ports)
 from phode.integrate import implicit_midpoint
 from phode.models import two_mass, two_mass_alt_ports
 
@@ -37,14 +36,15 @@ class TestApplyTransform:
         sys = two_mass()
         perm, part, _, _ = two_mass_alt_ports()
         w = apply_transform(sys, perm)
-        view = partition_blocks(w, part)
+        # decouple_auto refuses a partition for which Q or E is not
+        # block-diagonal, so the transformed system is separable
+        momenta, springs = decouple_auto(w, part).subsystems
         # momenta block (components 1, 4): no internal structure, both dampers
-        assert np.array_equal(view.J_diag[0], np.zeros((2, 2)))
-        assert np.allclose(view.R_diag[0], np.diag([0.1, 0.1]))
+        assert np.array_equal(momenta.J, np.zeros((2, 2)))
+        assert np.allclose(momenta.R, np.diag([0.1, 0.1]))
         # spring block (components 2, 3, 5): lossless and uncoupled internally
-        assert np.array_equal(view.J_diag[1], np.zeros((3, 3)))
-        assert np.array_equal(view.R_diag[1], np.zeros((3, 3)))
-        assert view.q_separable and view.e_blockdiag
+        assert np.array_equal(springs.J, np.zeros((3, 3)))
+        assert np.array_equal(springs.R, np.zeros((3, 3)))
         assert validate_structure(w, tol=1e-12).passed
 
     def test_energy_equivalence_under_scaling(self):
@@ -64,32 +64,78 @@ class TestApplyTransform:
 
 
 class TestPartitionBlocks:
+    """The diagonal blocks of a partition become the subsystems, and the
+    off-diagonal blocks of J - R the coupling C = -offdiag(J - R)."""
+
     def test_two_mass_printed_blocks(self):
         sys = two_mass()
-        view = partition_blocks(sys, (3, 2))
-        assert np.array_equal(view.J_diag[0],
-                              [[0., -1., -1.], [1., 0., 0.], [1., 0., 0.]])
-        assert np.array_equal(view.J_diag[1], [[0., -1.], [1., 0.]])
-        assert np.allclose(view.R_diag[0], np.diag([0.1, 0., 0.]))
-        assert np.allclose(view.R_diag[1], np.diag([0.1, 0.]))
-        assert np.array_equal(view.J_block(0, 1),
-                              [[0., 0.], [0., 0.], [-1., 0.]])
-        assert view.q_separable
-        # diag + offdiag reassembles exactly
-        rebuilt = view.J_offdiag.copy()
-        for i, r in enumerate(view.partition.ranges):
-            rebuilt[r, r] = view.J_diag[i]
+        net = decouple_auto(sys, (3, 2))
+        a, b = net.subsystems
+        assert np.array_equal(a.J, [[0., -1., -1.], [1., 0., 0.], [1., 0., 0.]])
+        assert np.array_equal(b.J, [[0., -1.], [1., 0.]])
+        assert np.allclose(a.R, np.diag([0.1, 0., 0.]))
+        assert np.allclose(b.R, np.diag([0.1, 0.]))
+        for f in ("E", "J", "R", "L"):
+            assert np.array_equal(getattr(a, f), getattr(sys, f)[:3, :3])
+            assert np.array_equal(getattr(b, f), getattr(sys, f)[3:, 3:])
+        assert np.array_equal(a.B, sys.B[:3]) and np.array_equal(b.B, sys.B[3:])
+        assert np.array_equal(sys.J[:3, 3:], [[0., 0.], [0., 0.], [-1., 0.]])
+        assert np.array_equal(net.coupling.C[:3, 3:], -sys.J[:3, 3:])
+        # the diagonal blocks and -C reassemble J exactly
+        rebuilt = -net.coupling.C
+        rebuilt[:3, :3], rebuilt[3:, 3:] = a.J, b.J
         assert np.array_equal(rebuilt, sys.J)
+
+    def test_coupling_is_minus_the_off_diagonal_of_j_minus_r(self):
+        sys = off_diagonal_dissipation_system()
+        net = decouple_auto(sys, (2, 1))
+        expected = -(sys.J - sys.R)
+        expected[:2, :2] = expected[2:, 2:] = 0.0
+        assert np.array_equal(net.coupling.N, expected)
+        assert np.array_equal(net.coupling.M, np.eye(3))
+        assert np.array_equal(net.subsystems[0].R, sys.R[:2, :2])
+        assert np.array_equal(net.subsystems[1].R, sys.R[2:, 2:])
 
     def test_whole_partition(self):
         sys = two_mass()
-        view = partition_blocks(sys, (5,))
-        assert not np.any(view.J_offdiag)
-        assert np.array_equal(view.J_diag[0], sys.J)
+        net = decouple_auto(sys, (5,))
+        assert not np.any(net.coupling.C)
+        assert np.array_equal(net.subsystems[0].J, sys.J)
 
     def test_bad_partition_sum(self):
-        with pytest.raises(Exception):
-            partition_blocks(two_mass(), (3, 3))
+        with pytest.raises(DimensionError, match="partition sums to 6, state dimension is 5"):
+            decouple_auto(two_mass(), (3, 3))
+        with pytest.raises(DimensionError, match="partition sums to 6, state dimension is 5"):
+            decouple_with_ports(two_mass(), (3, 3), [np.eye(3), np.eye(3)], {})
+
+
+def descriptor_with_coupled_effort():
+    """E = diag(1, 0), L = [[1, 0], [1, 1]]: Q = diag(1, 0) and E are
+    block-diagonal for the partition (1, 1), L is not."""
+    return LinearPHSystem(E=np.diag([1., 0.]), J=np.zeros((2, 2)), R=np.eye(2),
+                          B=np.zeros((2, 0)), L=[[1., 0.], [1., 1.]])
+
+
+def coupled_flow():
+    """E = [[1, 1], [0, 1]] with Q = I: E is not block-diagonal for (1, 1)."""
+    E = np.array([[1., 1.], [0., 1.]])
+    return LinearPHSystem(E=E, J=np.zeros((2, 2)), R=np.eye(2), B=np.zeros((2, 0)),
+                          L=np.linalg.inv(E.T))
+
+
+class TestSeparabilityRefused:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: random_linear_ph(np.random.default_rng(4), n=2, m=0),
+         "Hamiltonian not separable"),
+        (coupled_flow, "flow matrix not block-diagonal"),
+        (descriptor_with_coupled_effort, "effort matrix not block-diagonal"),
+    ], ids=["Q", "E", "L"])
+    def test_both_splits_refuse(self, build, message):
+        sys = build()
+        with pytest.raises(ValueError, match=message):
+            decouple_auto(sys, (1, 1))
+        with pytest.raises(ValueError, match=message):
+            decouple_with_ports(sys, (1, 1), [np.eye(1), np.eye(1)], {})
 
 
 class TestDecoupleAuto:
@@ -180,11 +226,12 @@ class TestDecoupleAuto:
         perm, part, _, _ = two_mass_alt_ports()
         w = apply_transform(sys, perm)
         net = decouple_auto(w, part)
-        view = partition_blocks(w, part)
-        for i in range(2):
-            assert np.allclose(net.subsystems[i].J, view.J_diag[i], atol=1e-15)
-            assert np.allclose(net.subsystems[i].R, view.R_diag[i], atol=1e-15)
-        assert np.allclose(net.coupling.C, -view.J_offdiag, atol=1e-15)
+        J_offdiag = w.J.copy()
+        for i, r in enumerate(part.ranges):
+            assert np.allclose(net.subsystems[i].J, w.J[r, r], atol=1e-15)
+            assert np.allclose(net.subsystems[i].R, w.R[r, r], atol=1e-15)
+            J_offdiag[r, r] = 0.0
+        assert np.allclose(net.coupling.C, -J_offdiag, atol=1e-15)
 
 
 class TestDecoupleWithPorts:
@@ -215,8 +262,7 @@ class TestDecoupleWithPorts:
     def test_identity_fallback_always_verifies(self):
         rng = np.random.default_rng(13)
         sys = two_mass()
-        view = partition_blocks(sys, (3, 2))
-        c12 = -(view.J_block(0, 1) - view.R_block(0, 1))
+        c12 = -(sys.J - sys.R)[:3, 3:]
         net = decouple_with_ports(sys, (3, 2), [np.eye(3), np.eye(2)],
                                   {(0, 1): c12})
         assert isinstance(net, CoupledNetwork)

@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import phode.fileio
 from phode.core import LinearPHSystem
-from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
-                            PHDAESystem, build_phdae)
+from phode.coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 from phode.decoupling import decouple_auto
 from phode.fileio import (_CSV_BLOCK_VALUES, ParseError, _layout, _rows,
                           dump_document, parse_system_text, read_trajectory,
@@ -70,9 +69,12 @@ class TestParseSystem:
                          "M": [[1., 0.], [0., 1.]],
                          "N": [[0., -1.], [1., 0.]]},
         }
-        dae = parse_system_text(json.dumps(doc))
-        assert isinstance(dae, PHDAESystem)
-        assert np.array_equal(dae.network.coupling.N, doc["coupling"]["N"])
+        net = parse_system_text(json.dumps(doc))
+        assert isinstance(net, CoupledNetwork)
+        assert isinstance(net.coupling, LinearPortRelation)
+        assert np.array_equal(net.coupling.N, doc["coupling"]["N"])
+        assert dump_document(net, kind="phdae") == per_row_document(net, "phdae")
+        assert json.loads(dump_document(net, kind="phdae"))["kind"] == "phdae"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="JSON"):
@@ -127,7 +129,8 @@ class TestParseSystem:
 
 
 def _documents():
-    """One object of each document shape, keyed by a test id."""
+    """One object of each document shape and the kind it is written as
+    (None for its own), keyed by a test id."""
     rng = np.random.default_rng(5)
     relation = decouple_auto(LinearPHSystem(E=np.eye(3), J=np.zeros((3, 3)),
                                             R=[[1., .5, 0.], [.5, 1., .2], [0., .2, 1.]],
@@ -137,19 +140,25 @@ def _documents():
         CouplingSpec((rng.standard_normal((2, 1)), rng.standard_normal((3, 2))),
                      np.diag([1., 2., 3.]) + np.triu(np.ones((3, 3)), 1)))
     return {
-        "linear-empty-B": two_mass(),
-        "linear": random_linear_ph(rng, n=4, m=2),
-        "linear-PSN": random_linear_ph(rng, n=4, m=2, feedthrough=True),
-        "skew-network": two_mass_network(variant="b"),
-        "general-network": general,
-        "relation-network": relation,
-        "phdae": build_phdae(relation),
+        "linear-empty-B": (two_mass(), None),
+        "linear": (random_linear_ph(rng, n=4, m=2), None),
+        "linear-PSN": (random_linear_ph(rng, n=4, m=2, feedthrough=True), None),
+        "skew-network": (two_mass_network(variant="b"), None),
+        "general-network": (general, None),
+        "relation-network": (relation, None),
+        "phdae": (relation, "phdae"),
     }
 
 
-def _indent2_reference(obj) -> str:
-    """The same document encoded by ``json.dumps(indent=2)``."""
-    return json.dumps(plain_document(obj), indent=2)
+def _indent2_reference(name) -> str:
+    """The document ``name`` encoded by ``json.dumps(indent=2)``."""
+    return json.dumps(plain_document(*DOCUMENTS[name]), indent=2)
+
+
+def _dump(name) -> str:
+    """``dump_document``'s text of the document ``name``."""
+    obj, kind = DOCUMENTS[name]
+    return dump_document(obj, kind=kind)
 
 
 def _number_rows(value):
@@ -197,24 +206,28 @@ MATRICES = _matrices()
 class TestDumpDocument:
     @pytest.mark.parametrize("name", DOCUMENTS)
     def test_same_document_as_indent2_encoder(self, name):
-        obj = DOCUMENTS[name]
-        text = dump_document(obj)
-        assert json.loads(text) == json.loads(_indent2_reference(obj))
+        text = _dump(name)
+        assert json.loads(text) == json.loads(_indent2_reference(name))
         # same keys in the same order and the same number text
-        assert json.dumps(json.loads(text), indent=2) == _indent2_reference(obj)
+        assert json.dumps(json.loads(text), indent=2) == _indent2_reference(name)
 
     @pytest.mark.parametrize("name", DOCUMENTS)
     def test_one_matrix_row_per_line(self, name):
-        text = dump_document(DOCUMENTS[name])
+        text = _dump(name)
         lines = [line.strip().rstrip(",") for line in text.splitlines()]
         row_lines = [json.loads(line) for line in lines
                      if line.startswith("[") and line not in ("[", "[]")]
         assert row_lines == list(_number_rows(json.loads(text)))
-        assert len(text) < 0.8 * len(_indent2_reference(DOCUMENTS[name]))
+        assert len(text) < 0.8 * len(_indent2_reference(name))
 
     @pytest.mark.parametrize("name", DOCUMENTS)
     def test_dump_is_deterministic(self, name):
-        assert dump_document(DOCUMENTS[name]) == dump_document(DOCUMENTS[name])
+        assert _dump(name) == _dump(name)
+
+    @pytest.mark.parametrize("name", ["linear", "skew-network", "general-network"])
+    def test_phdae_kind_only_for_a_relation_network(self, name):
+        with pytest.raises(ValueError, match="as kind 'phdae'"):
+            dump_document(DOCUMENTS[name][0], kind="phdae")
 
     def test_matrix_lists_match_per_entry_conversion(self):
         m = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3], [1e308, 0.1, 1e22]])
@@ -224,7 +237,7 @@ class TestDumpDocument:
 
     @pytest.mark.parametrize("name", DOCUMENTS)
     def test_same_bytes_as_per_row_encoding(self, name):
-        assert dump_document(DOCUMENTS[name]) == per_row_document(DOCUMENTS[name])
+        assert _dump(name) == per_row_document(*DOCUMENTS[name])
 
     @FAST
     @given(m=MATRICES)

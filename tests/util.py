@@ -7,7 +7,7 @@ import numpy as np
 
 from phode import coupling
 from phode.core import LinearPHSystem, _slices
-from phode.coupling import CoupledNetwork, CouplingSpec, PHDAESystem
+from phode.coupling import CoupledNetwork, CouplingSpec
 from phode.fileio import ParseError, network_to_doc, system_to_doc
 from phode.integrate import _inputs, _propagate, _propagator
 
@@ -177,14 +177,13 @@ def _plain(value):
     return value
 
 
-def plain_document(obj) -> dict:
-    """The document of a system, network or PHDAESystem as plain JSON
-    values (nested lists of floats)."""
-    if isinstance(obj, LinearPHSystem):
-        return _plain(system_to_doc(obj))
-    doc = _plain(network_to_doc(getattr(obj, "network", obj)))
-    if isinstance(obj, PHDAESystem):
-        doc["kind"] = "phdae"
+def plain_document(obj, kind=None) -> dict:
+    """The document of a system or network as plain JSON values (nested
+    lists of floats), labelled ``kind`` when one is given."""
+    doc = _plain(system_to_doc(obj) if isinstance(obj, LinearPHSystem)
+                 else network_to_doc(obj))
+    if kind is not None:
+        doc["kind"] = kind
     return doc
 
 
@@ -203,7 +202,7 @@ def per_row_layout(value, pad="\n") -> str:
     return json.dumps(value)
 
 
-def per_row_document(obj) -> str:
-    """``dump_document``'s text of ``obj``, every matrix row encoded by one
-    ``json.dumps``."""
-    return per_row_layout(plain_document(obj)) + "\n"
+def per_row_document(obj, kind=None) -> str:
+    """``dump_document``'s text of ``obj`` labelled ``kind``, every matrix
+    row encoded by one ``json.dumps``."""
+    return per_row_layout(plain_document(obj, kind)) + "\n"
