@@ -32,7 +32,9 @@ def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _is_skew(C: np.ndarray) -> bool:
-    return _skew_violation(C) <= 1e-12 * (1.0 + np.max(np.abs(C), initial=0.0))
+    """C + C^T is zero to 1e-12 relative to C's largest entry: a C of
+    small entries is not skew for being small."""
+    return _skew_violation(C) <= 1e-12 * np.max(np.abs(C), initial=0.0)
 
 
 @dataclass(frozen=True)

@@ -261,16 +261,152 @@ def dump_document(obj, kind: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 # trajectory CSV
 
-# values rendered by one '%' at most: each block of rows is formatted from
-# its own tuple of Python floats, so the floats, the tuple and the format
-# string alive at once stay bounded however long the trajectory is
-_CSV_BLOCK_VALUES = 2 ** 14
+# values rendered by one kernel pass at most: a pass holds about 370 bytes
+# of temporaries per value (1.5 MB at 2**12), so its memory stays bounded
+# however long the trajectory is; passes of 2**12 values run as fast as
+# larger ones
+_CSV_BLOCK_VALUES = 2 ** 12
+
+
+def _pow10_table(lo: int, hi: int):
+    """10**p for p = lo..hi as double-double pairs (th, tl): th is 10**p
+    correctly rounded and tl the remainder 10**p - th correctly rounded,
+    both from exact integer arithmetic."""
+    th, tl = [], []
+    for p in range(lo, hi + 1):
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        th.append(num / den)          # int / int is correctly rounded
+        h_num, h_den = th[-1].as_integer_ratio()
+        tl.append((num * h_den - h_num * den) / (den * h_den))
+    return np.array(th), np.array(tl)
+
+
+def _split(a):
+    """Veltkamp's split of a into a1 + a2, each half of a's 53 bits, so a
+    product of two halves is exact."""
+    c = a * 134217729.0              # 2**27 + 1
+    a1 = c - (c - a)
+    return a1, a - a1
+
+
+# the kernel's range is 1e-280 <= |x| <= 1e280: there x * 10**(16 - k), k
+# off by one included, neither overflows in a split nor underflows in a
+# low part
+_P10_MIN = -266
+_P10, _P10_TAIL = _pow10_table(_P10_MIN, 298)
+_P10_1, _P10_2 = _split(_P10)
+
+# A cell is written into seven little-endian 8-byte words, NUL where it
+# has no character: 0 the sign, a "0" before the point and (byte 7) the
+# first digit if before it; 1 and 2 digits 2-17 before the point; 3 the
+# point, up to three zeros and (byte 7) the first digit if after it; 4 and
+# 5 digits 2-17 after the point; 6 the exponent and (byte 7) separator.
+# All word arithmetic is int64: a word's top byte is at most "9" (0x39).
+# the four ASCII digits of 0..9999
+_DIGIT4 = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+           % 10 + ord("0")).astype(np.uint8)
+_WORD4 = _DIGIT4.view("<u4").ravel().astype(np.int64)     # 4 digits, in order
+# trailing zero digits of 0..9999 (4 for 0)
+_ZEROS4 = np.sum(np.cumprod(_DIGIT4[:, ::-1] == ord("0"), axis=1, dtype=np.int8), axis=1)
+# the first j bytes of a word, j = 0..8
+_PREFIX = np.array([(1 << 8 * j) - 1 for j in range(8)] + [-1], np.int64)
+# j zeros after the point, j = 0..3
+_POINT_ZEROS = np.array([int.from_bytes(b"\0" + b"0" * j, "little") for j in range(4)], np.int64)
+# "e", the sign and at least two digits of the exponent k = -300..300
+_EXPONENT = np.array([int.from_bytes(b"e%+03d" % k, "little") for k in range(-300, 301)],
+                     np.int64)
+
+
+def _scaled(a, k):
+    """a * 10**(16 - k) as hi + lo with |lo| <= ulp(hi) / 2, to about
+    2**-100 relative: Dekker's exact product a * th plus a * tl."""
+    i = 16 - k - _P10_MIN
+    a1, a2 = _split(a)
+    ph = a * _P10[i]
+    t1, t2 = _P10_1[i], _P10_2[i]
+    t = ((a1 * t1 - ph) + a1 * t2 + a2 * t1) + a2 * t2 + a * _P10_TAIL[i]
+    hi = ph + t
+    return hi, t - (hi - ph)
+
+
+def _g17(v: float) -> bytes:
+    """A cell the kernel leaves to Python: a tie of the rounding, a
+    subnormal, a magnitude outside [1e-280, 1e280] or a non-finite
+    value."""
+    return b"%.17g" % v
+
+
+def _render(x: np.ndarray, width: int) -> str:
+    """Rows of ``width`` cells from the values ``x``, each cell as '%.17g'
+    writes it.
+
+    Each nonzero x in the kernel's range is written from its 17-digit
+    decimal D * 10**(k - 16), 10**16 <= D < 10**17: D is the rounded
+    x * 10**(16 - k), which ``_scaled`` gives to far better than the 1e-7
+    by which a cell must miss a tie of the rounding to stay in the kernel.
+    One ``bytes.translate`` drops the NULs of the cells' words.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    zero = a == 0
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    # log10 may be one off next to a power of ten
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        k[fix] += np.where(high[fix], 1, -1)
+        hi[fix], lo[fix] = _scaled(a[fix], k[fix])
+    r = np.rint(lo)
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    slow = ~(fast | zero) | (np.abs(np.abs(lo - r) - 0.5) < 1e-7)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    k += carry
+    d[zero] = 0                      # k = 0 there, from the stand-in 1.0
+
+    top, d = np.divmod(d, 10 ** 16)
+    c12, c34 = np.divmod(d, 10 ** 8)
+    c1, c2 = np.divmod(c12, 10 ** 4)
+    c3, c4 = np.divmod(c34, 10 ** 4)
+    # significant digits: 17 less the trailing zeros, none for a zero
+    sig = 17 - (_ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (
+        _ZEROS4[c2] + (c2 == 0) * (_ZEROS4[c1] + (c1 == 0) * (top == 0)))))
+    # '%g' writes 10**-4 <= |x| < 10**17 in fixed notation
+    fixed = (k >= -4) & (k < 17)
+    # the index of the first digit after the point; a trailing zero there
+    # or later is dropped, and the point with it when no digit is left
+    first = np.where(fixed, np.maximum(k + 1, 0), 1)
+    cut = np.maximum(first, sig)
+    lead = first == 0
+    top = (top + ord("0")) << 56
+
+    words = np.empty((len(x), 7), "<i8")
+    words[:, 0] = np.signbit(x) * ord("-") | lead * (ord("0") << 8) | ~lead * top
+    words[:, 3] = ((sig > first) * ord(".") | _POINT_ZEROS[np.where(lead, -1 - k, 0)]
+                   | lead * top)
+    for w, (left, right) in ((1, (c1, c2)), (2, (c3, c4))):
+        digits = _WORD4[left] | _WORD4[right] << 32
+        skip = 8 * w - 7            # the digits before the word's first
+        before = _PREFIX[np.clip(first - skip, 0, 8)]
+        words[:, w] = digits & before
+        words[:, w + 3] = digits & ~before & _PREFIX[np.clip(cut - skip, 0, 8)]
+    words[:, 6] = ~fixed * _EXPONENT[k + 300] | ord(",") << 56
+    words[width - 1::width, 6] ^= (ord(",") ^ ord("\n")) << 56
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        texts = np.array([_g17(v) for v in x[slow].tolist()], "S55")
+        cells[slow, :-1] = texts.view(np.uint8).reshape(-1, 55)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
-    """Render a trajectory and its energy report as CSV text with
-    deterministic 17-significant-digit formatting, in blocks of rows of
-    at most ``_CSV_BLOCK_VALUES`` values (at least one row each)."""
+    """Render a trajectory and its energy report as CSV text, every value
+    exactly as '%.17g' writes it, in blocks of rows of at most
+    ``_CSV_BLOCK_VALUES`` values (at least one row each)."""
     rows = len(traj.t)
     n = traj.x.shape[1] if traj.x.ndim == 2 else 0
     if len(report.residuals) not in (0, max(traj.steps, 0)):
@@ -280,13 +416,11 @@ def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
         res[1:] = report.residuals
     x = traj.x.reshape(rows, n)
     header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
-    # '%.17g' renders exactly as format(v, '.17g'): a re-read is bit-exact
-    row = ",".join(["%.17g"] * (n + 3)) + "\n"
     k = max(1, _CSV_BLOCK_VALUES // (n + 3))
     parts = [header + "\n"]
     for a in range(0, rows, k):
         block = np.column_stack([traj.t[a:a + k], x[a:a + k], traj.H[a:a + k], res[a:a + k]])
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+        parts.append(_render(block.ravel(), n + 3))
     return "".join(parts)
 
 

@@ -282,17 +282,25 @@ class TestPipeline:
             assert json.loads(out.read_text())["n"] == 2
             out.unlink()
 
-    def test_near_skew_coupling_checks_w_exit_2(self, tmp_path, capsys):
-        # C is skew to the tolerance, but its symmetric remainder times the
-        # port 1e6 makes R indefinite
-        doc = general_network_doc([[-1e-13, 0.], [0., 0.]])
+    @pytest.mark.parametrize("C, skew_error", [
+        ([[-1e-13, 1.], [-1., 0.]], "indefinite (min eigenvalue -9.000e-02)"),
+        ([[-1e-13, 0.], [0., 0.]], "not skew-symmetric; use condense_general "
+                                   "(phode condense --mode general)")],
+        ids=["skew-to-tolerance", "small-general"])
+    def test_near_skew_coupling_checks_w_exit_2(self, tmp_path, capsys, C, skew_error):
+        # C's symmetric remainder times the port 1e6 makes R indefinite; a C
+        # skew to the tolerance relative to its entries takes the skew path
+        # and has W checked there, a C of small entries is not skew at all
+        doc = general_network_doc(C)
         doc["subsystems"][0]["R"] = [[0.01]]
         doc["coupling"]["ports"][0] = [[1e6]]
         net = write_json(tmp_path / "net.json", doc)
         out = tmp_path / "out"
-        for argv in (["condense", net, "--mode", "skew"], ["cosim", net, "--x0", "1,1"]):
+        for argv, error in ((["condense", net, "--mode", "skew"], skew_error),
+                            (["cosim", net, "--x0", "1,1"],
+                             "indefinite (min eigenvalue -9.000e-02)")):
             assert main(argv + ["-o", str(out)]) == 2
-            assert_one_line_error(capsys, "indefinite (min eigenvalue -9.000e-02)")
+            assert_one_line_error(capsys, error)
             assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["condense", "--mode", "skew"],

@@ -8,6 +8,7 @@ from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             StructureFailure, build_phdae, condense_general,
                             _blockdiag, _couple, condense_skew, coupling_matrix,
                             eliminate_ports)
+from phode.fileio import network_to_doc
 from phode.models import two_mass, two_mass_network
 
 from util import random_linear_ph, random_network
@@ -98,9 +99,10 @@ class TestCondenseSkew:
         assert checks == []
 
     def test_near_skew_c_is_checked_as_condense_general(self):
-        # skew to the tolerance, but 1e6 * (-1e-13) * 1e6 = -0.1 enters R
+        # skew to the tolerance relative to its entries of 1, but
+        # 1e6 * (-1e-13) * 1e6 = -0.1 enters R
         net = CoupledNetwork((scalar_sub(0.01), scalar_sub()),
-                             CouplingSpec(([[1e6]], [[1.]]), [[-1e-13, 0.], [0., 0.]]))
+                             CouplingSpec(([[1e6]], [[1.]]), [[-1e-13, 1.], [-1., 0.]]))
         assert net.coupling.is_skew
         with pytest.raises(StructureFailure) as out:
             condense_skew(net)
@@ -109,10 +111,20 @@ class TestCondenseSkew:
         assert out.value.min_eigenvalue == ref.value.min_eigenvalue < 0
         # a positive remainder passes, with the system condense_general gives
         net = CoupledNetwork(net.subsystems,
-                             CouplingSpec(net.coupling.port_matrices, [[1e-13, 0.], [0., 0.]]))
+                             CouplingSpec(net.coupling.port_matrices, [[1e-13, 1.], [-1., 0.]]))
         for a in ("J", "R"):
             assert np.array_equal(getattr(condense_skew(net), a),
                                   getattr(condense_general(net), a))
+
+    def test_small_non_skew_c_is_general(self):
+        # the tolerance is relative: entries far below 1 make no C skew
+        net = CoupledNetwork((scalar_sub(0.01), scalar_sub()),
+                             CouplingSpec(([[1e6]], [[1.]]), [[-1e-13, 0.], [0., 0.]]))
+        assert not net.coupling.is_skew
+        assert network_to_doc(net)["coupling"]["type"] == "general"
+        with pytest.raises(ValueError, match=r"--mode general"):
+            condense_skew(net)
+        assert CouplingSpec(net.coupling.port_matrices, np.zeros((2, 2))).is_skew
 
 
 class TestCouplingTerms:

@@ -105,8 +105,10 @@ def w_boundary_network():
 
 
 def near_skew_network():
-    """A C skew only to the tolerance, whose symmetric remainder times the
-    port 1e6 makes R indefinite (skew condensation used to check nothing)."""
+    """A C of small entries that is not skew, whose symmetric part times
+    the port 1e6 makes R indefinite: a general coupling that skew
+    condensation refuses and general condensation and cosim find
+    indefinite."""
     s1 = LinearPHSystem(E=[[1.]], J=[[0.]], R=[[0.01]], B=np.zeros((1, 0)), L=[[1.]])
     s2 = LinearPHSystem(E=[[1.]], J=[[0.]], R=[[1.]], B=np.zeros((1, 0)), L=[[1.]])
     return CoupledNetwork((s1, s2), CouplingSpec(([[1e6]], [[1.]]), [[-1e-13, 0.], [0., 0.]]))
