@@ -284,8 +284,8 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
     ``_scaled``), so entries up to the largest float cannot overflow the
     checks.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
 
     if sys.is_linear:
         states = [np.zeros(sys.n)]

@@ -133,7 +133,7 @@ def _require_separable(sys: LinearPHSystem, ranges):
     # with E block-diagonal and regular blocks, L = E^{-T} Q inherits the
     # block structure; guard against descriptor corner cases anyway
     l_off = _offdiag(sys.L, ranges)
-    if np.max(np.abs(l_off), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(sys.L))):
+    if np.max(np.abs(l_off), initial=0.0) > 1e-12 * np.max(np.abs(sys.L)):
         raise ValueError("effort matrix not block-diagonal w.r.t. the partition")
 
 

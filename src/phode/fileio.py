@@ -156,12 +156,28 @@ def parse_ports_text(text: str):
     try:
         doc = json.loads(text)
         ports = [_mat({"ports": b}, "ports") for b in doc["ports"]]
-        blocks = {(int(b["i"]), int(b["j"])): _mat(b, "C") for b in doc.get("blocks", [])}
+        blocks = {}
+        for b in doc.get("blocks", []):
+            ij = (_block_index(b, "i"), _block_index(b, "j"))
+            if ij in blocks:
+                raise ParseError(f"block {ij} given twice")
+            blocks[ij] = _mat(b, "C")
+    except ParseError:
+        raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed ports document: {exc}") from exc
     return ports, blocks
+
+
+def _block_index(block: dict, key: str) -> int:
+    """The block index ``key`` of a ports-document block: a JSON integer,
+    so neither 0.5 nor true."""
+    i = block[key]
+    if type(i) is not int:
+        raise ParseError(f"block index {key!r} must be an integer, got {json.dumps(i)}")
+    return i
 
 
 def system_to_doc(sys: LinearPHSystem) -> dict:
@@ -203,39 +219,99 @@ def network_to_doc(net: CoupledNetwork) -> dict:
 _repr = float.__repr__
 
 
-def _rows(m: np.ndarray, field: str) -> list:
-    """The JSON text of each row of the 2-D array ``m``, as ``json.dumps``
-    writes the row's list.
+# distinct magnitudes below which a group's numbers are formatted by
+# ``float.__repr__`` one at a time rather than by the kernel: a kernel pass
+# costs about 150 us however few values it is given, and then about 270 ns
+# per value against 550-950 ns for ``float.__repr__`` (2-core VM)
+_KERNEL_MIN_VALUES = 512
 
-    Each distinct magnitude is formatted once, and a negative entry takes
-    its magnitude's text behind a "-" (``repr(-x) == "-" + repr(x)`` for
-    every finite x >= 0, -0.0 included), so a skew or symmetric matrix, an
-    identity or a block of zeros costs a fraction of its entries' formats.
-    A non-finite entry, which JSON cannot hold, raises a FloatingPointError.
+
+def _texts(mags: np.ndarray) -> list:
+    """``float.__repr__`` of each of the finite magnitudes ``mags``, from
+    the kernel in passes of at most ``_BLOCK_VALUES`` values."""
+    if len(mags) < _KERNEL_MIN_VALUES:
+        return list(map(_repr, mags.tolist()))
+    texts = []
+    for a in range(0, len(mags), _BLOCK_VALUES):
+        texts += _render(mags[a:a + _BLOCK_VALUES], 1, shortest=True).splitlines()
+    return texts
+
+
+def _matrices(value, field: str = ""):
+    """The (field, array) pairs of a document, in document order."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _matrices(v, k)
+    elif isinstance(value, np.ndarray):
+        yield field, value
+    elif isinstance(value, list):
+        for v in value:
+            yield from _matrices(v, field)
+
+
+# entries of the matrices whose magnitudes are formatted together, at most
+# (a larger matrix is formatted alone): a document of small matrices is one
+# group, and the texts of a group take no more than those of a matrix of
+# this size would
+_GROUP_ENTRIES = 2 ** 14
+
+
+def _rows(matrices: list) -> list:
+    """For each (field, 2-D array) of ``matrices`` the JSON text of each
+    of the array's rows, as ``json.dumps`` writes the row's list.
+
+    The distinct magnitudes of consecutive arrays of at most
+    ``_GROUP_ENTRIES`` entries in all are formatted together, and a
+    negative entry takes its magnitude's text behind a "-"
+    (``repr(-x) == "-" + repr(x)`` for every finite x >= 0, -0.0
+    included), so a skew or symmetric matrix, an identity or a block of
+    zeros costs a fraction of its entries' formats.  A non-finite entry,
+    which JSON cannot hold, raises a FloatingPointError naming its field.
     """
-    mags, index = np.unique(np.abs(m), return_inverse=True)
+    rows, group, size = [], [], 0
+    for field, m in matrices:
+        if group and size + m.size > _GROUP_ENTRIES:
+            rows += _group_rows(group)
+            group, size = [], 0
+        group.append((field, m))
+        size += m.size
+    return rows + _group_rows(group) if group else rows
+
+
+def _group_rows(matrices: list) -> list:
+    """``_rows`` of one group, its distinct magnitudes formatted at once."""
+    mags, index = np.unique(np.concatenate([np.abs(m).ravel() for _, m in matrices]),
+                            return_inverse=True)
     # sorted, so a NaN or an infinity comes last
     if mags.size and not np.isfinite(mags[-1]):
+        field = next(f for f, m in matrices if not np.all(np.isfinite(m)))
         raise FloatingPointError(f"field {field!r} has non-finite entries")
-    texts = list(map(_repr, mags.tolist()))
+    texts = _texts(mags)
     texts += ["-" + t for t in texts]
-    cells = np.array(texts, dtype=object)[index.reshape(m.shape) + len(mags) * np.signbit(m)]
-    return ["[" + ", ".join(row) + "]" for row in cells.tolist()]
+    texts = np.array(texts, dtype=object)
+    rows, at = [], 0
+    for _, m in matrices:
+        cells = texts[index[at:at + m.size].reshape(m.shape) + len(mags) * np.signbit(m)]
+        rows.append(["[" + ", ".join(row) + "]" for row in cells.tolist()])
+        at += m.size
+    return rows
 
 
-def _layout(value, pad: str, field: str = "") -> str:
+def _layout(value, pad: str, rows=None) -> str:
     """JSON text of ``value`` in the two-space layout, except that each row
-    of a matrix (an array, under the field ``field``) is written on one
-    line."""
+    of a matrix (an array) is written on one line; ``rows`` are the rows
+    of the arrays still to be written (``_rows`` of them all at first)."""
+    if rows is None:
+        rows = iter(_rows(list(_matrices(value))))
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        items = (inner + json.dumps(k) + ": " + _layout(v, inner, k) for k, v in value.items())
+        items = (inner + json.dumps(k) + ": " + _layout(v, inner, rows) for k, v in value.items())
         return "{" + ",".join(items) + pad + "}"
     if isinstance(value, np.ndarray):
-        rows = _rows(value, field)
-        return "[" + ",".join(inner + row for row in rows) + pad + "]" if rows else "[]"
+        lines = next(rows)
+        return "[" + ",".join(inner + row for row in lines) + pad + "]" if lines else "[]"
     if isinstance(value, list) and value and isinstance(value[0], (list, dict, np.ndarray)):
-        return "[" + ",".join(inner + _layout(v, inner, field) for v in value) + pad + "]"
+        return "[" + ",".join(inner + _layout(v, inner, rows) for v in value) + pad + "]"
     return json.dumps(value)
 
 
@@ -259,13 +335,13 @@ def dump_document(obj, kind: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# trajectory CSV
+# the float-text kernel
 
 # values rendered by one kernel pass at most: a pass holds about 370 bytes
 # of temporaries per value (1.5 MB at 2**12), so its memory stays bounded
-# however long the trajectory is; passes of 2**12 values run as fast as
+# however many values there are; passes of 2**12 values run as fast as
 # larger ones
-_CSV_BLOCK_VALUES = 2 ** 12
+_BLOCK_VALUES = 2 ** 12
 
 
 def _pow10_table(lo: int, hi: int):
@@ -310,8 +386,11 @@ _WORD4 = _DIGIT4.view("<u4").ravel().astype(np.int64)     # 4 digits, in order
 _ZEROS4 = np.sum(np.cumprod(_DIGIT4[:, ::-1] == ord("0"), axis=1, dtype=np.int8), axis=1)
 # the first j bytes of a word, j = 0..8
 _PREFIX = np.array([(1 << 8 * j) - 1 for j in range(8)] + [-1], np.int64)
-# j zeros after the point, j = 0..3
-_POINT_ZEROS = np.array([int.from_bytes(b"\0" + b"0" * j, "little") for j in range(4)], np.int64)
+# row w - 1, column j: the bytes of word w = 1, 2 that hold digits before
+# digit j = 0..17 (word w holds digits 8w - 7 to 8w, counted from 0)
+_BEFORE = _PREFIX[np.clip(np.arange(18) - np.array([[1], [9]]), 0, 8)]
+# the point and j zeros after it, j = 0..3
+_POINT_ZEROS = np.array([int.from_bytes(b"." + b"0" * j, "little") for j in range(4)], np.int64)
 # "e", the sign and at least two digits of the exponent k = -300..300
 _EXPONENT = np.array([int.from_bytes(b"e%+03d" % k, "little") for k in range(-300, 301)],
                      np.int64)
@@ -329,6 +408,59 @@ def _scaled(a, k):
     return hi, t - (hi - ph)
 
 
+# how near (in units of the 17th digit) a rounding may come to a tie, or a
+# bound of a rounding interval to an integer, and stay in the kernel: far
+# more than the error of hi + lo (about 1e-13) and of the half-gaps
+_MARGIN = 1e-7
+
+
+def _divmod(a, b: int):
+    """np.divmod(a, b) for int64 a >= 0, from one // (which NumPy runs
+    several times faster than % or divmod by a constant)."""
+    q = a // b
+    return q, a - q * b
+
+
+def _nearest17(hi, lo):
+    """The 17-digit decimals D of '%.17g': hi + lo rounded, and where that
+    rounding is too close to a tie to call."""
+    r = np.rint(lo)
+    return hi.astype(np.int64) + r.astype(np.int64), np.abs(np.abs(lo - r) - 0.5) < _MARGIN
+
+
+def _shortest(a, hi, lo):
+    """The decimals D of ``float.__repr__`` (Steele & White's shortest
+    round trip), and where they are too close to call.
+
+    Of the integers in a's rounding interval, S - below .. S + above for
+    S = hi + lo, D is one with the most trailing zeros, and of several the
+    nearest to S.  Each half of the interval spans 0.55 to 11.1 units, so
+    it holds at most one multiple of 100 and the integer nearest to S;
+    without a multiple of 100, D is the multiple of 10 nearest to S inside
+    it, or else that integer.
+    """
+    mant = np.frexp(a)[0]
+    above = hi / (mant * 2.0 ** 54)                   # half an ulp of a, in units
+    below = np.where(mant == 0.5, above / 2, above)   # half as wide below a power of two
+    whole = np.floor(lo)
+    n = hi.astype(np.int64) + whole.astype(np.int64)
+    f = lo - whole                                    # S = n + f, 0 <= f < 1
+    up, down = f + above, f - below
+    top = n + np.floor(up).astype(np.int64)           # the interval's integers
+    bottom = n + np.ceil(down).astype(np.int64)
+    tie = (np.abs(up - np.rint(up)) < _MARGIN) | (np.abs(down - np.rint(down)) < _MARGIN)
+    n10, r = _divmod(n, 10)
+    r10 = r + f                                       # S = 10 n10 + r10
+    tens = top // 10 * 10
+    has_ten = tens >= bottom
+    d = np.where(has_ten, np.clip((n10 + (r10 > 5)) * 10, -(-bottom // 10 * 10), tens),
+                 n + (f > 0.5))
+    hundreds = top // 100 * 100
+    near = np.where(has_ten, np.abs(r10 - 5), np.abs(f - 0.5))
+    tie |= (hundreds < bottom) & (near < _MARGIN)
+    return np.where(hundreds >= bottom, hundreds, d), tie
+
+
 def _g17(v: float) -> bytes:
     """A cell the kernel leaves to Python: a tie of the rounding, a
     subnormal, a magnitude outside [1e-280, 1e280] or a non-finite
@@ -336,15 +468,16 @@ def _g17(v: float) -> bytes:
     return b"%.17g" % v
 
 
-def _render(x: np.ndarray, width: int) -> str:
+def _render(x: np.ndarray, width: int, shortest: bool = False) -> str:
     """Rows of ``width`` cells from the values ``x``, each cell as '%.17g'
-    writes it.
+    writes it, or as ``float.__repr__`` writes it with ``shortest``.
 
-    Each nonzero x in the kernel's range is written from its 17-digit
-    decimal D * 10**(k - 16), 10**16 <= D < 10**17: D is the rounded
-    x * 10**(16 - k), which ``_scaled`` gives to far better than the 1e-7
-    by which a cell must miss a tie of the rounding to stay in the kernel.
-    One ``bytes.translate`` drops the NULs of the cells' words.
+    Each nonzero x in the kernel's range is written from a decimal
+    D * 10**(k - 16), 10**16 <= D < 10**17, that ``_nearest17`` or
+    ``_shortest`` picks from S = x * 10**(16 - k): ``_scaled`` gives S to
+    far better than the ``_MARGIN`` by which a value must miss a tie to
+    stay in the kernel.  One ``bytes.translate`` drops the NULs of the
+    cells' words.
     """
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
@@ -359,54 +492,61 @@ def _render(x: np.ndarray, width: int) -> str:
     if fix.size:
         k[fix] += np.where(high[fix], 1, -1)
         hi[fix], lo[fix] = _scaled(a[fix], k[fix])
-    r = np.rint(lo)
-    d = hi.astype(np.int64) + r.astype(np.int64)
-    slow = ~(fast | zero) | (np.abs(np.abs(lo - r) - 0.5) < 1e-7)
+    d, tie = _shortest(a, hi, lo) if shortest else _nearest17(hi, lo)
+    slow = ~(fast | zero) | tie
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     k += carry
     d[zero] = 0                      # k = 0 there, from the stand-in 1.0
 
-    top, d = np.divmod(d, 10 ** 16)
-    c12, c34 = np.divmod(d, 10 ** 8)
-    c1, c2 = np.divmod(c12, 10 ** 4)
-    c3, c4 = np.divmod(c34, 10 ** 4)
+    top, d = _divmod(d, 10 ** 16)
+    c12, c34 = _divmod(d, 10 ** 8)
+    c1, c2 = _divmod(c12, 10 ** 4)
+    c3, c4 = _divmod(c34, 10 ** 4)
     # significant digits: 17 less the trailing zeros, none for a zero
     sig = 17 - (_ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (
         _ZEROS4[c2] + (c2 == 0) * (_ZEROS4[c1] + (c1 == 0) * (top == 0)))))
-    # '%g' writes 10**-4 <= |x| < 10**17 in fixed notation
-    fixed = (k >= -4) & (k < 17)
+    # '%.17g' writes 10**-4 <= |x| < 10**17 in fixed notation, repr
+    # 10**-4 <= |x| < 10**16, and repr ends a whole number there in ".0"
+    fixed = (k >= -4) & (k < 16 + (not shortest))
     # the index of the first digit after the point; a trailing zero there
     # or later is dropped, and the point with it when no digit is left
     first = np.where(fixed, np.maximum(k + 1, 0), 1)
     cut = np.maximum(first, sig)
     lead = first == 0
+    point = sig > first
+    zeros = np.where(lead, -1 - k, 0)
+    if shortest:
+        point |= fixed
+        zeros += fixed & (sig <= first)
     top = (top + ord("0")) << 56
 
     words = np.empty((len(x), 7), "<i8")
-    words[:, 0] = np.signbit(x) * ord("-") | lead * (ord("0") << 8) | ~lead * top
-    words[:, 3] = ((sig > first) * ord(".") | _POINT_ZEROS[np.where(lead, -1 - k, 0)]
-                   | lead * top)
+    words[:, 0] = np.signbit(x) * ord("-") | np.where(lead, ord("0") << 8, top)
+    words[:, 3] = point * _POINT_ZEROS[zeros] | lead * top
     for w, (left, right) in ((1, (c1, c2)), (2, (c3, c4))):
         digits = _WORD4[left] | _WORD4[right] << 32
-        skip = 8 * w - 7            # the digits before the word's first
-        before = _PREFIX[np.clip(first - skip, 0, 8)]
-        words[:, w] = digits & before
-        words[:, w + 3] = digits & ~before & _PREFIX[np.clip(cut - skip, 0, 8)]
+        before = _BEFORE[w - 1]
+        words[:, w] = digits & before[first]
+        words[:, w + 3] = digits & ~before[first] & before[cut]
     words[:, 6] = ~fixed * _EXPONENT[k + 300] | ord(",") << 56
     words[width - 1::width, 6] ^= (ord(",") ^ ord("\n")) << 56
     cells = words.view(np.uint8)
     slow = np.flatnonzero(slow)
     if slow.size:
-        texts = np.array([_g17(v) for v in x[slow].tolist()], "S55")
+        fallback = _repr if shortest else _g17     # looked up per call, for tests
+        texts = np.array([fallback(v) for v in x[slow].tolist()], "S55")
         cells[slow, :-1] = texts.view(np.uint8).reshape(-1, 55)
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
+# ---------------------------------------------------------------------------
+# trajectory CSV
+
 def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
     """Render a trajectory and its energy report as CSV text, every value
     exactly as '%.17g' writes it, in blocks of rows of at most
-    ``_CSV_BLOCK_VALUES`` values (at least one row each)."""
+    ``_BLOCK_VALUES`` values (at least one row each)."""
     rows = len(traj.t)
     n = traj.x.shape[1] if traj.x.ndim == 2 else 0
     if len(report.residuals) not in (0, max(traj.steps, 0)):
@@ -416,7 +556,7 @@ def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
         res[1:] = report.residuals
     x = traj.x.reshape(rows, n)
     header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "balance_residual"])
-    k = max(1, _CSV_BLOCK_VALUES // (n + 3))
+    k = max(1, _BLOCK_VALUES // (n + 3))
     parts = [header + "\n"]
     for a in range(0, rows, k):
         block = np.column_stack([traj.t[a:a + k], x[a:a + k], traj.H[a:a + k], res[a:a + k]])

@@ -81,6 +81,15 @@ class TestValidateCommand:
         out, err = capsys.readouterr()
         assert row in out.splitlines() and err == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exit_1(self, tmp_path, capsys, tol):
+        # R = diag(1, -1) is indefinite; --tol=inf passed it at exit 0
+        bad = write_json(tmp_path / "bad.json",
+                         {"n": 2, "J": [[0., 0.], [0., 0.]], "R": [[1., 0.], [0., -1.]]})
+        assert main(["validate", bad, f"--tol={tol}"]) == 1
+        assert_one_line_error(capsys, "tol must be positive and finite")
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_usage_error(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 1
 
@@ -153,6 +162,33 @@ class TestPipeline:
         out = tmp_path / "out.json"
         assert main(["decouple", system, "--partition", "2,2", "-o", str(out)]) == 2
         assert_one_line_error(capsys, "feedthrough")
+        assert not out.exists()
+
+    def test_decouple_effort_matrix_below_the_old_floor_exit_2(self, tmp_path, capsys):
+        # Q = E^T L underflows to 0, so only L's own off-diagonal blocks
+        # show that the split drops them; they are far below an absolute
+        # 1e-12, not below 1e-12 max|L|
+        system = write_json(tmp_path / "sys.json", {
+            "n": 2, "J": [[0., 0.], [0., 0.]], "R": [[0., 0.], [0., 0.]],
+            "E": [[2.3e-308, 0.], [0., 2.3e-308]], "L": [[2e-17, 5e-17], [5e-17, 2e-17]]})
+        out = tmp_path / "out.json"
+        assert main(["decouple", system, "--partition", "1,1", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "effort matrix not block-diagonal")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([{"i": 0.5, "j": 1, "C": [[0.]]}], "block index 'i' must be an integer, got 0.5"),
+        ([{"i": 0, "j": True, "C": [[0.]]}], "block index 'j' must be an integer, got true"),
+        ([{"i": 0, "j": 1, "C": [[0.]]}, {"i": 0, "j": 1, "C": [[1.]]}],
+         "block (0, 1) given twice"),
+    ], ids=["half", "true", "repeated"])
+    def test_decouple_bad_block_indices_exit_1(self, tmp_path, capsys, blocks, message):
+        ports = write_json(tmp_path / "ports.json", {
+            "ports": [[[0.], [0.], [1.]], [[-1.], [0.]]], "blocks": blocks})
+        out = tmp_path / "out.json"
+        assert main(["decouple", TWO_MASS, "--partition", "3,2",
+                     "--ports", ports, "-o", str(out)]) == 1
+        assert_one_line_error(capsys, message)
         assert not out.exists()
 
     def test_decouple_with_good_ports(self, tmp_path):

@@ -35,6 +35,13 @@ class TestValidateStructure:
         rep = validate_structure(two_mass(), tol=1e-12)
         assert rep.passed and rep.e_regular
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf, -np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tol passed every check and a NaN one failed them all
+        # with a violation of 0
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            validate_structure(two_mass(), tol=tol)
+
     def test_indefinite_r_fails(self):
         sys = make(J=np.zeros((2, 2)), R=[[-1., 0.], [0., 0.]])
         rep = validate_structure(sys)

@@ -123,13 +123,21 @@ def coupled_flow():
                           L=np.linalg.inv(E.T))
 
 
+def tiny_flow_with_coupled_effort():
+    """E = 2.3e-308 I, L = [[2e-17, 5e-17], [5e-17, 2e-17]]: Q = E^T L
+    underflows to 0, and L's off-diagonal blocks are tiny but most of L."""
+    return LinearPHSystem(E=2.3e-308 * np.eye(2), J=np.zeros((2, 2)), R=np.zeros((2, 2)),
+                          B=np.zeros((2, 0)), L=[[2e-17, 5e-17], [5e-17, 2e-17]])
+
+
 class TestSeparabilityRefused:
     @pytest.mark.parametrize("build, message", [
         (lambda: random_linear_ph(np.random.default_rng(4), n=2, m=0),
          "Hamiltonian not separable"),
         (coupled_flow, "flow matrix not block-diagonal"),
         (descriptor_with_coupled_effort, "effort matrix not block-diagonal"),
-    ], ids=["Q", "E", "L"])
+        (tiny_flow_with_coupled_effort, "effort matrix not block-diagonal"),
+    ], ids=["Q", "E", "L", "tiny-L"])
     def test_both_splits_refuse(self, build, message):
         sys = build()
         with pytest.raises(ValueError, match=message):

@@ -14,9 +14,10 @@ import phode.fileio
 from phode.core import LinearPHSystem
 from phode.coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 from phode.decoupling import decouple_auto
-from phode.fileio import (_CSV_BLOCK_VALUES, ParseError, _layout, _rows,
-                          dump_document, parse_system_text, read_trajectory,
-                          write_trajectory)
+from phode.fileio import (_BLOCK_VALUES, _KERNEL_MIN_VALUES, ParseError, _layout,
+                          _render, _rows,
+                          dump_document, parse_ports_text, parse_system_text,
+                          read_trajectory, write_trajectory)
 from phode.integrate import (EnergyReport, Trajectory, energy_report,
                              implicit_midpoint)
 from phode.models import two_mass, two_mass_network
@@ -130,6 +131,28 @@ class TestParseSystem:
             parse_system_text(text)
 
 
+class TestParsePorts:
+    PORTS = [[[1.]], [[1.]]]
+
+    def test_blocks_keyed_by_index_pair(self):
+        ports, blocks = parse_ports_text(json.dumps({
+            "ports": self.PORTS, "blocks": [{"i": 0, "j": 1, "C": [[2.]]}]}))
+        assert [p.tolist() for p in ports] == self.PORTS
+        assert list(blocks) == [(0, 1)] and blocks[0, 1].tolist() == [[2.]]
+
+    @pytest.mark.parametrize("i", [0.5, 0.0, True, "0", None, [0]])
+    def test_index_must_be_an_integer(self, i):
+        text = json.dumps({"ports": self.PORTS, "blocks": [{"i": i, "j": 1, "C": [[0.]]}]})
+        with pytest.raises(ParseError, match="block index 'i' must be an integer"):
+            parse_ports_text(text)
+
+    def test_repeated_pair_refused(self):
+        text = json.dumps({"ports": self.PORTS, "blocks": [{"i": 0, "j": 1, "C": [[0.]]},
+                                                           {"i": 0, "j": 1, "C": [[1.]]}]})
+        with pytest.raises(ParseError, match=r"block \(0, 1\) given twice"):
+            parse_ports_text(text)
+
+
 def _documents():
     """One object of each document shape and the kind it is written as
     (None for its own), keyed by a test id."""
@@ -235,7 +258,7 @@ class TestDumpDocument:
         m = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3], [1e308, 0.1, 1e22]])
         ref = [[float(v) for v in row] for row in m]
         # the rendered rows hold each entry's float text
-        assert _rows(m, "M") == ["[" + ", ".join(map(repr, row)) + "]" for row in ref]
+        assert _rows([("M", m)])[0] == ["[" + ", ".join(map(repr, row)) + "]" for row in ref]
 
     @pytest.mark.parametrize("name", DOCUMENTS)
     def test_same_bytes_as_per_row_encoding(self, name):
@@ -254,10 +277,10 @@ class TestDumpDocument:
         calls = []
         monkeypatch.setattr(phode.fileio, "_repr", lambda x: calls.append(x) or repr(x))
         skew = random_skew(np.random.default_rng(n), n)
-        assert _rows(skew, "J") == [json.dumps(row) for row in skew.tolist()]
+        assert _rows([("J", skew)])[0] == [json.dumps(row) for row in skew.tolist()]
         assert len(calls) <= n * (n - 1) // 2 + 1
         calls.clear()
-        assert _rows(np.eye(n), "E") == [json.dumps(row) for row in np.eye(n).tolist()]
+        assert _rows([("E", np.eye(n))])[0] == [json.dumps(row) for row in np.eye(n).tolist()]
         assert len(calls) == min(n, 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -506,11 +529,11 @@ class TestTrajectoryCsv:
 
     # rows of two states (five columns) in one block; the last two cases put
     # every row in a block of its own
-    BLOCK = _CSV_BLOCK_VALUES // 5
+    BLOCK = _BLOCK_VALUES // 5
 
     @pytest.mark.parametrize("rows, n", [
         (0, 2), (1, 2), (BLOCK - 1, 2), (BLOCK, 2), (BLOCK + 1, 2), (2 * BLOCK + 3, 2),
-        (3, _CSV_BLOCK_VALUES - 3), (3, _CSV_BLOCK_VALUES)])
+        (3, _BLOCK_VALUES - 3), (3, _BLOCK_VALUES)])
     def test_blocks_give_the_bytes_of_the_whole_table(self, rows, n):
         traj, rep = self.random_run(rows, n)
         assert write_trajectory(traj, rep) == whole_table_csv(traj, rep)
@@ -520,7 +543,7 @@ class TestTrajectoryCsv:
         traj = implicit_midpoint(sys, u=lambda t: [np.sin(t), np.cos(3 * t)],
                                  x0=[1., .5, -.3, .2], t1=30.0, dt=0.01)
         rep = energy_report(traj, sys)
-        assert len(traj.t) > _CSV_BLOCK_VALUES // 7   # more than one block
+        assert len(traj.t) > _BLOCK_VALUES // 7   # more than one block
         assert write_trajectory(traj, rep) == whole_table_csv(traj, rep)
 
     def test_transient_memory_bounded_by_the_text(self):
@@ -621,3 +644,111 @@ class TestCsvKernel:
         traj, rep = values_run(np.concatenate([ties, [0.1, 1.5, -2.25]]))
         assert write_trajectory(traj, rep) == whole_table_csv(traj, rep)
         assert formatted == ties.tolist()
+
+
+def powers_of_two():
+    p = 2.0 ** np.arange(-1074, 1024)
+    return np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, 0)])
+
+
+def shortest_lengths():
+    """Doubles whose shortest round-trip text has 1 to 17 significant
+    digits, at exponents across the kernel's range."""
+    rng = np.random.default_rng(17)
+    return np.array([float(f"{rng.integers(10 ** (j - 1), 10 ** j)}e{e}")
+                     for j in range(1, 18) for e in range(-290, 280, 7)])
+
+
+# both sides of repr's switches to and from exponent notation, whole
+# numbers that take ".0", the subnormals and the kernel's range bounds
+NOTATION_EDGES = [1e-5, 1e-4, 1e15, 1e16, 9.999999999999999e-05, 999999999999999.9,
+                  9999999999999998.0, 123456789012345.6, 1e22, 1e23, 0.1, 0.3]
+WHOLE = np.concatenate([np.arange(0.0, 2000.0), 2.0 ** 53 + np.arange(-50.0, 50.0),
+                        1e15 + np.arange(-50.0, 50.0), 1e16 + 2 * np.arange(-50.0, 50.0)])
+SUBNORMALS = [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308 / 3,
+              2.2250738585072014e-308]
+
+
+def repr_edges():
+    edges = np.array(NOTATION_EDGES + EXTREMES + SUBNORMALS)
+    below_max = edges[np.abs(edges) < 1e308]
+    return np.concatenate([edges, np.nextafter(below_max, 2 * below_max), np.nextafter(edges, 0)])
+
+
+def kernel_system(values):
+    """A system whose B holds ``values`` and their negatives, 16 rows of
+    them, beside enough other distinct magnitudes that the document's
+    magnitudes are formatted by the kernel."""
+    filler = 1 + np.arange(_KERNEL_MIN_VALUES) / 1024
+    cells = np.concatenate([values, -values, filler])
+    cells = np.concatenate([cells, np.zeros(-len(cells) % 16)]).reshape(16, -1)
+    eye = np.eye(16)
+    return LinearPHSystem(E=eye, J=np.zeros((16, 16)), R=np.zeros((16, 16)), B=cells, L=eye)
+
+
+class TestReprKernel:
+    """Every number of ``dump_document`` has the bytes ``float.__repr__``
+    gives it, whether the kernel or Python formats it."""
+
+    @pytest.mark.parametrize("values", [
+        powers_of_two(), powers_of_ten(), shortest_lengths(), repr_edges(), WHOLE],
+        ids=["powers-of-two", "powers-of-ten", "shortest-lengths", "edges", "whole"])
+    def test_edge_values(self, values):
+        sys = kernel_system(values)
+        assert dump_document(sys) == per_row_document(sys)
+
+    def test_signed_cells(self):
+        # _rows hands the kernel magnitudes only; the kernel itself also
+        # writes signs, -0.0 included
+        values = np.concatenate([repr_edges(), -repr_edges(), [0.0, -0.0]])
+        assert _render(values, 1, shortest=True).splitlines() == list(map(repr, values.tolist()))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(23).integers(-2 ** 63, 2 ** 63, 10 ** 5, dtype=np.int64)
+        values = bits.view(np.float64)
+        sys = kernel_system(values[np.isfinite(values)])
+        assert dump_document(sys) == per_row_document(sys)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values=arrays(float, st.integers(1, 60), elements=FINITE))
+    def test_any_finite_values(self, values):
+        sys = kernel_system(values)
+        assert dump_document(sys) == per_row_document(sys)
+
+    def test_flagged_values_and_small_documents_take_float_repr(self, monkeypatch):
+        formatted = []
+
+        def spy(v):
+            formatted.append(v)
+            return repr_(v)
+
+        repr_ = phode.fileio._repr
+        monkeypatch.setattr(phode.fileio, "_repr", spy)
+        # a whole number in [1e16, 1e17) has a rounding interval whose
+        # bounds are integers in units of its 17th digit, too close to
+        # call; 5e-324 and 1e281 lie outside the kernel's range
+        flagged = [5e-324, 1e16, 12345678901234568.0, 2.0 ** 55, 99999999999999984.0, 1e281]
+        plain = np.linspace(0.5, 2.0, _KERNEL_MIN_VALUES - len(flagged))
+        row = np.concatenate([flagged, -plain])[None]
+        # one magnitude fewer than the kernel takes: Python formats them all
+        assert _rows([("M", row[:, 1:])]) == [[json.dumps(row[0, 1:].tolist())]]
+        assert formatted == sorted(np.abs(row[0, 1:]).tolist())
+        formatted.clear()
+        # as many as it takes, in two matrices: the flagged ones only
+        assert _rows([("M", row[:, :3]), ("N", row[:, 3:])]) == [
+            [json.dumps(row[0, :3].tolist())], [json.dumps(row[0, 3:].tolist())]]
+        assert formatted == flagged
+
+    def test_transient_memory_bounded(self):
+        # n = 200 with E and L: each of the four matrices is formatted in
+        # a group of its own.  The bound is the peak of the dump that
+        # formatted each matrix's magnitudes by float.__repr__ (10 754 727
+        # bytes on this document, NumPy 2.4), plus 5 %
+        sys = random_linear_ph(np.random.default_rng(0), n=200, m=0, implicit=True)
+        tracemalloc.start()
+        try:
+            dump_document(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 10_754_727
