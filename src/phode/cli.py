@@ -64,15 +64,22 @@ def _read(path: str, parse):
         raise CliError(f"{path}: {exc}")
 
 
-def _load(path: str, no_validate: bool, tol: float = 1e-10):
+def _load(path: str, no_validate: bool, kind=None):
+    """The system or network of the document at ``path``, with every system
+    in it structure-checked unless ``no_validate``; when ``kind`` is given
+    (LinearPHSystem or CoupledNetwork), a document of another kind is a
+    usage error, raised after the check."""
     obj = _read(path, parse_system_text)
     if not no_validate:
         for i, sub in enumerate(_systems_of(obj)):
-            rep = _validate(sub, tol)
+            rep = _validate(sub, 1e-10)
             if not rep.passed:
                 where = "" if isinstance(obj, LinearPHSystem) else f"subsystem {i + 1}: "
                 raise CliError(f"{path}: structure validation failed: {where}"
                                f"{rep.failures()}", EXIT_VALIDATION)
+    if kind is not None and not isinstance(obj, kind):
+        name = "linear system" if kind is LinearPHSystem else "network"
+        raise CliError(f"{path}: expected a {name} document")
     return obj
 
 
@@ -125,9 +132,7 @@ def _cmd_validate(args):
 
 
 def _cmd_condense(args):
-    net = _load(args.network, args.no_validate)
-    if not isinstance(net, CoupledNetwork):
-        raise CliError(f"{args.network}: expected a network document")
+    net = _load(args.network, args.no_validate, CoupledNetwork)
     if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
         raise CliError("phdae condensation requires a coupling of type 'relation'")
     condense = {"skew": condense_skew, "general": condense_general, "phdae": build_phdae}
@@ -142,9 +147,7 @@ def _cmd_condense(args):
 
 
 def _cmd_decouple(args):
-    obj = _load(args.system, args.no_validate)
-    if not isinstance(obj, LinearPHSystem):
-        raise CliError(f"{args.system}: expected a linear system document")
+    obj = _load(args.system, args.no_validate, LinearPHSystem)
     try:
         sizes = tuple(int(s) for s in args.partition.split(","))
     except ValueError:
@@ -176,9 +179,7 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
 
 
 def _cmd_simulate(args):
-    obj = _load(args.system, args.no_validate)
-    if not isinstance(obj, LinearPHSystem):
-        raise CliError(f"{args.system}: expected a linear system document")
+    obj = _load(args.system, args.no_validate, LinearPHSystem)
     x0 = _parse_x0(args.x0, obj.n)
     try:
         if args.method == "midpoint":
@@ -197,9 +198,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_cosim(args):
-    obj = _load(args.network, args.no_validate)
-    if not isinstance(obj, CoupledNetwork):
-        raise CliError(f"{args.network}: expected a network document")
+    obj = _load(args.network, args.no_validate, CoupledNetwork)
     x0 = _parse_x0(args.x0, obj.n)
     # the network with its coupling matrix, and the monolithic system whose
     # energy balance the report checks; a relation without a regular M, a
@@ -233,9 +232,7 @@ def _cmd_cosim(args):
 
 
 def _cmd_report(args):
-    obj = _load(args.system, args.no_validate)
-    if not isinstance(obj, LinearPHSystem):
-        raise CliError(f"{args.system}: expected a linear system document")
+    obj = _load(args.system, args.no_validate, LinearPHSystem)
     m = obj.m
     try:
         t, x, h, _ = read_trajectory(Path(args.trajectory).read_text())

@@ -178,16 +178,17 @@ def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> 
 
 def _verify_blocks(sys: LinearPHSystem, ranges, ports, block, pairs):
     """Check Bhat_i C_ij Bhat_j^T = -(J_ij - R_ij) for each block pair (i, j)
-    to 1e-12 relative; raise a :class:`VerificationFailure` for the worst
-    pair that misses."""
+    to 1e-12 relative to the larger of the two sides; raise a
+    :class:`VerificationFailure` for the worst pair that misses."""
     worst, worst_pair, worst_res = 0.0, None, None
     for i, j in pairs:
         ri, rj = ranges[i], ranges[j]
         target = sys.J[ri, rj] - sys.R[ri, rj]
+        product = ports[i] @ block(i, j) @ ports[j].T
         # residual = computed product minus the required -(J_ij - R_ij)
-        res = ports[i] @ block(i, j) @ ports[j].T + target
+        res = product + target
         mr = float(np.max(np.abs(res), initial=0.0))
-        scale = np.max(np.abs(target), initial=0.0) + 1.0
+        scale = max(np.max(np.abs(target), initial=0.0), np.max(np.abs(product), initial=0.0))
         if mr > 1e-12 * scale and mr > worst:
             worst, worst_pair, worst_res = mr, (i, j), res
     if worst_pair is not None:

@@ -368,55 +368,50 @@ def _coupling_response(v: np.ndarray, lifted) -> np.ndarray:
     return np.concatenate([x, tail.reshape(b, r, n)], axis=1)
 
 
-def _window_sweeps(xw: np.ndarray, free: list, blocks: list, out_map: np.ndarray,
-                   C: np.ndarray, gauss_seidel: bool, sweeps: int):
-    """Sweeps of waveform relaxation over a batch of windows.
+def _relax(coefs: np.ndarray, q: int, blocks: list, drive: np.ndarray,
+           out_map: np.ndarray, C: np.ndarray, gauss_seidel: bool, sweeps: int):
+    """Waveform relaxation of a batch of q-step windows, one row of basis
+    coefficients [x_0, vec(u_mid)] each: the window-initial state (n
+    entries) and, when an input acts, the window's midpoint inputs (one row
+    of m per step, forced through ``drive``, m x n).
 
-    xw is (b, q+1, n), one window of states per batch entry with the
-    window-initial states in its first row; free[i] is (b, q, n_i), the
-    free response of subsystem i; blocks[i] holds its lifted maps, state
-    and port slices, C_i^T and half its output map.  The last sweep's
-    states go into xw[:, 1:].  Returns the coupling inputs that sweep was
-    driven with and those its outputs give (b, q, P each).
+    Each subsystem's free response to x_0 and the forcing is stepped once,
+    the batch as columns; every sweep adds its response to the coupling
+    inputs from the step-midpoint port outputs of the previous sweep
+    (Jacobi) or, for subsystems already updated, of the current one
+    (Gauss-Seidel).  blocks[i] holds subsystem i's step matrix, lifted
+    maps, state and port slices, C_i^T and half its output map.  Returns
+    the states x_1..x_q (b, q*n) and the coupling inputs of the convergence
+    check (b, 2*q*P: those the last sweep was driven with, then those its
+    outputs give).
     """
-    q = xw.shape[1] - 1
+    b, n = len(coefs), drive.shape[1]
+    xw = np.empty((b, q + 1, n))
+    xw[:, 0] = coefs[:, :n]
+    g = coefs[:, n:].reshape(b, q, -1) @ drive if coefs.shape[1] > n else None
     # step-midpoint port outputs of all subsystems in the window,
     # initialized by constant extrapolation of the window-initial outputs
     mids = np.repeat(xw[:, :1] @ out_map, q, axis=1)
-    # per subsystem views of its states from the second row on, of those
-    # up to the last row and of its step-midpoint outputs
-    views = [(xw[:, 1:, sl], xw[:, :-1, sl], mids[:, :, psl]) for _, sl, psl, _, _ in blocks]
+    # per subsystem its free response, and views of its states from the
+    # second row on, of those up to the last row and of its midpoint outputs
+    subs = [(_propagate(phi, xw[:, 0, sl].T, q,
+                        None if g is None else g[:, :, sl].transpose(1, 2, 0))[1:]
+             .transpose(2, 0, 1), lifted, c_rows, half_out,
+             xw[:, 1:, sl], xw[:, :-1, sl], mids[:, :, psl])
+            for phi, lifted, sl, psl, c_rows, half_out in blocks]
     for _sweep in range(sweeps):
         # Gauss-Seidel reads the outputs updated so far in this sweep,
         # Jacobi those of the previous sweep
         src = mids if gauss_seidel else mids.copy()
         used = []
-        for x_free, (lifted, _, _, c_rows, half_out), (x_next, x_prev, y_mid) in zip(
-                free, blocks, views):
+        for x_free, lifted, c_rows, half_out, x_next, x_prev, y_mid in subs:
             used.append(src @ c_rows)
             np.add(x_free, _coupling_response(used[-1], lifted), out=x_next)
             np.matmul(x_prev + x_next, half_out, out=y_mid)
-    return np.concatenate(used, axis=2), mids @ C.T
-
-
-def _window_maps(props, state_sl, drive, inputs: int, q: int, sweep: dict):
-    """Maps from a window's basis coefficients [x_0, vec(u_mid)] (n + inputs
-    entries, u_mid one row of midpoint inputs per step) to its states
-    x_1..x_q (q*n) and to the coupling inputs of the convergence check
-    (2*q*P: those the last sweep was driven with, then those its outputs
-    give), from one batched relaxation of the unit basis."""
-    n = drive.shape[1]
-    basis = n + inputs
-    unit = np.eye(basis)
-    xw = np.empty((basis, q + 1, n))
-    xw[:, 0] = unit[:, :n]
-    g = unit[:, n:].reshape(basis, q, -1) @ drive if inputs else None
-    free = [_propagate(phi, xw[:, 0, sl].T, q,
-                       None if g is None else g[:, :, sl].transpose(1, 2, 0))[1:]
-            .transpose(2, 0, 1) for (phi, _), sl in zip(props, state_sl)]
-    used, coupled = _window_sweeps(xw, free, **sweep)
-    return (xw[:, 1:].reshape(basis, -1),
-            np.concatenate([used, coupled], axis=1).reshape(basis, -1))
+    checks = np.empty((b, 2, q, len(C)))
+    np.concatenate(used, axis=2, out=checks[:, 0])
+    np.matmul(mids, C.T, out=checks[:, 1])
+    return xw[:, 1:].reshape(b, -1), checks.reshape(b, -1)
 
 
 def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
@@ -440,12 +435,12 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     u_hat_i, which is linear in u_hat_i: per sweep one matrix product with
     a prebuilt lifted map over all chunks of the window, and one step per
     chunk (see ``_chunk_steps``).  The sweeps themselves are linear in the
-    window-initial state and the window's midpoint inputs.  When these have
-    no more entries than the run has windows, the sweeps run once, on the
-    unit vectors, into window maps (``_MAP_ENTRIES`` entries each at most);
+    window-initial state and the window's midpoint inputs, and one routine
+    relaxes a batch of windows given by these coefficients.  When they have
+    no more entries than the run has windows, it runs once, on the unit
+    vectors, into window maps (``_MAP_ENTRIES`` entries each at most);
     each window's states are then one product with the state map.
-    Otherwise every window steps its free response and runs its own
-    sweeps.
+    Otherwise it runs on each window's own coefficients.
 
     When, in some window, the coupling inputs given by the last sweep's
     outputs differ from those the last sweep was driven with by more than
@@ -484,26 +479,24 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     x = _initial_state(x0, net.n)
     mono = coupling._stack(net)
     n, ports = net.n, len(C)
-    state_sl = _slices(net.state_sizes)
-    port_sl = _slices(net.coupling.layout)
 
-    # per subsystem a step matrix, the lifted maps of its coupling input
-    # C_i y_hat (the sign of u_hat = -C y_hat is folded into the gain), C_i^T
-    # and its block of the port output map y_hat = x @ out_map, halved,
-    # which turns the sum of neighbouring states into the step-midpoint
-    # output; block-diagonal over all subsystems the external forcing
+    # per subsystem its step matrix, the lifted maps of its coupling input
+    # C_i y_hat (the sign of u_hat = -C y_hat folded into the gain), state
+    # and port slices, C_i^T and its block of the port output map
+    # y_hat = x @ out_map, halved (neighbouring states summed give the
+    # step-midpoint output); block-diagonal over all subsystems the forcing
     props = [_propagator(sub, inner[i], dt) for i, sub in enumerate(subs)]
     gamma = coupling._blockdiag([g for _, g in props])
     bhat = net.stacked_port_matrix()
     port_gain = gamma @ bhat
     out_map = mono.L.T @ bhat
-    blocks = [(_lifted_maps(phi, -port_gain[sl, psl], q), sl, psl, C[psl].T,
+    blocks = [(phi, _lifted_maps(phi, -port_gain[sl, psl], q), sl, psl, C[psl].T,
                0.5 * out_map[sl, psl])
-              for (phi, _), sl, psl in zip(props, state_sl, port_sl)]
+              for (phi, _), sl, psl in zip(props, _slices(net.state_sizes),
+                                           _slices(net.coupling.layout))]
     drive = (gamma @ (mono.B - mono.P)).T
     u_mid = _inputs(u, mono.m, t[:-1] + 0.5 * dt)
-    sweep = dict(blocks=blocks, out_map=out_map, C=C,
-                 gauss_seidel=mode == "gauss-seidel", sweeps=sweeps)
+    gauss_seidel = mode == "gauss-seidel"
 
     # window maps when the basis (the unit window-initial states and, when
     # an input acts, the unit midpoint inputs of a window) has no more
@@ -517,7 +510,8 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     xs[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         if mapped:
-            state_map, check_map = _window_maps(props, state_sl, drive, inputs, q, sweep)
+            state_map, check_map = _relax(np.eye(basis), q, blocks, drive, out_map, C,
+                                          gauss_seidel, sweeps)
             x_map = state_map[:n]
             driven = None if u is None else u_win @ state_map[n:]
             for w in range(windows):
@@ -525,17 +519,15 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
                 if driven is not None:
                     win += driven[w]
                 xs[w * q + 1:(w + 1) * q + 1] = win.reshape(q, n)
-            checks = (np.hstack([xs[:-1:q], u_win]) @ check_map).reshape(windows, 2, q, ports)
+            checks = np.hstack([xs[:-1:q], u_win]) @ check_map
         else:
-            ext = None if u is None else u_mid @ drive
-            checks = np.empty((windows, 2, q, ports))
+            checks = np.empty((windows, 2 * q * ports))
             for w in range(windows):
-                win = xs[w * q:(w + 1) * q + 1]
-                free = [_propagate(phi, win[0, sl], q,
-                                   None if ext is None else ext[w * q:(w + 1) * q, sl])[1:]
-                        for (phi, _), sl in zip(props, state_sl)]
-                used, coupled = _window_sweeps(win[None], [f[None] for f in free], **sweep)
-                checks[w, 0], checks[w, 1] = used[0], coupled[0]
+                win, check = _relax(np.concatenate([xs[w * q], u_win[w]])[None], q, blocks,
+                                    drive, out_map, C, gauss_seidel, sweeps)
+                xs[w * q + 1:(w + 1) * q + 1] = win.reshape(q, n)
+                checks[w] = check[0]
+        checks = checks.reshape(windows, 2, q, ports)
 
     # y and H depend on L, B, P, S, N and Q only, which coupling leaves alone
     traj = _finalize(mono, t, xs, _inputs(u, mono.m, t), f"dynamic-{mode}", u_mid)

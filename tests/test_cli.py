@@ -176,6 +176,19 @@ class TestPipeline:
         assert_one_line_error(capsys, "effort matrix not block-diagonal")
         assert not out.exists()
 
+    def test_decouple_tiny_coupling_block_exit_3(self, tmp_path, capsys):
+        # a zero C_01 would drop J_01 = 5e-17; the residual is judged
+        # against the blocks' own size, not against 1
+        system = write_json(tmp_path / "sys.json", {
+            "n": 2, "J": [[0., 5e-17], [-5e-17, 0.]], "R": [[1., 0.], [0., 1.]]})
+        ports = write_json(tmp_path / "ports.json", {
+            "ports": [[[1.]], [[1.]]], "blocks": [{"i": 0, "j": 1, "C": [[0.]]}]})
+        out = tmp_path / "out.json"
+        assert main(["decouple", system, "--partition", "1,1",
+                     "--ports", ports, "-o", str(out)]) == 3
+        assert_one_line_error(capsys, "block pair (0, 1): max residual 5.000e-17")
+        assert not out.exists()
+
     @pytest.mark.parametrize("blocks, message", [
         ([{"i": 0.5, "j": 1, "C": [[0.]]}], "block index 'i' must be an integer, got 0.5"),
         ([{"i": 0, "j": True, "C": [[0.]]}], "block index 'j' must be an integer, got true"),
@@ -393,6 +406,36 @@ class TestLoadCheck:
         stdout, err = capsys.readouterr()
         failed = self.FAILED.replace("W positive", where + "W positive")
         assert err == f"phode: {path}: {failed}\n" and stdout == ""
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    @pytest.mark.parametrize("command, expected", [
+        ("condense", "network"), ("decouple", "linear system"), ("simulate", "linear system"),
+        ("cosim", "network"), ("report", "linear system")])
+    def test_wrong_kind_after_the_check(self, tmp_path, capsys, command, expected, valid):
+        # a document of the wrong kind exits 1 with one line; one that also
+        # fails the structure check exits 2, as any failing document does
+        bad, bad_net = self.documents(tmp_path)
+        system = {**self.SYSTEM, "R": [[1., 0.], [0., 1.]]} if valid else self.SYSTEM
+        net = json.loads(Path(bad_net).read_text())
+        net["subsystems"][1] = system
+        docs = {"network": write_json(tmp_path / "wrong_net.json", net),
+                "linear system": write_json(tmp_path / "wrong_sys.json", system)}
+        doc = docs["network" if expected == "linear system" else "linear system"]
+        out = tmp_path / "out"
+        argv = {"condense": ["condense", doc, "-o", str(out)],
+                "decouple": ["decouple", doc, "--partition", "1,1", "-o", str(out)],
+                "simulate": ["simulate", doc, "--x0=1,1", "-o", str(out)],
+                "cosim": ["cosim", doc, "--x0=1,1", "-o", str(out)],
+                "report": ["report", str(tmp_path / "traj.csv"), doc]}[command]
+        assert main(argv) == (1 if valid else 2)
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        if valid:
+            assert err == f"phode: {doc}: expected a {expected} document\n"
+        else:
+            assert "structure validation failed" in err
         assert not out.exists()
 
 

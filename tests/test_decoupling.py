@@ -286,6 +286,18 @@ class TestDecoupleWithPorts:
         assert out.value.pair == (0, 1)
         assert np.array_equal(out.value.residual, [[0., 0., 0.], [-1., 1., 0.]])
 
+    def test_tiny_coupling_block_is_not_dropped(self):
+        # J_01 = 5e-17 is far below an absolute 1e-12, but a zero C_01
+        # misses it entirely
+        sys = LinearPHSystem(E=np.eye(2), J=[[0., 5e-17], [-5e-17, 0.]], R=np.eye(2),
+                             B=np.zeros((2, 0)), L=np.eye(2))
+        with pytest.raises(VerificationFailure) as out:
+            decouple_with_ports(sys, (1, 1), [np.eye(1), np.eye(1)], {(0, 1): [[0.]]})
+        assert out.value.pair == (0, 1)
+        assert out.value.max_residual == 5e-17
+        net = decouple_with_ports(sys, (1, 1), [np.eye(1), np.eye(1)], {(0, 1): [[-5e-17]]})
+        assert np.array_equal(condense_skew(net).J, sys.J)
+
     def test_port_dimension_mismatch(self):
         sys = two_mass()
         with pytest.raises(Exception):

@@ -132,8 +132,8 @@ class TestStrangSplit:
 
 def take_path(monkeypatch, path, windows):
     """Send dynamic_iteration down the window-map path or, with no map
-    budget, the per-window path; returns the batch sizes of its sweeps as
-    they would be on that path for the 5-state two-mass network."""
+    budget, the per-window path; returns the batch sizes of its relaxations
+    as they would be on that path for the 5-state two-mass network."""
     if path == "per-window":
         monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 0)
         return [1] * windows
@@ -150,7 +150,7 @@ class TestDynamicIteration:
                               CouplingSpec(net.coupling.port_matrices,
                                            np.zeros((2, 2))))
         expected = take_path(monkeypatch, path, 10)
-        calls, _ = spy_window_sweeps(monkeypatch)
+        calls, _ = spy_relax(monkeypatch)
         traj = dynamic_iteration(zero, sweeps=1, window=0.1,
                                  x0=X0, t1=1.0, dt=0.01)
         assert calls == expected
@@ -190,7 +190,7 @@ class TestDynamicIteration:
     def test_jacobi_deterministic_and_order_independent(self, monkeypatch, path):
         net = two_mass_network(variant="b")
         expected = take_path(monkeypatch, path, 5)
-        calls, _ = spy_window_sweeps(monkeypatch)
+        calls, _ = spy_relax(monkeypatch)
         a = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.5, dt=0.01)
         assert calls == expected
         b = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.5, dt=0.01)
@@ -450,22 +450,20 @@ class TestLiftedWindowMaps:
         assert chunk(100, 10, 10) == 1
 
 
-def spy_window_sweeps(monkeypatch):
-    """Record the batch size of every batched sweep call and the window maps
-    dynamic_iteration builds."""
+def spy_relax(monkeypatch):
+    """Record the batch size of every relaxation dynamic_iteration runs and
+    the window maps it builds (the relaxation of the unit basis)."""
     calls, maps = [], []
-    sweep, build = phode.integrate._window_sweeps, phode.integrate._window_maps
+    relax = phode.integrate._relax
 
-    def spy_sweep(xw, *args, **kwargs):
-        calls.append(len(xw))
-        return sweep(xw, *args, **kwargs)
+    def spy(coefs, *args):
+        calls.append(len(coefs))
+        out = relax(coefs, *args)
+        if np.array_equal(coefs, np.eye(len(coefs))):
+            maps.append(out)
+        return out
 
-    def spy_build(*args):
-        maps.append(build(*args))
-        return maps[-1]
-
-    monkeypatch.setattr(phode.integrate, "_window_sweeps", spy_sweep)
-    monkeypatch.setattr(phode.integrate, "_window_maps", spy_build)
+    monkeypatch.setattr(phode.integrate, "_relax", spy)
     return calls, maps
 
 
@@ -479,7 +477,7 @@ class TestWindowMaps:
         net = kw["net"]
         if path == "per-window":
             monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 0)
-        calls, _ = spy_window_sweeps(monkeypatch)
+        calls, _ = spy_relax(monkeypatch)
         x0 = np.random.default_rng(22).standard_normal(net.n)
         # 30 windows cover the basis of the driven network: 5 states and
         # 10 steps of 2 inputs
@@ -500,7 +498,7 @@ class TestWindowMaps:
     def test_path_choice(self, monkeypatch, t1, entries, expected):
         if entries is not None:
             monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", entries)
-        calls, maps = spy_window_sweeps(monkeypatch)
+        calls, maps = spy_relax(monkeypatch)
         dynamic_iteration(two_mass_network(variant="b"), sweeps=3, x0=X0, t1=t1, dt=0.01)
         assert calls == expected
         for state_map, check_map in maps:
@@ -532,7 +530,7 @@ class TestWindowMaps:
     ])
     def test_inputs_join_the_basis(self, monkeypatch, u, t1, expected):
         net = driven_feedthrough_network(np.random.default_rng(4))
-        calls, _ = spy_window_sweeps(monkeypatch)
+        calls, _ = spy_relax(monkeypatch)
         x0 = np.random.default_rng(5).standard_normal(net.n)
         traj = dynamic_iteration(net, sweeps=3, u=u, x0=x0, t1=t1, dt=0.01)
         assert calls == expected
@@ -543,7 +541,7 @@ class TestWindowMaps:
         net = two_mass_network(variant="b")
         zero = CoupledNetwork(net.subsystems,
                               CouplingSpec(net.coupling.port_matrices, np.zeros((2, 2))))
-        calls, _ = spy_window_sweeps(monkeypatch)
+        calls, _ = spy_relax(monkeypatch)
         traj = dynamic_iteration(zero, sweeps=1, window=0.1, x0=X0, t1=0.2, dt=0.01)
         assert calls == [1, 1]
         a = implicit_midpoint(net.subsystems[0], x0=X0[:3], t1=0.2, dt=0.01)
@@ -558,7 +556,7 @@ class TestWindowMaps:
             CouplingSpec((net.coupling.port_matrices[1], net.coupling.port_matrices[0]),
                          -net.coupling.C))
         x0s = np.concatenate([X0[3:], X0[:3]])
-        calls, _ = spy_window_sweeps(monkeypatch)
+        calls, _ = spy_relax(monkeypatch)
         a = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.2, dt=0.01)
         c = dynamic_iteration(swapped, sweeps=3, window=0.1, x0=x0s, t1=0.2, dt=0.01)
         assert calls == [1] * 4
@@ -573,7 +571,7 @@ class TestWindowMaps:
         found = []
         for entries in (phode.integrate._MAP_ENTRIES, 0):
             monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", entries)
-            calls, _ = spy_window_sweeps(monkeypatch)
+            calls, _ = spy_relax(monkeypatch)
             with pytest.warns(RuntimeWarning) as record:
                 dynamic_iteration(net, mode=mode, sweeps=2, window=0.1, x0=x0, t1=1.0, dt=0.01)
             assert calls == ([9] if entries else [1] * 10)

@@ -1,5 +1,5 @@
-"""``tools/output_digest.py`` digests every job's output of a benchmark
-workload; two runs on one checkout print the same digests, and ``--parent``
+"""``tools/output_digest.py`` digests every job's and probe's output of a
+benchmark workload; two runs on one checkout print the same digests, and ``--parent``
 compares them with those of a git revision."""
 
 import importlib.util
@@ -21,8 +21,11 @@ def test_two_runs_print_the_same_digests(capsys):
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     *jobs, total = runs[0]
-    assert len(jobs) == 15 and total.startswith("total ") and len(total.split()[1]) == 40
-    assert {line.split()[1] for line in jobs} == {"condense", "simulate", "report", "cosim"}
+    # 15 jobs and the cosim_default_sweeps probe
+    assert len(jobs) == 16 and total.startswith("total ") and len(total.split()[1]) == 40
+    assert {line.split()[1] for line in jobs} == {"condense", "simulate", "report", "cosim",
+                                                  "probe:cosim_default_sweeps"}
+    assert jobs[-1].split()[1] == "probe:cosim_default_sweeps"
 
 
 def in_git_checkout() -> bool:
@@ -38,7 +41,7 @@ def test_head_against_itself_is_the_same_bytes(capsys):
     parent, change, verdict = capsys.readouterr().out.splitlines()
     assert parent.startswith("parent ") and change.startswith("change ")
     assert parent.split()[-1] == change.split()[-1]
-    assert verdict == "same bytes in all 15 jobs"
+    assert verdict == "same bytes in all 15 jobs and 1 probe"
 
 
 def test_first_differing_job_exits_1(capsys, monkeypatch):

@@ -3,18 +3,22 @@
     python3 tools/output_digest.py --workload cosim-3block --seed 41
     python3 tools/output_digest.py --workload cli-docs --seed 41 --parent HEAD~1
 
-The jobs of the workload are generated by ``perfbench/workloads.py`` (read,
-never changed) in a temporary directory and run once each, in order,
-through ``phode.cli.main`` of the checkout that holds this script.  A job's
-sha1 covers its exit code, its standard output and the bytes of its output
-files; ``total`` is the sha1 of all job sha1s.  Two checkouts that print
-the same total wrote the same bytes in every job of that workload and seed.
+The jobs and known-defect probes of the workload are generated by
+``perfbench/workloads.py`` (read, never changed) in a temporary directory
+and run once each, in order, jobs first, through ``phode.cli.main`` of the
+checkout that holds this script.  A job's sha1 covers its exit code, its
+standard output and the bytes of its output files; a probe's (listed as
+``probe:NAME``) covers its exit code, standard output, standard error and
+the file after ``-o``, with the temporary directory's path replaced by
+``WORK``.  ``total`` is the sha1 of all these sha1s.  Two checkouts that
+print the same total wrote the same bytes in every job and probe of that
+workload and seed.
 
 With ``--parent REV`` the revision REV is unpacked as ``tools/bench_pairs.py``
 does (``git archive | tar -x``), this script digests the same workload and
 seed there in a process of its own, and both totals are printed, followed
-by the first job whose digest differs; the exit code is 1 on any
-difference, 0 when every job wrote the same bytes.
+by the first job or probe whose digest differs; the exit code is 1 on
+any difference, 0 when every job and probe wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -49,22 +53,41 @@ from bench_pairs import unpack  # noqa: E402
 
 
 def job_digests(workload: str, seed: int) -> list:
-    """(kind, sha1) of every job of ``workload`` at ``seed``, in job order."""
+    """(kind, sha1) of every job of ``workload`` at ``seed``, in job order,
+    then ("probe:NAME", sha1) of every probe."""
     if Path(phode.cli.__file__).resolve().parent != ROOT / "src" / "phode":
         raise SystemExit(f"output_digest: imported phode from {phode.cli.__file__}, "
                          f"not {ROOT / 'src'}")
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = workloads.WORKLOADS[workload](np.random.default_rng(seed), Path(tmp)).jobs
-        for job in jobs:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = phode.cli.main(job.argv)
-            h = hashlib.sha1(f"exit {code}\n{stdout.getvalue()}".encode())
-            for path in map(Path, job.outputs):
-                h.update(path.read_bytes() if path.is_file() else b"no file")
-            out.append((job.kind, h.hexdigest()))
+        wl = workloads.WORKLOADS[workload](np.random.default_rng(seed), Path(tmp))
+        for job in wl.jobs:
+            code, stdout, _ = run(job.argv)
+            out.append((job.kind, digest(f"exit {code}\n{stdout}", job.outputs)))
+        for probe in wl.probes:
+            code, stdout, stderr = run(probe.argv)
+            head = f"exit {code}\n{stdout}\nstderr\n{stderr}".replace(tmp, "WORK")
+            argv = probe.argv
+            files = [argv[argv.index("-o") + 1]] if "-o" in argv else []
+            out.append((f"probe:{probe.name}", digest(head, files)))
     return out
+
+
+def run(argv: list) -> tuple:
+    """Exit code, standard output and standard error of one phode command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = phode.cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def digest(head: str, files) -> str:
+    """sha1 of ``head`` and the bytes of each file, or "no file" for one
+    that does not exist."""
+    h = hashlib.sha1(head.encode())
+    for path in map(Path, files):
+        h.update(path.read_bytes() if path.is_file() else b"no file")
+    return h.hexdigest()
 
 
 def total(digests: list) -> str:
@@ -116,7 +139,9 @@ def main(argv=None) -> int:
     print(f"change {'':<10} total {total(digests)}")
     i = first_difference(parent, digests)
     if i is None:
-        print(f"same bytes in all {len(digests)} jobs")
+        probes = sum(kind.startswith("probe:") for kind, _ in digests)
+        print(f"same bytes in all {len(digests) - probes} jobs and {probes} "
+              f"probe{'' if probes == 1 else 's'}")
         return 0
     sides = [" ".join(jobs[i]) if i < len(jobs) else "no job" for jobs in (parent, digests)]
     print(f"first difference: job {i}: parent {sides[0]}, change {sides[1]}")
