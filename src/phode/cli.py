@@ -11,6 +11,7 @@ import argparse
 import re
 import sys as _sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from .coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_p
                        eliminate_ports)  # noqa: F401
 from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
-from .fileio import (ParseError, dump_document, parse_ports_text, parse_system_text,
-                     read_trajectory, write_trajectory)
+from .fileio import (dump_document, parse_ports_text, parse_system_text, read_trajectory,
+                     write_trajectory)
 from .integrate import (NewtonError, StepCountError, Trajectory, dynamic_iteration,
                         energy_report, implicit_midpoint, strang_split)
 from . import models
@@ -56,12 +57,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str, parse):
-    """``parse`` applied to the text of a file; a file that cannot be read
-    or parsed is a usage error."""
+    """``parse`` applied to the text of a file; a file that cannot be read,
+    or whose text ``parse`` refuses with a ValueError, is a usage error."""
     try:
         return parse(Path(path).read_text())
-    except (OSError, ParseError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"{path}: {exc}")
+
+
+@contextmanager
+def _refusal():
+    """A ValueError of a condensation or decoupling, save a VerificationFailure,
+    refuses its input: exit 2, the one code that depends on a command's phase."""
+    try:
+        yield
+    except VerificationFailure:
+        raise
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
 
 
 def _load(path: str, no_validate: bool, kind=None):
@@ -72,7 +85,7 @@ def _load(path: str, no_validate: bool, kind=None):
     obj = _read(path, parse_system_text)
     if not no_validate:
         for i, sub in enumerate(_systems_of(obj)):
-            rep = _validate(sub, 1e-10)
+            rep = validate_structure(sub, tol=1e-10)
             if not rep.passed:
                 where = "" if isinstance(obj, LinearPHSystem) else f"subsystem {i + 1}: "
                 raise CliError(f"{path}: structure validation failed: {where}"
@@ -81,13 +94,6 @@ def _load(path: str, no_validate: bool, kind=None):
         name = "linear system" if kind is LinearPHSystem else "network"
         raise CliError(f"{path}: expected a {name} document")
     return obj
-
-
-def _validate(sub, tol: float):
-    try:
-        return validate_structure(sub, tol=tol)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
 def _systems_of(obj):
@@ -123,7 +129,7 @@ def _cmd_validate(args):
     systems = _systems_of(obj)
     failed = False
     for i, sub in enumerate(systems):
-        rep = _validate(sub, args.tol)
+        rep = validate_structure(sub, tol=args.tol)
         label = "system" if len(systems) == 1 else f"subsystem {i + 1}"
         print(f"== {label} ==")
         print(rep.summary())
@@ -136,11 +142,8 @@ def _cmd_condense(args):
     if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
         raise CliError("phdae condensation requires a coupling of type 'relation'")
     condense = {"skew": condense_skew, "general": condense_general, "phdae": build_phdae}
-    try:
+    with _refusal():
         result = condense[args.mode](net)
-    except ValueError as exc:
-        # a singular M, a non-skew C in skew mode or a StructureFailure
-        raise CliError(str(exc), EXIT_VALIDATION)
     kind = "phdae" if args.mode == "phdae" else None
     _write(args.output, dump_document(result, kind=kind))
     return EXIT_OK
@@ -148,29 +151,25 @@ def _cmd_condense(args):
 
 def _cmd_decouple(args):
     obj = _load(args.system, args.no_validate, LinearPHSystem)
-    try:
-        sizes = tuple(int(s) for s in args.partition.split(","))
-    except ValueError:
-        raise CliError(f"bad partition {args.partition!r}")
-    try:
-        if args.ports:
-            ports, blocks = _read(args.ports, parse_ports_text)
-            result = decouple_with_ports(obj, Partition(sizes), ports, blocks)
-        else:
-            result = decouple_auto(obj, Partition(sizes))
-    except VerificationFailure:
-        raise   # exit 3 in main
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    sizes = _numbers(args.partition, int, "partition")
+    ports = _read(args.ports, parse_ports_text) if args.ports else None
+    with _refusal():
+        part = Partition(sizes)
+        result = decouple_with_ports(obj, part, *ports) if ports else decouple_auto(obj, part)
     _write(args.output, dump_document(result))
     return EXIT_OK
 
 
-def _parse_x0(text: str, n: int) -> np.ndarray:
+def _numbers(text: str, kind, what: str) -> list:
+    """The comma-separated numbers of ``text``, each converted by ``kind``."""
     try:
-        x0 = np.array([float(v) for v in text.split(",")], dtype=float)
+        return [kind(v) for v in text.split(",")]
     except ValueError:
-        raise CliError(f"bad state list {text!r}")
+        raise CliError(f"bad {what} {text!r}")
+
+
+def _parse_x0(text: str, n: int) -> np.ndarray:
+    x0 = np.array(_numbers(text, float, "state list"), dtype=float)
     if not np.all(np.isfinite(x0)):
         raise CliError(f"x0 must be finite, got {text!r}")
     if x0.size != n:
@@ -181,17 +180,8 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
 def _cmd_simulate(args):
     obj = _load(args.system, args.no_validate, LinearPHSystem)
     x0 = _parse_x0(args.x0, obj.n)
-    try:
-        if args.method == "midpoint":
-            traj = implicit_midpoint(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-        else:
-            traj = strang_split(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    except (SingularFlowError, NewtonError) as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
-    except StepCountError as exc:
-        raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
-    except ValueError as exc:
-        raise CliError(str(exc))
+    run = implicit_midpoint if args.method == "midpoint" else strang_split
+    traj = run(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
     rep = energy_report(traj, obj)
     _write(args.output, write_trajectory(traj, rep))
     return EXIT_OK
@@ -203,26 +193,17 @@ def _cmd_cosim(args):
     # the network with its coupling matrix, and the monolithic system whose
     # energy balance the report checks; a relation without a regular M, a
     # structure failure or an overflow ends the command before the run
-    try:
+    with _refusal():
         net = CoupledNetwork(obj.subsystems,
                              CouplingSpec(obj.coupling.port_matrices, coupling_matrix(obj)))
         mono = condense_skew(net) if net.coupling.is_skew else condense_general(net)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
     # one name applies to every subsystem, a comma list names one each
     inner = args.inner.split(",") if "," in args.inner else args.inner
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            traj = dynamic_iteration(net, mode=args.mode, window=args.window,
-                                     sweeps=args.sweeps, inner=inner,
-                                     x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    except (SingularFlowError, NewtonError) as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
-    except StepCountError as exc:
-        raise CliError(f"too many steps, lower --t1 or raise --dt: {exc}")
-    except ValueError as exc:
-        raise CliError(str(exc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        traj = dynamic_iteration(net, mode=args.mode, window=args.window,
+                                 sweeps=args.sweeps, inner=inner,
+                                 x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
     rep = energy_report(traj, mono)
     _write(args.output, write_trajectory(traj, rep))
     # after the write, so that a failure stays the one line on stderr
@@ -233,15 +214,15 @@ def _cmd_cosim(args):
 
 def _cmd_report(args):
     obj = _load(args.system, args.no_validate, LinearPHSystem)
-    m = obj.m
-    try:
-        t, x, h, _ = read_trajectory(Path(args.trajectory).read_text())
-        traj = Trajectory(t=t, x=x, u=np.zeros((len(t), m)),
-                          y=np.zeros((len(t), m)), H=h, method="file")
-    except (OSError, ValueError) as exc:
-        raise CliError(f"{args.trajectory}: {exc}")
-    if x.shape[0] and x.shape[1] != obj.n:
-        raise CliError(f"trajectory has {x.shape[1]} state columns, "
+
+    def stored(text):
+        t, x, h, _ = read_trajectory(text)
+        zeros = np.zeros((len(t), obj.m))
+        return Trajectory(t=t, x=x, u=zeros, y=zeros, H=h, method="file")
+
+    traj = _read(args.trajectory, stored)
+    if traj.x.shape[0] and traj.x.shape[1] != obj.n:
+        raise CliError(f"trajectory has {traj.x.shape[1]} state columns, "
                        f"system dimension is {obj.n}")
     rep = energy_report(traj, obj)
     print(rep.summary())
@@ -267,15 +248,7 @@ def _parse_params(text: str) -> dict:
 
 
 def _cmd_model(args):
-    if args.name not in models.REGISTRY:
-        raise CliError(f"unknown model {args.name!r}; known: "
-                       + ", ".join(sorted(models.REGISTRY)))
-    params_cls, ctor = models.REGISTRY[args.name]
-    try:
-        params = params_cls(**_parse_params(args.params))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad parameters: {exc}")
-    _write(args.output, dump_document(ctor(params)))
+    _write(args.output, dump_document(models.build(args.name, _parse_params(args.params))))
     return EXIT_OK
 
 
@@ -378,30 +351,44 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return p
 
 
+# exception type -> (exit code, message prefix): the first row that a failure
+# is an instance of gives its exit code (None: the CliError's own) and its
+# line, "phode: " + prefix + the exception's text
+EXIT_TABLE = (
+    (CliError, None, ""),
+    (VerificationFailure, EXIT_VERIFICATION, ""),  # ports that do not reproduce the system
+    # a singular flow matrix, a Newton breakdown, or a condensation,
+    # decoupling, run or document that leaves the finite range
+    ((SingularFlowError, NewtonError, FloatingPointError), EXIT_NUMERICAL, ""),
+    (StepCountError, EXIT_USAGE, "too many steps, lower --t1 or raise --dt: "),
+    (ValueError, EXIT_USAGE, ""),
+    (MemoryError, EXIT_USAGE, "out of memory"),
+)
+# after "out of memory", for the commands with a trajectory: the step-count check
+# bounds what a run keeps per step, not the copies that rendering it or reading it make
+_MEMORY_HINTS = dict.fromkeys(("simulate", "cosim", "report"), ": the trajectory does "
+                              "not fit; make it shorter (lower --t1 or raise --dt)")
+
+
 def main(argv=None) -> int:
     """Run one command; ``argv`` defaults to the process arguments.  Only
     the command that ``argv[0]`` names gets its parser built; with no
-    command there, the full parser reports usage or prints help."""
+    command there, the full parser reports usage or prints help.  A failure
+    prints one line and returns its code in ``EXIT_TABLE``."""
     argv = _sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"phode: {exc}", file=_sys.stderr)
-        return exc.code
-    except (VerificationFailure, FloatingPointError) as exc:
-        # ports that do not reproduce the system (the residual matrix stays
-        # on the exception), or a condensation, decoupling, run or document
-        # that leaves the finite range
-        print(f"phode: {exc}", file=_sys.stderr)
-        return EXIT_VERIFICATION if isinstance(exc, VerificationFailure) else EXIT_NUMERICAL
-    except MemoryError:
-        # the step-count check bounds what a run keeps per step, not the
-        # copies that rendering, writing, reading or reporting it makes
-        print("phode: out of memory: the trajectory does not fit; make it "
-              "shorter (lower --t1 or raise --dt)", file=_sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        row = next((row for row in EXIT_TABLE if isinstance(exc, row[0])), None)
+        if row is None:
+            raise
+        _, code, prefix = row
+        # a MemoryError's own text, if any, names an array, not the input
+        text = _MEMORY_HINTS.get(command, "") if isinstance(exc, MemoryError) else str(exc)
+        print(f"phode: {prefix}{text}", file=_sys.stderr)
+        return exc.code if code is None else code
 
 
 if __name__ == "__main__":

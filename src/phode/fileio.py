@@ -56,15 +56,10 @@ def _mat(doc, key, rows=None, cols=None, required=True):
 
 def _parse_linear(doc) -> LinearPHSystem:
     if "model" in doc:
-        name = doc["model"]
-        if name not in models.REGISTRY:
-            raise ParseError(f"unknown model {name!r}; known: {sorted(models.REGISTRY)}")
-        params_cls, ctor = models.REGISTRY[name]
         try:
-            params = params_cls(**doc.get("params", {}))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad parameters for model {name!r}: {exc}") from exc
-        return ctor(params)
+            return models.build(doc["model"], doc.get("params", {}))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     if "n" not in doc:
         raise ParseError("missing field 'n'")
     try:
@@ -219,21 +214,21 @@ def network_to_doc(net: CoupledNetwork) -> dict:
 _repr = float.__repr__
 
 
-# distinct magnitudes below which a group's numbers are formatted by
+# distinct values below which a group's numbers are formatted by
 # ``float.__repr__`` one at a time rather than by the kernel: a kernel pass
 # costs about 150 us however few values it is given, and then about 270 ns
 # per value against 550-950 ns for ``float.__repr__`` (2-core VM)
 _KERNEL_MIN_VALUES = 512
 
 
-def _texts(mags: np.ndarray) -> list:
-    """``float.__repr__`` of each of the finite magnitudes ``mags``, from
-    the kernel in passes of at most ``_BLOCK_VALUES`` values."""
-    if len(mags) < _KERNEL_MIN_VALUES:
-        return list(map(_repr, mags.tolist()))
+def _texts(values: np.ndarray) -> list:
+    """``float.__repr__`` of each of the finite ``values``, from the kernel
+    in passes of at most ``_BLOCK_VALUES`` values."""
+    if len(values) < _KERNEL_MIN_VALUES:
+        return list(map(_repr, values.tolist()))
     texts = []
-    for a in range(0, len(mags), _BLOCK_VALUES):
-        texts += _render(mags[a:a + _BLOCK_VALUES], 1, shortest=True).splitlines()
+    for a in range(0, len(values), _BLOCK_VALUES):
+        texts += _render(values[a:a + _BLOCK_VALUES], 1, shortest=True).splitlines()
     return texts
 
 
@@ -249,7 +244,7 @@ def _matrices(value, field: str = ""):
             yield from _matrices(v, field)
 
 
-# entries of the matrices whose magnitudes are formatted together, at most
+# entries of the matrices whose values are formatted together, at most
 # (a larger matrix is formatted alone): a document of small matrices is one
 # group, and the texts of a group take no more than those of a matrix of
 # this size would
@@ -260,13 +255,12 @@ def _rows(matrices: list) -> list:
     """For each (field, 2-D array) of ``matrices`` the JSON text of each
     of the array's rows, as ``json.dumps`` writes the row's list.
 
-    The distinct magnitudes of consecutive arrays of at most
-    ``_GROUP_ENTRIES`` entries in all are formatted together, and a
-    negative entry takes its magnitude's text behind a "-"
-    (``repr(-x) == "-" + repr(x)`` for every finite x >= 0, -0.0
-    included), so a skew or symmetric matrix, an identity or a block of
-    zeros costs a fraction of its entries' formats.  A non-finite entry,
-    which JSON cannot hold, raises a FloatingPointError naming its field.
+    The distinct values of consecutive arrays of at most
+    ``_GROUP_ENTRIES`` entries in all are formatted together, told apart
+    by their bits (so -0.0 keeps its own text), and a symmetric matrix, an
+    identity or a block of zeros costs a fraction of its entries' formats.
+    A non-finite entry, which JSON cannot hold, raises a FloatingPointError
+    naming its field.
     """
     rows, group, size = [], [], 0
     for field, m in matrices:
@@ -279,19 +273,17 @@ def _rows(matrices: list) -> list:
 
 
 def _group_rows(matrices: list) -> list:
-    """``_rows`` of one group, its distinct magnitudes formatted at once."""
-    mags, index = np.unique(np.concatenate([np.abs(m).ravel() for _, m in matrices]),
+    """``_rows`` of one group, its distinct values formatted at once."""
+    bits, index = np.unique(np.concatenate([m.ravel() for _, m in matrices]).view(np.int64),
                             return_inverse=True)
-    # sorted, so a NaN or an infinity comes last
-    if mags.size and not np.isfinite(mags[-1]):
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():
         field = next(f for f, m in matrices if not np.all(np.isfinite(m)))
         raise FloatingPointError(f"field {field!r} has non-finite entries")
-    texts = _texts(mags)
-    texts += ["-" + t for t in texts]
-    texts = np.array(texts, dtype=object)
+    texts = np.array(_texts(values), dtype=object)
     rows, at = [], 0
     for _, m in matrices:
-        cells = texts[index[at:at + m.size].reshape(m.shape) + len(mags) * np.signbit(m)]
+        cells = texts[index[at:at + m.size].reshape(m.shape)]
         rows.append(["[" + ", ".join(row) + "]" for row in cells.tolist()])
         at += m.size
     return rows

@@ -32,6 +32,9 @@ _REPORT_BLOCK_VALUES = 2 ** 14
 # relative change of the coupling inputs in the last sweep above which
 # dynamic_iteration warns that it has not converged
 _SWEEP_TOL = float(np.sqrt(np.finfo(float).eps))
+# a callback system's Newton midpoint step: tolerance of |residual| / (1 + |x|), iterations
+_NEWTON_TOL = 1e-12
+_NEWTON_MAXIT = 25
 
 
 class NewtonError(RuntimeError):
@@ -234,8 +237,7 @@ def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
 
 
 def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
-                      dt: float = 0.01, newton_tol: float = 1e-12,
-                      newton_maxit: int = 25) -> Trajectory:
+                      dt: float = 0.01) -> Trajectory:
     """Integrate with the implicit midpoint rule (second order).
 
     Linear-constant systems reduce to one matrix-vector product per step
@@ -249,7 +251,7 @@ def implicit_midpoint(sys, u=None, x0=None, t0: float = 0.0, t1: float = 1.0,
     xs = [x]
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     for um in u_mid:
-        x = _newton_midpoint_step(sys, x, um, dt, newton_tol, newton_maxit)
+        x = _newton_midpoint_step(sys, x, um, dt)
         xs.append(x)
     return _finalize(sys, t, np.array(xs), _inputs(u, sys.m, t), "midpoint", u_mid)
 
@@ -261,12 +263,12 @@ def _midpoint_residual(sys: CallbackPHSystem, x0, x1, um, dt):
     return E @ (x1 - x0) - dt * ((J - R) @ z + (B - P) @ um)
 
 
-def _newton_midpoint_step(sys, x0, um, dt, tol, maxit):
+def _newton_midpoint_step(sys, x0, um, dt):
     x1 = x0.copy()
     scale = 1.0 + np.linalg.norm(x0)
-    for _ in range(maxit):
+    for _ in range(_NEWTON_MAXIT):
         g = _midpoint_residual(sys, x0, x1, um, dt)
-        if np.linalg.norm(g) <= tol * scale:
+        if np.linalg.norm(g) <= _NEWTON_TOL * scale:
             return x1
         # finite-difference Jacobian of the residual w.r.t. x1
         n = x1.size
@@ -282,9 +284,9 @@ def _newton_midpoint_step(sys, x0, um, dt, tol, maxit):
             raise NewtonError("singular Newton matrix in implicit step") from exc
         x1 = x1 + dx
     g = _midpoint_residual(sys, x0, x1, um, dt)
-    if np.linalg.norm(g) <= tol * scale:
+    if np.linalg.norm(g) <= _NEWTON_TOL * scale:
         return x1
-    raise NewtonError(f"Newton did not converge in {maxit} iterations")
+    raise NewtonError(f"Newton did not converge in {_NEWTON_MAXIT} iterations")
 
 
 def strang_split(sys: LinearPHSystem, u=None, x0=None, t0: float = 0.0,

@@ -144,6 +144,9 @@ class PoroelasticParams:
                 raise ValueError(f"{name} must be symmetric positive definite")
         if self.D.shape != (npp, nw):
             raise DimensionError(f"D must be {npp}x{nw}")
+        for name, mat, dim in (("B_f", self.B_f, nw), ("B_g", self.B_g, npp)):
+            if mat.ndim != 2 or mat.shape[0] != dim:
+                raise DimensionError(f"{name} must be a 2-D array with {dim} rows")
 
 
 def poroelastic(params: PoroelasticParams | None = None):
@@ -217,11 +220,13 @@ class MaxwellParams:
     M_kappa: np.ndarray = None
 
     def __post_init__(self):
-        G, C = self.G, self.C
-        if G is None or C is None:
-            G, C = _default_incidence()
+        if (self.G is None) != (self.C is None):
+            raise ValueError("G and C must be given together")
+        G, C = _default_incidence() if self.G is None else (self.G, self.C)
         G = np.asarray(G, dtype=float)
         C = np.asarray(C, dtype=float)
+        if G.ndim != 2 or C.ndim != 2:
+            raise DimensionError("G and C must be 2-D arrays")
         ne = G.shape[0]
         nf = C.shape[0]
         if C.shape[1] != ne:
@@ -285,3 +290,16 @@ REGISTRY = {
     "poroelastic": (PoroelasticParams, lambda p=None: poroelastic(p)[0]),
     "maxwell": (MaxwellParams, lambda p=None: maxwell_grid(p)[0]),
 }
+
+
+def build(name: str, params: dict) -> LinearPHSystem:
+    """The system of the registered model ``name`` with the values ``params``;
+    an unknown name or parameters that its class refuses raise a ValueError."""
+    if not isinstance(name, str) or name not in REGISTRY:
+        raise ValueError(f"unknown model {name!r}; known: " + ", ".join(sorted(REGISTRY)))
+    params_cls, ctor = REGISTRY[name]
+    try:
+        p = params_cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad parameters: {exc}") from exc
+    return ctor(p)

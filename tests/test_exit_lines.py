@@ -45,6 +45,9 @@ DOCUMENTS = {
     # the coupling -(J_12 - R_12) is -2.3e308
     "overflow-sys.json": {"n": 2, "J": [[0., 1.5e308], [-1.5e308, 0.]],
                           "R": [[0.8e308, -0.8e308], [-0.8e308, 0.8e308]]},
+    "maxwell-scalars.json": {"model": "maxwell", "params": {"G": 1, "C": 2}},
+    "poroelastic-vector.json": {"model": "poroelastic", "params": {"B_f": [1, 2, 3]}},
+    "unhashable.json": {"model": ["two-mass"]},
 }
 TRAJECTORIES = {
     "t.csv": HEADER + "0,1,0,0.5,0\n0.01,1,0,0.5,0\n",
@@ -202,3 +205,46 @@ def test_exit_code_and_stderr_line(documents, monkeypatch, capsys, argv, code, l
     if exhausted:
         monkeypatch.setattr(phode.cli, exhausted, no_memory)
     assert run(argv, capsys) == (code, "" if line is None else line + "\n")
+
+
+# model parameters whose shape the parameter classes check, given on the
+# command line or in a "model" document
+PARAMETER_CASES = {
+    "poroelastic-B_f": (["model", "poroelastic", "--params", "B_f=1"],
+                        "phode: bad parameters: B_f must be a 2-D array with 3 rows"),
+    "poroelastic-B_g": (["model", "poroelastic", "--params", "B_g=2"],
+                        "phode: bad parameters: B_g must be a 2-D array with 2 rows"),
+    "maxwell-scalars": (["model", "maxwell", "--params", "G=1,C=2"],
+                        "phode: bad parameters: G and C must be 2-D arrays"),
+    "maxwell-G-alone": (["model", "maxwell", "--params", "G=1"],
+                        "phode: bad parameters: G and C must be given together"),
+    "maxwell-C-alone": (["model", "maxwell", "--params", "C=7"],
+                        "phode: bad parameters: G and C must be given together"),
+    "validate-maxwell-scalars": (["validate", "maxwell-scalars.json"],
+                                 "phode: maxwell-scalars.json: bad parameters: G and C must "
+                                 "be 2-D arrays"),
+    "validate-poroelastic-vector": (["validate", "poroelastic-vector.json"],
+                                    "phode: poroelastic-vector.json: bad parameters: B_f must "
+                                    "be a 2-D array with 3 rows"),
+    "validate-unhashable-model": (["validate", "unhashable.json"],
+                                  "phode: unhashable.json: unknown model ['two-mass']; known: "
+                                  "maxwell, poroelastic, two-mass"),
+}
+
+
+@pytest.mark.parametrize("argv, line", PARAMETER_CASES.values(), ids=PARAMETER_CASES)
+def test_model_parameters_exit_1(documents, capsys, argv, line):
+    assert run(argv, capsys) == (1, line + "\n")
+
+
+# commands that neither make nor read a trajectory: their out-of-memory line
+# names no option they do not have
+@pytest.mark.parametrize("argv, exhausted", [
+    (["validate", "sys.json"], "validate_structure"),
+    (["condense", "net.json"], "dump_document"),
+    (["decouple", "sys.json", "--partition", "1,1"], "dump_document"),
+    (["model", "two-mass"], "dump_document"),
+], ids=["validate", "condense", "decouple", "model"])
+def test_out_of_memory_without_a_trajectory(documents, monkeypatch, capsys, argv, exhausted):
+    monkeypatch.setattr(phode.cli, exhausted, no_memory)
+    assert run(argv, capsys) == (1, "phode: out of memory\n")

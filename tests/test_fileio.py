@@ -273,12 +273,12 @@ class TestDumpDocument:
             assert dump_document(sys) == per_row_document(sys)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    def test_skew_matrix_formats_each_magnitude_once(self, n, monkeypatch):
+    def test_skew_matrix_formats_each_value_once(self, n, monkeypatch):
         calls = []
         monkeypatch.setattr(phode.fileio, "_repr", lambda x: calls.append(x) or repr(x))
         skew = random_skew(np.random.default_rng(n), n)
         assert _rows([("J", skew)])[0] == [json.dumps(row) for row in skew.tolist()]
-        assert len(calls) <= n * (n - 1) // 2 + 1
+        assert len(calls) <= n * (n - 1) + 1
         calls.clear()
         assert _rows([("E", np.eye(n))])[0] == [json.dumps(row) for row in np.eye(n).tolist()]
         assert len(calls) == min(n, 2)
@@ -732,7 +732,7 @@ class TestReprKernel:
         row = np.concatenate([flagged, -plain])[None]
         # one magnitude fewer than the kernel takes: Python formats them all
         assert _rows([("M", row[:, 1:])]) == [[json.dumps(row[0, 1:].tolist())]]
-        assert formatted == sorted(np.abs(row[0, 1:]).tolist())
+        assert sorted(formatted) == sorted(row[0, 1:].tolist())
         formatted.clear()
         # as many as it takes, in two matrices: the flagged ones only
         assert _rows([("M", row[:, :3]), ("N", row[:, 3:])]) == [

@@ -4,7 +4,7 @@ import pytest
 from phode.core import SingularFlowError, eval_dynamics, validate_structure
 from phode.coupling import CouplingSpec, condense_skew
 from phode.integrate import implicit_midpoint
-from phode.models import (MaxwellParams, PoroelasticParams, TwoMassParams,
+from phode.models import (MaxwellParams, PoroelasticParams, TwoMassParams, build,
                           maxwell_grid, poroelastic, two_mass)
 
 
@@ -80,6 +80,16 @@ class TestPoroelastic:
         with pytest.raises(ValueError):
             PoroelasticParams(M_u=-np.eye(3))
 
+    @pytest.mark.parametrize("params, message", [
+        ({"B_f": 1}, "B_f must be a 2-D array with 3 rows"),
+        ({"B_f": [1., 2., 3.]}, "B_f must be a 2-D array with 3 rows"),
+        ({"B_f": np.ones((2, 1))}, "B_f must be a 2-D array with 3 rows"),
+        ({"B_g": 2}, "B_g must be a 2-D array with 2 rows"),
+    ], ids=["scalar", "vector", "rows", "scalar-g"])
+    def test_port_matrices_are_checked(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            PoroelasticParams(**params)
+
 
 class TestMaxwell:
     def test_structural_suite(self):
@@ -121,7 +131,34 @@ class TestMaxwell:
         assert np.max(np.abs(mono.J - sys.J)) <= 1e-14
         assert np.max(np.abs(mono.E - sys.E)) <= 1e-14
 
+    @pytest.mark.parametrize("params, message", [
+        ({"G": 1., "C": 2.}, "G and C must be 2-D arrays"),
+        ({"G": 2 * MaxwellParams().G}, "G and C must be given together"),
+        ({"C": 7.}, "G and C must be given together"),
+    ], ids=["scalars", "G-alone", "C-alone"])
+    def test_incidence_matrices_are_checked(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            MaxwellParams(**params)
+
     def test_incompatible_curl_rejected(self):
         p = MaxwellParams()
         with pytest.raises(ValueError, match="C G = 0"):
             MaxwellParams(G=p.G, C=np.ones((2, 5)))
+
+
+class TestBuild:
+    def test_builds_the_registered_system(self):
+        sys, ref = build("two-mass", {"r1": 0.2}), two_mass(TwoMassParams(r1=0.2))
+        for a in ("E", "J", "R", "B", "L"):
+            assert np.array_equal(getattr(sys, a), getattr(ref, a))
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("three-mass", {}, "unknown model 'three-mass'; known: maxwell, poroelastic, two-mass"),
+        (["two-mass"], {}, r"unknown model \['two-mass'\]"),
+        ("two-mass", {"m1": -1.}, "bad parameters: masses and stiffnesses must be positive"),
+        ("two-mass", {"mu": 1.}, "bad parameters: .*unexpected keyword argument 'mu'"),
+        ("maxwell", {"G": 1.}, "bad parameters: G and C must be given together"),
+    ], ids=["unknown", "unhashable", "value", "keyword", "maxwell"])
+    def test_refusals_are_value_errors(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            build(name, params)
