@@ -57,9 +57,12 @@ def _mat(doc, key, rows=None, cols=None, required=True):
 def _parse_linear(doc) -> LinearPHSystem:
     if "model" in doc:
         try:
-            return models.build(doc["model"], doc.get("params", {}))
+            sys = models.build(doc["model"], doc.get("params", {}))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        for key in ("E", "J", "R", "B", "L", "P", "S", "N"):    # parameters may overflow
+            _mat({key: getattr(sys, key)}, key)
+        return sys
     if "n" not in doc:
         raise ParseError("missing field 'n'")
     try:
@@ -559,21 +562,26 @@ def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
 def read_trajectory(text: str):
     """Read a trajectory CSV back into (t, x, H, residuals) arrays.
 
-    The data lines are converted in one ``np.loadtxt`` pass, which takes
-    them one at a time from the text (see ``_lines``), so no copy of the
-    whole text is made.  A bad header, a row whose cell count differs from
-    the header's, a blank line, a cell that is not a plain decimal number
+    A text in the writer's grammar is read by ``_read_kernel``.  Any other
+    is converted in one ``np.loadtxt`` pass, which takes the data lines
+    one at a time from the text (see ``_lines``), so no copy of the whole
+    text is made.  A bad header, a row whose cell count differs from the
+    header's, a blank line, a cell that is not a plain decimal number
     (``1_0``, which Python's ``float`` takes, included) and a non-finite
     value raise a ParseError.
     """
-    lines = _lines(text)
-    header = next(lines, None)
+    nl = text.find("\n") + 1
+    header = next(_lines(text[:nl] if nl else text), None)     # splits no more
     if header is None:
         raise ParseError("empty trajectory file")
     header = header.split(",")
     if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
         raise ParseError("unexpected trajectory header")
     cells = len(header)
+    data = _read_kernel(text, cells)
+    if data is not None:
+        return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+    lines = itertools.islice(_lines(text), 1, None)
     data = np.empty((0, cells))
     first = next(lines, None)
     if first is not None:
@@ -595,6 +603,104 @@ def read_trajectory(text: str):
     if not np.all(np.isfinite(data)):
         raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+
+
+def _read_kernel(text: str, cells: int) -> np.ndarray | None:
+    """The data rows of a CSV with a good header, filled in by
+    ``_read_piece`` a piece of whole lines at a time; None unless the text
+    is ASCII with "\n" line ends only and each piece reads as finite."""
+    nl = text.find("\n")
+    if not text.isascii() or not text.endswith("\n") or not text[:nl].isprintable():
+        return None
+    data = np.empty((text.count("\n") - 1, cells))
+    out, at, pos = data.reshape(-1), 0, nl + 1
+    while pos < len(text):
+        end = text.find("\n", min(pos + _READ_BLOCK_CHARS, len(text)) - 1) + 1
+        values = _read_piece(text[pos:end].encode(), cells)
+        if values is None or not np.all(np.isfinite(values)):
+            return None
+        out[at:at + len(values)] = values
+        at, pos = at + len(values), end
+    return data
+
+
+# cells as integer tokens: each point dropped, each "e" and line end a comma
+_TOKENS = bytes.maketrans(b"e\n", b",,")
+
+
+def _read_piece(b: bytes, cells: int) -> np.ndarray | None:
+    """The values of the lines ``b`` as ``float`` reads them, or None
+    unless each has ``cells`` cells [+-]digits[.digits][e[+-]digits], a
+    digit before the "e", and ends in "\n".  ``np.fromstring`` reads the
+    digits (point dropped) and the exponent as integers for ``_decimal``;
+    a cell it cannot round goes to ``float``, and so does every cell of
+    ``b`` when one could overflow an integer (over 18 significant digits
+    or 4 exponent digits)."""
+    u = np.frombuffer(b, np.uint8)
+    at = np.flatnonzero(u - ord("0") > 9)                # every byte but a digit
+    c = u[at]
+    ends, points, exps = (at.compress(m) for m in (
+        (c == ord(",")) | (c == ord("\n")), c == ord("."), c == ord("e")))
+    pc, ec = ends.searchsorted(points), ends.searchsorted(exps)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, esign, lines = u[starts], u[exps + 1], u[ends] == ord("\n")
+    signed = (first == ord("+")) | (first == ord("-"))
+    esign = (esign == ord("+")) | (esign == ord("-"))
+    mend = ends.copy()                                   # the mantissa's end
+    mend[ec] = exps
+    digits = mend - starts - signed
+    digits[pc] -= 1
+    exp_digits = ends[ec] - exps - esign - 1
+    # lines of ``cells`` cells; each byte but a digit is an end, a point, an
+    # "e" or a sign that opens a cell or its exponent; a cell has a point
+    # (before the "e") and an "e" at most once each, and digits around it
+    if (len(ends) % cells or not lines[cells - 1::cells].all()
+            or np.count_nonzero(lines) != len(ends) // cells
+            or len(ends) + len(points) + len(exps) + np.count_nonzero(signed)
+            + np.count_nonzero(esign) != len(at)
+            or (pc[1:] <= pc[:-1]).any() or (ec[1:] <= ec[:-1]).any()
+            or (points > mend[pc]).any() or (digits < 1).any() or (exp_digits < 1).any()):
+        return None
+    # significant digits of cells of more than 18: those after the zeros
+    # (and a point) among their first 6 bytes
+    long = np.flatnonzero(digits > 18)
+    lead = u[(starts + signed)[long, None] + np.arange(6)]
+    zero = lead == ord("0")
+    zeros = (np.cumprod(zero | (lead == ord(".")), axis=1) & zero).sum(axis=1)
+    if (digits[long] - zeros > 18).any() or (exp_digits > 4).any():
+        return np.array([float(cell) for cell in b.replace(b"\n", b",").split(b",")[:-1]])
+    p = np.zeros(len(ends), np.int64)
+    p[pc] = points + 1 - mend[pc]                        # less the fraction's digits
+    del at, c, points, pc, signed, esign, mend, digits, exp_digits, long, lead, zeros
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)   # NumPy 1.x's short parse
+            tokens = np.fromstring(b.translate(_TOKENS, b"."), np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(tokens) != len(ends) + len(exps):
+        return None
+    et = ec + np.arange(1, len(ec) + 1)                  # the exponents' tokens
+    p[ec] += tokens[et]
+    tokens = np.abs(np.delete(tokens, et))
+    v, slow = _decimal(tokens, p)
+    np.copysign(v, 0.5 - (first == ord("-")), out=v)
+    slow = np.flatnonzero(slow)
+    v[slow] = [float(b[s:e]) for s, e in zip(starts[slow].tolist(), ends[slow].tolist())]
+    return v
+
+
+def _decimal(a, p):
+    """a * 10**p for int64 0 <= a < 10**18, the double-double product with
+    the table's 10**p rounded once (Clinger's exact fast path), and where
+    that is not sure: within 2**-80 of a rounding boundary, or p outside
+    -266..290, the powers that keep a * 10**p in [1e-266, 1e308)."""
+    q = np.clip(p, _P10_MIN, 290)
+    ah = a.astype(float)
+    hi, lo = _scaled(ah, 16 - q)
+    lo += (a - ah.astype(np.int64)) * _P10[q - _P10_MIN]      # a - ah is exact
+    d = hi * 2.0 ** -80
+    return hi + lo, (q != p) | (hi + (lo + d) != hi + (lo - d))
 
 
 # characters of the text that ``_lines`` copies and splits at a time, at

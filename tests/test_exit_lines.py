@@ -48,6 +48,8 @@ DOCUMENTS = {
     "maxwell-scalars.json": {"model": "maxwell", "params": {"G": 1, "C": 2}},
     "poroelastic-vector.json": {"model": "poroelastic", "params": {"B_f": [1, 2, 3]}},
     "unhashable.json": {"model": ["two-mass"]},
+    # 1 / m1 overflows L[0, 0]
+    "model-overflow.json": {"model": "two-mass", "params": {"m1": 1e-320}},
 }
 TRAJECTORIES = {
     "t.csv": HEADER + "0,1,0,0.5,0\n0.01,1,0,0.5,0\n",
@@ -77,6 +79,15 @@ CASES = {
                          "'missing.json'", None),
     "validate-non-finite": (["validate", "nan.json"], 1,
                             "phode: nan.json: field 'J' has non-finite entries", None),
+    "validate-model-overflow": (["validate", "model-overflow.json"], 1,
+                                "phode: model-overflow.json: field 'L' has non-finite entries",
+                                None),
+    "simulate-model-overflow": (["simulate", "model-overflow.json", "--x0", "1,0,0,0,0"], 1,
+                                "phode: model-overflow.json: field 'L' has non-finite entries",
+                                None),
+    "decouple-model-overflow": (["decouple", "model-overflow.json", "--partition", "3,2"], 1,
+                                "phode: model-overflow.json: field 'L' has non-finite entries",
+                                None),
     "condense-wrong-kind": (["condense", "sys.json"], 1,
                             "phode: sys.json: expected a network document", None),
     "condense-phdae-of-skew": (["condense", "net.json", "--mode", "phdae"], 1,

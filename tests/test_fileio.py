@@ -317,6 +317,21 @@ def assert_same_bits(a, b):
                           np.ascontiguousarray(b, dtype=float).view(np.int64))
 
 
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The calls of ``fileio._loadtxt``, the whole-text pass of
+    ``read_trajectory``, one entry each."""
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return loadtxt(rows)
+
+    loadtxt = phode.fileio._loadtxt
+    monkeypatch.setattr(phode.fileio, "_loadtxt", counted)
+    return calls
+
+
 class TestTrajectoryCsv:
     def test_empty_trajectory_header_only(self):
         sys = two_mass()
@@ -464,26 +479,18 @@ class TestTrajectoryCsv:
                 mp.setattr(phode.fileio, "_READ_BLOCK_CHARS", block)
                 assert list(phode.fileio._lines(text)) == text.splitlines()
 
-    def test_bad_cell_named_from_one_pass(self, monkeypatch):
-        calls = []
-
-        def counted(rows):
-            calls.append(1)
-            return loadtxt(rows)
-
-        loadtxt = phode.fileio._loadtxt
-        monkeypatch.setattr(phode.fileio, "_loadtxt", counted)
+    def test_bad_cell_named_from_one_pass(self, loadtxt_calls):
         text = "t,x1,x2,H,balance_residual\n" + "0,1,2,3,0\n" * 500 + "0.2,x,2,3,0\n"
         with pytest.raises(ParseError, match=r"^row 501: non-numeric cell: "
                                              r"could not convert string 'x' to float64 "
                                              r"in column 2\.$"):
             read_trajectory(text)
-        assert calls == [1]
+        assert loadtxt_calls == [1]
 
     def test_read_holds_the_result_and_little_else(self):
-        # n = 200, 1000 steps: the arrays, one piece of the text at a time
-        # and loadtxt's own buffers; a list of the text's lines would be a
-        # second copy of the text
+        # n = 200, 1000 steps: the arrays, and one piece of the text at a
+        # time with the kernel's tokens and per-cell arrays for it; a list
+        # of the text's lines would be a second copy of the text
         traj, rep = self.random_run(1001, 200)
         text = write_trajectory(traj, rep)
         tracemalloc.start()
@@ -492,6 +499,20 @@ class TestTrajectoryCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= t.base.nbytes + 0.15 * len(text)
+
+    def test_loadtxt_pass_holds_the_result_and_little_else(self, loadtxt_calls):
+        # CRLF line ends send the same table to the np.loadtxt pass, which
+        # gets one piece's lines at a time
+        traj, rep = self.random_run(1001, 200)
+        text = write_trajectory(traj, rep).replace("\n", "\r\n")
+        tracemalloc.start()
+        try:
+            t = read_trajectory(text)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loadtxt_calls == [1]
         assert peak <= t.base.nbytes + 0.15 * len(text)
 
     @FAST
@@ -752,3 +773,177 @@ class TestReprKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 10_754_727
+
+
+def cells_csv(cells, width=5):
+    """Trajectory CSV with the cell texts ``cells`` as its data, ``width``
+    cells to a row ("0" pads the last row)."""
+    cells = list(cells) + ["0"] * (-len(cells) % width)
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(width - 3)] + ["H", "balance_residual"])
+    return header + "\n" + "".join(",".join(cells[k:k + width]) + "\n"
+                                   for k in range(0, len(cells), width))
+
+
+def read_cells(cells, width=5):
+    """The values ``read_trajectory`` reads from the cell texts ``cells``,
+    in order, and those ``float`` reads."""
+    t, x, h, res = read_trajectory(cells_csv(cells, width))
+    values = np.column_stack([t, x, h, res]).ravel()[:len(cells)]
+    return values, np.array([float(c) for c in cells])
+
+
+# decimals halfway between two doubles (rounded to even) with at most 18
+# significant digits, two a hair to either side of one, and near-halfway
+# decimals outside the kernel's range
+HALFWAY = ["9007199254740993", "9.007199254740993e15", "0.9007199254740993e16",
+           "900719925474099.3e1", "18014398509481986", "36028797018963972",
+           "72057594037927944", "144115188075855888", "9007199254740995",
+           "900719925474099301e-2", "900719925474099299e-2", "2.2250738585072011e-308",
+           "4.9406564584124654e-324", "2.4703282292062328e-324", "1.7976931348623158e308"]
+# the grammar's other forms, and cells at the bounds of the kernel's range
+PLAIN_FORMS = ["0.00012345678901234567", "0.0000000000000000000123", "+1", ".5", "-.5",
+               "5.", "1e5", "1e+05", "1e-05", "-0", "+0", "-0.0", "-0e-5", "0.", "00012",
+               "+.5e-3", "-5.e+2", "1e0000", "1e-0300", "123456789012345678",
+               "1.7976931348623157e308", "-1.7976931348623157e308", "1e280", "1e-280",
+               "1.0000000000000001e280", "9.9999999999999996e-281", "1e281", "1e-281",
+               "1e-266", "9.99e-267", "123456789012345678e290", "1e291",
+               "1e-99999999999999999999"]
+
+
+def long_cells(digits):
+    """Cells of ``digits`` significant digits, some behind leading zeros,
+    at exponents across the range."""
+    rng = np.random.default_rng(digits)
+    cells = []
+    for e in range(-300, 300, 37):
+        mantissa = "".join(map(str, rng.integers(1, 10, digits)))
+        cells += [f"{mantissa[0]}.{mantissa[1:]}e{e}", f"-0.000{mantissa}",
+                  f"{mantissa}e{e - digits}", f"0.{mantissa}"]
+    return cells
+
+
+class TestReadKernel:
+    """``read_trajectory`` reads every cell in the writer's grammar as
+    ``float`` does, without ``np.loadtxt``, and any other text as the
+    ``np.loadtxt`` pass does."""
+
+    @pytest.mark.parametrize("cell", ["%.17g", "%r"])
+    def test_random_bit_patterns(self, loadtxt_calls, cell):
+        bits = np.random.default_rng(13).integers(-2 ** 63, 2 ** 63, 10 ** 5, dtype=np.int64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        got, want = read_cells([cell % v for v in values.tolist()], width=10)
+        assert_same_bits(got, want)
+        assert_same_bits(got, values)
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("values", [
+        powers_of_two(), powers_of_ten(), binary_ties(), np.array(EXTREMES + SUBNORMALS),
+        np.array(CARRIES)], ids=["powers-of-two", "powers-of-ten", "binary-ties", "extremes",
+                                 "carries"])
+    @pytest.mark.parametrize("cell", ["%.17g", "%r"])
+    def test_edge_values(self, loadtxt_calls, values, cell):
+        values = np.concatenate([values, -values])
+        got, want = read_cells([cell % v for v in values.tolist()], width=7)
+        assert_same_bits(got, want)
+        assert_same_bits(got, values)
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("cells", [HALFWAY, PLAIN_FORMS, long_cells(19), long_cells(20),
+                                       long_cells(25)],
+                             ids=["halfway", "plain-forms", "19-digits", "20-digits",
+                                  "25-digits"])
+    def test_cells_read_as_float_reads_them(self, loadtxt_calls, cells):
+        cells = cells + ["-" + c.lstrip("+-") for c in cells]
+        got, want = read_cells(cells)
+        assert_same_bits(got, want)
+        assert loadtxt_calls == []
+
+    def test_halfway_sums_are_left_to_float(self):
+        # (a, p) of the first nine HALFWAY cells, and of two near them
+        ties = [(9007199254740993, 0), (9007199254740993, 0), (9007199254740993, 0),
+                (9007199254740993, 0), (18014398509481986, 0), (36028797018963972, 0),
+                (72057594037927944, 0), (144115188075855888, 0), (9007199254740995, 0)]
+        near = [(900719925474099301, -2), (900719925474099299, -2)]
+        a, p = np.array(ties + near).T
+        v, slow = phode.fileio._decimal(a, p)
+        assert slow.tolist() == [True] * len(ties) + [False] * len(near)
+        assert v[len(ties):].tolist() == [9007199254740994.0, 9007199254740992.0]
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_pieces_give_the_bits_of_the_whole(self, loadtxt_calls, monkeypatch, block):
+        traj, rep = TestTrajectoryCsv.random_run(40, 6)
+        text = write_trajectory(traj, rep)
+        want = read_trajectory(text)
+        monkeypatch.setattr(phode.fileio, "_READ_BLOCK_CHARS", block)
+        for a, b in zip(read_trajectory(text), want):
+            assert_same_bits(a, b)
+        assert loadtxt_calls == []
+
+    def test_writer_output_never_reaches_loadtxt(self, loadtxt_calls):
+        traj, rep = TestTrajectoryCsv.random_run(300, 7)
+        read_trajectory(write_trajectory(traj, rep))
+        traj, rep = values_run(np.concatenate([binary_ties(), powers_of_ten(), powers_of_two(),
+                                               CARRIES, EXTREMES, SUBNORMALS]))
+        text = write_trajectory(traj, rep)
+        assert_same_bits(read_trajectory(text)[1], traj.x)
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("body, parent", [
+        ("0,1,2,3,0\r\n0.1,1,2,3,0\r\n", [[0, 1, 2, 3, 0], [0.1, 1, 2, 3, 0]]),
+        ("0,1,2,3,0\r0.1,1,2,3,0\r", [[0, 1, 2, 3, 0], [0.1, 1, 2, 3, 0]]),
+        ("0,1,2,3,0\n\n0.1,1,2,3,0\n", "row 2 is blank"),
+        ("0, 1,2 ,3,0\n", [[0, 1, 2, 3, 0]]),
+        ("0,1E5,2,3,0\n", [[0, 1e5, 2, 3, 0]]),
+        ("0,nan,2,3,0\n", "trajectory has non-finite values"),
+        ("0,1,-inf,3,0\n", "trajectory has non-finite values"),
+        ("0,1_0,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '1_0' to float64 in column 2."),
+        ("0,1e400,2,3,0\n", "trajectory has non-finite values"),
+        ("0,999999999999999999e291,2,3,0\n", "trajectory has non-finite values"),
+        ("0,1,2,3,0\u00a0\n", [[0, 1, 2, 3, 0]]),
+        ("0,\u0661,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '\u0661' to float64 in column 2."),
+        ("0,1,2,3,0\n0.1,1,2,3,0", [[0, 1, 2, 3, 0], [0.1, 1, 2, 3, 0]]),
+        ("0,1,2,3,0\n0.1,1,2\n", "row 2 has 3 cells, header has 5"),
+        ("0,1,2\n3,0\n", "row 1 has 3 cells, header has 5"),
+        ("0,1,2\n3,0,0,1,2,3,0\n", "row 1 has 3 cells, header has 5"),
+        ("0,12e5.5,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '12e5.5' to float64 in column 2."),
+        ("0,-+1,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '-+1' to float64 in column 2."),
+        ("0,1.2.3,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '1.2.3' to float64 in column 2."),
+        ("0,1e5e5,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '1e5e5' to float64 in column 2."),
+        ("0,.,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '.' to float64 in column 2."),
+        ("0,e5,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string 'e5' to float64 in column 2."),
+        ("0,1e,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '1e' to float64 in column 2."),
+        ("0,1-5,2,3,0\n",
+         "row 1: non-numeric cell: could not convert string '1-5' to float64 in column 2."),
+    ], ids=["crlf", "cr", "blank-row", "spaces", "1E5", "nan", "inf", "1_0", "1e400", "1e309",
+            "non-ascii-space", "non-ascii-digit", "no-final-newline", "ragged", "split-row",
+            "moved-line-end", "point-in-exponent", "two-signs", "1.2.3",
+            "1e5e5", ".", "e5", "1e", "1-5"])
+    def test_other_texts_take_one_loadtxt_pass(self, loadtxt_calls, body, parent):
+        # ``parent`` is what the reader gave before the kernel: arrays or
+        # the ParseError's text
+        text = "t,x1,x2,H,balance_residual\n" + body
+        if isinstance(parent, str):
+            with pytest.raises(ParseError) as exc:
+                read_trajectory(text)
+            assert str(exc.value) == parent
+        else:
+            t, x, h, res = read_trajectory(text)
+            assert_same_bits(np.column_stack([t, x, h, res]), np.array(parent, dtype=float))
+        assert loadtxt_calls == [1]
+
+    def test_bad_cell_in_a_later_piece_is_named(self, loadtxt_calls, monkeypatch):
+        monkeypatch.setattr(phode.fileio, "_READ_BLOCK_CHARS", 64)
+        text = "t,x1,x2,H,balance_residual\n" + "0,1,2,3,0\n" * 99 + "0,1,2,3,x\n"
+        with pytest.raises(ParseError, match=r"^row 100: non-numeric cell: .*'x'"):
+            read_trajectory(text)
+        assert loadtxt_calls == [1]
