@@ -13,6 +13,8 @@ from phode.cli import main
 
 ONE = {"n": 1, "J": [[0.]], "R": [[1.]]}
 SKEW = {"type": "skew", "ports": [[[1.]], [[1.]]], "C": [[0., 1.], [-1., 0.]]}
+RELATION = {"type": "relation", "ports": [[[1.]], [[1.]]], "M": [[1., 0.], [0., 1.]],
+            "N": [[0., -1.], [1., 0.]]}
 HEADER = "t,x1,x2,H,balance_residual\n"
 DOCUMENTS = {
     "sys.json": {"n": 2, "J": [[0., 1.], [-1., 0.]], "R": [[1., 0.], [0., 0.]]},
@@ -50,6 +52,32 @@ DOCUMENTS = {
     "unhashable.json": {"model": ["two-mass"]},
     # 1 / m1 overflows L[0, 0]
     "model-overflow.json": {"model": "two-mass", "params": {"m1": 1e-320}},
+    # document errors: each field is present, numeric, finite and 2-D
+    "not-numeric.json": {**ONE, "J": [["a"]]},
+    "three-d.json": {**ONE, "J": [[[0.]]]},
+    "no-n.json": {"J": [[0.]], "R": [[1.]]},
+    "negative-n.json": {**ONE, "n": -1},
+    "no-subsystems.json": {"kind": "network", "coupling": SKEW},
+    "no-coupling.json": {"kind": "network", "subsystems": [ONE, ONE]},
+    "unknown-coupling.json": {"kind": "network", "subsystems": [ONE, ONE],
+                              "coupling": {**SKEW, "type": "weird"}},
+    "list-root.json": [ONE],
+    "format-2.json": {**ONE, "format": 2},
+    "phdae-skew.json": {"kind": "phdae", "subsystems": [ONE, ONE], "coupling": SKEW},
+    # shapes the network checks: one port matrix (of both port columns)
+    # for two subsystems, and M and N of different row counts
+    "few-ports.json": {"kind": "network", "subsystems": [ONE, ONE],
+                       "coupling": {**SKEW, "ports": [[[1., 1.]]]}},
+    "mn-rows.json": {"kind": "network", "subsystems": [ONE, ONE],
+                     "coupling": {**RELATION, "N": [[0., -1.]]}},
+    # port matrices that decouple --ports refuses: one for two blocks, a
+    # block pair below the diagonal, a block of the wrong shape
+    "few-ports-doc.json": {"ports": [[[1.], [0.], [0.]]],
+                           "blocks": [{"i": 0, "j": 1, "C": [[-1.]]}]},
+    "lower-block.json": {"ports": [[[1.], [0.], [0.]], [[-1.], [0.]]],
+                         "blocks": [{"i": 1, "j": 0, "C": [[-1.]]}]},
+    "block-shape.json": {"ports": [[[1.], [0.], [0.]], [[-1.], [0.]]],
+                         "blocks": [{"i": 0, "j": 1, "C": [[-1., 0.]]}]},
 }
 TRAJECTORIES = {
     "t.csv": HEADER + "0,1,0,0.5,0\n0.01,1,0,0.5,0\n",
@@ -57,6 +85,7 @@ TRAJECTORIES = {
     "back.csv": HEADER + "0,1,0,0.5,0\n0,1,0,0.5,0\n",
     "wide.csv": "t,x1,x2,x3,H,balance_residual\n0,1,0,0,0.5,0\n",
     "huge.csv": HEADER + "0,1e200,0,1e300,0\n0.01,1e200,0,1e300,0\n",
+    "no-states.csv": "t,H,balance_residual\n0,0.5,0\n0.01,0.5,0\n",
 }
 
 TRAJECTORY_MEMORY = ("phode: out of memory: the trajectory does not fit; "
@@ -120,6 +149,40 @@ CASES = {
                      "phode: bad parameters: masses and stiffnesses must be positive", None),
     "model-params-syntax": (["model", "two-mass", "--params", "m1"], 1,
                             "phode: bad parameter 'm1', expected k=v", None),
+    "model-params-value": (["model", "two-mass", "--params", "m1=abc"], 1,
+                           "phode: bad parameter value 'abc'", None),
+    "report-no-states": (["report", "no-states.csv", "sys.json"], 1,
+                         "phode: trajectory has 0 state columns, system dimension is 2", None),
+    # document errors
+    "validate-not-numeric": (["validate", "not-numeric.json"], 1,
+                             "phode: not-numeric.json: field 'J' is not a numeric matrix", None),
+    "validate-three-d": (["validate", "three-d.json"], 1,
+                         "phode: three-d.json: field 'J' must be a 2-d array", None),
+    "validate-no-n": (["validate", "no-n.json"], 1,
+                      "phode: no-n.json: missing field 'n'", None),
+    "validate-negative-n": (["validate", "negative-n.json"], 1,
+                            "phode: negative-n.json: field 'n' must be nonnegative", None),
+    "validate-no-subsystems": (["validate", "no-subsystems.json"], 1,
+                               "phode: no-subsystems.json: network document has no subsystems",
+                               None),
+    "validate-no-coupling": (["validate", "no-coupling.json"], 1,
+                             "phode: no-coupling.json: network document has no coupling", None),
+    "validate-unknown-coupling": (["validate", "unknown-coupling.json"], 1,
+                                  "phode: unknown-coupling.json: unknown coupling type 'weird'",
+                                  None),
+    "validate-list-root": (["validate", "list-root.json"], 1,
+                           "phode: list-root.json: document root must be an object", None),
+    "validate-format": (["validate", "format-2.json"], 1,
+                        "phode: format-2.json: unsupported format version 2", None),
+    "validate-phdae-skew": (["validate", "phdae-skew.json"], 1,
+                            "phode: phdae-skew.json: phdae documents require a coupling of "
+                            "type 'relation'", None),
+    # shapes of a network
+    "validate-few-ports": (["validate", "few-ports.json"], 1,
+                           "phode: few-ports.json: one internal port matrix per subsystem "
+                           "required", None),
+    "validate-mn-rows": (["validate", "mn-rows.json"], 1,
+                         "phode: mn-rows.json: M and N must have the same row count", None),
     # validation
     "validate-fails": (["validate", "bad.json"], 2, None, None),
     "condense-load-check": (["condense", "bad-net.json"], 2,
@@ -136,6 +199,16 @@ CASES = {
                              "must be zero", None),
     "decouple-partition-size": (["decouple", "sys.json", "--partition", "1,2"], 2,
                                 "phode: partition sums to 3, state dimension is 2", None),
+    "decouple-few-ports": (["decouple", "two-mass.json", "--partition", "3,2",
+                            "--ports", "few-ports-doc.json"], 2,
+                           "phode: one port matrix per partition block required", None),
+    "decouple-lower-block": (["decouple", "two-mass.json", "--partition", "3,2",
+                              "--ports", "lower-block.json"], 2,
+                             "phode: block pair (1, 0) must satisfy 0 <= i < j < s", None),
+    "decouple-block-shape": (["decouple", "two-mass.json", "--partition", "3,2",
+                              "--ports", "block-shape.json"], 2,
+                             "phode: coupling block (0, 1) has shape (1, 2), expected (1, 1)",
+                             None),
     "simulate-load-check": (["simulate", "bad.json", "--x0", "1"], 2,
                             f"phode: bad.json: {LOAD_CHECK}", None),
     "cosim-load-check": (["cosim", "bad-net.json", "--x0", "1,0"], 2,
@@ -176,6 +249,14 @@ CASES = {
                      "phode: tol must be positive and finite", None),
     "simulate-dt": (["simulate", "sys.json", "--x0", "1,0", "--dt", "0"], 1,
                     "phode: dt must be positive, got 0.0", None),
+    "simulate-dt-multiple": (["simulate", "sys.json", "--x0", "1,0", "--t1", "0.015",
+                              "--dt", "0.01"], 1,
+                             "phode: t1 - t0 must be a (positive) integer multiple of dt",
+                             None),
+    "simulate-dt-tiny": (["simulate", "sys.json", "--x0", "1,0", "--dt", "1e-320"], 1,
+                         "phode: dt = 1e-320 is too small for t1 - t0", None),
+    "cosim-window-multiple": (["cosim", "net.json", "--x0", "1,0", "--t1", "0.15"], 1,
+                              "phode: t1 - t0 must be an integer multiple of the window", None),
     "cosim-sweeps": (["cosim", "net.json", "--x0", "1,0", "--sweeps", "0"], 1,
                      "phode: sweeps must be at least 1, got 0", None),
     "cosim-inner": (["cosim", "net.json", "--x0", "1,0", "--inner", "euler"], 1,
