@@ -220,11 +220,7 @@ def _cmd_report(args):
         zeros = np.zeros((len(t), obj.m))
         return Trajectory(t=t, x=x, u=zeros, y=zeros, H=h, method="file")
 
-    traj = _read(args.trajectory, stored)
-    if traj.x.shape[0] and traj.x.shape[1] != obj.n:
-        raise CliError(f"trajectory has {traj.x.shape[1]} state columns, "
-                       f"system dimension is {obj.n}")
-    rep = energy_report(traj, obj)
+    rep = energy_report(_read(args.trajectory, stored), obj)
     print(rep.summary())
     return EXIT_OK
 

@@ -48,10 +48,9 @@ class CouplingSpec:
     def __post_init__(self):
         ports = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.port_matrices)
         object.__setattr__(self, "port_matrices", ports)
-        c = np.atleast_2d(np.asarray(self.C, dtype=float))
+        c = np.asarray(self.C, dtype=float)
+        c = c.reshape(0, 0) if c.shape == (0,) else np.atleast_2d(c)    # [] is 0x0
         mt = self.total_ports
-        if c.size == 0:
-            c = c.reshape(mt, mt) if mt == 0 else c
         if c.shape != (mt, mt):
             raise DimensionError(f"C must be {mt}x{mt}, got {c.shape}")
         object.__setattr__(self, "C", c)

@@ -29,10 +29,11 @@ class ParseError(ValueError):
     """Malformed system document."""
 
 
-def _mat(doc, key, rows=None, cols=None, required=True):
-    """The matrix of field ``key``, or None when an optional field is
-    missing.  The field's nested lists are popped out of ``doc``, so they
-    are freed once converted."""
+def _mat(doc, key, n=None, required=True):
+    """The matrix of field ``key`` (present, numeric, finite and 2-D; n x n
+    when ``n`` is given), or None when an optional field is missing.  The
+    field's nested lists are popped out of ``doc``, so they are freed once
+    converted.  Other shapes are for the system or network to check."""
     if key not in doc:
         if required:
             raise ParseError(f"missing field {key!r}")
@@ -47,10 +48,10 @@ def _mat(doc, key, rows=None, cols=None, required=True):
         m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
     if m.ndim != 2:
         raise ParseError(f"field {key!r} must be a 2-d array")
-    if rows is not None and m.shape[0] != rows:
-        raise ParseError(f"field {key!r} has {m.shape[0]} rows, expected {rows}")
-    if cols is not None and m.shape[1] != cols:
-        raise ParseError(f"field {key!r} has {m.shape[1]} columns, expected {cols}")
+    if n is not None and m.shape[0] != n:
+        raise ParseError(f"field {key!r} has {m.shape[0]} rows, expected {n}")
+    if n is not None and m.shape[1] != n:
+        raise ParseError(f"field {key!r} has {m.shape[1]} columns, expected {n}")
     return m
 
 
@@ -65,30 +66,15 @@ def _parse_linear(doc) -> LinearPHSystem:
         return sys
     if "n" not in doc:
         raise ParseError("missing field 'n'")
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("field 'n' must be an integer") from exc
+    n = _integer(doc, "n", "field")
     if n < 0:
         raise ParseError("field 'n' must be nonnegative")
-    J = _mat(doc, "J", n, n)
-    R = _mat(doc, "R", n, n)
-    E = _mat(doc, "E", n, n, required=False)
-    L = _mat(doc, "L", n, n, required=False)
-    B = _mat(doc, "B", required=False)
-    if B is None or B.size == 0:
-        B = np.zeros((n, 0))
-    elif B.shape[0] != n:
-        raise ParseError(f"field 'B' has {B.shape[0]} rows, expected {n}")
-    m = B.shape[1]
-    kwargs = {}
-    for key, shape in (("P", (n, m)), ("S", (m, m)), ("N", (m, m))):
-        val = _mat(doc, key, *shape, required=False)
-        if val is not None:
-            kwargs[key] = val
+    J, R = _mat(doc, "J", n), _mat(doc, "R", n)
+    E, L, B, P, S, N = (_mat(doc, key, required=False) for key in "ELBPSN")
     try:
-        return LinearPHSystem(E=np.eye(n) if E is None else E, J=J, R=R, B=B,
-                              L=np.eye(n) if L is None else L, **kwargs)
+        return LinearPHSystem(E=np.eye(n) if E is None else E, J=J, R=R,
+                              B=np.zeros((n, 0)) if B is None or B.size == 0 else B,
+                              L=np.eye(n) if L is None else L, P=P, S=S, N=N)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -100,20 +86,14 @@ def _parse_network(doc) -> CoupledNetwork:
     cdoc = doc.get("coupling")
     if cdoc is None:
         raise ParseError("network document has no coupling")
-    ports = tuple(_mat({"b": b}, "b", rows=s.n)
-                  for b, s in zip(cdoc.get("ports", []), subs))
-    if len(ports) != len(subs):
-        raise ParseError("one internal port matrix per subsystem required")
-    mt = sum(b.shape[1] for b in ports)
+    ports = tuple(_mat({"b": b}, "b") for b in cdoc.get("ports", []))
     ctype = cdoc.get("type", "skew")
     try:
         if ctype in ("skew", "general"):
-            C = _mat(cdoc, "C", mt, mt)
-            coupling = CouplingSpec(port_matrices=ports, C=C)
+            coupling = CouplingSpec(port_matrices=ports, C=_mat(cdoc, "C"))
         elif ctype == "relation":
-            M = _mat(cdoc, "M", None, mt)
-            N = _mat(cdoc, "N", None, mt)
-            coupling = LinearPortRelation(port_matrices=ports, M=M, N=N)
+            coupling = LinearPortRelation(port_matrices=ports, M=_mat(cdoc, "M"),
+                                          N=_mat(cdoc, "N"))
         else:
             raise ParseError(f"unknown coupling type {ctype!r}")
         return CoupledNetwork(subsystems=tuple(subs), coupling=coupling)
@@ -131,7 +111,7 @@ def parse_system_text(text: str):
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
-    version = doc.get("format", FORMAT_VERSION)
+    version = _integer(doc, "format", "field") if "format" in doc else FORMAT_VERSION
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}")
     kind = doc.get("kind", "linear")
@@ -156,7 +136,7 @@ def parse_ports_text(text: str):
         ports = [_mat({"ports": b}, "ports") for b in doc["ports"]]
         blocks = {}
         for b in doc.get("blocks", []):
-            ij = (_block_index(b, "i"), _block_index(b, "j"))
+            ij = (_integer(b, "i", "block index"), _integer(b, "j", "block index"))
             if ij in blocks:
                 raise ParseError(f"block {ij} given twice")
             blocks[ij] = _mat(b, "C")
@@ -169,12 +149,13 @@ def parse_ports_text(text: str):
     return ports, blocks
 
 
-def _block_index(block: dict, key: str) -> int:
-    """The block index ``key`` of a ports-document block: a JSON integer,
-    so neither 0.5 nor true."""
-    i = block[key]
+def _integer(doc: dict, key: str, what: str) -> int:
+    """The value of ``key`` in ``doc``, a JSON integer, so neither 0.5, "2"
+    nor true; ``what`` names the key ("field" or "block index") when it
+    is not."""
+    i = doc[key]
     if type(i) is not int:
-        raise ParseError(f"block index {key!r} must be an integer, got {json.dumps(i)}")
+        raise ParseError(f"{what} {key!r} must be an integer, got {json.dumps(i)}")
     return i
 
 

@@ -559,13 +559,18 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem) -> EnergyReport:
     input acts, monotone decay of the Hamiltonian is additionally flagged.
     The identity is that of the implicit midpoint rule: a Strang trajectory
     of a system with R != 0 misses it by O(dt^3) per step (the splitting
-    defect), so its residuals are not round-off.  A residual that leaves
-    the float range raises ``FloatingPointError``.
+    defect), so its residuals are not round-off.  States that are not
+    2-D, or rows of other than ``sys.n`` columns (none included), raise
+    ``DimensionError``; a residual that leaves the float range raises
+    ``FloatingPointError``.
     """
     if not sys.is_linear:
         raise TypeError("energy accounting is defined for linear-constant systems")
-    if traj.x.ndim != 2 or (traj.x.size and traj.x.shape[1] != sys.n):
-        raise DimensionError("trajectory state dimension does not match the system")
+    if traj.x.ndim != 2:
+        raise DimensionError(f"trajectory states must be a 2-d array, got {traj.x.ndim}-d")
+    if len(traj.x) and traj.x.shape[1] != sys.n:
+        raise DimensionError(f"trajectory has {traj.x.shape[1]} state columns, "
+                             f"system dimension is {sys.n}")
     k = traj.steps
     if k <= 0:
         return EnergyReport(residuals=np.zeros(0), dissipation_ok=True, driven=False)

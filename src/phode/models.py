@@ -61,18 +61,11 @@ def two_mass(params: TwoMassParams | None = None) -> LinearPHSystem:
     return LinearPHSystem(E=np.eye(5), J=J, R=R, B=np.zeros((5, 0)), L=Q)
 
 
-def two_mass_network(params: TwoMassParams | None = None,
-                     variant: str = "b") -> CoupledNetwork:
-    """Canonical (3, 2) splitting of the two-mass oscillator.
-
-    Variant "a": identity port matrices, C = -J_offdiag.
-    Variant "b": scalar ports Bhat1 = [0,0,1]^T, Bhat2 = [-1,0]^T, C12 = -1.
+def two_mass_network(params: TwoMassParams | None = None) -> CoupledNetwork:
+    """Canonical (3, 2) splitting of the two-mass oscillator: scalar ports
+    Bhat1 = [0,0,1]^T, Bhat2 = [-1,0]^T and C12 = -1.
     """
     sys = two_mass(params)
-    if variant == "a":
-        return decouple_auto(sys, Partition((3, 2)))
-    if variant != "b":
-        raise ValueError(f"unknown variant {variant!r}")
     b1 = np.array([[0.], [0.], [1.]])
     b2 = np.array([[-1.], [0.]])
     return decouple_with_ports(sys, Partition((3, 2)), [b1, b2], {(0, 1): [[-1.]]})

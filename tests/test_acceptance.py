@@ -86,7 +86,7 @@ def test_06_order_checks():
 
 @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
 def test_07_dynamic_iteration_convergence():
-    net = two_mass_network(variant="b")
+    net = two_mass_network()
     ref = implicit_midpoint(condense_skew(net), x0=X0, t0=0.0, t1=1.0, dt=0.01)
     ok = True
     for mode in ("jacobi", "gauss-seidel"):

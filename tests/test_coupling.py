@@ -27,7 +27,7 @@ def two_scalar_net(C):
 
 class TestCondenseSkew:
     def test_two_mass_variant_b_reproduces_printed_j(self):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         mono = condense_skew(net)
         ref = two_mass()
         assert np.array_equal(mono.J, ref.J)

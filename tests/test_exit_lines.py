@@ -1,7 +1,9 @@
 """Exit code and whole stderr of each command for every row of the CLI's
 exit-code table: usage, validation, verification and numerical failures,
 step counts beyond memory, other bad values and running out of memory,
-on small documents written for each test."""
+on small documents written for each test.  Document errors are the
+reader's lines; misshapen systems and networks are those of the classes
+the reader builds."""
 
 import json
 
@@ -15,9 +17,10 @@ ONE = {"n": 1, "J": [[0.]], "R": [[1.]]}
 SKEW = {"type": "skew", "ports": [[[1.]], [[1.]]], "C": [[0., 1.], [-1., 0.]]}
 RELATION = {"type": "relation", "ports": [[[1.]], [[1.]]], "M": [[1., 0.], [0., 1.]],
             "N": [[0., -1.], [1., 0.]]}
+TWO = {"n": 2, "J": [[0., 1.], [-1., 0.]], "R": [[1., 0.], [0., 0.]]}
 HEADER = "t,x1,x2,H,balance_residual\n"
 DOCUMENTS = {
-    "sys.json": {"n": 2, "J": [[0., 1.], [-1., 0.]], "R": [[1., 0.], [0., 0.]]},
+    "sys.json": TWO,
     "two-mass.json": {"model": "two-mass"},
     "maxwell.json": {"model": "maxwell"},
     "net.json": {"kind": "network", "subsystems": [ONE, ONE], "coupling": SKEW},
@@ -57,6 +60,7 @@ DOCUMENTS = {
     "three-d.json": {**ONE, "J": [[[0.]]]},
     "no-n.json": {"J": [[0.]], "R": [[1.]]},
     "negative-n.json": {**ONE, "n": -1},
+    "j-columns.json": {**TWO, "J": [[0., 1., 0.], [-1., 0., 0.]]},
     "no-subsystems.json": {"kind": "network", "coupling": SKEW},
     "no-coupling.json": {"kind": "network", "subsystems": [ONE, ONE]},
     "unknown-coupling.json": {"kind": "network", "subsystems": [ONE, ONE],
@@ -70,6 +74,36 @@ DOCUMENTS = {
                        "coupling": {**SKEW, "ports": [[[1., 1.]]]}},
     "mn-rows.json": {"kind": "network", "subsystems": [ONE, ONE],
                      "coupling": {**RELATION, "N": [[0., -1.]]}},
+    "c-size.json": {"kind": "network", "subsystems": [ONE, ONE],
+                    "coupling": {**SKEW, "C": [[0.] * 3] * 3}},
+    "port-rows.json": {"kind": "network", "subsystems": [ONE, TWO], "coupling": SKEW},
+    "m-columns.json": {"kind": "network", "subsystems": [ONE, ONE],
+                       "coupling": {**RELATION, "M": [[1., 0., 0.], [0., 1., 0.]]}},
+    "n-columns.json": {"kind": "network", "subsystems": [ONE, ONE],
+                       "coupling": {**RELATION, "N": [[0.], [1.]]}},
+    # a third port matrix for two subsystems: the coupling spans its port,
+    # or not
+    "extra-port.json": {"kind": "network", "subsystems": [ONE, ONE],
+                        "coupling": {**SKEW, "ports": [[[1.]]] * 3}},
+    "extra-port-sized.json": {"kind": "network", "subsystems": [ONE, ONE],
+                              "coupling": {**SKEW, "ports": [[[1.]]] * 3, "C": [[0.] * 3] * 3}},
+    # ports without columns, and a C of one row without columns
+    "empty-c.json": {"kind": "network", "subsystems": [ONE, ONE],
+                     "coupling": {"type": "skew", "ports": [[[]], [[]]], "C": [[]]}},
+    # shapes the system checks
+    "e-shape.json": {**TWO, "E": [[1.]]},
+    "l-shape.json": {**TWO, "L": [[1.]]},
+    "b-rows.json": {**TWO, "B": [[1.]]},
+    "p-shape.json": {**TWO, "B": [[1.], [0.]], "P": [[0.1]]},
+    "s-shape.json": {**TWO, "B": [[1.], [0.]], "S": [[0.1, 0.]]},
+    "n-shape.json": {**TWO, "B": [[1.], [0.]], "N": [[0.1], [0.]]},
+    # n and format are JSON integers
+    "n-fraction.json": {**TWO, "n": 2.5},
+    "n-string.json": {**TWO, "n": "2"},
+    "n-float.json": {**TWO, "n": 2.0},
+    "n-true.json": {**ONE, "n": True},
+    "format-true.json": {**ONE, "format": True},
+    "format-float.json": {**ONE, "format": 1.0},
     # port matrices that decouple --ports refuses: one for two blocks, a
     # block pair below the diagonal, a block of the wrong shape
     "few-ports-doc.json": {"ports": [[[1.], [0.], [0.]]],
@@ -162,6 +196,8 @@ CASES = {
                       "phode: no-n.json: missing field 'n'", None),
     "validate-negative-n": (["validate", "negative-n.json"], 1,
                             "phode: negative-n.json: field 'n' must be nonnegative", None),
+    "validate-j-columns": (["validate", "j-columns.json"], 1,
+                           "phode: j-columns.json: field 'J' has 3 columns, expected 2", None),
     "validate-no-subsystems": (["validate", "no-subsystems.json"], 1,
                                "phode: no-subsystems.json: network document has no subsystems",
                                None),
@@ -183,6 +219,52 @@ CASES = {
                            "required", None),
     "validate-mn-rows": (["validate", "mn-rows.json"], 1,
                          "phode: mn-rows.json: M and N must have the same row count", None),
+    "validate-c-size": (["validate", "c-size.json"], 1,
+                        "phode: c-size.json: C must be 2x2, got (3, 3)", None),
+    "validate-port-rows": (["validate", "port-rows.json"], 1,
+                           "phode: port-rows.json: port matrix rows 1 != subsystem "
+                           "dimension 2", None),
+    "validate-m-columns": (["validate", "m-columns.json"], 1,
+                           "phode: m-columns.json: M and N must have 2 columns", None),
+    "validate-n-columns": (["validate", "n-columns.json"], 1,
+                           "phode: n-columns.json: M and N must have 2 columns", None),
+    "validate-extra-port-sized": (["validate", "extra-port-sized.json"], 1,
+                                  "phode: extra-port-sized.json: one internal port matrix "
+                                  "per subsystem required", None),
+    "validate-empty-c": (["validate", "empty-c.json"], 1,
+                         "phode: empty-c.json: C must be 0x0, got (1, 0)", None),
+    # shapes of a system
+    "validate-e-shape": (["validate", "e-shape.json"], 1,
+                         "phode: e-shape.json: E must be 2x2, got (1, 1)", None),
+    "validate-l-shape": (["validate", "l-shape.json"], 1,
+                         "phode: l-shape.json: L must be 2x2, got (1, 1)", None),
+    "validate-b-rows": (["validate", "b-rows.json"], 1,
+                        "phode: b-rows.json: B must be 2x1, got (1, 1)", None),
+    "validate-p-shape": (["validate", "p-shape.json"], 1,
+                         "phode: p-shape.json: P must be 2x1, got (1, 1)", None),
+    "validate-s-shape": (["validate", "s-shape.json"], 1,
+                         "phode: s-shape.json: S must be 1x1, got (1, 2)", None),
+    "validate-n-shape": (["validate", "n-shape.json"], 1,
+                         "phode: n-shape.json: N must be 1x1, got (2, 1)", None),
+    # n and format that are not JSON integers
+    "validate-n-fraction": (["validate", "n-fraction.json"], 1,
+                            "phode: n-fraction.json: field 'n' must be an integer, got 2.5",
+                            None),
+    "validate-n-string": (["validate", "n-string.json"], 1,
+                          "phode: n-string.json: field 'n' must be an integer, got \"2\"", None),
+    "validate-n-float": (["validate", "n-float.json"], 1,
+                         "phode: n-float.json: field 'n' must be an integer, got 2.0", None),
+    "validate-n-true": (["validate", "n-true.json"], 1,
+                        "phode: n-true.json: field 'n' must be an integer, got true", None),
+    "validate-format-true": (["validate", "format-true.json"], 1,
+                             "phode: format-true.json: field 'format' must be an integer, "
+                             "got true", None),
+    "validate-format-float": (["validate", "format-float.json"], 1,
+                              "phode: format-float.json: field 'format' must be an integer, "
+                              "got 1.0", None),
+    # a port matrix beyond the subsystems, with a C of two ports
+    "condense-extra-port": (["condense", "extra-port.json"], 1,
+                            "phode: extra-port.json: C must be 3x3, got (2, 2)", None),
     # validation
     "validate-fails": (["validate", "bad.json"], 2, None, None),
     "condense-load-check": (["condense", "bad-net.json"], 2,

@@ -51,7 +51,7 @@ class TestParseSystem:
             assert np.array_equal(getattr(again, a), getattr(ref, a))
 
     def test_network_roundtrip(self):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         again = parse_system_text(dump_document(net))
         assert isinstance(again, CoupledNetwork)
         assert np.array_equal(again.coupling.C, net.coupling.C)
@@ -168,7 +168,7 @@ def _documents():
         "linear-empty-B": (two_mass(), None),
         "linear": (random_linear_ph(rng, n=4, m=2), None),
         "linear-PSN": (random_linear_ph(rng, n=4, m=2, feedthrough=True), None),
-        "skew-network": (two_mass_network(variant="b"), None),
+        "skew-network": (two_mass_network(), None),
         "general-network": (general, None),
         "relation-network": (relation, None),
         "phdae": (relation, "phdae"),

@@ -8,12 +8,13 @@ import pytest
 import scipy.linalg
 
 import phode.integrate
-from phode.core import CallbackPHSystem, LinearPHSystem, SingularFlowError
+from phode.core import CallbackPHSystem, DimensionError, LinearPHSystem, SingularFlowError
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             condense_general, condense_skew)
 from phode.decoupling import decouple_auto
-from phode.integrate import (EnergyReport, StepCountError, Trajectory, dynamic_iteration,
-                             energy_report, implicit_midpoint, strang_split)
+from phode.integrate import (EnergyReport, NewtonError, StepCountError, Trajectory,
+                             dynamic_iteration, energy_report, implicit_midpoint,
+                             strang_split)
 from phode.models import (PoroelasticParams, TwoMassParams, poroelastic,
                           two_mass, two_mass_network)
 
@@ -83,6 +84,28 @@ class TestImplicitMidpoint:
         with pytest.raises(SingularFlowError):
             implicit_midpoint(sys, x0=[1., 0.], t1=1.0, dt=0.1)
 
+    def test_newton_matrix_singular(self):
+        # E = J = R = 0 under a nonzero input: the residual -dt B u does not
+        # depend on x1, so its finite-difference Jacobian is zero
+        zero = lambda x: np.zeros((1, 1))
+        cb = CallbackPHSystem(n=1, m=1, E=zero, J=zero, R=zero, B=lambda x: np.ones((1, 1)),
+                              effort=lambda x: x, hamiltonian=lambda x: 0.5 * x @ x)
+        with pytest.raises(NewtonError, match="^singular Newton matrix in implicit step$"):
+            implicit_midpoint(cb, u=lambda t: [1.], x0=[1.], t1=0.1, dt=0.1)
+
+    def test_newton_not_converged(self, monkeypatch):
+        # a quartic Hamiltonian: the step converges in the default
+        # iterations, but one Newton step leaves the midpoint residual
+        # far above the tolerance
+        cb = CallbackPHSystem(n=2, m=0, E=lambda x: np.eye(2),
+                              J=lambda x: np.array([[0., 1.], [-1., 0.]]),
+                              R=lambda x: np.zeros((2, 2)), B=lambda x: np.zeros((2, 0)),
+                              effort=lambda x: x ** 3, hamiltonian=lambda x: 0.25 * np.sum(x ** 4))
+        assert implicit_midpoint(cb, x0=[1., 0.], t1=0.1, dt=0.1).steps == 1
+        monkeypatch.setattr(phode.integrate, "_NEWTON_MAXIT", 1)
+        with pytest.raises(NewtonError, match="^Newton did not converge in 1 iterations$"):
+            implicit_midpoint(cb, x0=[1., 0.], t1=0.1, dt=0.1)
+
 
 class TestStrangSplit:
     def test_conservative_matches_midpoint(self):
@@ -145,7 +168,7 @@ class TestDynamicIteration:
     # takes and is exact; the map path forms the same states by other products
     @pytest.mark.parametrize("path", ["maps", "per-window"])
     def test_zero_coupling_single_sweep_exact(self, monkeypatch, path):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         zero = CoupledNetwork(net.subsystems,
                               CouplingSpec(net.coupling.port_matrices,
                                            np.zeros((2, 2))))
@@ -165,7 +188,7 @@ class TestDynamicIteration:
     @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_error_decreases_over_sweeps(self, mode):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         ref = implicit_midpoint(condense_skew(net), x0=X0, t1=1.0, dt=0.01)
         errs = [np.max(np.abs(dynamic_iteration(net, mode=mode, window=0.1,
                                                 sweeps=k, x0=X0, t1=1.0,
@@ -188,7 +211,7 @@ class TestDynamicIteration:
     @pytest.mark.filterwarnings("ignore:dynamic iteration has not converged")
     @pytest.mark.parametrize("path", ["maps", "per-window"])
     def test_jacobi_deterministic_and_order_independent(self, monkeypatch, path):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         expected = take_path(monkeypatch, path, 5)
         calls, _ = spy_relax(monkeypatch)
         a = dynamic_iteration(net, sweeps=3, window=0.1, x0=X0, t1=0.5, dt=0.01)
@@ -211,7 +234,7 @@ class TestDynamicIteration:
             assert relative_error(c, a.x) <= 1e-14
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
-    @pytest.mark.parametrize("net", [two_mass_network(variant="b"),
+    @pytest.mark.parametrize("net", [two_mass_network(),
                                      random_network(np.random.default_rng(0), s=3)],
                              ids=["two-mass-b", "random-3-block"])
     def test_fixed_point_is_monolithic_midpoint(self, mode, net):
@@ -263,13 +286,13 @@ class TestDynamicIteration:
     @pytest.mark.parametrize("sweeps", [0, -2])
     def test_sweeps_below_one_rejected(self, sweeps):
         with pytest.raises(ValueError, match="sweeps"):
-            dynamic_iteration(two_mass_network(variant="b"), sweeps=sweeps,
+            dynamic_iteration(two_mass_network(), sweeps=sweeps,
                               x0=X0, t1=0.2, dt=0.01)
 
     def test_relation_coupling_rejected(self):
         # a relation is no longer rejected: M = I, N = C runs as the network
         # with C, to the same states and outputs
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         relation = CoupledNetwork(net.subsystems,
                                   LinearPortRelation(net.coupling.port_matrices,
                                                      M=np.eye(2), N=net.coupling.C))
@@ -313,7 +336,7 @@ class TestDynamicIteration:
         assert relative_error(traj.x, ref.x) <= 1e-10
 
     def test_singular_relation_rejected(self):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         relation = CoupledNetwork(net.subsystems, LinearPortRelation(
             net.coupling.port_matrices, M=np.zeros((2, 2)), N=net.coupling.C))
         with pytest.raises(ValueError, match="not eliminable"):
@@ -332,7 +355,7 @@ class TestDynamicIteration:
         assert relative_error(traj.x, ref.x) <= 1e-10
 
     def test_window_grid_mismatch_rejected(self):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         with pytest.raises(ValueError):
             dynamic_iteration(net, window=0.015, x0=X0, t1=1.0, dt=0.01)
 
@@ -499,7 +522,7 @@ class TestWindowMaps:
         if entries is not None:
             monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", entries)
         calls, maps = spy_relax(monkeypatch)
-        dynamic_iteration(two_mass_network(variant="b"), sweeps=3, x0=X0, t1=t1, dt=0.01)
+        dynamic_iteration(two_mass_network(), sweeps=3, x0=X0, t1=t1, dt=0.01)
         assert calls == expected
         for state_map, check_map in maps:
             assert state_map.shape == (5, 10 * 5) and check_map.shape == (5, 2 * 10 * 2)
@@ -519,7 +542,7 @@ class TestWindowMaps:
         counts = []
         for t1 in (1.0, 2.0):
             calls.clear()
-            dynamic_iteration(two_mass_network(variant="b"), sweeps=3, x0=X0, t1=t1, dt=0.01)
+            dynamic_iteration(two_mass_network(), sweeps=3, x0=X0, t1=t1, dt=0.01)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -538,7 +561,7 @@ class TestWindowMaps:
         assert relative_error(traj.x, ref) <= 1e-13
 
     def test_zero_coupling_single_sweep_exact_per_window(self, monkeypatch):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         zero = CoupledNetwork(net.subsystems,
                               CouplingSpec(net.coupling.port_matrices, np.zeros((2, 2))))
         calls, _ = spy_relax(monkeypatch)
@@ -550,7 +573,7 @@ class TestWindowMaps:
         assert np.max(np.abs(traj.x[:, 3:] - b.x)) == 0.0
 
     def test_jacobi_order_independent_per_window(self, monkeypatch):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         swapped = CoupledNetwork(
             (net.subsystems[1], net.subsystems[0]),
             CouplingSpec((net.coupling.port_matrices[1], net.coupling.port_matrices[0]),
@@ -585,13 +608,13 @@ class TestWindowMaps:
 
 class TestSweepWarning:
     def test_unconverged_sweeps_warn_with_worst_window(self):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         with pytest.warns(RuntimeWarning, match=r"window \d+ of 10 .* last of 2 sweeps"):
             dynamic_iteration(net, sweeps=2, window=0.1, x0=X0, t1=1.0, dt=0.01)
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_zero_coupling_never_warns(self, mode):
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         zero = CoupledNetwork(net.subsystems,
                               CouplingSpec(net.coupling.port_matrices, np.zeros((2, 2))))
         with warnings.catch_warnings():
@@ -599,7 +622,7 @@ class TestSweepWarning:
             dynamic_iteration(zero, mode=mode, sweeps=1, window=0.1, x0=X0, t1=1.0, dt=0.01)
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
-    @pytest.mark.parametrize("net", [two_mass_network(variant="b"),
+    @pytest.mark.parametrize("net", [two_mass_network(),
                                      random_network(np.random.default_rng(0), s=3)],
                              ids=["two-mass-b", "random-3-block"])
     def test_converged_sweeps_do_not_warn(self, mode, net):
@@ -636,6 +659,18 @@ class TestEnergyReport:
         assert np.isfinite(traj.H).all()
         with pytest.raises(FloatingPointError, match="energy balance of step 1"):
             energy_report(traj, sys)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.zeros((2, 3)), "trajectory has 3 state columns, system dimension is 5"),
+        # rows without state columns: no entries, and still refused
+        (np.zeros((2, 0)), "trajectory has 0 state columns, system dimension is 5"),
+        (np.zeros(2), "trajectory states must be a 2-d array, got 1-d"),
+    ], ids=["columns", "no-columns", "1-d"])
+    def test_states_of_another_dimension_refused(self, x, message):
+        traj = Trajectory(t=[0., 0.01], x=x, u=np.zeros((2, 0)), y=np.zeros((2, 0)),
+                          H=np.zeros(2), method="file")
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            energy_report(traj, two_mass())
 
     def test_empty_trajectory(self):
         sys = two_mass()
@@ -825,7 +860,7 @@ class TestStepCount:
     RUNS = {
         "midpoint": lambda: implicit_midpoint(two_mass(), x0=X0, t1=1e11, dt=0.01),
         "strang": lambda: strang_split(two_mass(), x0=X0, t1=1e11, dt=0.01),
-        "dynamic-iteration": lambda: dynamic_iteration(two_mass_network(variant="b"),
+        "dynamic-iteration": lambda: dynamic_iteration(two_mass_network(),
                                                        x0=X0, t1=1e11, dt=0.01),
     }
     COUNTS = {"midpoint": r"11 values per step take 8.94e\+05 GiB",
@@ -862,7 +897,7 @@ class TestStepCount:
 
         monkeypatch.setattr(phode.integrate, "_time_grid", spy)
         sys = random_linear_ph(np.random.default_rng(0), n=200, m=0)
-        net = two_mass_network(variant="b")
+        net = two_mass_network()
         runs = {"midpoint": (lambda: implicit_midpoint(sys, x0=np.ones(200), t1=10.0), sys),
                 "strang": (lambda: strang_split(sys, x0=np.ones(200), t1=10.0), sys),
                 "dynamic-iteration": (lambda: dynamic_iteration(
