@@ -20,10 +20,8 @@ from .coupling import (
     CouplingSpec,
     LinearPortRelation,
     StructureFailure,
-    build_phdae,
     condense_general,
     condense_skew,
-    eliminate_ports,
 )
 from .decoupling import (
     LinearTransform,
@@ -61,13 +59,11 @@ __all__ = [
     "Trajectory",
     "VerificationFailure",
     "apply_transform",
-    "build_phdae",
     "condense_general",
     "condense_skew",
     "decouple_auto",
     "decouple_with_ports",
     "dynamic_iteration",
-    "eliminate_ports",
     "energy_report",
     "eval_dynamics",
     "implicit_midpoint",

@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import LinearPHSystem, SingularFlowError, validate_structure
-# no command calls eliminate_ports (condense_general takes relation
-# networks); it stays here for perfbench/tracing.py, which wraps it
-from .coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_phdae,
-                       condense_general, condense_skew, coupling_matrix,
-                       eliminate_ports)  # noqa: F401
+from .coupling import CoupledNetwork, LinearPortRelation, condense_general, condense_skew
 from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
 from .fileio import (dump_document, parse_ports_text, parse_system_text, read_trajectory,
@@ -137,10 +133,20 @@ def _cmd_validate(args):
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+def build_phdae(net: CoupledNetwork) -> CoupledNetwork:
+    """``condense --mode phdae``: the network itself, checked to carry a relation."""
+    if not isinstance(net.coupling, LinearPortRelation):
+        raise CliError("phdae condensation requires a coupling of type 'relation'")
+    return net
+
+
+# called by no command; perfbench/tracing.py wraps it, and it goes when the
+# LAYERS there drop both eliminate_ports and build_phdae
+eliminate_ports = condense_general
+
+
 def _cmd_condense(args):
     net = _load(args.network, args.no_validate, CoupledNetwork)
-    if args.mode == "phdae" and not isinstance(net.coupling, LinearPortRelation):
-        raise CliError("phdae condensation requires a coupling of type 'relation'")
     condense = {"skew": condense_skew, "general": condense_general, "phdae": build_phdae}
     with _refusal():
         result = condense[args.mode](net)
@@ -188,15 +194,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_cosim(args):
-    obj = _load(args.network, args.no_validate, CoupledNetwork)
-    x0 = _parse_x0(args.x0, obj.n)
-    # the network with its coupling matrix, and the monolithic system whose
-    # energy balance the report checks; a relation without a regular M, a
-    # structure failure or an overflow ends the command before the run
+    net = _load(args.network, args.no_validate, CoupledNetwork)
+    x0 = _parse_x0(args.x0, net.n)
+    # the monolithic system whose energy balance the report checks; a
+    # relation without a regular M, an indefinite W or an overflow ends the
+    # command before the run
     with _refusal():
-        net = CoupledNetwork(obj.subsystems,
-                             CouplingSpec(obj.coupling.port_matrices, coupling_matrix(obj)))
-        mono = condense_skew(net) if net.coupling.is_skew else condense_general(net)
+        mono = condense_general(net)
     # one name applies to every subsystem, a comma list names one each
     inner = args.inner.split(",") if "," in args.inner else args.inner
     with warnings.catch_warnings(record=True) as caught:

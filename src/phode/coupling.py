@@ -232,17 +232,3 @@ def _require_psd_w(mono: LinearPHSystem) -> LinearPHSystem:
         raise StructureFailure("assembled W = [[R, P], [P^T, S]] is indefinite", lam)
     return mono
 
-
-def build_phdae(net: CoupledNetwork) -> CoupledNetwork:
-    """The network itself, checked to carry a linear port relation: the
-    pH-DAE of the subsystems and the relation kept uncondensed (a
-    ``"kind": "phdae"`` document)."""
-    if not isinstance(net.coupling, LinearPortRelation):
-        raise TypeError("network does not carry a linear port relation")
-    return net
-
-
-def eliminate_ports(net: CoupledNetwork) -> LinearPHSystem:
-    """Condense a relation network with square regular M: substituting
-    u_hat = -M^{-1} N y_hat gives :func:`condense_general` of the network."""
-    return condense_general(net)

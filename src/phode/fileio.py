@@ -55,10 +55,19 @@ def _mat(doc, key, n=None, required=True):
     return m
 
 
+def _typed(doc: dict, key: str, rule: str, default=None):
+    """``doc[key]`` (``default``, if given, for a missing key) of the JSON type ``rule``."""
+    v = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(v, dict if rule == "an object" else list) or (
+            rule.endswith("objects") and not all(isinstance(d, dict) for d in v)):
+        raise ParseError(f"field {key!r} must be {rule}, got {json.dumps(v)}")
+    return v
+
+
 def _parse_linear(doc) -> LinearPHSystem:
     if "model" in doc:
         try:
-            sys = models.build(doc["model"], doc.get("params", {}))
+            sys = models.build(doc["model"], _typed(doc, "params", "an object", {}))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         for key in ("E", "J", "R", "B", "L", "P", "S", "N"):    # parameters may overflow
@@ -80,13 +89,13 @@ def _parse_linear(doc) -> LinearPHSystem:
 
 
 def _parse_network(doc) -> CoupledNetwork:
-    subs = [_parse_linear(d) for d in doc.get("subsystems", [])]
+    subs = [_parse_linear(d) for d in _typed(doc, "subsystems", "an array of objects", [])]
     if not subs:
         raise ParseError("network document has no subsystems")
-    cdoc = doc.get("coupling")
-    if cdoc is None:
+    if doc.get("coupling") is None:
         raise ParseError("network document has no coupling")
-    ports = tuple(_mat({"b": b}, "b") for b in cdoc.get("ports", []))
+    cdoc = _typed(doc, "coupling", "an object")
+    ports = tuple(_mat({"b": b}, "b") for b in _typed(cdoc, "ports", "an array", []))
     ctype = cdoc.get("type", "skew")
     try:
         if ctype in ("skew", "general"):
@@ -133,19 +142,20 @@ def parse_ports_text(text: str):
     coupling blocks keyed by (i, j)."""
     try:
         doc = json.loads(text)
-        ports = [_mat({"ports": b}, "ports") for b in doc["ports"]]
+    except ValueError as exc:
+        raise ParseError(f"malformed ports document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document root must be an object")
+    try:
+        ports = [_mat({"ports": b}, "ports") for b in _typed(doc, "ports", "an array")]
         blocks = {}
-        for b in doc.get("blocks", []):
+        for b in _typed(doc, "blocks", "an array of objects", []):
             ij = (_integer(b, "i", "block index"), _integer(b, "j", "block index"))
             if ij in blocks:
                 raise ParseError(f"block {ij} given twice")
             blocks[ij] = _mat(b, "C")
-    except ParseError:
-        raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed ports document: {exc}") from exc
     return ports, blocks
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from phode.core import LinearPHSystem, SingularFlowError, eval_dynamics, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
-                            StructureFailure, build_phdae, condense_general,
-                            condense_skew, eliminate_ports)
+                            StructureFailure, condense_general, condense_skew)
 from phode.decoupling import (VerificationFailure, apply_transform,
                               decouple_auto, decouple_with_ports)
 from phode.integrate import dynamic_iteration, energy_report, implicit_midpoint, strang_split
@@ -110,7 +109,7 @@ def test_08_remark_equivalence():
     net = CoupledNetwork((sub(1.0), sub(1.0)), CouplingSpec(ports, C_ok))
     a = condense_general(net)
     rel = LinearPortRelation(ports, M=np.eye(2), N=C_ok)
-    b = eliminate_ports(build_phdae(CoupledNetwork((sub(1.0), sub(1.0)), rel)))
+    b = condense_general(CoupledNetwork((sub(1.0), sub(1.0)), rel))
     x0 = np.array([1.0, -0.5])
     ta = implicit_midpoint(a, x0=x0, t1=2.0, dt=0.01)
     tb = implicit_midpoint(b, x0=x0, t1=2.0, dt=0.01)
@@ -122,7 +121,7 @@ def test_08_remark_equivalence():
         condense_general(CoupledNetwork((sub(1.0), sub(1.0)), CouplingSpec(ports, C_bad)))
     relb = LinearPortRelation(ports, M=np.eye(2), N=C_bad)
     with pytest.raises(StructureFailure) as outb:
-        eliminate_ports(build_phdae(CoupledNetwork((sub(1.0), sub(1.0)), relb)))
+        condense_general(CoupledNetwork((sub(1.0), sub(1.0)), relb))
     ok &= outb.value.min_eigenvalue == out.value.min_eigenvalue
     report(8, "general-coupling condensation agrees with port elimination", ok)
 

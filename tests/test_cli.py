@@ -275,6 +275,22 @@ class TestPipeline:
         assert main(["condense", net, "--mode", "phdae", "-o", out]) == 0
         assert json.loads(Path(out).read_text())["kind"] == "phdae"
 
+    def test_condense_phdae_calls_build_phdae_once(self, tmp_path, monkeypatch):
+        # perfbench/tracing.py times the command through this name
+        sub = {"n": 1, "J": [[0.]], "R": [[1.]]}
+        net = write_json(tmp_path / "net.json", {
+            "kind": "network", "subsystems": [sub, sub],
+            "coupling": {"type": "relation", "ports": [[[1.]], [[1.]]],
+                         "M": [[1., 0.], [0., 1.]], "N": [[0., -1.], [1., 0.]]},
+        })
+        dae = str(tmp_path / "dae.json")
+        calls = []
+        build_phdae = phode.cli.build_phdae
+        monkeypatch.setattr(phode.cli, "build_phdae",
+                            lambda obj: calls.append(obj) or build_phdae(obj))
+        assert main(["condense", net, "--mode", "phdae", "-o", dae]) == 0
+        assert len(calls) == 1
+
     def test_phdae_document_condenses_as_its_network(self, tmp_path):
         # off-diagonal dissipation decouples into a relation network (case 2)
         src = write_json(tmp_path / "sys.json", {
@@ -592,17 +608,18 @@ class TestCosim:
         assert main(["decouple", TWO_MASS, "--partition", "3,2", "-o", net]) == 0
         calls = []
 
-        def counted(fn):
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(args)
+                calls.append(name)
                 return fn(*args, **kwargs)
             return wrapper
 
         for mod in (phode.coupling, phode.cli):
-            monkeypatch.setattr(mod, "condense_skew", counted(mod.condense_skew))
+            for name in ("condense_skew", "condense_general"):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         assert main(["cosim", net, "--x0", "1,0.5,-0.3,0.2,0.4", "--t1", "0.2",
                      "-o", str(tmp_path / "traj.csv")]) == 0
-        assert len(calls) == 1
+        assert calls == ["condense_general"]
 
     @pytest.mark.parametrize("sweeps", ["0", "-2"])
     def test_sweeps_below_one_exit_1(self, tmp_path, capsys, sweeps):

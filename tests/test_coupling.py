@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 import phode.coupling
+from phode.cli import CliError, build_phdae
 from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
-                            StructureFailure, build_phdae, condense_general,
-                            _blockdiag, _couple, condense_skew, coupling_matrix,
-                            eliminate_ports)
+                            StructureFailure, condense_general, _blockdiag, _couple,
+                            condense_skew, coupling_matrix)
 from phode.fileio import network_to_doc
 from phode.models import two_mass, two_mass_network
 
@@ -205,6 +205,8 @@ class TestCondenseGeneral:
 
 
 class TestBuildPhdae:
+    """``condense --mode phdae``'s step in phode.cli."""
+
     def rel_net(self, M, N):
         ports = ([[1.]], [[1.]])
         rel = LinearPortRelation(ports, M=M, N=N)
@@ -215,7 +217,8 @@ class TestBuildPhdae:
         assert build_phdae(net) is net
 
     def test_coupling_matrix_rejected(self):
-        with pytest.raises(TypeError, match="linear port relation"):
+        with pytest.raises(CliError, match="^phdae condensation requires a coupling of "
+                                           "type 'relation'$"):
             build_phdae(two_scalar_net([[0., -1.], [1., 0.]]))
 
     @pytest.mark.parametrize("condense", [condense_skew, condense_general])
@@ -223,14 +226,14 @@ class TestBuildPhdae:
         # a relation network condenses directly, to what port elimination gives
         net = self.rel_net(2.0 * np.eye(2), [[0., -2.], [2., 0.]])
         mono = condense(net)
-        ref = eliminate_ports(build_phdae(net))
+        ref = condense_general(net)
         assert np.array_equal(mono.J, [[0., 1.], [-1., 0.]])
         for a in ("E", "J", "R", "B", "L", "P", "S", "N"):
             assert np.array_equal(getattr(mono, a), getattr(ref, a))
 
     def test_identity_relation_uncouples(self):
         net = self.rel_net(np.eye(2), np.zeros((2, 2)))
-        mono = eliminate_ports(build_phdae(net))
+        mono = condense_general(net)
         assert np.array_equal(mono.J, np.zeros((2, 2)))
         assert np.array_equal(mono.R, np.eye(2))
 
@@ -275,8 +278,7 @@ class TestEliminatePorts:
         net = random_network(rng, s=2)
         C = net.coupling.C
         rel = LinearPortRelation(net.coupling.port_matrices, M=np.eye(C.shape[0]), N=C)
-        dae = build_phdae(CoupledNetwork(net.subsystems, rel))
-        mono = eliminate_ports(dae)
+        mono = condense_general(CoupledNetwork(net.subsystems, rel))
         ref = condense_skew(net)
         assert np.allclose(mono.J, ref.J) and np.allclose(mono.R, ref.R)
 
@@ -286,8 +288,7 @@ class TestEliminatePorts:
         C = net.coupling.C
         rel = LinearPortRelation(net.coupling.port_matrices,
                                  M=2.0 * np.eye(C.shape[0]), N=C)
-        dae = build_phdae(CoupledNetwork(net.subsystems, rel))
-        mono = eliminate_ports(dae)
+        mono = condense_general(CoupledNetwork(net.subsystems, rel))
         half = CoupledNetwork(net.subsystems,
                               CouplingSpec(net.coupling.port_matrices, C / 2.0))
         ref = condense_skew(half)
@@ -295,9 +296,8 @@ class TestEliminatePorts:
 
     def test_singular_m_rejected(self):
         net = TestBuildPhdae().rel_net(np.zeros((2, 2)), np.eye(2))
-        dae = build_phdae(net)
         with pytest.raises(ValueError, match="not eliminable"):
-            eliminate_ports(dae)
+            condense_general(net)
 
 
 class TestFeedthroughCondensed:

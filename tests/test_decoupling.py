@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from phode.core import DimensionError, LinearPHSystem, validate_structure
-from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation, build_phdae,
-                            condense_skew, eliminate_ports)
+from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
+                            condense_general, condense_skew)
 from phode.decoupling import (LinearTransform, Partition, VerificationFailure,
                               apply_transform, decouple_auto, decouple_with_ports)
 from phode.integrate import implicit_midpoint
@@ -171,7 +171,7 @@ class TestDecoupleAuto:
         net = decouple_auto(sys, (1, 1))
         assert isinstance(net.coupling, LinearPortRelation)
         assert np.allclose(net.coupling.N, [[0., 0.5], [0.5, 0.]])
-        mono = eliminate_ports(build_phdae(net))
+        mono = condense_general(net)
         assert np.allclose(mono.R, sys.R, atol=1e-14)
         assert np.allclose(mono.J, sys.J, atol=1e-14)
 
@@ -326,7 +326,7 @@ class TestLowerCouplingBlocks:
         c12 = (sys.J - sys.R)[:2, 2:]
         net = decouple_with_ports(sys, (2, 1), [np.eye(2), np.eye(1)], {(0, 1): -c12})
         assert isinstance(net, CoupledNetwork)
-        mono = eliminate_ports(build_phdae(net))
+        mono = condense_general(net)
         assert np.max(np.abs(mono.J - sys.J)) <= 1e-15
         assert np.max(np.abs(mono.R - sys.R)) <= 1e-15
 

@@ -104,6 +104,17 @@ DOCUMENTS = {
     "n-true.json": {**ONE, "n": True},
     "format-true.json": {**ONE, "format": True},
     "format-float.json": {**ONE, "format": 1.0},
+    # container fields of the wrong JSON type
+    "subsystems-number.json": {"kind": "network", "subsystems": 3, "coupling": SKEW},
+    "subsystems-numbers.json": {"kind": "network", "subsystems": [1, 2], "coupling": SKEW},
+    "coupling-array.json": {"kind": "network", "subsystems": [ONE, ONE], "coupling": []},
+    "ports-number.json": {"kind": "network", "subsystems": [ONE, ONE],
+                          "coupling": {**SKEW, "ports": 3}},
+    "params-array.json": {"model": "two-mass", "params": [1]},
+    "ports-doc-number.json": {"ports": 3, "blocks": []},
+    "blocks-number.json": {"ports": [[[1.], [0.], [0.]], [[-1.], [0.]]], "blocks": 3},
+    "block-number.json": {"ports": [[[1.], [0.], [0.]], [[-1.], [0.]]], "blocks": [3]},
+    "ports-doc-root.json": [[[1.]]],
     # port matrices that decouple --ports refuses: one for two blocks, a
     # block pair below the diagonal, a block of the wrong shape
     "few-ports-doc.json": {"ports": [[[1.], [0.], [0.]]],
@@ -213,6 +224,38 @@ CASES = {
     "validate-phdae-skew": (["validate", "phdae-skew.json"], 1,
                             "phode: phdae-skew.json: phdae documents require a coupling of "
                             "type 'relation'", None),
+    # container fields of the wrong JSON type, in both readers
+    "validate-subsystems-number": (["validate", "subsystems-number.json"], 1,
+                                   "phode: subsystems-number.json: field 'subsystems' must be "
+                                   "an array of objects, got 3", None),
+    "validate-subsystems-numbers": (["validate", "subsystems-numbers.json"], 1,
+                                    "phode: subsystems-numbers.json: field 'subsystems' must "
+                                    "be an array of objects, got [1, 2]", None),
+    "validate-coupling-array": (["validate", "coupling-array.json"], 1,
+                                "phode: coupling-array.json: field 'coupling' must be an "
+                                "object, got []", None),
+    "validate-ports-number": (["validate", "ports-number.json"], 1,
+                              "phode: ports-number.json: field 'ports' must be an array, "
+                              "got 3", None),
+    "validate-params-array": (["validate", "params-array.json"], 1,
+                              "phode: params-array.json: field 'params' must be an object, "
+                              "got [1]", None),
+    "decouple-ports-number": (["decouple", "two-mass.json", "--partition", "3,2",
+                               "--ports", "ports-doc-number.json"], 1,
+                              "phode: ports-doc-number.json: field 'ports' must be an array, "
+                              "got 3", None),
+    "decouple-blocks-number": (["decouple", "two-mass.json", "--partition", "3,2",
+                                "--ports", "blocks-number.json"], 1,
+                               "phode: blocks-number.json: field 'blocks' must be an array "
+                               "of objects, got 3", None),
+    "decouple-block-number": (["decouple", "two-mass.json", "--partition", "3,2",
+                               "--ports", "block-number.json"], 1,
+                              "phode: block-number.json: field 'blocks' must be an array "
+                              "of objects, got [3]", None),
+    "decouple-ports-root": (["decouple", "two-mass.json", "--partition", "3,2",
+                             "--ports", "ports-doc-root.json"], 1,
+                            "phode: ports-doc-root.json: document root must be an object",
+                            None),
     # shapes of a network
     "validate-few-ports": (["validate", "few-ports.json"], 1,
                            "phode: few-ports.json: one internal port matrix per subsystem "
@@ -296,6 +339,10 @@ CASES = {
     "cosim-load-check": (["cosim", "bad-net.json", "--x0", "1,0"], 2,
                          f"phode: bad-net.json: {NET_LOAD_CHECK}", None),
     "cosim-indefinite": (["cosim", "indefinite-net.json", "--x0", "1,0"], 2, INDEFINITE, None),
+    # W is checked for an exactly skew coupling matrix too, unvalidated R = -1
+    "cosim-skew-indefinite": (["cosim", "bad-net.json", "--no-validate", "--x0", "1,0"], 2,
+                              "phode: assembled W = [[R, P], [P^T, S]] is indefinite "
+                              "(min eigenvalue -1.000e+00)", None),
     "report-load-check": (["report", "t.csv", "bad.json"], 2,
                           f"phode: bad.json: {LOAD_CHECK}", None),
     # verification
