@@ -10,9 +10,7 @@ values bit-exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
-import re
 import warnings
 
 import numpy as np
@@ -42,6 +40,8 @@ def _mat(doc, key, n=None, required=True):
         m = np.array(doc.pop(key), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r} is not a numeric matrix") from exc
+    except OverflowError as exc:     # a JSON integer beyond the float range
+        raise ParseError(f"field {key!r} has non-finite entries") from exc
     if not np.all(np.isfinite(m)):
         raise ParseError(f"field {key!r} has non-finite entries")
     if m.ndim == 1:
@@ -110,16 +110,25 @@ def _parse_network(doc) -> CoupledNetwork:
         raise ParseError(str(exc)) from exc
 
 
-def parse_system_text(text: str):
-    """Parse a JSON system document into a system or a network; a phdae
-    document is its relation network (structure validation is the
-    caller's business)."""
+def _json_object(text: str) -> dict:
+    """The JSON object of a document; a decode error, nesting too deep for
+    the decoder and a root that is not an object raise a ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("document is nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
+    return doc
+
+
+def parse_system_text(text: str):
+    """Parse a JSON system document into a system or a network; a phdae
+    document is its relation network (structure validation is the
+    caller's business)."""
+    doc = _json_object(text)
     version = _integer(doc, "format", "field") if "format" in doc else FORMAT_VERSION
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}")
@@ -140,12 +149,7 @@ def parse_ports_text(text: str):
     """Parse a JSON ports document ``{"ports": [Bhat_1, ...], "blocks":
     [{"i": i, "j": j, "C": C_ij}, ...]}`` into the port matrices and the
     coupling blocks keyed by (i, j)."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ParseError(f"malformed ports document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
+    doc = _json_object(text)
     try:
         ports = [_mat({"ports": b}, "ports") for b in _typed(doc, "ports", "an array")]
         blocks = {}
@@ -553,11 +557,9 @@ def write_trajectory(traj: Trajectory, report: EnergyReport) -> str:
 def read_trajectory(text: str):
     """Read a trajectory CSV back into (t, x, H, residuals) arrays.
 
-    A text in the writer's grammar is read by ``_read_kernel``.  Any other
-    is converted in one ``np.loadtxt`` pass, which takes the data lines
-    one at a time from the text (see ``_lines``), so no copy of the whole
-    text is made.  A bad header, a row whose cell count differs from the
-    header's, a blank line, a cell that is not a plain decimal number
+    A text in the writer's grammar is read by ``_read_kernel``, any other
+    by ``_read_lines``.  A bad header, a blank line, a row whose cell count
+    differs from the header's, a cell that is not a plain decimal number
     (``1_0``, which Python's ``float`` takes, included) and a non-finite
     value raise a ParseError.
     """
@@ -568,31 +570,9 @@ def read_trajectory(text: str):
     header = header.split(",")
     if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
         raise ParseError("unexpected trajectory header")
-    cells = len(header)
-    data = _read_kernel(text, cells)
-    if data is not None:
-        return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
-    lines = itertools.islice(_lines(text), 1, None)
-    data = np.empty((0, cells))
-    first = next(lines, None)
-    if first is not None:
-        # loadtxt compares rows only with each other and skips blank lines,
-        # so the rows it is given are counted (seen[0]) as it takes them
-        seen = [0]
-        rows = (row for seen[0], row in enumerate(itertools.chain([first], lines), 1))
-        try:
-            # rows that are all blank give loadtxt no data, which it warns
-            # of; the shape check below names the first blank row
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                data = _loadtxt(rows)
-        except ValueError as exc:
-            raise ParseError(_ragged_row(text, cells) or _bad_cell(exc)) from exc
-        if data.shape != (seen[0], cells):
-            raise ParseError(_ragged_row(text, cells))
-    if not np.all(np.isfinite(data)):
-        raise ParseError("trajectory has non-finite values")
+    data = _read_kernel(text, len(header))
+    if data is None:
+        data = _read_lines(text, len(header))
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
 
 
@@ -721,30 +701,48 @@ def _lines(text: str):
         pos = end
 
 
-def _loadtxt(rows) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+def _read_lines(text: str, cells: int) -> np.ndarray:
+    """The data rows of a CSV with a good header, converted a line at a
+    time (see ``_lines``) into a result allocated once.  The first fault in
+    file order raises a ParseError: a blank row, a row whose cell count
+    differs from the header's, or a cell that ``_value`` refuses, named by
+    its row and its column, counted from 1.  A non-finite value raises one
+    after the last row."""
+    lines = _lines(text)
+    data = np.empty((sum(1 for _ in _lines(text)) - 1, cells))
+    next(lines)          # the header
+    for k, line in enumerate(lines):
+        row = line.split(",")
+        if not line:
+            raise ParseError(f"row {k + 1} is blank")
+        if len(row) != cells:
+            raise ParseError(f"row {k + 1} has {len(row)} cells, header has {cells}")
+        try:
+            if not line.isascii() or "_" in line:     # float would take 1_0 and "\u0661"
+                raise ValueError
+            data[k] = list(map(float, row))
+        except ValueError:
+            values = list(map(_value, row))
+            if None in values:
+                j = values.index(None)
+                # the cell's repr is cut at 100 characters
+                raise ParseError(f"row {k + 1}: non-numeric cell: could not convert string "
+                                 f"{repr(row[j])[:100]} to float64 in column {j + 1}.") from None
+            data[k] = values
+    if not np.all(np.isfinite(data)):
+        raise ParseError("trajectory has non-finite values")
+    return data
 
 
-# loadtxt's conversion error counts the rows it is given from 0, columns from 1
-_LOADTXT_CELL = re.compile(r"(.*) at row (\d+),( column \d+\.)", re.DOTALL)
-
-
-def _bad_cell(exc: ValueError) -> str:
-    """Message naming the row of the cell that ``_loadtxt`` refused,
-    counted from 1 as in ``_ragged_row``."""
-    cell = _LOADTXT_CELL.fullmatch(str(exc))
-    if cell is None:
-        return f"non-numeric cell: {exc}"
-    return f"row {int(cell[2]) + 1}: non-numeric cell: {cell[1]} in{cell[3]}"
-
-
-def _ragged_row(text: str, cells: int) -> str | None:
-    """Message naming the first data row without ``cells`` cells, if any."""
-    rows = _lines(text)
-    next(rows)           # the header
-    for k, row in enumerate(rows):
-        if not row:
-            return f"row {k + 1} is blank"
-        if row.count(",") + 1 != cells:
-            return f"row {k + 1} has {row.count(',') + 1} cells, header has {cells}"
+def _value(cell: str) -> float | None:
+    """The number in ``cell``, or None: the cell, less the whitespace that
+    ``str.strip`` drops, must be ASCII without ``_`` and read by ``float``.
+    (``float(cell)`` would take ``1_0`` and non-ASCII digits, and refuse a
+    "\\x1f" at an end.)"""
+    plain = cell.strip()
+    if plain.isascii() and "_" not in plain:
+        try:
+            return float(plain)
+        except ValueError:
+            pass
     return None

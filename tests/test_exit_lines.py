@@ -123,8 +123,16 @@ DOCUMENTS = {
                          "blocks": [{"i": 1, "j": 0, "C": [[-1.]]}]},
     "block-shape.json": {"ports": [[[1.], [0.], [0.]], [[-1.], [0.]]],
                          "blocks": [{"i": 0, "j": 1, "C": [[-1., 0.]]}]},
+    # a JSON integer beyond the float range
+    "huge-int.json": {**ONE, "J": [[10 ** 400]]},
+    "huge-int-ports.json": {"ports": [[[10 ** 400], [0.], [0.]], [[-1.], [0.]]]},
 }
-TRAJECTORIES = {
+# 100 000 nested arrays, deeper than the JSON decoder can go
+DEEP = "[" * 100_000 + "0" + "]" * 100_000
+# files written as they are: trajectories, and documents json.dumps cannot write
+TEXTS = {
+    "deep.json": '{"n": 1, "J": ' + DEEP + ', "R": [[1.0]]}',
+    "deep-ports.json": '{"ports": ' + DEEP + "}",
     "t.csv": HEADER + "0,1,0,0.5,0\n0.01,1,0,0.5,0\n",
     "ragged.csv": HEADER + "0,1,0,0.5,0\n0.01,1\n",
     "back.csv": HEADER + "0,1,0,0.5,0\n0,1,0,0.5,0\n",
@@ -256,6 +264,19 @@ CASES = {
                              "--ports", "ports-doc-root.json"], 1,
                             "phode: ports-doc-root.json: document root must be an object",
                             None),
+    # documents deeper than the JSON decoder goes, and integers beyond the float range
+    "validate-deep": (["validate", "deep.json"], 1,
+                      "phode: deep.json: document is nested too deeply to decode", None),
+    "decouple-ports-deep": (["decouple", "two-mass.json", "--partition", "3,2",
+                             "--ports", "deep-ports.json"], 1,
+                            "phode: deep-ports.json: document is nested too deeply to decode",
+                            None),
+    "validate-huge-int": (["validate", "huge-int.json"], 1,
+                          "phode: huge-int.json: field 'J' has non-finite entries", None),
+    "decouple-ports-huge-int": (["decouple", "two-mass.json", "--partition", "3,2",
+                                 "--ports", "huge-int-ports.json"], 1,
+                                "phode: huge-int-ports.json: field 'ports' has non-finite "
+                                "entries", None),
     # shapes of a network
     "validate-few-ports": (["validate", "few-ports.json"], 1,
                            "phode: few-ports.json: one internal port matrix per subsystem "
@@ -411,7 +432,7 @@ def documents(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    for name, text in TRAJECTORIES.items():
+    for name, text in TEXTS.items():
         (tmp_path / name).write_text(text)
     monkeypatch.setattr(phode.integrate, "_memory_bytes", lambda: 2.0 ** 30)
 

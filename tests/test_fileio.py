@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -22,8 +23,8 @@ from phode.integrate import (EnergyReport, Trajectory, energy_report,
                              implicit_midpoint)
 from phode.models import two_mass, two_mass_network
 
-from util import (per_row_document, per_row_layout, plain_document, random_linear_ph,
-                  random_skew, split_read_trajectory, whole_table_csv)
+from util import (loadtxt_read_trajectory, per_row_document, per_row_layout, plain_document,
+                  random_linear_ph, random_skew, split_read_trajectory, whole_table_csv)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -318,17 +319,17 @@ def assert_same_bits(a, b):
 
 
 @pytest.fixture
-def loadtxt_calls(monkeypatch):
-    """The calls of ``fileio._loadtxt``, the whole-text pass of
-    ``read_trajectory``, one entry each."""
+def line_reader_calls(monkeypatch):
+    """The calls of ``fileio._read_lines``, the line-at-a-time reader of
+    the texts that ``read_trajectory``'s kernel refuses, one entry each."""
     calls = []
 
-    def counted(rows):
+    def counted(text, cells):
         calls.append(1)
-        return loadtxt(rows)
+        return read_lines(text, cells)
 
-    loadtxt = phode.fileio._loadtxt
-    monkeypatch.setattr(phode.fileio, "_loadtxt", counted)
+    read_lines = phode.fileio._read_lines
+    monkeypatch.setattr(phode.fileio, "_read_lines", counted)
     return calls
 
 
@@ -479,13 +480,13 @@ class TestTrajectoryCsv:
                 mp.setattr(phode.fileio, "_READ_BLOCK_CHARS", block)
                 assert list(phode.fileio._lines(text)) == text.splitlines()
 
-    def test_bad_cell_named_from_one_pass(self, loadtxt_calls):
+    def test_bad_cell_named_from_one_pass(self, line_reader_calls):
         text = "t,x1,x2,H,balance_residual\n" + "0,1,2,3,0\n" * 500 + "0.2,x,2,3,0\n"
         with pytest.raises(ParseError, match=r"^row 501: non-numeric cell: "
                                              r"could not convert string 'x' to float64 "
                                              r"in column 2\.$"):
             read_trajectory(text)
-        assert loadtxt_calls == [1]
+        assert line_reader_calls == [1]
 
     def test_read_holds_the_result_and_little_else(self):
         # n = 200, 1000 steps: the arrays, and one piece of the text at a
@@ -501,9 +502,9 @@ class TestTrajectoryCsv:
             tracemalloc.stop()
         assert peak <= t.base.nbytes + 0.15 * len(text)
 
-    def test_loadtxt_pass_holds_the_result_and_little_else(self, loadtxt_calls):
-        # CRLF line ends send the same table to the np.loadtxt pass, which
-        # gets one piece's lines at a time
+    def test_line_reader_holds_the_result_and_little_else(self, line_reader_calls):
+        # CRLF line ends send the same table to the line reader, which
+        # splits one piece's lines at a time
         traj, rep = self.random_run(1001, 200)
         text = write_trajectory(traj, rep).replace("\n", "\r\n")
         tracemalloc.start()
@@ -512,7 +513,7 @@ class TestTrajectoryCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loadtxt_calls == [1]
+        assert line_reader_calls == [1]
         assert peak <= t.base.nbytes + 0.15 * len(text)
 
     @FAST
@@ -824,40 +825,40 @@ def long_cells(digits):
 
 class TestReadKernel:
     """``read_trajectory`` reads every cell in the writer's grammar as
-    ``float`` does, without ``np.loadtxt``, and any other text as the
-    ``np.loadtxt`` pass does."""
+    ``float`` does, without the line reader, and any other text as the one
+    ``np.loadtxt`` pass that the reader held before did."""
 
     @pytest.mark.parametrize("cell", ["%.17g", "%r"])
-    def test_random_bit_patterns(self, loadtxt_calls, cell):
+    def test_random_bit_patterns(self, line_reader_calls, cell):
         bits = np.random.default_rng(13).integers(-2 ** 63, 2 ** 63, 10 ** 5, dtype=np.int64)
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         got, want = read_cells([cell % v for v in values.tolist()], width=10)
         assert_same_bits(got, want)
         assert_same_bits(got, values)
-        assert loadtxt_calls == []
+        assert line_reader_calls == []
 
     @pytest.mark.parametrize("values", [
         powers_of_two(), powers_of_ten(), binary_ties(), np.array(EXTREMES + SUBNORMALS),
         np.array(CARRIES)], ids=["powers-of-two", "powers-of-ten", "binary-ties", "extremes",
                                  "carries"])
     @pytest.mark.parametrize("cell", ["%.17g", "%r"])
-    def test_edge_values(self, loadtxt_calls, values, cell):
+    def test_edge_values(self, line_reader_calls, values, cell):
         values = np.concatenate([values, -values])
         got, want = read_cells([cell % v for v in values.tolist()], width=7)
         assert_same_bits(got, want)
         assert_same_bits(got, values)
-        assert loadtxt_calls == []
+        assert line_reader_calls == []
 
     @pytest.mark.parametrize("cells", [HALFWAY, PLAIN_FORMS, long_cells(19), long_cells(20),
                                        long_cells(25)],
                              ids=["halfway", "plain-forms", "19-digits", "20-digits",
                                   "25-digits"])
-    def test_cells_read_as_float_reads_them(self, loadtxt_calls, cells):
+    def test_cells_read_as_float_reads_them(self, line_reader_calls, cells):
         cells = cells + ["-" + c.lstrip("+-") for c in cells]
         got, want = read_cells(cells)
         assert_same_bits(got, want)
-        assert loadtxt_calls == []
+        assert line_reader_calls == []
 
     def test_halfway_sums_are_left_to_float(self):
         # (a, p) of the first nine HALFWAY cells, and of two near them
@@ -871,23 +872,23 @@ class TestReadKernel:
         assert v[len(ties):].tolist() == [9007199254740994.0, 9007199254740992.0]
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
-    def test_pieces_give_the_bits_of_the_whole(self, loadtxt_calls, monkeypatch, block):
+    def test_pieces_give_the_bits_of_the_whole(self, line_reader_calls, monkeypatch, block):
         traj, rep = TestTrajectoryCsv.random_run(40, 6)
         text = write_trajectory(traj, rep)
         want = read_trajectory(text)
         monkeypatch.setattr(phode.fileio, "_READ_BLOCK_CHARS", block)
         for a, b in zip(read_trajectory(text), want):
             assert_same_bits(a, b)
-        assert loadtxt_calls == []
+        assert line_reader_calls == []
 
-    def test_writer_output_never_reaches_loadtxt(self, loadtxt_calls):
+    def test_writer_output_never_reaches_the_line_reader(self, line_reader_calls):
         traj, rep = TestTrajectoryCsv.random_run(300, 7)
         read_trajectory(write_trajectory(traj, rep))
         traj, rep = values_run(np.concatenate([binary_ties(), powers_of_ten(), powers_of_two(),
                                                CARRIES, EXTREMES, SUBNORMALS]))
         text = write_trajectory(traj, rep)
         assert_same_bits(read_trajectory(text)[1], traj.x)
-        assert loadtxt_calls == []
+        assert line_reader_calls == []
 
     @pytest.mark.parametrize("body, parent", [
         ("0,1,2,3,0\r\n0.1,1,2,3,0\r\n", [[0, 1, 2, 3, 0], [0.1, 1, 2, 3, 0]]),
@@ -928,9 +929,9 @@ class TestReadKernel:
             "non-ascii-space", "non-ascii-digit", "no-final-newline", "ragged", "split-row",
             "moved-line-end", "point-in-exponent", "two-signs", "1.2.3",
             "1e5e5", ".", "e5", "1e", "1-5"])
-    def test_other_texts_take_one_loadtxt_pass(self, loadtxt_calls, body, parent):
-        # ``parent`` is what the reader gave before the kernel: arrays or
-        # the ParseError's text
+    def test_other_texts_take_one_line_reader_pass(self, line_reader_calls, body, parent):
+        # ``parent`` is what the reader gave before the kernel, from one
+        # np.loadtxt pass: arrays or the ParseError's text
         text = "t,x1,x2,H,balance_residual\n" + body
         if isinstance(parent, str):
             with pytest.raises(ParseError) as exc:
@@ -939,11 +940,92 @@ class TestReadKernel:
         else:
             t, x, h, res = read_trajectory(text)
             assert_same_bits(np.column_stack([t, x, h, res]), np.array(parent, dtype=float))
-        assert loadtxt_calls == [1]
+        assert line_reader_calls == [1]
 
-    def test_bad_cell_in_a_later_piece_is_named(self, loadtxt_calls, monkeypatch):
+    def test_bad_cell_in_a_later_piece_is_named(self, line_reader_calls, monkeypatch):
         monkeypatch.setattr(phode.fileio, "_READ_BLOCK_CHARS", 64)
         text = "t,x1,x2,H,balance_residual\n" + "0,1,2,3,0\n" * 99 + "0,1,2,3,x\n"
         with pytest.raises(ParseError, match=r"^row 100: non-numeric cell: .*'x'"):
             read_trajectory(text)
-        assert loadtxt_calls == [1]
+        assert line_reader_calls == [1]
+
+    @pytest.mark.parametrize("body, first, oracle", [
+        ("0,1,2,3,0\n0,a,2,3,0\n0,1,2\n",
+         "row 2: non-numeric cell: could not convert string 'a' to float64 in column 2.",
+         "row 3 has 3 cells, header has 5"),
+        ("0,a,2,3,0\n\n",
+         "row 1: non-numeric cell: could not convert string 'a' to float64 in column 2.",
+         "row 2 is blank"),
+    ], ids=["bad-cell-then-ragged", "bad-cell-then-blank"])
+    def test_first_fault_in_file_order_is_named(self, line_reader_calls, body, first, oracle):
+        # the np.loadtxt pass named a ragged or blank row anywhere before
+        # an earlier bad cell
+        text = "t,x1,x2,H,balance_residual\n" + body
+        with pytest.raises(ParseError) as exc:
+            read_trajectory(text)
+        assert str(exc.value) == first
+        with pytest.raises(ParseError) as exc:
+            loadtxt_read_trajectory(text)
+        assert str(exc.value) == oracle
+        assert line_reader_calls == [1]
+
+    # none, new line ends, a dropped final newline, a character put anywhere
+    # among the data lines, or a text that replaces one cell; one list, drawn
+    # before anything else, so hypothesis draws each item about as often
+    MUTATIONS = [None, "\r\n", "\r", "no-final-newline"] + [
+        ("insert", c) for c in [" ", "\u00a0", "_", "\u0661", '"', "'", "\\", ",", "\n",
+                                "\x1f", "\x00", "e"]] + [
+        ("cell", c) for c in ["1E5", "nan", "1e400", "-inf", "1_0", "\u0661", '"1"', "",
+                              " 1 ", "1\u00a0", "\u00a0\u0661", "x" * 120, "é" * 120,
+                              "1\x1f", "\x1f1"]]
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_reads_as_the_loadtxt_oracle(self, data):
+        # writer output with at most one mutation: the same array bits or
+        # the same ParseError text as one np.loadtxt pass over the lines
+        mutation = data.draw(st.sampled_from(self.MUTATIONS))
+        rows = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(0, 3))
+        t = np.array(sorted(data.draw(st.lists(FINITE, min_size=rows, max_size=rows,
+                                               unique=True))))
+        with np.errstate(over="ignore"):  # the time grid check takes differences
+            traj = Trajectory(t=t, x=data.draw(arrays(float, (rows, n), elements=FINITE)),
+                              u=np.zeros((rows, 0)), y=np.zeros((rows, 0)),
+                              H=data.draw(arrays(float, rows, elements=FINITE)), method="none")
+        res = data.draw(arrays(float, rows - 1, elements=FINITE))
+        text = write_trajectory(traj, EnergyReport(residuals=res, dissipation_ok=True,
+                                                   driven=False))
+        body = text.index("\n") + 1
+        if mutation in ("\r\n", "\r"):
+            text = text.replace("\n", mutation)
+        elif mutation == "no-final-newline":
+            text = text[:-1]
+        elif mutation is not None and mutation[0] == "insert":
+            at = data.draw(st.integers(body, len(text)))
+            text = text[:at] + mutation[1] + text[at:]
+        elif mutation is not None:
+            lines = text[body:].splitlines()
+            k = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[k].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = mutation[1]
+            lines[k] = ",".join(cells)
+            text = text[:body] + "".join(line + "\n" for line in lines)
+        try:
+            want = loadtxt_read_trajectory(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_trajectory(text)
+            want = str(exc)
+            # a split row may leave a bad cell before a ragged one; the first
+            # fault in file order is named, as the oracle names it in the
+            # rows before its ragged or blank row k
+            k = re.match(r"row (\d+) (is blank|has)", want)
+            if k and str(got.value) != want:
+                with pytest.raises(ParseError) as exc:
+                    loadtxt_read_trajectory("".join(text.splitlines(True)[:int(k[1])]))
+                want = str(exc.value)
+            assert str(got.value) == want
+        else:
+            for a, b in zip(read_trajectory(text), want):
+                assert_same_bits(a, b)

@@ -1,14 +1,17 @@
 """Shared test helpers: random valid systems/networks and a high-order
 reference integrator used as an independent oracle."""
 
+import itertools
 import json
+import re
+import warnings
 
 import numpy as np
 
 from phode import coupling
 from phode.core import LinearPHSystem, _slices
 from phode.coupling import CoupledNetwork, CouplingSpec
-from phode.fileio import ParseError, network_to_doc, system_to_doc
+from phode.fileio import ParseError, _lines, network_to_doc, system_to_doc
 from phode.integrate import _inputs, _propagate, _propagator
 
 
@@ -150,6 +153,68 @@ def split_read_trajectory(text):
     if not np.all(np.isfinite(data)):
         raise ParseError("trajectory has non-finite values")
     return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+
+
+def loadtxt_read_trajectory(text):
+    """Trajectory CSV reader that converts every data line in one
+    ``np.loadtxt`` pass and cuts its messages out of NumPy's own (oracle
+    for ``read_trajectory``, which reads the writer's grammar with its
+    kernel and any other text a line at a time; this one has no kernel)."""
+    nl = text.find("\n") + 1
+    header = next(_lines(text[:nl] if nl else text), None)     # splits no more
+    if header is None:
+        raise ParseError("empty trajectory file")
+    header = header.split(",")
+    if header[0] != "t" or header[-2:] != ["H", "balance_residual"]:
+        raise ParseError("unexpected trajectory header")
+    cells = len(header)
+    lines = itertools.islice(_lines(text), 1, None)
+    data = np.empty((0, cells))
+    first = next(lines, None)
+    if first is not None:
+        # loadtxt compares rows only with each other and skips blank lines,
+        # so the rows it is given are counted (seen[0]) as it takes them
+        seen = [0]
+        rows = (row for seen[0], row in enumerate(itertools.chain([first], lines), 1))
+        try:
+            # rows that are all blank give loadtxt no data, which it warns
+            # of; the shape check below names the first blank row
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ParseError(_ragged_row(text, cells) or _bad_cell(exc)) from exc
+        if data.shape != (seen[0], cells):
+            raise ParseError(_ragged_row(text, cells))
+    if not np.all(np.isfinite(data)):
+        raise ParseError("trajectory has non-finite values")
+    return data[:, 0], data[:, 1:-2], data[:, -2], data[:, -1]
+
+
+# loadtxt's conversion error counts the rows it is given from 0, columns from 1
+_LOADTXT_CELL = re.compile(r"(.*) at row (\d+),( column \d+\.)", re.DOTALL)
+
+
+def _bad_cell(exc: ValueError) -> str:
+    """Message naming the row of the cell that ``np.loadtxt`` refused,
+    counted from 1 as in ``_ragged_row``."""
+    cell = _LOADTXT_CELL.fullmatch(str(exc))
+    if cell is None:
+        return f"non-numeric cell: {exc}"
+    return f"row {int(cell[2]) + 1}: non-numeric cell: {cell[1]} in{cell[3]}"
+
+
+def _ragged_row(text: str, cells: int) -> str | None:
+    """Message naming the first data row without ``cells`` cells, if any."""
+    rows = _lines(text)
+    next(rows)           # the header
+    for k, row in enumerate(rows):
+        if not row:
+            return f"row {k + 1} is blank"
+        if row.count(",") + 1 != cells:
+            return f"row {k + 1} has {row.count(',') + 1} cells, header has {cells}"
+    return None
 
 
 def whole_table_csv(traj, report):
