@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 usage error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import stat
 import sys as _sys
 import warnings
 from contextlib import contextmanager
@@ -53,10 +55,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str, parse):
-    """``parse`` applied to the text of a file; a file that cannot be read,
-    or whose text ``parse`` refuses with a ValueError, is a usage error."""
+    """``parse`` applied to the UTF-8 text of a file; a file that cannot be
+    read or decoded, or whose text ``parse`` refuses with a ValueError, is a
+    usage error."""
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                       f"at position {exc.start}")
     except (OSError, ValueError) as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -104,15 +110,25 @@ _WRITE_SLICE_CHARS = 2 ** 16
 def _write(path: str | None, text: str):
     """Write ``text`` to the file ``path``, or to standard output when path
     is None or "-", in slices of ``_WRITE_SLICE_CHARS`` characters; a file
-    that cannot be written is a usage error."""
+    that cannot be written is a usage error.  An existing regular file is
+    written over in place and then cut to the length written, which costs
+    less than truncating it on open; other targets are never truncated."""
     try:
         if path is None or path == "-":
             _write_slices(_sys.stdout, text)
         else:
-            with open(path, "w") as f:
-                _write_slices(f, text)
+            with open(path, "w", opener=_open_untruncated) as f:
+                try:
+                    _write_slices(f, text)
+                finally:
+                    if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                        f.truncate()
     except OSError as exc:
         raise CliError(f"{path or '-'}: {exc}")
+
+
+def _open_untruncated(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_slices(f, text: str):

@@ -37,6 +37,12 @@ class SingularFlowError(RuntimeError):
 E_RCOND_MIN = 1e-12
 
 
+def _clip(text: str, limit: int = 100) -> str:
+    """``text``, or its first ``limit`` characters and a mark of the cut, so
+    that an error line quoting an input's value stays short."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def _as_matrix(a, rows, cols, name):
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.shape != (rows, cols):

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .core import LinearPHSystem
+from .core import LinearPHSystem, _clip
 from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 from .integrate import EnergyReport, Trajectory
 from . import models
@@ -60,7 +60,7 @@ def _typed(doc: dict, key: str, rule: str, default=None):
     v = doc[key] if default is None else doc.get(key, default)
     if not isinstance(v, dict if rule == "an object" else list) or (
             rule.endswith("objects") and not all(isinstance(d, dict) for d in v)):
-        raise ParseError(f"field {key!r} must be {rule}, got {json.dumps(v)}")
+        raise ParseError(f"field {key!r} must be {rule}, got {_clip(json.dumps(v))}")
     return v
 
 
@@ -104,17 +104,40 @@ def _parse_network(doc) -> CoupledNetwork:
             coupling = LinearPortRelation(port_matrices=ports, M=_mat(cdoc, "M"),
                                           N=_mat(cdoc, "N"))
         else:
-            raise ParseError(f"unknown coupling type {ctype!r}")
+            raise ParseError(f"unknown coupling type {_clip(repr(ctype))}")
         return CoupledNetwork(subsystems=tuple(subs), coupling=coupling)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a key given twice in it raises a ParseError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {_clip(repr(key))}")
+            seen.add(key)
+    return doc
+
+
+def _integer_literal(text: str) -> int:
+    """A JSON integer; one of more than 4300 digits (the default limit of
+    CPython's integer text conversion, held here on every version) raises
+    a ParseError."""
+    digits = len(text.lstrip("-"))
+    if digits > 4300:
+        raise ParseError(f"integer of {digits} digits is too long (at most 4300)")
+    return int(text)
+
+
 def _json_object(text: str) -> dict:
-    """The JSON object of a document; a decode error, nesting too deep for
-    the decoder and a root that is not an object raise a ParseError."""
+    """The JSON object of a document; a decode error, a key given twice in
+    one object, an integer too long to convert, nesting too deep for the
+    decoder and a root that is not an object raise a ParseError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object, parse_int=_integer_literal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
@@ -131,7 +154,7 @@ def parse_system_text(text: str):
     doc = _json_object(text)
     version = _integer(doc, "format", "field") if "format" in doc else FORMAT_VERSION
     if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}")
+        raise ParseError(f"unsupported format version {_clip(str(version))}")
     kind = doc.get("kind", "linear")
     if kind == "linear":
         return _parse_linear(doc)
@@ -142,7 +165,7 @@ def parse_system_text(text: str):
         if not isinstance(net.coupling, LinearPortRelation):
             raise ParseError("phdae documents require a coupling of type 'relation'")
         return net
-    raise ParseError(f"unknown kind {kind!r}")
+    raise ParseError(f"unknown kind {_clip(repr(kind))}")
 
 
 def parse_ports_text(text: str):
@@ -169,7 +192,7 @@ def _integer(doc: dict, key: str, what: str) -> int:
     is not."""
     i = doc[key]
     if type(i) is not int:
-        raise ParseError(f"{what} {key!r} must be an integer, got {json.dumps(i)}")
+        raise ParseError(f"{what} {key!r} must be an integer, got {_clip(json.dumps(i))}")
     return i
 
 

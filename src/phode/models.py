@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearPHSystem, DimensionError
+from .core import LinearPHSystem, DimensionError, _clip
 from .coupling import CoupledNetwork
 from .decoupling import Partition, decouple_auto, decouple_with_ports
 
@@ -289,10 +289,11 @@ def build(name: str, params: dict) -> LinearPHSystem:
     """The system of the registered model ``name`` with the values ``params``;
     an unknown name or parameters that its class refuses raise a ValueError."""
     if not isinstance(name, str) or name not in REGISTRY:
-        raise ValueError(f"unknown model {name!r}; known: " + ", ".join(sorted(REGISTRY)))
+        raise ValueError(f"unknown model {_clip(repr(name))}; known: "
+                         + ", ".join(sorted(REGISTRY)))
     params_cls, ctor = REGISTRY[name]
     try:
         p = params_cls(**params)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad parameters: {exc}") from exc
+        raise ValueError(f"bad parameters: {_clip(str(exc))}") from exc
     return ctor(p)

@@ -942,6 +942,65 @@ class TestOutput:
                 tracemalloc.stop()
         assert peak <= 2.5 * phode.cli._WRITE_SLICE_CHARS
 
+    @pytest.mark.parametrize("command", ["model", "simulate"])
+    @pytest.mark.parametrize("old", ["longer", "shorter", "equal"])
+    def test_rewrite_gives_exactly_the_new_bytes(self, tmp_path, command, old):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert main(self.ARGV[command] + ["-o", str(fresh)]) == 0
+        new = fresh.read_bytes()
+        out.write_bytes({"longer": b"\xff" * (3 * len(new)), "shorter": b"x",
+                         "equal": b"y" * len(new)}[old])
+        assert main(self.ARGV[command] + ["-o", str(out)]) == 0
+        assert out.read_bytes() == new
+
+    def test_rewrite_keeps_the_inode_and_mode(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("x" * 10_000)
+        out.chmod(0o640)
+        before = out.stat()
+        assert main(self.ARGV["model"] + ["-o", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert after.st_size < before.st_size
+
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("x" * 10_000)
+        link.symlink_to(target)
+        assert main(self.ARGV["model"] + ["-o", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert json.loads(target.read_text()) == json.loads(dump_document(two_mass()))
+
+    def test_non_regular_target_is_not_truncated(self, capsys):
+        assert main(self.ARGV["model"] + ["-o", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_failed_write_leaves_what_was_written(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("z" * 10_000)
+        monkeypatch.setattr(phode.cli, "_WRITE_SLICE_CHARS", 7)
+        slices = phode.cli._write_slices
+
+        def full_after_one_slice(f, text):
+            slices(f, text[:7])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(phode.cli, "_write_slices", full_after_one_slice)
+        assert main(self.ARGV["model"] + ["-o", str(out)]) == 1
+        assert_one_line_error(capsys, f"phode: {out}: [Errno 28] No space left on device")
+        assert out.read_text() == dump_document(two_mass())[:7]
+
+    def test_open_asks_for_no_truncation(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("x" * 10_000)
+        flags, os_open = [], os.open
+        monkeypatch.setattr(os, "open",
+                            lambda path, f, *a: flags.append(f) or os_open(path, f, *a))
+        assert main(self.ARGV["model"] + ["-o", str(out)]) == 0
+        assert len(flags) == 1
+        assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+        assert not flags[0] & os.O_TRUNC
+
 
 COMMAND_NAMES = ["validate", "condense", "decouple", "simulate", "cosim", "report", "model"]
 PARITY_ARGV = [

@@ -19,6 +19,8 @@ RELATION = {"type": "relation", "ports": [[[1.]], [[1.]]], "M": [[1., 0.], [0., 
             "N": [[0., -1.], [1., 0.]]}
 TWO = {"n": 2, "J": [[0., 1.], [-1., 0.]], "R": [[1., 0.], [0., 0.]]}
 HEADER = "t,x1,x2,H,balance_residual\n"
+# 500 nested arrays around 0, 1001 characters of JSON
+NESTED = json.loads("[" * 500 + "0" + "]" * 500)
 DOCUMENTS = {
     "sys.json": TWO,
     "two-mass.json": {"model": "two-mass"},
@@ -126,6 +128,9 @@ DOCUMENTS = {
     # a JSON integer beyond the float range
     "huge-int.json": {**ONE, "J": [[10 ** 400]]},
     "huge-int-ports.json": {"ports": [[[10 ** 400], [0.], [0.]], [[-1.], [0.]]]},
+    # values whose text an error line quotes cut at 100 characters
+    "long-params.json": {"model": "two-mass", "params": NESTED},
+    "long-model.json": {"model": NESTED},
 }
 # 100 000 nested arrays, deeper than the JSON decoder can go
 DEEP = "[" * 100_000 + "0" + "]" * 100_000
@@ -139,6 +144,21 @@ TEXTS = {
     "wide.csv": "t,x1,x2,x3,H,balance_residual\n0,1,0,0,0.5,0\n",
     "huge.csv": HEADER + "0,1e200,0,1e300,0\n0.01,1e200,0,1e300,0\n",
     "no-states.csv": "t,H,balance_residual\n0,0.5,0\n0.01,0.5,0\n",
+    # a key given twice: at the root, in a subsystem, in a block of a ports document
+    "dup-root.json": '{"n": 1, "J": [[0.0]], "J": [[1.0]], "R": [[1.0]]}',
+    "dup-sub.json": '{"kind": "network", "subsystems": [{"n": 1, "J": [[0.0]], "R": [[1.0]], '
+                    '"R": [[2.0]]}, ' + json.dumps(ONE) + '], "coupling": '
+                    + json.dumps(SKEW) + "}",
+    "dup-ports.json": '{"ports": [[[1.0], [0.0], [0.0]], [[-1.0], [0.0]]], '
+                      '"blocks": [{"i": 0, "j": 1, "C": [[-1.0]], "C": [[0.0]]}]}',
+    # an integer of 5001 digits
+    "long-int.json": '{"n": 1, "J": [[1' + "0" * 5000 + ']], "R": [[1.0]]}',
+    "long-int-ports.json": '{"ports": [[[1' + "0" * 5000 + '], [0.0], [0.0]], [[-1.0], [0.0]]]}',
+}
+# files that are not UTF-8 text: Latin-1 bytes
+LATIN_1 = {
+    "latin-1.json": '{"n": 1, "J": [[0.0]], "R": [[1.0]], "name": "Größe"}',
+    "latin-1.csv": HEADER + "0,1,0,0.5,0\n0.01,1,0,0.5,0\xa0\n",
 }
 
 TRAJECTORY_MEMORY = ("phode: out of memory: the trajectory does not fit; "
@@ -277,6 +297,33 @@ CASES = {
                                  "--ports", "huge-int-ports.json"], 1,
                                 "phode: huge-int-ports.json: field 'ports' has non-finite "
                                 "entries", None),
+    "validate-long-int": (["validate", "long-int.json"], 1,
+                          "phode: long-int.json: integer of 5001 digits is too long "
+                          "(at most 4300)", None),
+    "decouple-ports-long-int": (["decouple", "two-mass.json", "--partition", "3,2",
+                                 "--ports", "long-int-ports.json"], 1,
+                                "phode: long-int-ports.json: integer of 5001 digits is too "
+                                "long (at most 4300)", None),
+    # keys given twice, values cut, bytes that are not UTF-8
+    "validate-duplicate-key": (["validate", "dup-root.json"], 1,
+                               "phode: dup-root.json: duplicate key 'J'", None),
+    "validate-duplicate-key-subsystem": (["validate", "dup-sub.json"], 1,
+                                         "phode: dup-sub.json: duplicate key 'R'", None),
+    "decouple-ports-duplicate-key": (["decouple", "two-mass.json", "--partition", "3,2",
+                                      "--ports", "dup-ports.json"], 1,
+                                     "phode: dup-ports.json: duplicate key 'C'", None),
+    "validate-long-params": (["validate", "long-params.json"], 1,
+                             "phode: long-params.json: field 'params' must be an object, got "
+                             + "[" * 100 + "... (1001 characters)", None),
+    "validate-long-model": (["validate", "long-model.json"], 1,
+                            "phode: long-model.json: unknown model " + "[" * 100
+                            + "... (1001 characters); known: maxwell, poroelastic, two-mass",
+                            None),
+    "validate-not-utf-8": (["validate", "latin-1.json"], 1,
+                           "phode: latin-1.json: not UTF-8 text: byte 0xf6 at position 48",
+                           None),
+    "report-not-utf-8": (["report", "latin-1.csv", "sys.json"], 1,
+                         "phode: latin-1.csv: not UTF-8 text: byte 0xa0 at position 53", None),
     # shapes of a network
     "validate-few-ports": (["validate", "few-ports.json"], 1,
                            "phode: few-ports.json: one internal port matrix per subsystem "
@@ -434,6 +481,8 @@ def documents(tmp_path, monkeypatch):
         (tmp_path / name).write_text(json.dumps(doc))
     for name, text in TEXTS.items():
         (tmp_path / name).write_text(text)
+    for name, text in LATIN_1.items():
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
     monkeypatch.setattr(phode.integrate, "_memory_bytes", lambda: 2.0 ** 30)
 
 

@@ -125,6 +125,41 @@ class TestParseSystem:
             tracemalloc.stop()
         assert peak <= document + 2 * 8 * 200 * 200
 
+    # the root, a subsystem and a ports document have rows in test_exit_lines.py
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind": "network", "coupling": {"type": "skew", "C": [[0]], "C": [[1]]}}', "C"),
+        ('{"model": "two-mass", "params": {"m1": 2, "m1": 3}}', "m1"),
+        ('{"n": 1, "J": [[0]], "R": [[1]], "x": {"y": {"z": 1, "z": 1}}}', "z"),
+    ], ids=["coupling", "params", "unread"])
+    def test_duplicate_key_refused_at_any_depth(self, text, key):
+        with pytest.raises(ParseError, match=f"^duplicate key '{key}'$"):
+            parse_system_text(text)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_digits_bounded(self, sign):
+        def doc(digits):
+            return f'{{"n": 1, "J": [[{sign}1{"0" * (digits - 1)}]], "R": [[1]]}}'
+        with pytest.raises(ParseError, match="^field 'J' has non-finite entries$"):
+            parse_system_text(doc(4300))
+        with pytest.raises(ParseError, match="^integer of 4301 digits is too long"):
+            parse_system_text(doc(4301))
+
+    # "params" and "model" have rows in test_exit_lines.py
+    @pytest.mark.parametrize("field", ["n", "format", "kind", "params key", "coupling type",
+                                       "key"])
+    def test_quoted_values_cut_at_100_characters(self, field):
+        deep = "[" * 500 + "0" + "]" * 500
+        texts = {"n": f'{{"n": {deep}}}', "format": f'{{"format": 1{"0" * 4000}}}',
+                 "kind": f'{{"kind": {deep}}}',
+                 "params key": f'{{"model": "two-mass", "params": {{"{"k" * 500}": 1}}}}',
+                 "coupling type": f'{{"kind": "network", "subsystems": [{{"n": 0, '
+                                  f'"J": [], "R": []}}], "coupling": {{"type": {deep}}}}}',
+                 "key": f'{{"{"k" * 500}": 1, "{"k" * 500}": 2}}'}
+        with pytest.raises(ParseError) as err:
+            parse_system_text(texts[field])
+        message = str(err.value)
+        assert len(message) < 200 and re.search(r"\.\.\. \(\d+ characters\)", message)
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_matrix_rejected(self, value):
         text = f'{{"n": 1, "J": [[0]], "R": [[{value}]]}}'
