@@ -111,18 +111,23 @@ def _write(path: str | None, text: str):
     """Write ``text`` to the file ``path``, or to standard output when path
     is None or "-", in slices of ``_WRITE_SLICE_CHARS`` characters; a file
     that cannot be written is a usage error.  An existing regular file is
-    written over in place and then cut to the length written, which costs
-    less than truncating it on open; other targets are never truncated."""
+    written over in place and then cut to the length that reached it, also
+    when a write fails; other targets are never truncated."""
     try:
         if path is None or path == "-":
             _write_slices(_sys.stdout, text)
         else:
             with open(path, "w", opener=_open_untruncated) as f:
+                fd = f.fileno()
+                old = os.fstat(fd)
                 try:
                     _write_slices(f, text)
+                    f.flush()
                 finally:
-                    if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                        f.truncate()
+                    # cut the old file's tail without another flush, which
+                    # could fail first; a new or empty file has no tail
+                    if stat.S_ISREG(old.st_mode) and old.st_size:
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         raise CliError(f"{path or '-'}: {exc}")
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -5,6 +6,11 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -990,16 +996,43 @@ class TestOutput:
         assert_one_line_error(capsys, f"phode: {out}: [Errno 28] No space left on device")
         assert out.read_text() == dump_document(two_mass())[:7]
 
-    def test_open_asks_for_no_truncation(self, tmp_path, monkeypatch):
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_failed_os_write_leaves_what_was_written(self, tmp_path):
+        # a file-size limit makes the kernel take the first 100 bytes of the
+        # buffered text and refuse the rest, at the write and at every
+        # flush after it; the old file's tail must not survive
         out = tmp_path / "out"
+        out.write_text("z" * 10_000)
+        src = str(Path(phode.cli.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import resource; "
+                "from phode.cli import main; "
+                "resource.setrlimit(resource.RLIMIT_FSIZE, "
+                "(100, resource.getrlimit(resource.RLIMIT_FSIZE)[1])); "
+                "raise SystemExit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-B", "-c", code, *self.ARGV["model"],
+                               "-o", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"phode: {out}: [Errno {errno.EFBIG}] ")
+        assert proc.stderr.count("\n") == 1
+        assert out.read_text() == dump_document(two_mass())[:100]
+
+    def test_open_asks_for_no_truncation(self, tmp_path, monkeypatch):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
         out.write_text("x" * 10_000)
         flags, os_open = [], os.open
         monkeypatch.setattr(os, "open",
                             lambda path, f, *a: flags.append(f) or os_open(path, f, *a))
+        cuts, os_ftruncate = [], os.ftruncate
+        monkeypatch.setattr(os, "ftruncate",
+                            lambda fd, n: cuts.append(n) or os_ftruncate(fd, n))
         assert main(self.ARGV["model"] + ["-o", str(out)]) == 0
         assert len(flags) == 1
         assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
         assert not flags[0] & os.O_TRUNC
+        # one cut, after the whole text; a new file is never cut
+        assert cuts == [out.stat().st_size]
+        assert main(self.ARGV["model"] + ["-o", str(fresh)]) == 0
+        assert cuts == [out.stat().st_size]
 
 
 COMMAND_NAMES = ["validate", "condense", "decouple", "simulate", "cosim", "report", "model"]
