@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionError, LinearPHSystem, _rcond, _slices
+from .core import DimensionError, LinearPHSystem, _clip, _rcond, _slices
 from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 
 
@@ -226,7 +226,7 @@ def decouple_with_ports(sys: LinearPHSystem, partition: Partition | Sequence[int
 
     for (i, j), cij in blocks.items():
         if not (0 <= i < j < p.s):
-            raise DimensionError(f"block pair {(i, j)} must satisfy 0 <= i < j < s")
+            raise DimensionError(f"block pair {_clip(str((i, j)))} must satisfy 0 <= i < j < s")
         cij = np.atleast_2d(np.asarray(cij, dtype=float))
         if cij.shape != block(i, j).shape:
             raise DimensionError(f"coupling block {(i, j)} has shape {cij.shape}, "

@@ -11,6 +11,7 @@ values bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -49,9 +50,9 @@ def _mat(doc, key, n=None, required=True):
     if m.ndim != 2:
         raise ParseError(f"field {key!r} must be a 2-d array")
     if n is not None and m.shape[0] != n:
-        raise ParseError(f"field {key!r} has {m.shape[0]} rows, expected {n}")
+        raise ParseError(f"field {key!r} has {m.shape[0]} rows, expected {_clip(str(n))}")
     if n is not None and m.shape[1] != n:
-        raise ParseError(f"field {key!r} has {m.shape[1]} columns, expected {n}")
+        raise ParseError(f"field {key!r} has {m.shape[1]} columns, expected {_clip(str(n))}")
     return m
 
 
@@ -123,12 +124,12 @@ def _object(pairs: list) -> dict:
 
 
 def _integer_literal(text: str) -> int:
-    """A JSON integer; one of more than 4300 digits (the default limit of
-    CPython's integer text conversion, held here on every version) raises
-    a ParseError."""
+    """A JSON integer; one of more digits than CPython's default text limit
+    (4300, held on every version) or a lower limit set for it raises a ParseError."""
     digits = len(text.lstrip("-"))
-    if digits > 4300:
-        raise ParseError(f"integer of {digits} digits is too long (at most 4300)")
+    limit = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    if digits > limit:
+        raise ParseError(f"integer of {digits} digits is too long (at most {limit})")
     return int(text)
 
 
@@ -179,7 +180,7 @@ def parse_ports_text(text: str):
         for b in _typed(doc, "blocks", "an array of objects", []):
             ij = (_integer(b, "i", "block index"), _integer(b, "j", "block index"))
             if ij in blocks:
-                raise ParseError(f"block {ij} given twice")
+                raise ParseError(f"block {_clip(str(ij))} given twice")
             blocks[ij] = _mat(b, "C")
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc

@@ -164,35 +164,35 @@ def _finalize(sys, t, xs, us, method, u_mid) -> Trajectory:
     return Trajectory(t=t, x=xs, u=us, y=ys, H=hs, method=method, u_mid=u_mid)
 
 
-def _propagator(sys: LinearPHSystem, method: str, dt: float):
-    """One-step map (Phi, Gamma) of a linear system: the step is
-    x_{k+1} = Phi x_k + Gamma f_k with the forcing f_k at the step midpoint.
+def _propagator(sys: LinearPHSystem, method: str, dt: float, inputs: np.ndarray):
+    """One-step map (Phi, F) of a linear system driven through the n x k
+    matrix ``inputs``: x_{k+1} = Phi x_k + F v_k, v_k at the step midpoint.
 
-    A midpoint step of E xdot = A x + f is Phi = (E - h/2 A)^-1 (E + h/2 A),
-    Gamma = h (E - h/2 A)^-1, from one LU.  "strang" composes a half
-    dissipative step D, a conservative step C and another D into
-    Phi = D C D, Gamma = D Gamma_C.  Phi is C-contiguous, as ``_propagate``
-    steps it.
+    A midpoint step of E xdot = A x + inputs v is Phi = (E - h/2 A)^-1
+    (E + h/2 A), F = h (E - h/2 A)^-1 inputs, from one LU with n + k
+    right-hand sides.  "strang" composes a half dissipative step D, a
+    conservative step C that takes the inputs and another D into Phi = D C D,
+    F = D F_C.  Phi is C-contiguous, as ``_propagate`` steps it.
     """
     n = sys.n
 
-    def midpoint(A, h):
+    def midpoint(A, h, cols):
         minus = sys.E - 0.5 * h * A
         if not np.isfinite(minus).all():
             raise FloatingPointError("implicit step matrix leaves the floating-point range")
         if _rcond(minus) <= E_RCOND_MIN:
             raise SingularFlowError("singular implicit step matrix")
-        sol = np.linalg.solve(minus, np.hstack([sys.E + 0.5 * h * A, h * np.eye(n)]))
+        sol = np.linalg.solve(minus, np.hstack([sys.E + 0.5 * h * A, h * cols]))
         # copies: Phi C-contiguous, and no run keeps the whole solution
         return sol[:, :n].copy(), sol[:, n:].copy()
 
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "midpoint":
-            return midpoint((sys.J - sys.R) @ sys.L, dt)
+            return midpoint((sys.J - sys.R) @ sys.L, dt, inputs)
         if method == "strang":
-            diss, _ = midpoint(-sys.R @ sys.L, 0.5 * dt)
-            cons, gamma = midpoint(sys.J @ sys.L, dt)
-            return diss @ cons @ diss, diss @ gamma
+            diss, _ = midpoint(-sys.R @ sys.L, 0.5 * dt, inputs[:, :0])
+            cons, forcing = midpoint(sys.J @ sys.L, dt, inputs)
+            return diss @ cons @ diss, diss @ forcing
     raise ValueError(f"unknown inner integrator {method!r}")
 
 
@@ -228,10 +228,10 @@ def _integrate_linear(sys: LinearPHSystem, method: str, u, x0, t0, t1, dt):
         raise SingularFlowError("descriptor system: integrate unsupported (singular E)")
     x = _initial_state(x0, sys.n)
     t = _time_grid(t0, t1, dt, _per_step(sys.n, sys.m))
-    phi, gamma = _propagator(sys, method, dt)
+    phi, forcing = _propagator(sys, method, dt, sys.B - sys.P)
     u_mid = _inputs(u, sys.m, t[:-1] + 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = None if u is None else u_mid @ (gamma @ (sys.B - sys.P)).T
+        g = None if u is None else u_mid @ forcing.T
         xs = _propagate(phi, x, len(u_mid), g)
     return _finalize(sys, t, xs, _inputs(u, sys.m, t), method, u_mid)
 
@@ -370,37 +370,38 @@ def _coupling_response(v: np.ndarray, lifted) -> np.ndarray:
     return np.concatenate([x, tail.reshape(b, r, n)], axis=1)
 
 
-def _relax(coefs: np.ndarray, q: int, blocks: list, drive: np.ndarray,
-           out_map: np.ndarray, C: np.ndarray, gauss_seidel: bool, sweeps: int):
+def _relax(coefs: np.ndarray, q: int, blocks: list, out_map: np.ndarray,
+           C: np.ndarray, gauss_seidel: bool, sweeps: int):
     """Waveform relaxation of a batch of q-step windows, one row of basis
     coefficients [x_0, vec(u_mid)] each: the window-initial state (n
     entries) and, when an input acts, the window's midpoint inputs (one row
-    of m per step, forced through ``drive``, m x n).
+    of m per step).
 
-    Each subsystem's free response to x_0 and the forcing is stepped once,
-    the batch as columns; every sweep adds its response to the coupling
-    inputs from the step-midpoint port outputs of the previous sweep
-    (Jacobi) or, for subsystems already updated, of the current one
+    Each subsystem's free response to x_0 and its own inputs is stepped
+    once, the batch as columns; every sweep adds its response to the
+    coupling inputs from the step-midpoint port outputs of the previous
+    sweep (Jacobi) or, for subsystems already updated, of the current one
     (Gauss-Seidel).  blocks[i] holds subsystem i's step matrix, lifted
-    maps, state and port slices, C_i^T and half its output map.  Returns
-    the states x_1..x_q (b, q*n) and the coupling inputs of the convergence
-    check (b, 2*q*P: those the last sweep was driven with, then those its
-    outputs give).
+    maps, state, port and input slices, the forcing of its inputs, C_i^T
+    and half its output map.  Returns the states x_1..x_q (b, q*n) and the
+    coupling inputs of the convergence check (b, 2*q*P: those the last
+    sweep was driven with, then those its outputs give).
     """
-    b, n = len(coefs), drive.shape[1]
+    b, n = len(coefs), len(out_map)
     xw = np.empty((b, q + 1, n))
     xw[:, 0] = coefs[:, :n]
-    g = coefs[:, n:].reshape(b, q, -1) @ drive if coefs.shape[1] > n else None
+    u_mid = coefs[:, n:].reshape(b, q, -1) if coefs.shape[1] > n else None
     # step-midpoint port outputs of all subsystems in the window,
     # initialized by constant extrapolation of the window-initial outputs
     mids = np.repeat(xw[:, :1] @ out_map, q, axis=1)
-    # per subsystem its free response, and views of its states from the
-    # second row on, of those up to the last row and of its midpoint outputs
-    subs = [(_propagate(phi, xw[:, 0, sl].T, q,
-                        None if g is None else g[:, :, sl].transpose(1, 2, 0))[1:]
-             .transpose(2, 0, 1), lifted, c_rows, half_out,
-             xw[:, 1:, sl], xw[:, :-1, sl], mids[:, :, psl])
-            for phi, lifted, sl, psl, c_rows, half_out in blocks]
+    # per subsystem its free response, forced by its own inputs, and views
+    # of its states from the second row on, of those up to the last row and
+    # of its midpoint outputs
+    subs = []
+    for phi, lifted, sl, psl, msl, forcing, c_rows, half_out in blocks:
+        g = None if u_mid is None else (u_mid[:, :, msl] @ forcing.T).transpose(1, 2, 0)
+        subs.append((_propagate(phi, xw[:, 0, sl].T, q, g)[1:].transpose(2, 0, 1), lifted,
+                     c_rows, half_out, xw[:, 1:, sl], xw[:, :-1, sl], mids[:, :, psl]))
     for _sweep in range(sweeps):
         # Gauss-Seidel reads the outputs updated so far in this sweep,
         # Jacobi those of the previous sweep
@@ -483,20 +484,18 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     n, ports = net.n, len(C)
 
     # per subsystem its step matrix, the lifted maps of its coupling input
-    # C_i y_hat (the sign of u_hat = -C y_hat folded into the gain), state
-    # and port slices, C_i^T and its block of the port output map
-    # y_hat = x @ out_map, halved (neighbouring states summed give the
-    # step-midpoint output); block-diagonal over all subsystems the forcing
-    props = [_propagator(sub, inner[i], dt) for i, sub in enumerate(subs)]
-    gamma = coupling._blockdiag([g for _, g in props])
-    bhat = net.stacked_port_matrix()
-    port_gain = gamma @ bhat
-    out_map = mono.L.T @ bhat
-    blocks = [(phi, _lifted_maps(phi, -port_gain[sl, psl], q), sl, psl, C[psl].T,
-               0.5 * out_map[sl, psl])
-              for (phi, _), sl, psl in zip(props, _slices(net.state_sizes),
-                                           _slices(net.coupling.layout))]
-    drive = (gamma @ (mono.B - mono.P)).T
+    # C_i y_hat (gain -Bhat_i: the sign of u_hat = -C y_hat folded in) and the
+    # forcing of its own inputs from one LU, its state, port and input slices,
+    # C_i^T and half its block of y_hat = x @ out_map (for midpoint outputs)
+    out_map = mono.L.T @ net.stacked_port_matrix()
+    blocks = []
+    for sub, method, bhat, sl, psl, msl in zip(
+            subs, inner, net.coupling.port_matrices, _slices(net.state_sizes),
+            _slices(net.coupling.layout), _slices([s.m for s in subs])):
+        phi, forcing = _propagator(sub, method, dt, np.hstack([-bhat, sub.B - sub.P]))
+        p = bhat.shape[1]
+        blocks.append((phi, _lifted_maps(phi, forcing[:, :p], q), sl, psl, msl,
+                       forcing[:, p:], C[psl].T, 0.5 * out_map[sl, psl]))
     u_mid = _inputs(u, mono.m, t[:-1] + 0.5 * dt)
     gauss_seidel = mode == "gauss-seidel"
 
@@ -512,7 +511,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     xs[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         if mapped:
-            state_map, check_map = _relax(np.eye(basis), q, blocks, drive, out_map, C,
+            state_map, check_map = _relax(np.eye(basis), q, blocks, out_map, C,
                                           gauss_seidel, sweeps)
             x_map = state_map[:n]
             driven = None if u is None else u_win @ state_map[n:]
@@ -526,7 +525,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
             checks = np.empty((windows, 2 * q * ports))
             for w in range(windows):
                 win, check = _relax(np.concatenate([xs[w * q], u_win[w]])[None], q, blocks,
-                                    drive, out_map, C, gauss_seidel, sweeps)
+                                    out_map, C, gauss_seidel, sweeps)
                 xs[w * q + 1:(w + 1) * q + 1] = win.reshape(q, n)
                 checks[w] = check[0]
         checks = checks.reshape(windows, 2, q, ports)

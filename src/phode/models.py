@@ -294,6 +294,6 @@ def build(name: str, params: dict) -> LinearPHSystem:
     params_cls, ctor = REGISTRY[name]
     try:
         p = params_cls(**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad parameters: {_clip(str(exc))}") from exc
     return ctor(p)

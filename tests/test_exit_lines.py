@@ -6,6 +6,10 @@ reader's lines; misshapen systems and networks are those of the classes
 the reader builds."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ import phode.cli
 import phode.integrate
 from phode.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 ONE = {"n": 1, "J": [[0.]], "R": [[1.]]}
 SKEW = {"type": "skew", "ports": [[[1.]], [[1.]]], "C": [[0., 1.], [-1., 0.]]}
 RELATION = {"type": "relation", "ports": [[[1.]], [[1.]]], "M": [[1., 0.], [0., 1.]],
@@ -154,6 +159,17 @@ TEXTS = {
     # an integer of 5001 digits
     "long-int.json": '{"n": 1, "J": [[1' + "0" * 5000 + ']], "R": [[1.0]]}',
     "long-int-ports.json": '{"ports": [[[1' + "0" * 5000 + '], [0.0], [0.0]], [[-1.0], [0.0]]]}',
+    # integers of 1000 digits: an entry and a state count
+    "int-1000.json": '{"n": 1, "J": [[1' + "0" * 999 + ']], "R": [[0]]}',
+    "n-1000.json": '{"n": 1' + "0" * 999 + ', "J": [[0.0]], "R": [[1.0]]}',
+    # a model parameter beyond the float range, block indices of 1000 digits
+    "model-huge-int.json": '{"model": "maxwell", "params": {"M_mu": [[1' + "0" * 400
+                           + ', 0.0], [0.0, 1.0]]}}',
+    "long-index-ports.json": '{"ports": [[[0.0], [0.0], [1.0]], [[-1.0], [0.0]]], '
+                             '"blocks": [{"i": 1' + "0" * 999 + ', "j": 1, "C": [[-1.0]]}]}',
+    "long-index-twice-ports.json": '{"ports": [[[0.0], [0.0], [1.0]], [[-1.0], [0.0]]], '
+                                   '"blocks": [{"i": 1' + "0" * 999 + ', "j": 1, "C": [[-1.0]]}, '
+                                   '{"i": 1' + "0" * 999 + ', "j": 1, "C": [[-1.0]]}]}',
 }
 # files that are not UTF-8 text: Latin-1 bytes
 LATIN_1 = {
@@ -304,6 +320,23 @@ CASES = {
                                  "--ports", "long-int-ports.json"], 1,
                                 "phode: long-int-ports.json: integer of 5001 digits is too "
                                 "long (at most 4300)", None),
+    "validate-1000-digit-int": (["validate", "int-1000.json"], 1,
+                                "phode: int-1000.json: field 'J' has non-finite entries", None),
+    "validate-1000-digit-n": (["validate", "n-1000.json"], 1,
+                              "phode: n-1000.json: field 'J' has 1 rows, expected 1" + "0" * 99
+                              + "... (1000 characters)", None),
+    "validate-model-huge-int": (["validate", "model-huge-int.json"], 1,
+                                "phode: model-huge-int.json: bad parameters: int too large to "
+                                "convert to float", None),
+    "decouple-ports-long-block-index": (["decouple", "two-mass.json", "--partition", "3,2",
+                                         "--ports", "long-index-ports.json"], 2,
+                                        "phode: block pair (1" + "0" * 98
+                                        + "... (1005 characters) must satisfy 0 <= i < j < s",
+                                        None),
+    "decouple-ports-long-block-twice": (["decouple", "two-mass.json", "--partition", "3,2",
+                                         "--ports", "long-index-twice-ports.json"], 1,
+                                        "phode: long-index-twice-ports.json: block (1" + "0" * 98
+                                        + "... (1005 characters) given twice", None),
     # keys given twice, values cut, bytes that are not UTF-8
     "validate-duplicate-key": (["validate", "dup-root.json"], 1,
                                "phode: dup-root.json: duplicate key 'J'", None),
@@ -496,6 +529,17 @@ def test_exit_code_and_stderr_line(documents, monkeypatch, capsys, argv, code, l
     if exhausted:
         monkeypatch.setattr(phode.cli, exhausted, no_memory)
     assert run(argv, capsys) == (code, "" if line is None else line + "\n")
+
+
+def test_integer_beyond_a_lowered_digit_limit(documents):
+    # an interpreter whose integer text limit is set below 4300 digits
+    # refuses, in the reader's words, an integer it could not print
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640",
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "phode.cli", "validate", "int-1000.json"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "phode: int-1000.json: integer of 1000 digits is too long (at most 640)\n")
 
 
 # model parameters whose shape the parameter classes check, given on the

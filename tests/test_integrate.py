@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import phode.integrate
 from phode.core import CallbackPHSystem, DimensionError, LinearPHSystem, SingularFlowError
@@ -718,10 +717,12 @@ class TestEnergyReport:
 
 def lu_step_reference(sys, method, x0, u, dt, steps):
     """Per-step LU solves of the midpoint and Strang substeps (oracle)."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+
     def stepper(A, h):
-        lu = scipy.linalg.lu_factor(sys.E - 0.5 * h * A)
+        lu = scipy_linalg.lu_factor(sys.E - 0.5 * h * A)
         plus = sys.E + 0.5 * h * A
-        return lambda x, f: scipy.linalg.lu_solve(lu, plus @ x + h * f)
+        return lambda x, f: scipy_linalg.lu_solve(lu, plus @ x + h * f)
 
     f = (sys.B - sys.P) @ u
     xs = [np.asarray(x0, dtype=float)]
@@ -828,6 +829,71 @@ class TestPropagator:
                              B=np.zeros((1, 0)), L=[[1.5e300]])
         with pytest.raises(FloatingPointError, match="step matrix"):
             run(sys, x0=[1.0], t1=0.1, dt=0.01)
+
+
+def step_map_reference(sys, method, dt, inputs):
+    """Phi of ``np.linalg.solve`` on the n step-matrix columns alone, and
+    the forcing h (E - h/2 A)^-1 inputs through the inverse (oracle)."""
+    def midpoint(A, h):
+        minus = sys.E - 0.5 * h * A
+        return (np.linalg.solve(minus, sys.E + 0.5 * h * A),
+                h * np.linalg.inv(minus) @ inputs)
+
+    if method == "midpoint":
+        return midpoint((sys.J - sys.R) @ sys.L, dt)
+    diss, _ = midpoint(-sys.R @ sys.L, 0.5 * dt)
+    cons, forcing = midpoint(sys.J @ sys.L, dt)
+    return diss @ cons @ diss, diss @ forcing
+
+
+class TestStepMap:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 5, 24, 100])
+    @pytest.mark.parametrize("method", ["midpoint", "strang"])
+    def test_phi_and_forcing_of_the_given_inputs(self, method, n, k):
+        # the input columns join the step matrix's LU as right-hand sides:
+        # Phi keeps the bits of the solve without them, the forcing is the
+        # inverse's product up to round-off.  One state and some inputs are
+        # the exception: with one right-hand side (the reference) LAPACK's
+        # solve may divide by the pivot where with more it multiplies by its
+        # reciprocal (OpenBLAS does), one rounding more
+        rng = np.random.default_rng(100 * n + k)
+        sys = random_linear_ph(rng, n=n, m=0, implicit=True)
+        inputs = rng.standard_normal((n, k))
+        phi, forcing = phode.integrate._propagator(sys, method, 0.01, inputs)
+        phi_ref, forcing_ref = step_map_reference(sys, method, 0.01, inputs)
+        tol = 4 * np.finfo(float).eps if n == 1 and k else 0.0
+        assert np.max(np.abs(phi - phi_ref)) <= tol * np.max(np.abs(phi_ref))
+        assert phi.flags.c_contiguous
+        assert forcing.shape == (n, k)
+        assert np.max(np.abs(forcing - forcing_ref), initial=0.0) <= 1e-14 * np.max(
+            np.abs(forcing_ref), initial=0.0)
+
+    # 50 windows: the 37 basis vectors (7 states and 3 inputs at 10
+    # midpoints) take the map path; with no map entries they take the
+    # per-window one
+    @pytest.mark.parametrize("path", ["maps", "per-window"])
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_driven_network_with_general_ports_reaches_the_monolithic_run(
+            self, monkeypatch, mode, path):
+        rng = np.random.default_rng(31)
+        subs = tuple(random_linear_ph(rng, n=n, m=m, implicit=True, feedthrough=m > 0)
+                     for n, m in ((3, 2), (2, 0), (2, 1)))
+        ports = tuple(rng.standard_normal((sub.n, 2)) for sub in subs)
+        net = CoupledNetwork(subs, CouplingSpec(ports, 0.5 * random_skew(rng, 6)))
+        x0 = rng.standard_normal(net.n)
+
+        def u(t):
+            return np.array([np.sin(t), np.cos(2 * t), 1.0])
+
+        if path == "per-window":
+            monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 0)
+        calls, _ = spy_relax(monkeypatch)
+        traj = dynamic_iteration(net, mode=mode, window=0.1, sweeps=20, u=u, x0=x0,
+                                 t1=5.0, dt=0.01)
+        assert calls == ([37] if path == "maps" else [1] * 50)
+        ref = implicit_midpoint(condense_general(net), u=u, x0=x0, t1=5.0, dt=0.01)
+        assert relative_error(traj.x, ref.x) <= 1e-12
 
 
 class TestFeedthroughBalance:

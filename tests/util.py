@@ -109,13 +109,16 @@ def per_step_dynamic_iteration(net, mode="jacobi", window=0.1, sweeps=5,
     mono = coupling._stack(net)
     state_sl = _slices(net.state_sizes)
     port_sl = _slices(net.coupling.layout)
-    props = [_propagator(sub, method, dt) for sub, method in zip(subs, inner)]
-    gamma = coupling._blockdiag([g for _, g in props])
-    bhat = net.stacked_port_matrix()
-    port_gain = gamma @ bhat
-    out_map = mono.L.T @ bhat
+    input_sl = _slices([sub.m for sub in subs])
+    # per subsystem its step matrix, the gain of its coupling input C_i y_hat
+    # and the forcing of its own inputs
+    props = []
+    for sub, method, bhat in zip(subs, inner, net.coupling.port_matrices):
+        phi, forcing = _propagator(sub, method, dt, np.hstack([-bhat, sub.B - sub.P]))
+        props.append((phi, forcing[:, :bhat.shape[1]], forcing[:, bhat.shape[1]:]))
+    out_map = mono.L.T @ net.stacked_port_matrix()
     t = dt * np.arange(steps + 1)
-    ext = _inputs(u, mono.m, t[:-1] + 0.5 * dt) @ (gamma @ (mono.B - mono.P)).T
+    u_mid = _inputs(u, mono.m, t[:-1] + 0.5 * dt)
     xs = np.empty((steps + 1, net.n))
     xs[0] = x0
     for k0 in range(0, steps, q):
@@ -123,9 +126,10 @@ def per_step_dynamic_iteration(net, mode="jacobi", window=0.1, sweeps=5,
         waves = np.tile(win[0] @ out_map, (q + 1, 1))
         for _ in range(sweeps):
             src = waves if mode == "gauss-seidel" else waves.copy()
-            for (phi, _), sl, psl in zip(props, state_sl, port_sl):
-                uh = -(src @ C[psl].T)
-                g = 0.5 * (uh[:-1] + uh[1:]) @ port_gain[sl, psl].T + ext[k0:k0 + q, sl]
+            for (phi, gain, forcing), sl, psl, msl in zip(props, state_sl, port_sl, input_sl):
+                cy = src @ C[psl].T
+                g = (0.5 * (cy[:-1] + cy[1:]) @ gain.T
+                     + u_mid[k0:k0 + q, msl] @ forcing.T)
                 block = _propagate(phi, win[0, sl], q, g)
                 win[:, sl] = block
                 waves[:, psl] = block @ out_map[sl, psl]
