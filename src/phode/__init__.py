@@ -24,7 +24,6 @@ from .coupling import (
     condense_skew,
 )
 from .decoupling import (
-    LinearTransform,
     Partition,
     VerificationFailure,
     apply_transform,
@@ -50,7 +49,6 @@ __all__ = [
     "EnergyReport",
     "LinearPHSystem",
     "LinearPortRelation",
-    "LinearTransform",
     "Partition",
     "SingularFlowError",
     "StepCountError",

@@ -87,7 +87,7 @@ def _load(path: str, no_validate: bool, kind=None):
     obj = _read(path, parse_system_text)
     if not no_validate:
         for i, sub in enumerate(_systems_of(obj)):
-            rep = validate_structure(sub, tol=1e-10)
+            rep = validate_structure(sub)
             if not rep.passed:
                 where = "" if isinstance(obj, LinearPHSystem) else f"subsystem {i + 1}: "
                 raise CliError(f"{path}: structure validation failed: {where}"
@@ -146,7 +146,7 @@ def _cmd_validate(args):
     systems = _systems_of(obj)
     failed = False
     for i, sub in enumerate(systems):
-        rep = validate_structure(sub, tol=args.tol)
+        rep = validate_structure(sub)
         label = "system" if len(systems) == 1 else f"subsystem {i + 1}"
         print(f"== {label} ==")
         print(rep.summary())
@@ -280,7 +280,6 @@ def _add_no_validate(sp):
 
 def _add_validate(sp):
     sp.add_argument("system")
-    sp.add_argument("--tol", type=float, default=1e-10)
 
 
 def _add_condense(sp):

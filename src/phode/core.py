@@ -43,6 +43,19 @@ def _clip(text: str, limit: int = 100) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
+def _float_array(value) -> np.ndarray:
+    """``value``, nested sequences of JSON numbers, as a float array.  An
+    entry that is not a number (a string, even "0.5", null, or a boolean in
+    an array of booleans) raises a TypeError, ragged nesting a ValueError
+    and an integer beyond the float range an OverflowError.  A boolean
+    among numbers reads as 0 or 1 here: the document reader refuses it."""
+    a = np.array(value)
+    if a.dtype.kind not in "iuf" and not (a.dtype.kind == "O" and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in a.flat)):
+        raise TypeError("entries must be numbers")
+    return a.astype(float, copy=False)
+
+
 def _as_matrix(a, rows, cols, name):
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.shape != (rows, cols):

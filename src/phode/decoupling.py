@@ -44,25 +44,6 @@ class Partition:
         return _slices(self.sizes)
 
 
-@dataclass(frozen=True)
-class LinearTransform:
-    """Invertible linear change of state w = T x."""
-
-    T: np.ndarray
-
-    def __post_init__(self):
-        t = np.atleast_2d(np.asarray(self.T, dtype=float))
-        if t.shape[0] != t.shape[1]:
-            raise DimensionError("transform matrix must be square")
-        if _rcond(t) <= 1e-12:
-            raise ValueError("transform matrix is singular or too ill-conditioned")
-        object.__setattr__(self, "T", t)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.T)
-
-
 @dataclass(eq=False)
 class VerificationFailure(ValueError):
     """A port/coupling choice that does not reproduce the off-diagonal
@@ -77,18 +58,24 @@ class VerificationFailure(ValueError):
         return f"{self.message}: max residual {self.max_residual:.3e}"
 
 
-def apply_transform(sys: LinearPHSystem, transform: LinearTransform | np.ndarray) -> LinearPHSystem:
-    """Pull a linear-constant system through the change of state w = T x.
+def apply_transform(sys: LinearPHSystem, T: np.ndarray) -> LinearPHSystem:
+    """Pull a linear-constant system through the invertible change of
+    state w = T x.
 
     E, J - R and B transform by congruence with T^{-1}; the effort map
     becomes z(w) = T L T^{-1} w, so the transformed Hamiltonian matrix is
-    T^{-T} Q T^{-1} and energies match: H(x) = H_tilde(T x).
+    T^{-T} Q T^{-1} and energies match: H(x) = H_tilde(T x).  A T that is
+    not square raises a DimensionError, a singular or ill-conditioned one
+    a ValueError.
     """
-    if not isinstance(transform, LinearTransform):
-        transform = LinearTransform(np.asarray(transform))
+    t = np.atleast_2d(np.asarray(T, dtype=float))
+    if t.shape[0] != t.shape[1]:
+        raise DimensionError("transform matrix must be square")
+    if _rcond(t) <= 1e-12:
+        raise ValueError("transform matrix is singular or too ill-conditioned")
     if not sys.is_linear:
         raise TypeError("state transformations are executed on linear-constant systems only")
-    ti = transform.inverse
+    ti = np.linalg.inv(t)
     a = ti.T @ (sys.J - sys.R) @ ti
     j_new = 0.5 * (a - a.T)
     r_new = -0.5 * (a + a.T)
@@ -97,7 +84,7 @@ def apply_transform(sys: LinearPHSystem, transform: LinearTransform | np.ndarray
         J=j_new,
         R=r_new,
         B=ti.T @ sys.B,
-        L=transform.T @ sys.L @ ti,
+        L=t @ sys.L @ ti,
         P=ti.T @ sys.P,
         S=sys.S,
         N=sys.N,

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .core import LinearPHSystem, _clip
+from .core import LinearPHSystem, _clip, _float_array
 from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 from .integrate import EnergyReport, Trajectory
 from . import models
@@ -29,8 +29,8 @@ class ParseError(ValueError):
 
 
 def _mat(doc, key, n=None, required=True):
-    """The matrix of field ``key`` (present, numeric, finite and 2-D; n x n
-    when ``n`` is given), or None when an optional field is missing.  The
+    """The matrix of field ``key`` (present, of JSON numbers, finite and 2-D;
+    n x n when ``n`` is given), or None when an optional field is missing.  The
     field's nested lists are popped out of ``doc``, so they are freed once
     converted.  Other shapes are for the system or network to check."""
     if key not in doc:
@@ -38,7 +38,7 @@ def _mat(doc, key, n=None, required=True):
             raise ParseError(f"missing field {key!r}")
         return None
     try:
-        m = np.array(doc.pop(key), dtype=float)
+        m = _float_array(doc.pop(key))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r} is not a numeric matrix") from exc
     except OverflowError as exc:     # a JSON integer beyond the float range
@@ -96,7 +96,7 @@ def _parse_network(doc) -> CoupledNetwork:
     if doc.get("coupling") is None:
         raise ParseError("network document has no coupling")
     cdoc = _typed(doc, "coupling", "an object")
-    ports = tuple(_mat({"b": b}, "b") for b in _typed(cdoc, "ports", "an array", []))
+    ports = tuple(_mat({"ports": b}, "ports") for b in _typed(cdoc, "ports", "an array", []))
     ctype = cdoc.get("type", "skew")
     try:
         if ctype in ("skew", "general"):
@@ -123,6 +123,36 @@ def _object(pairs: list) -> dict:
     return doc
 
 
+def _numbers_object(pairs: list) -> dict:
+    """``_object`` of ``pairs``; a JSON true or false in an array, where no
+    field of a document holds one, raises a ParseError naming the key."""
+    for key, value in pairs:
+        arrays = [value] if type(value) is list else []
+        while arrays:
+            items = arrays.pop()
+            types = set(map(type, items))
+            if bool in types:
+                entry = json.dumps(next(v for v in items if type(v) is bool))
+                raise ParseError(f"field {_clip(repr(key))} has an entry {entry}, not a number")
+            if list in types:
+                arrays += [v for v in items if type(v) is list]
+    return _object(pairs)
+
+
+def _holds_true_or_false(text: str) -> bool:
+    """Whether the word true or false is in ``text``.  Only a text that
+    holds one needs ``_numbers_object``'s scan; the words are found from
+    their letters u and s, which a document's keys hold a few times and
+    its numbers never, so the search runs at memchr's speed."""
+    for letter, word, at in (("u", "true", 2), ("s", "false", 3)):
+        i = text.find(letter)
+        while i >= 0:
+            if i >= at and text.startswith(word, i - at):
+                return True
+            i = text.find(letter, i + 1)
+    return False
+
+
 def _integer_literal(text: str) -> int:
     """A JSON integer; one of more digits than CPython's default text limit
     (4300, held on every version) or a lower limit set for it raises a ParseError."""
@@ -135,10 +165,12 @@ def _integer_literal(text: str) -> int:
 
 def _json_object(text: str) -> dict:
     """The JSON object of a document; a decode error, a key given twice in
-    one object, an integer too long to convert, nesting too deep for the
-    decoder and a root that is not an object raise a ParseError."""
+    one object, a boolean in an array, an integer too long to convert,
+    nesting too deep for the decoder and a root that is not an object raise
+    a ParseError."""
+    hook = _numbers_object if _holds_true_or_false(text) else _object
     try:
-        doc = json.loads(text, object_pairs_hook=_object, parse_int=_integer_literal)
+        doc = json.loads(text, object_pairs_hook=hook, parse_int=_integer_literal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:

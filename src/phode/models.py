@@ -9,13 +9,40 @@ about them are oracle-derived.
 
 from __future__ import annotations
 
+import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearPHSystem, DimensionError, _clip
+from . import integrate
+from .core import LinearPHSystem, DimensionError, _clip, _float_array
 from .coupling import CoupledNetwork
 from .decoupling import Partition, decouple_auto, decouple_with_ports
+
+
+def _text(value) -> str:
+    """The JSON text of a parameter's value, cut for an error line."""
+    return _clip(json.dumps(value, default=repr))
+
+
+def _numbers(params, names) -> list:
+    """The values of the fields ``names`` of ``params``; one that is not a
+    number (null, a boolean, a string, an array) raises a TypeError naming it."""
+    values = [getattr(params, name) for name in names]
+    for name, value in zip(names, values):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {_text(value)}")
+    return values
+
+
+def _array(name: str, value) -> np.ndarray:
+    """The parameter ``name`` as a float array; entries that are not
+    numbers raise a TypeError naming it."""
+    try:
+        return _float_array(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an array of numbers, got {_text(value)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +59,7 @@ class TwoMassParams:
     r2: float = 0.1
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.m1, self.m2, self.K, self.K1, self.K2,
-                                   self.r1, self.r2])):
+        if not np.all(np.isfinite(_numbers(self, ("m1", "m2", "K", "K1", "K2", "r1", "r2")))):
             raise ValueError("non-finite parameter values")
         if min(self.m1, self.m2, self.K, self.K1, self.K2) <= 0:
             raise ValueError("masses and stiffnesses must be positive")
@@ -110,12 +136,21 @@ class PoroelasticParams:
     B_g: np.ndarray = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.rho, self.alpha, self.kappa, self.nu,
-                                   self.biot_modulus])):
+        if not np.all(np.isfinite(_numbers(self, ("rho", "alpha", "kappa", "nu",
+                                                   "biot_modulus")))):
             raise ValueError("non-finite parameter values")
         if min(self.rho, self.nu, self.biot_modulus) <= 0 or self.kappa < 0:
             raise ValueError("rho, nu and biot_modulus must be positive, kappa nonnegative")
         nw, npp = self.dim_w, self.dim_p
+        for name, dim in (("dim_w", nw), ("dim_p", npp)):
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+                raise ValueError(f"{name} must be a positive integer, got {_text(dim)}")
+        # the system's E, J, R and L, n x n each, before any matrix is built
+        n, memory = 2 * nw + npp, integrate._memory_bytes()
+        if 32 * n * n > memory:
+            raise ValueError(f"dim_w = {_clip(str(nw))}, dim_p = {_clip(str(npp))}: E, J, R "
+                             f"and L of {_clip(str(n))} states exceed memory "
+                             f"({memory / 2 ** 30:.3g} GiB installed)")
         defaults = {
             "M_u": np.eye(nw),
             "M_p": np.eye(npp),
@@ -127,8 +162,7 @@ class PoroelasticParams:
         }
         for name, default in defaults.items():
             val = getattr(self, name)
-            object.__setattr__(self, name,
-                               default if val is None else np.asarray(val, dtype=float))
+            object.__setattr__(self, name, default if val is None else _array(name, val))
         for name, mat, dim in (("M_u", self.M_u, nw), ("M_p", self.M_p, npp),
                                ("K_u", self.K_u, nw), ("K_p", self.K_p, npp)):
             if mat.shape != (dim, dim):
@@ -216,8 +250,7 @@ class MaxwellParams:
         if (self.G is None) != (self.C is None):
             raise ValueError("G and C must be given together")
         G, C = _default_incidence() if self.G is None else (self.G, self.C)
-        G = np.asarray(G, dtype=float)
-        C = np.asarray(C, dtype=float)
+        G, C = _array("G", G), _array("C", C)
         if G.ndim != 2 or C.ndim != 2:
             raise DimensionError("G and C must be 2-D arrays")
         ne = G.shape[0]
@@ -230,7 +263,7 @@ class MaxwellParams:
         object.__setattr__(self, "C", C)
         for name, dim in (("M_eps", ne), ("M_mu", nf), ("M_kappa", ne)):
             val = getattr(self, name)
-            mat = np.eye(dim) if val is None else np.asarray(val, dtype=float)
+            mat = np.eye(dim) if val is None else _array(name, val)
             if mat.shape != (dim, dim):
                 raise DimensionError(f"{name} must be {dim}x{dim}")
             object.__setattr__(self, name, mat)

@@ -87,14 +87,17 @@ class TestValidateCommand:
         out, err = capsys.readouterr()
         assert row in out.splitlines() and err == ""
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-    def test_non_finite_tol_exit_1(self, tmp_path, capsys, tol):
-        # R = diag(1, -1) is indefinite; --tol=inf passed it at exit 0
-        bad = write_json(tmp_path / "bad.json",
-                         {"n": 2, "J": [[0., 0.], [0., 0.]], "R": [[1., 0.], [0., -1.]]})
-        assert main(["validate", bad, f"--tol={tol}"]) == 1
-        assert_one_line_error(capsys, "tol must be positive and finite")
-        assert capsys.readouterr().out == ""
+    @pytest.mark.parametrize("tol", ["1e-5", "inf"])
+    def test_tol_is_a_usage_error(self, tmp_path, capsys, tol):
+        # validate checks at the tolerance of every command that loads a
+        # document, so a J skew only to 1e-6 fails it as simulate refuses it
+        doc = write_json(tmp_path / "skewish.json",
+                         {"n": 2, "J": [[0., 1.], [-1. + 1e-6, 0.]], "R": [[1., 0.], [0., 1.]]})
+        assert main(["validate", doc, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == f"phode: unrecognized arguments: --tol {tol}"
+        assert main(["validate", doc]) == 2
+        assert main(["simulate", doc, "--x0", "1,0", "--t1", "0.1"]) == 2
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 1
@@ -1105,7 +1108,7 @@ class TestParserPerCommand:
         assert main(["validate", TWO_MASS]) == 0
         assert main(["model", "maxwell"]) == 0
         assert seen == [["command", "func", "name", "output", "params"],
-                        ["command", "func", "system", "tol"],
+                        ["command", "func", "system"],
                         ["command", "func", "name", "output", "params"]]
 
 

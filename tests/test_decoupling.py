@@ -4,8 +4,8 @@ import pytest
 from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             condense_general, condense_skew)
-from phode.decoupling import (LinearTransform, Partition, VerificationFailure,
-                              apply_transform, decouple_auto, decouple_with_ports)
+from phode.decoupling import (Partition, VerificationFailure, apply_transform, decouple_auto,
+                              decouple_with_ports)
 from phode.integrate import implicit_midpoint
 from phode.models import two_mass, two_mass_alt_ports
 
@@ -59,8 +59,13 @@ class TestApplyTransform:
         assert np.max(np.abs(a.H - b.H)) <= 1e-9
 
     def test_singular_transform_rejected(self):
-        with pytest.raises(ValueError):
-            LinearTransform(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^transform matrix is singular or too "
+                                             "ill-conditioned$"):
+            apply_transform(two_mass(), np.zeros((5, 5)))
+
+    def test_non_square_transform_rejected(self):
+        with pytest.raises(DimensionError, match="^transform matrix must be square$"):
+            apply_transform(two_mass(), np.eye(5)[:, :4])
 
 
 class TestPartitionBlocks:

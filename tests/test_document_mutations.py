@@ -9,7 +9,9 @@ runs on the result.  No run raises; a run that fails exits with a code of
 ``phode.cli.EXIT_TABLE`` and prints exactly one line on stderr, which
 starts with ``phode: ``.  A run that exits 0 prints nothing on stderr but
 ``cosim``'s warnings, and ``validate`` exits 2 with its report on standard
-output, not stderr.
+output, not stderr.  When ``validate`` exits 0 the document parsed to what
+it says: an independent reading of the text finds every matrix entry and
+model parameter a JSON number, and the matrices equal the reader's.
 """
 
 import contextlib
@@ -33,8 +35,8 @@ EXIT_CODES = {code for _, code, _ in EXIT_TABLE if code is not None} | {EXIT_USA
                                                                         EXIT_VALIDATION}
 MODELS = [
     {"model": "two-mass", "params": {"m1": 2.0, "K": 0.5, "r2": 0.0}},
-    # the size parameters stay small: a large dim_w allocates its matrices
-    # before any check runs
+    # small sizes keep each run quick; a size beyond memory is refused
+    # before any matrix is built
     {"model": "poroelastic", "params": {"dim_w": 2, "dim_p": 1, "rho": 1.5,
                                         "M_u": [[2.0, 0.0], [0.0, 1.0]],
                                         "B_g": [[1.0, 0.5]]}},
@@ -44,8 +46,8 @@ MODELS = [
 TWO_MASS = {"model": "two-mass"}
 TWO_MASS_PORTS = {"ports": [[[0.0], [0.0], [1.0]], [[-1.0], [0.0]]],
                   "blocks": [{"i": 0, "j": 1, "C": [[-1.0]]}]}
-# one value of each JSON type, numbers of both kinds
-VALUES = [None, True, 0, -1, 2.5, "x", "", [], [[1.0]], {}, {"a": 1}]
+# one value of each JSON type, numbers of both kinds and a numeric string
+VALUES = [None, True, 0, -1, 2.5, "x", "", "0.5", [], [[1.0]], {}, {"a": 1}]
 # beyond int64, beyond the float range, and around the 4300-digit limit
 INTEGERS = ["1" + "0" * 19, "-1" + "0" * 400, "9" * 1000, "1" + "0" * 4299,
             "1" + "0" * 4300, "1" + "0" * 5000]
@@ -156,6 +158,37 @@ def mutated(draw, doc):
     return data[:cut] + draw(st.sampled_from(NOT_UTF_8)) + data[cut:]
 
 
+def leaves(value) -> list:
+    """The values in the nested arrays and objects of ``value``, in order."""
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return [leaf for item in items for leaf in leaves(item)]
+    return [value]
+
+
+def assert_read_as_written(doc, obj):
+    """``obj``, the reader's system or network of the JSON value ``doc``,
+    holds what ``doc`` says: each matrix and model parameter of ``doc`` is
+    made of JSON numbers (int or float, not bool), and each matrix has the
+    reader's entries in row-major order."""
+    if "model" in doc:
+        assert all(type(v) in (int, float) for v in leaves(doc.get("params", {}))), doc
+        return
+    if isinstance(obj, CoupledNetwork):
+        for sub_doc, sub in zip(doc["subsystems"], obj.subsystems, strict=True):
+            assert_read_as_written(sub_doc, sub)
+        cdoc = doc["coupling"]
+        pairs = list(zip(cdoc.get("ports", []), obj.coupling.port_matrices, strict=True))
+        pairs += [(cdoc[k], getattr(obj.coupling, k)) for k in ("C", "M", "N") if k in cdoc]
+    else:
+        assert doc["n"] == obj.n
+        pairs = [(doc[k], getattr(obj, k)) for k in "EJRBLPSN" if k in doc]
+    for written, read in pairs:
+        numbers = leaves(written)
+        assert all(type(v) in (int, float) for v in numbers), written
+        assert np.array_equal(np.array(numbers, dtype=float), np.ravel(read)), written
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -199,6 +232,8 @@ def test_mutated_documents_exit_with_one_line(data):
             lines = err.splitlines()
             if code == 0 or (argv[0] == "validate" and code == EXIT_VALIDATION and not err):
                 assert all(line.startswith("phode: warning: ") for line in lines), err
+                if argv[0] == "validate" and code == 0:
+                    assert_read_as_written(json.loads(text), parse_system_text(text.decode()))
             else:
                 assert code in EXIT_CODES, (argv[0], code, err)
                 assert len(lines) == 1 and err.endswith("\n"), (argv[0], err)

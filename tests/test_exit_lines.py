@@ -136,6 +136,33 @@ DOCUMENTS = {
     # values whose text an error line quotes cut at 100 characters
     "long-params.json": {"model": "two-mass", "params": NESTED},
     "long-model.json": {"model": NESTED},
+    # matrix entries that are not JSON numbers: booleans alone or among
+    # numbers, numeric strings, in each kind of document
+    "j-true.json": {**ONE, "J": [[True]]},
+    "r-false.json": {**TWO, "R": [[1., 0.], [False, 0.]]},
+    "j-string.json": {**ONE, "J": [["0.5"]]},
+    "net-c-true.json": {"kind": "network", "subsystems": [ONE, ONE],
+                        "coupling": {**SKEW, "C": [[0., True], [-1., 0.]]}},
+    "net-ports-string.json": {"kind": "network", "subsystems": [ONE, ONE],
+                              "coupling": {**SKEW, "ports": [[["1"]], [[1.]]]}},
+    "ports-true.json": {"ports": [[[True], [0.], [0.]], [[-1.], [0.]]],
+                        "blocks": [{"i": 0, "j": 1, "C": [[-1.]]}]},
+    "ports-c-string.json": {"ports": [[[1.], [0.], [0.]], [[-1.], [0.]]],
+                            "blocks": [{"i": 0, "j": 1, "C": [["-1"]]}]},
+    # model parameters that are not JSON numbers, and poroelastic sizes that
+    # are not positive integers or do not fit in memory
+    "m1-null.json": {"model": "two-mass", "params": {"m1": None}},
+    "m1-true.json": {"model": "two-mass", "params": {"m1": True}},
+    "k-string.json": {"model": "two-mass", "params": {"K": "0.5"}},
+    "r1-array.json": {"model": "two-mass", "params": {"r1": [0.1]}},
+    "rho-true.json": {"model": "poroelastic", "params": {"rho": True}},
+    "nu-null.json": {"model": "poroelastic", "params": {"nu": None}},
+    "m-mu-string.json": {"model": "maxwell", "params": {"M_mu": [["2", 0], [0, 1]]}},
+    "dim-w-zero.json": {"model": "poroelastic", "params": {"dim_w": 0}},
+    "dim-p-negative.json": {"model": "poroelastic", "params": {"dim_p": -3}},
+    "dim-w-fraction.json": {"model": "poroelastic", "params": {"dim_w": 2.5}},
+    "dim-p-true.json": {"model": "poroelastic", "params": {"dim_p": True}},
+    "dim-w-memory.json": {"model": "poroelastic", "params": {"dim_w": 20000}},
 }
 # 100 000 nested arrays, deeper than the JSON decoder can go
 DEEP = "[" * 100_000 + "0" + "]" * 100_000
@@ -357,6 +384,69 @@ CASES = {
                            None),
     "report-not-utf-8": (["report", "latin-1.csv", "sys.json"], 1,
                          "phode: latin-1.csv: not UTF-8 text: byte 0xa0 at position 53", None),
+    # matrix entries and model parameters that are not JSON numbers
+    "validate-bool-entry": (["validate", "j-true.json"], 1,
+                            "phode: j-true.json: field 'J' has an entry true, not a number",
+                            None),
+    "validate-bool-among-numbers": (["validate", "r-false.json"], 1,
+                                    "phode: r-false.json: field 'R' has an entry false, not a "
+                                    "number", None),
+    "validate-numeric-string": (["validate", "j-string.json"], 1,
+                                "phode: j-string.json: field 'J' is not a numeric matrix", None),
+    "validate-network-bool": (["validate", "net-c-true.json"], 1,
+                              "phode: net-c-true.json: field 'C' has an entry true, not a number",
+                              None),
+    "validate-network-port-string": (["validate", "net-ports-string.json"], 1,
+                                     "phode: net-ports-string.json: field 'ports' is not a "
+                                     "numeric matrix", None),
+    "decouple-ports-bool": (["decouple", "two-mass.json", "--partition", "3,2",
+                             "--ports", "ports-true.json"], 1,
+                            "phode: ports-true.json: field 'ports' has an entry true, not a "
+                            "number", None),
+    "decouple-ports-string": (["decouple", "two-mass.json", "--partition", "3,2",
+                               "--ports", "ports-c-string.json"], 1,
+                              "phode: ports-c-string.json: field 'C' is not a numeric matrix",
+                              None),
+    "validate-two-mass-null": (["validate", "m1-null.json"], 1,
+                               "phode: m1-null.json: bad parameters: m1 must be a number, "
+                               "got null", None),
+    "validate-two-mass-true": (["validate", "m1-true.json"], 1,
+                               "phode: m1-true.json: bad parameters: m1 must be a number, "
+                               "got true", None),
+    "validate-two-mass-string": (["validate", "k-string.json"], 1,
+                                 "phode: k-string.json: bad parameters: K must be a number, "
+                                 "got \"0.5\"", None),
+    "validate-two-mass-array": (["validate", "r1-array.json"], 1,
+                                "phode: r1-array.json: bad parameters: r1 must be a number, "
+                                "got [0.1]", None),
+    "validate-poroelastic-true": (["validate", "rho-true.json"], 1,
+                                  "phode: rho-true.json: bad parameters: rho must be a number, "
+                                  "got true", None),
+    "validate-poroelastic-null": (["validate", "nu-null.json"], 1,
+                                  "phode: nu-null.json: bad parameters: nu must be a number, "
+                                  "got null", None),
+    "validate-maxwell-string": (["validate", "m-mu-string.json"], 1,
+                                "phode: m-mu-string.json: bad parameters: M_mu must be an array "
+                                "of numbers, got [[\"2\", 0], [0, 1]]", None),
+    "validate-dim-w-zero": (["validate", "dim-w-zero.json"], 1,
+                            "phode: dim-w-zero.json: bad parameters: dim_w must be a positive "
+                            "integer, got 0", None),
+    "validate-dim-p-negative": (["validate", "dim-p-negative.json"], 1,
+                                "phode: dim-p-negative.json: bad parameters: dim_p must be a "
+                                "positive integer, got -3", None),
+    "validate-dim-w-fraction": (["validate", "dim-w-fraction.json"], 1,
+                                "phode: dim-w-fraction.json: bad parameters: dim_w must be a "
+                                "positive integer, got 2.5", None),
+    "validate-dim-p-true": (["validate", "dim-p-true.json"], 1,
+                            "phode: dim-p-true.json: bad parameters: dim_p must be a positive "
+                            "integer, got true", None),
+    "validate-dim-w-memory": (["validate", "dim-w-memory.json"], 1,
+                              "phode: dim-w-memory.json: bad parameters: dim_w = 20000, "
+                              "dim_p = 2: E, J, R and L of 40002 states exceed memory "
+                              "(1 GiB installed)", None),
+    "model-dim-w-memory": (["model", "poroelastic", "--params", "dim_w=20000"], 1,
+                           "phode: bad parameters: dim_w = 20000, dim_p = 2: E, J, R and L of "
+                           "40002 states exceed memory (1 GiB installed)", None),
     # shapes of a network
     "validate-few-ports": (["validate", "few-ports.json"], 1,
                            "phode: few-ports.json: one internal port matrix per subsystem "
@@ -475,8 +565,6 @@ CASES = {
     "cosim-steps": (["cosim", "net.json", "--x0", "1,0", "--t1", "1e12"], 1,
                     STEPS.format(9, "7.45e+06"), None),
     # other bad values
-    "validate-tol": (["validate", "sys.json", "--tol", "nan"], 1,
-                     "phode: tol must be positive and finite", None),
     "simulate-dt": (["simulate", "sys.json", "--x0", "1,0", "--dt", "0"], 1,
                     "phode: dt must be positive, got 0.0", None),
     "simulate-dt-multiple": (["simulate", "sys.json", "--x0", "1,0", "--t1", "0.015",
