@@ -350,24 +350,33 @@ COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or with ``command`` (a key of
-    ``COMMANDS``) the parser of that one command.  Both parse that
-    command's arguments and print the same usage lines and messages."""
+    ``COMMANDS``) the parser ``phode <command>`` of that one command, which
+    parses the arguments after the command's name.  Both print the same
+    usage lines and messages for that command."""
+    if command is not None:
+        return _command(_Parser(prog=f"phode {command}"), command)
+    return _top_parser(COMMANDS)
+
+
+def _command(sp, name: str):
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(sp)
+    sp.set_defaults(command=name, func=handler)
+    return sp
+
+
+def _top_parser(names):
+    """The parser ``phode`` with the commands ``names``.  Without any, its
+    usage line still lists every command; with them, it keeps argparse's
+    metavar, because its message for a missing command names the dest
+    ("command")."""
     p = _Parser(prog="phode",
                 description="Build, validate, couple, decouple and simulate "
                             "port-Hamiltonian ODE systems.")
-    # one command's usage line lists every command, as the full parser's
-    # does; the full parser keeps argparse's metavar, because its message
-    # for a missing command names the dest ("command")
-    if command is None:
-        names, metavar = list(COMMANDS), None
-    else:
-        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    metavar = None if names else "{" + ",".join(COMMANDS) + "}"
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, handler = COMMANDS[name]
-        sp = sub.add_parser(name, help=help_text)
-        add_arguments(sp)
-        sp.set_defaults(func=handler)
+        _command(sub.add_parser(name, help=COMMANDS[name][0]), name)
     return p
 
 
@@ -392,13 +401,19 @@ _MEMORY_HINTS = dict.fromkeys(("simulate", "cosim", "report"), ": the trajectory
 
 def main(argv=None) -> int:
     """Run one command; ``argv`` defaults to the process arguments.  Only
-    the command that ``argv[0]`` names gets its parser built; with no
-    command there, the full parser reports usage or prints help.  A failure
-    prints one line and returns its code in ``EXIT_TABLE``."""
+    the parser of the command that ``argv[0]`` names is built; with no
+    command there, the full parser reports usage or prints help, and the
+    parser ``phode`` alone reports arguments the command leaves over.  A
+    failure prints one line and returns its code in ``EXIT_TABLE``."""
     argv = _sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        if command is None:
+            args = build_parser().parse_args(argv)
+        else:
+            args, extras = build_parser(command).parse_known_args(argv[1:])
+            if extras:
+                _top_parser(()).error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except Exception as exc:
         row = next((row for row in EXIT_TABLE if isinstance(exc, row[0])), None)

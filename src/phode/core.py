@@ -57,10 +57,12 @@ def _float_array(value) -> np.ndarray:
 
 
 def _as_matrix(a, rows, cols, name):
-    m = np.atleast_2d(np.asarray(a, dtype=float))
-    if m.shape != (rows, cols):
-        raise DimensionError(f"{name} must be {rows}x{cols}, got {m.shape}")
-    return m
+    # a 2-D float64 ndarray is returned as is, the object np.asarray returns
+    if not (type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape != (rows, cols):
+        raise DimensionError(f"{name} must be {rows}x{cols}, got {a.shape}")
+    return a
 
 
 def _slices(sizes) -> tuple:
@@ -262,7 +264,7 @@ def _gamma_w(E, J, R, B, P, S, N):
 def _skew_violation(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a + a.T)))
+    return float(np.abs(a + a.T).max())
 
 
 def _min_eig_sym(a: np.ndarray) -> float:
@@ -273,12 +275,14 @@ def _min_eig_sym(a: np.ndarray) -> float:
 
 def _scaled(mats) -> tuple:
     """``mats`` divided by the power of two s >= 1 that brings every entry
-    below 2 in magnitude, and s.  Skewness and semidefiniteness do not
-    change under scaling, and no sum or norm of the divided matrices
-    overflows; below 2 nothing is scaled."""
-    top = max((float(np.max(np.abs(a))) for a in mats if a.size), default=0.0)
+    below 2 in magnitude, s, and the largest magnitude of the divided
+    matrices (top / s, exact since s is a power of two; for one matrix, not
+    finite when an entry is not).  Skewness and semidefiniteness do not change under
+    scaling, and no sum or norm of the divided matrices overflows; below 2
+    nothing is scaled."""
+    top = max((float(np.abs(a).max()) for a in mats if a.size), default=0.0)
     s = 2.0 ** max(math.frexp(top)[1] - 1, 0)
-    return ([a / s for a in mats] if s > 1 else list(mats)), s
+    return ([a / s for a in mats] if s > 1 else list(mats)), s, top / s
 
 
 def _psd_check(ws, tol: float = 1e-10) -> tuple:
@@ -286,7 +290,7 @@ def _psd_check(ws, tol: float = 1e-10) -> tuple:
     semidefinite, by the rule lambda_min >= -tol (1 + max ||W||_F) over
     all of them, and lambda_min (-inf where it leaves the float range).
     The rule runs on the matrices divided by ``_scaled``'s s."""
-    ws, s = _scaled(ws)
+    ws, s, _ = _scaled(ws)
     lam = min(_min_eig_sym(w) for w in ws)
     norm = max(float(np.linalg.norm(w)) for w in ws)
     return lam >= -tol * (1.0 / s + norm), lam * s
@@ -301,7 +305,8 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
     compatibility residual uses a central finite-difference gradient.
     Gamma, W and Q = E^T L are checked divided by a power of two (see
     ``_scaled``), so entries up to the largest float cannot overflow the
-    checks.
+    checks.  Gamma and W are built once per state; with E they hold every
+    coefficient, so their finiteness is that of the system.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -314,12 +319,11 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
         states = [np.asarray(s, dtype=float) for s in samples]
 
     coeffs = [sys.coefficients(x) for x in states]
-    if not all(np.all(np.isfinite(a)) for c in coeffs for a in c):
-        raise ValueError("system coefficients contain non-finite entries")
     gammas, ws = zip(*(_gamma_w(*c) for c in coeffs))
-    gammas, s = _scaled(gammas)
+    if not all(np.isfinite(a).all() for a in (*gammas, *ws, *(c[0] for c in coeffs))):
+        raise ValueError("system coefficients contain non-finite entries")
+    gammas, s, a_scale = _scaled(gammas)
     skew_viol = max(_skew_violation(g) for g in gammas)
-    a_scale = max((np.max(np.abs(g)) for g in gammas if g.size), default=0.0)
     skew_ok = skew_viol <= tol * (1.0 / s + a_scale)
     psd_ok, min_eig = _psd_check(ws, tol)
 
@@ -328,16 +332,15 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
         # divided by a power of two, formed from E and L divided by theirs
         # where Q itself leaves the float range
         with np.errstate(over="ignore", invalid="ignore"):
-            q = sys.Q
-        if np.isfinite(q).all():
-            (q,), es = _scaled([q])
-            ls = 1.0
-        else:
-            (e,), es = _scaled([sys.E])
-            (el,), ls = _scaled([sys.L])
+            (q,), es, top = _scaled([sys.Q])
+        ls = 1.0
+        if not math.isfinite(top):
+            (e,), es, _ = _scaled([sys.E])
+            (el,), ls, _ = _scaled([sys.L])
             q = e.T @ el
-        res = float(np.max(np.abs(q - q.T))) if q.size else 0.0
-        compat_ok = res <= tol * (1.0 / es / ls + np.max(np.abs(q), initial=0.0))
+            top = np.abs(q).max(initial=0.0)
+        res = float(np.abs(q - q.T).max()) if q.size else 0.0
+        compat_ok = res <= tol * (1.0 / es / ls + top)
         compat_res = res * es * ls
         rc = sys.e_rcond
     else:

@@ -14,11 +14,12 @@ point takes C from :func:`coupling_matrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import (DimensionError, LinearPHSystem, _gamma_w, _psd_check, _rcond,
+from .core import (DimensionError, LinearPHSystem, _block2, _psd_check, _rcond,
                    _skew_violation, _slices)
 
 
@@ -130,6 +131,18 @@ class CoupledNetwork:
     def stacked_port_matrix(self) -> np.ndarray:
         return _blockdiag(list(self.coupling.port_matrices))
 
+    @cached_property
+    def stacked(self) -> LinearPHSystem:
+        """The subsystems stacked block-diagonally, uncoupled (computed
+        once): the monolithic system for C = 0.  The Hamiltonian is the sum
+        of the subsystem Hamiltonians, and external ports with their
+        feedthrough P, S, N stay per subsystem."""
+        for s in self.subsystems:
+            if not s.is_linear:
+                raise TypeError("condensation is defined for linear-constant subsystems")
+        return LinearPHSystem(**{k: _blockdiag([getattr(s, k) for s in self.subsystems])
+                                 for k in ("E", "J", "R", "B", "L", "P", "S", "N")})
+
 
 @dataclass(eq=False)
 class StructureFailure(ValueError):
@@ -143,25 +156,13 @@ class StructureFailure(ValueError):
         return f"{self.message} (min eigenvalue {self.min_eigenvalue:.3e})"
 
 
-def _stack(net: CoupledNetwork) -> LinearPHSystem:
-    """The subsystems of a network stacked block-diagonally, uncoupled: the
-    monolithic system for C = 0.  The Hamiltonian is the sum of the
-    subsystem Hamiltonians, and external ports with their feedthrough P, S,
-    N stay per subsystem."""
-    for s in net.subsystems:
-        if not s.is_linear:
-            raise TypeError("condensation is defined for linear-constant subsystems")
-    return LinearPHSystem(**{k: _blockdiag([getattr(s, k) for s in net.subsystems])
-                             for k in ("E", "J", "R", "B", "L", "P", "S", "N")})
-
-
 def _couple(net: CoupledNetwork, C: np.ndarray) -> LinearPHSystem:
     """The monolithic system under u_hat + C y_hat = 0: the skew part of C
     adds -Bhat C_skew Bhat^T to J, the symmetric part Bhat C_sym Bhat^T to R.
     Each term is formed from half of it, K, as K - K^T or K + K^T, so it is
     skew or symmetric to the last bit, and a skew C adds nothing to R.  A J
     or R that overflows raises a FloatingPointError."""
-    mono = _stack(net)
+    mono = net.stacked
     Bhat = net.stacked_port_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         skew = Bhat @ (0.25 * (C - C.T)) @ Bhat.T
@@ -227,7 +228,7 @@ def condense_general(net: CoupledNetwork) -> LinearPHSystem:
 def _require_psd_w(mono: LinearPHSystem) -> LinearPHSystem:
     """``mono``, or a :class:`StructureFailure` when its W fails the
     semidefiniteness check of :func:`~phode.core.validate_structure`."""
-    ok, lam = _psd_check([_gamma_w(*mono.coefficients())[1]])
+    ok, lam = _psd_check([_block2(mono.R, mono.P, mono.P.T, mono.S)])
     if not ok:
         raise StructureFailure("assembled W = [[R, P], [P^T, S]] is indefinite", lam)
     return mono

@@ -65,12 +65,14 @@ def apply_transform(sys: LinearPHSystem, T: np.ndarray) -> LinearPHSystem:
     E, J - R and B transform by congruence with T^{-1}; the effort map
     becomes z(w) = T L T^{-1} w, so the transformed Hamiltonian matrix is
     T^{-T} Q T^{-1} and energies match: H(x) = H_tilde(T x).  A T that is
-    not square raises a DimensionError, a singular or ill-conditioned one
-    a ValueError.
+    not square, or not n x n, raises a DimensionError, a singular or
+    ill-conditioned one a ValueError.
     """
     t = np.atleast_2d(np.asarray(T, dtype=float))
     if t.shape[0] != t.shape[1]:
         raise DimensionError("transform matrix must be square")
+    if len(t) != sys.n:
+        raise DimensionError(f"transform matrix must be {sys.n}x{sys.n}, got {len(t)}x{len(t)}")
     if _rcond(t) <= 1e-12:
         raise ValueError("transform matrix is singular or too ill-conditioned")
     if not sys.is_linear:

@@ -43,7 +43,7 @@ def _mat(doc, key, n=None, required=True):
         raise ParseError(f"field {key!r} is not a numeric matrix") from exc
     except OverflowError as exc:     # a JSON integer beyond the float range
         raise ParseError(f"field {key!r} has non-finite entries") from exc
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ParseError(f"field {key!r} has non-finite entries")
     if m.ndim == 1:
         m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
@@ -63,6 +63,12 @@ def _typed(doc: dict, key: str, rule: str, default=None):
             rule.endswith("objects") and not all(isinstance(d, dict) for d in v)):
         raise ParseError(f"field {key!r} must be {rule}, got {_clip(json.dumps(v))}")
     return v
+
+
+def _quoted(v) -> str:
+    """A document's value in an error line: a string as Python quotes it,
+    any other value as JSON text."""
+    return _clip(repr(v) if isinstance(v, str) else json.dumps(v))
 
 
 def _parse_linear(doc) -> LinearPHSystem:
@@ -105,7 +111,7 @@ def _parse_network(doc) -> CoupledNetwork:
             coupling = LinearPortRelation(port_matrices=ports, M=_mat(cdoc, "M"),
                                           N=_mat(cdoc, "N"))
         else:
-            raise ParseError(f"unknown coupling type {_clip(repr(ctype))}")
+            raise ParseError(f"unknown coupling type {_quoted(ctype)}")
         return CoupledNetwork(subsystems=tuple(subs), coupling=coupling)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -198,7 +204,7 @@ def parse_system_text(text: str):
         if not isinstance(net.coupling, LinearPortRelation):
             raise ParseError("phdae documents require a coupling of type 'relation'")
         return net
-    raise ParseError(f"unknown kind {_clip(repr(kind))}")
+    raise ParseError(f"unknown kind {_quoted(kind)}")
 
 
 def parse_ports_text(text: str):

@@ -480,7 +480,7 @@ def dynamic_iteration(net: CoupledNetwork, mode: str = "jacobi",
     windows = total_steps // q
 
     x = _initial_state(x0, net.n)
-    mono = coupling._stack(net)
+    mono = net.stacked
     n, ports = net.n, len(C)
 
     # per subsystem its step matrix, the lifted maps of its coupling input

@@ -1094,6 +1094,23 @@ class TestParserPerCommand:
         main(argv)
         assert added == built
 
+    @pytest.mark.parametrize("argv, made", [
+        (["model", "two-mass"], ["phode model"]),
+        (["validate", TWO_MASS], ["phode validate"]),
+        # the parser "phode" only to report what the command leaves over
+        (["validate", TWO_MASS, "--frobnicate"], ["phode validate", "phode"]),
+    ])
+    def test_one_parser_per_command_line(self, argv, made, monkeypatch, capsys):
+        progs, init = [], phode.cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(phode.cli._Parser, "__init__", counted)
+        main(argv)
+        assert progs == made
+
     def test_commands_in_one_process_share_no_arguments(self, monkeypatch):
         seen = []
 

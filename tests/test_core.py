@@ -1,15 +1,16 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import phode.core
 from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem, SingularFlowError,
-                        _gamma_w, eval_dynamics, power_balance_residual,
+                        StructureReport, _gamma_w, eval_dynamics, power_balance_residual,
                         validate_structure)
 from phode.models import TwoMassParams, two_mass
 
-from util import random_linear_ph
+from util import random_linear_ph, random_skew, reference_validate_structure
 
 
 def make(J, R, L=None, E=None, B=None, **kw):
@@ -125,6 +126,84 @@ class TestValidateStructure:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             validate_structure(two_mass(), tol=0.0)
+
+
+def report_bits(rep: StructureReport) -> np.ndarray:
+    """The eight fields of a report, booleans as 0.0 and 1.0, as int64 bits."""
+    fields = dataclasses.astuple(rep)
+    assert len(fields) == 8
+    return np.array(fields, dtype=float).view(np.int64)
+
+
+def oracle_case(rng):
+    """A random linear or callback system for the structure-check oracle,
+    with its sample states (None for a linear one): n from 0 to 12, m from
+    0 to 3, with or without feedthrough, E = I or SPD, sometimes a check
+    broken near or far from its tolerance, entries scaled by 1e300 or
+    1e-300, Q = E^T L beyond the float range (E and L times 1e200), or a
+    non-finite entry in a coefficient (L is none)."""
+    n, m = int(rng.integers(0, 13)), int(rng.integers(0, 4))
+    sys = random_linear_ph(rng, n=n, m=m, implicit=bool(rng.integers(2)),
+                           feedthrough=bool(rng.integers(2)))
+    mats = {k: getattr(sys, k).copy() for k in ("E", "J", "R", "B", "L", "P", "S", "N")}
+    eps = 10.0 ** rng.choice([-15, -11, -9, -6, 0])
+    broken = rng.integers(5)
+    if broken == 1:
+        mats["J"] += eps * rng.standard_normal((n, n))
+    elif broken == 2:
+        mats["R"] -= eps * np.eye(n)
+    elif broken == 3:
+        mats["L"] += eps * rng.standard_normal((n, n))
+    elif broken == 4:
+        mats["N"] += eps * rng.standard_normal((m, m))
+    callback = n > 0 and rng.random() < 0.15
+    scale = rng.choice([1.0, 1e300, 1e-300])
+    for k in ("J", "R", "B", "P", "S", "N"):
+        mats[k] *= scale
+    if not callback:
+        mats["E"] *= rng.choice([1.0, 1e200, 1e-300], p=[0.6, 0.3, 0.1])
+        mats["L"] *= rng.choice([1.0, 1e200, 1e-300], p=[0.6, 0.3, 0.1])
+    if rng.random() < 0.08:
+        keys = [k for k in mats if mats[k].size and k != "L"]
+        if keys:
+            a = mats[keys[rng.integers(len(keys))]]
+            a.flat[rng.integers(a.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    lin = LinearPHSystem(**mats)
+    if not callback:
+        return lin, None
+    K = random_skew(rng, n)
+    cb = CallbackPHSystem(
+        n=n, m=m, E=lambda x: lin.E, J=lambda x: lin.J + np.sum(x) * K,
+        R=lambda x: lin.R + 0.01 * (x @ x) * np.eye(n), B=lambda x: lin.B,
+        effort=lambda x: lin.L @ x, hamiltonian=lambda x: 0.5 * (lin.E @ x) @ (lin.L @ x),
+        P=lambda x: lin.P, S=lambda x: lin.S, N=lambda x: lin.N)
+    return cb, rng.standard_normal((int(rng.integers(1, 4)), n))
+
+
+class TestStructureOracle:
+    """``validate_structure`` gives the report of the oracle, which checks
+    each coefficient's finiteness on its own and takes Gamma's and Q's
+    largest entries again after scaling, to the last bit."""
+
+    def test_same_report_bits(self):
+        rng = np.random.default_rng(30)
+        kinds = set()
+        for case in range(2400):
+            sys, samples = oracle_case(rng)
+            try:
+                want = reference_validate_structure(sys, samples)
+            except ValueError as exc:
+                kinds.add("non-finite")
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    validate_structure(sys, samples)
+                continue
+            got = validate_structure(sys, samples)
+            assert np.array_equal(report_bits(got), report_bits(want)), (case, got, want)
+            kinds.add("callback" if samples is not None else "linear")
+            kinds.update(("passed",) if got.passed else ("failed",))
+            if sys.is_linear and not np.isfinite(sys.Q).all():
+                kinds.add("Q overflow")
+        assert kinds == {"non-finite", "callback", "linear", "passed", "failed", "Q overflow"}
 
 
 class TestCallbackVariant:

@@ -302,7 +302,7 @@ class TestEliminatePorts:
 
 class TestFeedthroughCondensed:
     def test_external_feedthrough_stacks_blockdiagonally(self):
-        import scipy.linalg
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(21)
         subs = (random_linear_ph(rng, n=2, m=1, feedthrough=True),
                 random_linear_ph(rng, n=3, m=2, feedthrough=True))
@@ -310,7 +310,7 @@ class TestFeedthroughCondensed:
         net = CoupledNetwork(subs, CouplingSpec(ports, [[0., 1.], [-1., 0.]]))
         for mono in (condense_skew(net), condense_general(net)):
             for a in ("B", "P", "S", "N"):
-                expected = scipy.linalg.block_diag(*[getattr(s, a) for s in subs])
+                expected = scipy_linalg.block_diag(*[getattr(s, a) for s in subs])
                 assert np.array_equal(getattr(mono, a), expected)
             assert validate_structure(mono, tol=1e-10).passed
 
@@ -320,9 +320,9 @@ class TestFeedthroughCondensed:
     [(0, 2), (0, 3)], [(0, 1), (2, 2)], [(2, 3), (1, 1), (4, 2)],
 ], ids=["empty", "1x1", "nx0", "mixed-nx0", "0xm", "mixed-0xm", "mixed"])
 def test_blockdiag_matches_scipy(shapes):
-    import scipy.linalg
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(3)
     mats = [rng.standard_normal(s) for s in shapes]
     # scipy gives 1x0 for no blocks; a stack of no subsystems is 0x0
-    expected = scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
+    expected = scipy_linalg.block_diag(*mats) if mats else np.zeros((0, 0))
     assert np.array_equal(_blockdiag(mats), expected)

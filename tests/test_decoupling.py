@@ -67,6 +67,10 @@ class TestApplyTransform:
         with pytest.raises(DimensionError, match="^transform matrix must be square$"):
             apply_transform(two_mass(), np.eye(5)[:, :4])
 
+    def test_transform_of_another_size_rejected(self):
+        with pytest.raises(DimensionError, match="^transform matrix must be 5x5, got 3x3$"):
+            apply_transform(two_mass(), np.eye(3))
+
 
 class TestPartitionBlocks:
     """The diagonal blocks of a partition become the subsystems, and the
@@ -181,15 +185,15 @@ class TestDecoupleAuto:
         assert np.allclose(mono.J, sys.J, atol=1e-14)
 
     def test_blockdiagonal_system_has_zero_coupling(self):
-        import scipy.linalg
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(2)
         a = random_linear_ph(rng, n=2, m=0)
         b = random_linear_ph(rng, n=3, m=0)
         sys = LinearPHSystem(E=np.eye(5),
-                             J=scipy.linalg.block_diag(a.J, b.J),
-                             R=scipy.linalg.block_diag(a.R, b.R),
+                             J=scipy_linalg.block_diag(a.J, b.J),
+                             R=scipy_linalg.block_diag(a.R, b.R),
                              B=np.zeros((5, 0)),
-                             L=scipy.linalg.block_diag(a.L, b.L))
+                             L=scipy_linalg.block_diag(a.L, b.L))
         net = decouple_auto(sys, (2, 3))
         assert not np.any(net.coupling.C)
 
@@ -211,7 +215,7 @@ class TestDecoupleAuto:
             assert validate_structure(sub, tol=1e-12).passed
 
     def test_roundtrip_random_blockdiag_systems(self):
-        import scipy.linalg
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(77)
         for _ in range(20):
             sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
@@ -224,11 +228,11 @@ class TestDecoupleAuto:
             for i in range(len(sizes)):
                 S[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = 0.0
             sys = LinearPHSystem(
-                E=scipy.linalg.block_diag(*[s.E for s in subs]),
-                J=scipy.linalg.block_diag(*[s.J for s in subs]) + S,
-                R=scipy.linalg.block_diag(*[s.R for s in subs]),
+                E=scipy_linalg.block_diag(*[s.E for s in subs]),
+                J=scipy_linalg.block_diag(*[s.J for s in subs]) + S,
+                R=scipy_linalg.block_diag(*[s.R for s in subs]),
                 B=np.zeros((n, 0)),
-                L=scipy.linalg.block_diag(*[s.L for s in subs]))
+                L=scipy_linalg.block_diag(*[s.L for s in subs]))
             net = decouple_auto(sys, sizes)
             mono = condense_skew(net)
             for a in ("E", "J", "R", "Q"):

@@ -72,6 +72,10 @@ DOCUMENTS = {
     "no-coupling.json": {"kind": "network", "subsystems": [ONE, ONE]},
     "unknown-coupling.json": {"kind": "network", "subsystems": [ONE, ONE],
                               "coupling": {**SKEW, "type": "weird"}},
+    # a kind and a coupling type that are not strings
+    "kind-false.json": {**ONE, "kind": False},
+    "coupling-type-true.json": {"kind": "network", "subsystems": [ONE, ONE],
+                                "coupling": {**SKEW, "type": True}},
     "list-root.json": [ONE],
     "format-2.json": {**ONE, "format": 2},
     "phdae-skew.json": {"kind": "phdae", "subsystems": [ONE, ONE], "coupling": SKEW},
@@ -288,6 +292,11 @@ CASES = {
     "validate-unknown-coupling": (["validate", "unknown-coupling.json"], 1,
                                   "phode: unknown-coupling.json: unknown coupling type 'weird'",
                                   None),
+    "validate-kind-false": (["validate", "kind-false.json"], 1,
+                            "phode: kind-false.json: unknown kind false", None),
+    "validate-coupling-type-true": (["validate", "coupling-type-true.json"], 1,
+                                    "phode: coupling-type-true.json: unknown coupling type true",
+                                    None),
     "validate-list-root": (["validate", "list-root.json"], 1,
                            "phode: list-root.json: document root must be an object", None),
     "validate-format": (["validate", "format-2.json"], 1,

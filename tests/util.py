@@ -3,13 +3,15 @@ reference integrator used as an independent oracle."""
 
 import itertools
 import json
+import math
 import re
 import warnings
 
 import numpy as np
 
 from phode import coupling
-from phode.core import LinearPHSystem, _slices
+from phode.core import (E_RCOND_MIN, LinearPHSystem, StructureReport, _block2, _fd_gradient,
+                        _rcond, _slices)
 from phode.coupling import CoupledNetwork, CouplingSpec
 from phode.fileio import ParseError, _lines, network_to_doc, system_to_doc
 from phode.integrate import _inputs, _propagate, _propagator
@@ -106,7 +108,7 @@ def per_step_dynamic_iteration(net, mode="jacobi", window=0.1, sweeps=5,
     subs = net.subsystems
     inner = [inner] * len(subs) if isinstance(inner, str) else inner
     C = net.coupling.C
-    mono = coupling._stack(net)
+    mono = net.stacked
     state_sl = _slices(net.state_sizes)
     port_sl = _slices(net.coupling.layout)
     input_sl = _slices([sub.m for sub in subs])
@@ -275,3 +277,72 @@ def per_row_document(obj, kind=None) -> str:
     """``dump_document``'s text of ``obj`` labelled ``kind``, every matrix
     row encoded by one ``json.dumps``."""
     return per_row_layout(plain_document(obj, kind)) + "\n"
+
+
+def _oracle_scaled(mats):
+    top = max((float(np.max(np.abs(a))) for a in mats if a.size), default=0.0)
+    s = 2.0 ** max(math.frexp(top)[1] - 1, 0)
+    return ([a / s for a in mats] if s > 1 else list(mats)), s
+
+
+def _oracle_psd_check(ws, tol):
+    ws, s = _oracle_scaled(ws)
+    lam = min(float(np.linalg.eigvalsh(0.5 * (w + w.T)).min()) if w.size else 0.0
+              for w in ws)
+    norm = max(float(np.linalg.norm(w)) for w in ws)
+    return lam >= -tol * (1.0 / s + norm), lam * s
+
+
+def reference_validate_structure(sys, samples=None, tol=1e-10):
+    """``validate_structure`` as it was written before it built Gamma and W
+    once and took each matrix's largest entry once: a finiteness pass per
+    coefficient, then Gamma's and Q's largest entries again after scaling
+    (bit-identity oracle)."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if sys.is_linear:
+        states = [np.zeros(sys.n)]
+    else:
+        if samples is None or len(samples) == 0:
+            raise ValueError("callback systems require at least one sample state")
+        states = [np.asarray(s, dtype=float) for s in samples]
+    coeffs = [sys.coefficients(x) for x in states]
+    if not all(np.all(np.isfinite(a)) for c in coeffs for a in c):
+        raise ValueError("system coefficients contain non-finite entries")
+    gammas = [_block2(J, B, -B.T, N) for E, J, R, B, P, S, N in coeffs]
+    ws = [_block2(R, P, P.T, S) for E, J, R, B, P, S, N in coeffs]
+    gammas, s = _oracle_scaled(gammas)
+    skew_viol = max(float(np.max(np.abs(g + g.T))) if g.size else 0.0 for g in gammas)
+    a_scale = max((np.max(np.abs(g)) for g in gammas if g.size), default=0.0)
+    skew_ok = skew_viol <= tol * (1.0 / s + a_scale)
+    psd_ok, min_eig = _oracle_psd_check(ws, tol)
+    if sys.is_linear:
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = sys.E.T @ sys.L
+        if np.isfinite(q).all():
+            (q,), es = _oracle_scaled([q])
+            ls = 1.0
+        else:
+            (e,), es = _oracle_scaled([sys.E])
+            (el,), ls = _oracle_scaled([sys.L])
+            q = e.T @ el
+        res = float(np.max(np.abs(q - q.T))) if q.size else 0.0
+        compat_ok = res <= tol * (1.0 / es / ls + np.max(np.abs(q), initial=0.0))
+        compat_res = res * es * ls
+        rc = _rcond(sys.E)
+    else:
+        compat_res = 0.0
+        rc = np.inf
+        for x, (E, *_) in zip(states, coeffs):
+            ez = E.T @ np.asarray(sys.effort(x), dtype=float)
+            g = _fd_gradient(sys.hamiltonian, x)
+            compat_res = max(compat_res,
+                             float(np.linalg.norm(g - ez) / (1.0 + np.linalg.norm(ez))))
+            rc = min(rc, _rcond(E))
+        compat_ok = compat_res <= max(tol, 1e-6)
+    return StructureReport(
+        skew_ok=skew_ok, skew_violation=skew_viol * s,
+        psd_ok=psd_ok, min_eigenvalue=min_eig,
+        compat_ok=compat_ok, compat_residual=compat_res,
+        e_regular=rc > E_RCOND_MIN, e_rcond=float(rc),
+    )
