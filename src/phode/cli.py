@@ -79,27 +79,30 @@ def _refusal():
         raise CliError(str(exc), EXIT_VALIDATION)
 
 
-def _load(path: str, no_validate: bool, kind=None):
-    """The system or network of the document at ``path``, with every system
-    in it structure-checked unless ``no_validate``; when ``kind`` is given
+def _load(path: str, kind=None):
+    """The system or network of the document at ``path``, refused with exit
+    2 when a system in it fails its structure check; when ``kind`` is given
     (LinearPHSystem or CoupledNetwork), a document of another kind is a
     usage error, raised after the check."""
     obj = _read(path, parse_system_text)
-    if not no_validate:
-        for i, sub in enumerate(_systems_of(obj)):
-            rep = validate_structure(sub)
-            if not rep.passed:
-                where = "" if isinstance(obj, LinearPHSystem) else f"subsystem {i + 1}: "
-                raise CliError(f"{path}: structure validation failed: {where}"
-                               f"{rep.failures()}", EXIT_VALIDATION)
+    for label, rep in _structure(obj):
+        if not rep.passed:
+            where = f"{label}: " if isinstance(obj, CoupledNetwork) else ""
+            raise CliError(f"{path}: structure validation failed: {where}{rep.failures()}",
+                           EXIT_VALIDATION)
     if kind is not None and not isinstance(obj, kind):
         name = "linear system" if kind is LinearPHSystem else "network"
         raise CliError(f"{path}: expected a {name} document")
     return obj
 
 
-def _systems_of(obj):
-    return list(obj.subsystems) if isinstance(obj, CoupledNetwork) else [obj]
+def _structure(obj) -> list:
+    """(label, structure report) of each system of the document ``obj``:
+    "system" for a system, "subsystem i" for the i-th of a network."""
+    if isinstance(obj, CoupledNetwork):
+        return [(f"subsystem {i}", validate_structure(sub))
+                for i, sub in enumerate(obj.subsystems, 1)]
+    return [("system", validate_structure(obj))]
 
 
 # characters handed to one write call: each slice is copied and encoded on
@@ -142,16 +145,11 @@ def _write_slices(f, text: str):
 
 
 def _cmd_validate(args):
-    obj = _load(args.system, no_validate=True)
-    systems = _systems_of(obj)
-    failed = False
-    for i, sub in enumerate(systems):
-        rep = validate_structure(sub)
-        label = "system" if len(systems) == 1 else f"subsystem {i + 1}"
+    reports = _structure(_read(args.system, parse_system_text))
+    for label, rep in reports:
         print(f"== {label} ==")
         print(rep.summary())
-        failed = failed or not rep.passed
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return EXIT_OK if all(rep.passed for _, rep in reports) else EXIT_VALIDATION
 
 
 def build_phdae(net: CoupledNetwork) -> CoupledNetwork:
@@ -167,7 +165,7 @@ eliminate_ports = condense_general
 
 
 def _cmd_condense(args):
-    net = _load(args.network, args.no_validate, CoupledNetwork)
+    net = _load(args.network, CoupledNetwork)
     condense = {"skew": condense_skew, "general": condense_general, "phdae": build_phdae}
     with _refusal():
         result = condense[args.mode](net)
@@ -177,7 +175,7 @@ def _cmd_condense(args):
 
 
 def _cmd_decouple(args):
-    obj = _load(args.system, args.no_validate, LinearPHSystem)
+    obj = _load(args.system, LinearPHSystem)
     sizes = _numbers(args.partition, int, "partition")
     ports = _read(args.ports, parse_ports_text) if args.ports else None
     with _refusal():
@@ -205,7 +203,7 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
 
 
 def _cmd_simulate(args):
-    obj = _load(args.system, args.no_validate, LinearPHSystem)
+    obj = _load(args.system, LinearPHSystem)
     x0 = _parse_x0(args.x0, obj.n)
     run = implicit_midpoint if args.method == "midpoint" else strang_split
     traj = run(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
@@ -215,7 +213,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_cosim(args):
-    net = _load(args.network, args.no_validate, CoupledNetwork)
+    net = _load(args.network, CoupledNetwork)
     x0 = _parse_x0(args.x0, net.n)
     # the monolithic system whose energy balance the report checks; a
     # relation without a regular M, an indefinite W or an overflow ends the
@@ -238,7 +236,7 @@ def _cmd_cosim(args):
 
 
 def _cmd_report(args):
-    obj = _load(args.system, args.no_validate, LinearPHSystem)
+    obj = _load(args.system, LinearPHSystem)
 
     def stored(text):
         t, x, h, _ = read_trajectory(text)
@@ -273,11 +271,6 @@ def _cmd_model(args):
     return EXIT_OK
 
 
-def _add_no_validate(sp):
-    sp.add_argument("--no-validate", action="store_true",
-                    help="skip structure validation on load")
-
-
 def _add_validate(sp):
     sp.add_argument("system")
 
@@ -286,7 +279,6 @@ def _add_condense(sp):
     sp.add_argument("network")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--mode", choices=["skew", "general", "phdae"], default="skew")
-    _add_no_validate(sp)
 
 
 def _add_decouple(sp):
@@ -294,7 +286,6 @@ def _add_decouple(sp):
     sp.add_argument("--partition", required=True, metavar="n1,n2,...")
     sp.add_argument("--ports", default=None, help="JSON file with port matrices")
     sp.add_argument("-o", "--output", default=None)
-    _add_no_validate(sp)
 
 
 def _add_simulate(sp):
@@ -305,7 +296,6 @@ def _add_simulate(sp):
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--method", choices=["midpoint", "strang"], default="midpoint")
     sp.add_argument("-o", "--output", default=None)
-    _add_no_validate(sp)
 
 
 def _add_cosim(sp):
@@ -321,13 +311,11 @@ def _add_cosim(sp):
     sp.add_argument("--t1", type=float, default=1.0)
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("-o", "--output", default=None)
-    _add_no_validate(sp)
 
 
 def _add_report(sp):
     sp.add_argument("trajectory")
     sp.add_argument("system")
-    _add_no_validate(sp)
 
 
 def _add_model(sp):

@@ -35,6 +35,13 @@ class SingularFlowError(RuntimeError):
 
 #: reciprocal condition number below which E is treated as singular
 E_RCOND_MIN = 1e-12
+#: relative tolerance of every structure verdict: skewness of Gamma,
+#: semidefiniteness of W (in validate_structure and condense_general) and
+#: symmetry of Q = E^T L
+STRUCTURE_TOL = 1e-10
+#: tolerance of a callback system's gradient compatibility, whose residual
+#: is that of a finite-difference gradient
+FD_COMPAT_TOL = 1e-6
 
 
 def _clip(text: str, limit: int = 100) -> str:
@@ -285,19 +292,19 @@ def _scaled(mats) -> tuple:
     return ([a / s for a in mats] if s > 1 else list(mats)), s, top / s
 
 
-def _psd_check(ws, tol: float = 1e-10) -> tuple:
+def _psd_check(ws) -> tuple:
     """Whether the symmetric parts of the matrices ``ws`` are positive
-    semidefinite, by the rule lambda_min >= -tol (1 + max ||W||_F) over
-    all of them, and lambda_min (-inf where it leaves the float range).
-    The rule runs on the matrices divided by ``_scaled``'s s."""
+    semidefinite, by the rule lambda_min >= -STRUCTURE_TOL (1 + max ||W||_F)
+    over all of them, and lambda_min (-inf where it leaves the float
+    range).  The rule runs on the matrices divided by ``_scaled``'s s."""
     ws, s, _ = _scaled(ws)
     lam = min(_min_eig_sym(w) for w in ws)
     norm = max(float(np.linalg.norm(w)) for w in ws)
-    return lam >= -tol * (1.0 / s + norm), lam * s
+    return lam >= -STRUCTURE_TOL * (1.0 / s + norm), lam * s
 
 
-def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = None,
-                       tol: float = 1e-10) -> StructureReport:
+def validate_structure(sys: PHSystem,
+                       samples: Sequence[np.ndarray] | None = None) -> StructureReport:
     """Check skewness of Gamma, semidefiniteness of W and Hamiltonian
     compatibility; pure, deterministic and idempotent.
 
@@ -305,12 +312,11 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
     compatibility residual uses a central finite-difference gradient.
     Gamma, W and Q = E^T L are checked divided by a power of two (see
     ``_scaled``), so entries up to the largest float cannot overflow the
-    checks.  Gamma and W are built once per state; with E they hold every
-    coefficient, so their finiteness is that of the system.
+    checks.  Gamma and W are built once per state; with E, and L for a
+    linear system, they hold every coefficient, so their finiteness is that
+    of the system.  Every verdict is taken at ``STRUCTURE_TOL``, a callback
+    system's gradient compatibility at ``FD_COMPAT_TOL``.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
-
     if sys.is_linear:
         states = [np.zeros(sys.n)]
     else:
@@ -320,12 +326,13 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
 
     coeffs = [sys.coefficients(x) for x in states]
     gammas, ws = zip(*(_gamma_w(*c) for c in coeffs))
-    if not all(np.isfinite(a).all() for a in (*gammas, *ws, *(c[0] for c in coeffs))):
+    efforts = (sys.L,) if sys.is_linear else ()
+    if not all(np.isfinite(a).all() for a in (*gammas, *ws, *(c[0] for c in coeffs), *efforts)):
         raise ValueError("system coefficients contain non-finite entries")
     gammas, s, a_scale = _scaled(gammas)
     skew_viol = max(_skew_violation(g) for g in gammas)
-    skew_ok = skew_viol <= tol * (1.0 / s + a_scale)
-    psd_ok, min_eig = _psd_check(ws, tol)
+    skew_ok = skew_viol <= STRUCTURE_TOL * (1.0 / s + a_scale)
+    psd_ok, min_eig = _psd_check(ws)
 
     if sys.is_linear:
         # exact identity Q x = E^T L x requires E^T L symmetric; checked on Q
@@ -340,7 +347,7 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
             q = e.T @ el
             top = np.abs(q).max(initial=0.0)
         res = float(np.abs(q - q.T).max()) if q.size else 0.0
-        compat_ok = res <= tol * (1.0 / es / ls + top)
+        compat_ok = res <= STRUCTURE_TOL * (1.0 / es / ls + top)
         compat_res = res * es * ls
         rc = sys.e_rcond
     else:
@@ -352,7 +359,7 @@ def validate_structure(sys: PHSystem, samples: Sequence[np.ndarray] | None = Non
             compat_res = max(compat_res,
                              float(np.linalg.norm(g - ez) / (1.0 + np.linalg.norm(ez))))
             rc = min(rc, _rcond(E))
-        compat_ok = compat_res <= max(tol, 1e-6)
+        compat_ok = compat_res <= FD_COMPAT_TOL
 
     return StructureReport(
         skew_ok=skew_ok, skew_violation=skew_viol * s,

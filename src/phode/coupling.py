@@ -124,10 +124,6 @@ class CoupledNetwork:
     def n(self) -> int:
         return sum(self.state_sizes)
 
-    def split_state(self, x: np.ndarray) -> list:
-        x = np.asarray(x, dtype=float)
-        return [x[sl] for sl in _slices(self.state_sizes)]
-
     def stacked_port_matrix(self) -> np.ndarray:
         return _blockdiag(list(self.coupling.port_matrices))
 
@@ -218,8 +214,8 @@ def condense_general(net: CoupledNetwork) -> LinearPHSystem:
     C is split into symmetric and skew parts; the skew part enters the
     structure matrix, the symmetric part the dissipation matrix.  When
     the assembled W = [[R, P], [P^T, S]] fails the semidefiniteness check
-    of :func:`~phode.core.validate_structure` (at its default tolerance),
-    the network has no monolithic pH system under this coupling, and a
+    of :func:`~phode.core.validate_structure`, the network has no
+    monolithic pH system under this coupling, and a
     :class:`StructureFailure` with the least eigenvalue of W is raised.
     """
     return _require_psd_w(_couple(net, coupling_matrix(net)))

@@ -75,6 +75,19 @@ class TestValidateCommand:
         assert main(["validate", bad]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_network_reports_are_labelled_as_the_load_check_labels_them(self, tmp_path,
+                                                                          capsys):
+        # "subsystem i" for every network, a network of one subsystem too
+        sub = {"n": 1, "J": [[0.]], "R": [[-1.]]}
+        net = write_json(tmp_path / "net.json", {
+            "kind": "network", "subsystems": [sub],
+            "coupling": {"type": "skew", "ports": [[[1.]]], "C": [[0.]]}})
+        assert main(["validate", net]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "== subsystem 1 =="
+        assert main(["condense", net]) == 2
+        assert "structure validation failed: subsystem 1: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("J,R,row", [
         ([[0., 0.], [0., 0.]], [[1.5e308, 0.], [0., -1e300]],
          "FAIL  W positive semidefinite: min eigenvalue -1.000e+300"),
@@ -417,9 +430,10 @@ class TestLoadCheck:
     def test_one_line_exit_2_no_file(self, tmp_path, capsys, command):
         bad, net = self.documents(tmp_path)
         out = tmp_path / "out"
+        # a trajectory of as many states as the failing system
+        good = write_json(tmp_path / "good.json", {**self.SYSTEM, "R": [[1., 0.], [0., 1.]]})
         traj = str(tmp_path / "traj.csv")
-        assert main(["simulate", bad, "--x0=1,1", "--t1", "0.1", "--no-validate",
-                     "-o", traj]) == 0
+        assert main(["simulate", good, "--x0=1,1", "--t1", "0.1", "-o", traj]) == 0
         argv, path, where = {
             "condense": (["condense", net, "-o", str(out)], net, "subsystem 2: "),
             "decouple": (["decouple", bad, "--partition", "1,1", "-o", str(out)], bad, ""),
@@ -431,6 +445,22 @@ class TestLoadCheck:
         stdout, err = capsys.readouterr()
         failed = self.FAILED.replace("W positive", where + "W positive")
         assert err == f"phode: {path}: {failed}\n" and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["condense", "decouple", "simulate", "cosim",
+                                         "report"])
+    def test_no_option_skips_the_check(self, tmp_path, capsys, command):
+        bad, net = self.documents(tmp_path)
+        out = tmp_path / "out"
+        argv = {"condense": ["condense", net, "-o", str(out)],
+                "decouple": ["decouple", bad, "--partition", "1,1", "-o", str(out)],
+                "simulate": ["simulate", bad, "--x0=1,1", "-o", str(out)],
+                "cosim": ["cosim", net, "--x0=1,1,1", "-o", str(out)],
+                "report": ["report", str(tmp_path / "traj.csv"), bad]}[command]
+        assert main([*argv, "--no-validate"]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("usage: phode ")
+        assert err.splitlines()[-1] == "phode: unrecognized arguments: --no-validate"
         assert not out.exists()
 
 
@@ -534,11 +564,10 @@ class TestSimulateAndReport:
         assert not out.exists()
 
     def test_diverging_trajectory_exit_4_without_csv(self, tmp_path, capsys):
-        unstable = write_json(tmp_path / "unstable.json",
-                              {"n": 1, "J": [[0.]], "R": [[-1000.]], "L": [[1.]]})
+        # H = x^2 / 2 of x0 = 1e200 is beyond the float range
+        one = write_json(tmp_path / "one.json", {"n": 1, "J": [[0.]], "R": [[1.]], "L": [[1.]]})
         out = tmp_path / "t.csv"
-        assert main(["simulate", unstable, "--no-validate", "--x0", "1e200",
-                     "-o", str(out)]) == 4
+        assert main(["simulate", one, "--x0", "1e200", "-o", str(out)]) == 4
         assert_one_line_error(capsys, "not finite")
         assert not out.exists()
 
@@ -874,8 +903,7 @@ class TestNonFiniteResult:
     @pytest.mark.parametrize("args", [["condense", "{net}"],
                                       ["condense", "{net}", "--mode", "general"],
                                       ["cosim", "{net}", "--x0", "1,1"],
-                                      ["decouple", "{sys}", "--partition", "1,1",
-                                       "--no-validate"]])
+                                      ["decouple", "{sys}", "--partition", "1,1"]])
     def test_overflow_exit_4_one_line_no_file(self, tmp_path, args):
         paths = {"net": write_json(tmp_path / "net.json", OVERFLOW_NETWORK),
                  "sys": write_json(tmp_path / "sys.json", OVERFLOW_SYSTEM)}

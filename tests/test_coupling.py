@@ -4,14 +4,14 @@ import pytest
 
 import phode.coupling
 from phode.cli import CliError, build_phdae
-from phode.core import DimensionError, LinearPHSystem, validate_structure
+from phode.core import DimensionError, LinearPHSystem, _slices, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             StructureFailure, condense_general, _blockdiag, _couple,
                             condense_skew, coupling_matrix)
 from phode.fileio import network_to_doc
 from phode.models import two_mass, two_mass_network
 
-from util import random_linear_ph, random_network
+from util import random_linear_ph, random_network, reference_validate_structure
 
 
 def scalar_sub(r=1.0):
@@ -34,7 +34,7 @@ class TestCondenseSkew:
         assert np.array_equal(mono.E, ref.E)
         assert np.array_equal(mono.R, ref.R)
         assert np.array_equal(mono.Q, ref.Q)
-        assert validate_structure(mono, tol=1e-12).passed
+        assert reference_validate_structure(mono, tol=1e-12).passed
 
     def test_zero_coupling_gives_blockdiag(self):
         net = two_scalar_net(np.zeros((2, 2)))
@@ -61,8 +61,8 @@ class TestCondenseSkew:
         net = random_network(rng, s=3)
         mono = condense_skew(net)
         x = rng.standard_normal(mono.n)
-        parts = net.split_state(x)
-        total = sum(s.hamiltonian(xi) for s, xi in zip(net.subsystems, parts))
+        parts = _slices(net.state_sizes)
+        total = sum(s.hamiltonian(x[sl]) for s, sl in zip(net.subsystems, parts))
         assert mono.hamiltonian(x) == pytest.approx(total, abs=1e-12)
 
     def test_offdiagonal_block_rule(self):
@@ -90,7 +90,7 @@ class TestCondenseSkew:
             net = random_network(rng, s=int(rng.integers(2, 4)),
                                  implicit=bool(rng.integers(2)))
             mono = condense_skew(net)
-            assert validate_structure(mono, tol=1e-10).passed
+            assert validate_structure(mono).passed
 
     def test_exactly_skew_c_runs_no_w_check(self, monkeypatch):
         checks = []
@@ -165,6 +165,16 @@ class TestCondenseGeneral:
         assert "build_phdae" not in out.message
         assert str(out) == f"{out.message} (min eigenvalue -1.000e+00)"
 
+    def test_exactly_skew_c_is_checked(self):
+        # an exactly skew C adds nothing to R, and W is still checked: here
+        # it is the subsystem's own R = -1 that makes W indefinite
+        net = CoupledNetwork((scalar_sub(-1.0), scalar_sub()),
+                             CouplingSpec(([[1.]], [[1.]]), [[0., 1.], [-1., 0.]]))
+        with pytest.raises(StructureFailure) as info:
+            condense_general(net)
+        assert str(info.value) == ("assembled W = [[R, P], [P^T, S]] is indefinite "
+                                   "(min eigenvalue -1.000e+00)")
+
     def test_checks_w_not_only_r(self):
         # feedthrough P = S = 1 on the boundary of W >= 0: the coupling keeps
         # the assembled R definite (least eigenvalue 0.5) and makes W indefinite
@@ -182,7 +192,7 @@ class TestCondenseGeneral:
     @pytest.mark.parametrize("seed", range(8))
     def test_fails_exactly_where_validate_fails(self, seed):
         # one W check: condense_general refuses the assembled systems that
-        # validate_structure (default tol) finds not semidefinite
+        # validate_structure finds not semidefinite
         rng = np.random.default_rng(seed)
         subs = tuple(random_linear_ph(rng, n=n, m=1, feedthrough=True) for n in (2, 3))
         ports = tuple(rng.standard_normal((n, 1)) for n in (2, 3))
@@ -312,7 +322,7 @@ class TestFeedthroughCondensed:
             for a in ("B", "P", "S", "N"):
                 expected = scipy_linalg.block_diag(*[getattr(s, a) for s in subs])
                 assert np.array_equal(getattr(mono, a), expected)
-            assert validate_structure(mono, tol=1e-10).passed
+            assert validate_structure(mono).passed
 
 
 @pytest.mark.parametrize("shapes", [
