@@ -26,7 +26,7 @@ from .fileio import (dump_document, parse_ports_text, parse_system_text, read_tr
                      write_trajectory)
 from .integrate import (NewtonError, StepCountError, Trajectory, dynamic_iteration,
                         energy_report, implicit_midpoint, strang_split)
-from . import models
+from . import doccache, models
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,12 +54,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_USAGE)
 
 
-def _read(path: str, parse):
-    """``parse`` applied to the UTF-8 text of a file; a file that cannot be
-    read or decoded, or whose text ``parse`` refuses with a ValueError, is a
-    usage error."""
+def _read(path: str, parse, cached: bool = False):
+    """``parse`` applied to the text of a file, decoded as UTF-8 with
+    universal newlines (as ``Path.read_text`` decodes it); a file that
+    cannot be read or decoded, or whose text ``parse`` refuses with a
+    ValueError, is a usage error.  With ``cached``, the result for a file of
+    at least ``doccache.MIN_BYTES`` is taken from, or stored in, the
+    document cache (see phode.doccache)."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
+        key = doccache.key_of(data) if cached and len(data) >= doccache.MIN_BYTES else None
+        obj = doccache.get(key)
+        if obj is None:
+            text = data.decode("utf-8")
+            del data            # only the text stays alive while it is parsed
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            obj = parse(text)
+            del text
+            doccache.put(key, obj)
+        return obj
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
                        f"at position {exc.start}")
@@ -84,7 +98,7 @@ def _load(path: str, kind=None):
     2 when a system in it fails its structure check; when ``kind`` is given
     (LinearPHSystem or CoupledNetwork), a document of another kind is a
     usage error, raised after the check."""
-    obj = _read(path, parse_system_text)
+    obj = _read(path, parse_system_text, cached=True)
     for label, rep in _structure(obj):
         if not rep.passed:
             where = f"{label}: " if isinstance(obj, CoupledNetwork) else ""
@@ -145,7 +159,7 @@ def _write_slices(f, text: str):
 
 
 def _cmd_validate(args):
-    reports = _structure(_read(args.system, parse_system_text))
+    reports = _structure(_read(args.system, parse_system_text, cached=True))
     for label, rep in reports:
         print(f"== {label} ==")
         print(rep.summary())

@@ -39,6 +39,9 @@ E_RCOND_MIN = 1e-12
 #: semidefiniteness of W (in validate_structure and condense_general) and
 #: symmetry of Q = E^T L
 STRUCTURE_TOL = 1e-10
+#: relative tolerance of a skew coupling matrix C (C + C^T against C's
+#: largest entry), which decides whether condense_skew accepts C
+SKEW_COUPLING_TOL = 1e-12
 #: tolerance of a callback system's gradient compatibility, whose residual
 #: is that of a finite-difference gradient
 FD_COMPAT_TOL = 1e-6

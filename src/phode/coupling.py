@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DimensionError, LinearPHSystem, _block2, _psd_check, _rcond,
-                   _skew_violation, _slices)
+from .core import (E_RCOND_MIN, SKEW_COUPLING_TOL, DimensionError, LinearPHSystem, _block2,
+                   _psd_check, _rcond, _skew_violation, _slices)
 
 
 def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -33,9 +33,9 @@ def _blockdiag(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _is_skew(C: np.ndarray) -> bool:
-    """C + C^T is zero to 1e-12 relative to C's largest entry: a C of
-    small entries is not skew for being small."""
-    return _skew_violation(C) <= 1e-12 * np.max(np.abs(C), initial=0.0)
+    """C + C^T is zero to ``SKEW_COUPLING_TOL`` relative to C's largest
+    entry: a C of small entries is not skew for being small."""
+    return _skew_violation(C) <= SKEW_COUPLING_TOL * np.max(np.abs(C), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def coupling_matrix(net: CoupledNetwork) -> np.ndarray:
     rel = net.coupling
     if isinstance(rel, CouplingSpec):
         return rel.C
-    if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= 1e-12:
+    if rel.M.shape[0] != rel.M.shape[1] or _rcond(rel.M) <= E_RCOND_MIN:
         raise ValueError("general relation not eliminable: M must be square and regular")
     C = np.linalg.solve(rel.M, rel.N)
     if not np.all(np.isfinite(C)):

@@ -49,6 +49,15 @@ def test_summarize_medians_quartiles_and_wins():
     assert out["change_wins"] == {"wall_s": 2, "rate": 1}
 
 
+def test_first_pass_medians_and_quartiles():
+    firsts = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 0.25, 0.75, 1.0]}
+    pairs = [{s: {"raw_pass_wall_s": [firsts[s][i], 0.125, 0.125]} for s in firsts}
+             for i in range(4)]
+    assert bench_pairs.first_pass(pairs) == {
+        "parent": {"median": 2.5, "quartiles": [1.75, 3.25]},
+        "change": {"median": 0.625, "quartiles": [0.4375, 0.8125]}}
+
+
 def test_plan_arguments():
     args = bench_pairs.parse_args(["--out", "B.json", "cosim-3block:5", "sim-dense:3"])
     assert args.plan == [("cosim-3block", 5), ("sim-dense", 3)]
@@ -130,15 +139,15 @@ def test_traced_argument():
 def canned_run(side, trace, k):
     """Output of the k-th run of one side: an untraced run reports wall_s, a
     traced one the per-layer cli.self_s and fileio.self_s."""
-    host = {"python": "3.11.7", "numpy": "1.26", "scipy": "1.11", "nproc": 2,
-            "blas_threads": "1"}
+    run = {"python": "3.11.7", "numpy": "1.26", "scipy": "1.11", "nproc": 2,
+           "blas_threads": "1", "raw_pass_wall_s": [1.5 + 0.5 * (side == "parent") + k, 1.0]}
     if trace:
         values = {"cli.self_s": (0.4 if side == "parent" else 0.1) + 0.01 * k,
                   "fileio.self_s": 1.0 + 0.01 * k}
     else:
         values = {"wall_s": (2.5 if side == "parent" else 2.4) + 0.01 * k}
     probes = {"cosim_default_sweeps": {"passed": True, "detail": "reported"}}
-    return "\n".join([json.dumps({"run": host}), json.dumps({"known_defect_probes": probes}),
+    return "\n".join([json.dumps({"run": run}), json.dumps({"known_defect_probes": probes}),
                       json.dumps(result_line(**values))]) + "\n"
 
 
@@ -163,6 +172,9 @@ def test_traced_pairs_keep_per_layer_medians_and_quartiles(tmp_path, monkeypatch
     assert doc["traced_pairs"] == 4 and doc["host"]["nproc"] == 2
     entry = doc["workloads"]["cli-docs"]
     assert entry["verdict"] == {"wall_s": "ok"}
+    assert entry["pairs"][1]["parent"]["raw_pass_wall_s"] == [4.0, 1.0]
+    assert entry["first_pass_wall_s"]["parent"]["median"] == 3.5
+    assert entry["first_pass_wall_s"]["change"]["quartiles"] == [2.75, 3.25]
     traced = entry["traced"]
     assert [p["pair"] for p in traced["pairs"]] == [1, 2, 3, 4]
     assert "run" not in traced["pairs"][0]["change"]
@@ -207,3 +219,22 @@ def test_each_run_compiles_into_a_fresh_cache_of_its_own(tmp_path, monkeypatch):
             assert tree not in cache.parents
     # each side writes its own cache, so both run from compiled modules
     assert all("PYTHONDONTWRITEBYTECODE" not in env for *_, env in runs)
+
+
+def test_each_run_starts_from_an_empty_document_cache(tmp_path, monkeypatch):
+    # no run may read the document cache entries of another
+    caches = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["XDG_CACHE_HOME"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        (cache / "phode").mkdir()
+        caches.append(cache)
+        return SimpleNamespace(stdout=canned_run("change", 0, 1), stderr="", returncode=0)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for tree in (tmp_path / "parent", bench_pairs.ROOT, bench_pairs.ROOT):
+        bench_pairs.run_side(tree, "cli-docs", 41, 1.0, 0)
+    assert len(set(caches)) == 3 and tmp_path not in caches
+    assert not any(cache.exists() for cache in caches)   # removed after the run

@@ -1,0 +1,505 @@
+"""The command line's document cache (``phode.doccache``): a hit rebuilds
+exactly what ``parse_system_text`` gives, and a cache that is missing,
+damaged, unreadable or unwritable changes no output and no exit code."""
+
+import json
+import os
+import stat
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import phode.cli
+from phode import doccache
+from phode.cli import main
+from phode.coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
+from phode.decoupling import Partition, decouple_auto
+from phode.fileio import dump_document, parse_system_text
+
+from util import random_linear_ph, random_separable
+
+FIELDS = ("E", "J", "R", "B", "L", "P", "S", "N")
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh, empty cache location of one test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "phode"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts that ``phode.cli.parse_system_text`` is called with."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_system_text(text)
+
+    monkeypatch.setattr(phode.cli, "parse_system_text", counted)
+    return calls
+
+
+def entries(folder: Path) -> list:
+    return sorted(folder.glob("*.entry")) if folder.is_dir() else []
+
+
+def read(path) -> object:
+    return phode.cli._read(str(path), phode.cli.parse_system_text, cached=True)
+
+
+def skew_network(rng):
+    """Two subsystems with feedthrough, skew-coupled through two ports each."""
+    subs = tuple(random_linear_ph(rng, n=k, m=1, feedthrough=True) for k in (20, 40))
+    ports = tuple(rng.standard_normal((k, 2)) for k in (20, 40))
+    C = rng.standard_normal((4, 4))
+    return CoupledNetwork(subs, CouplingSpec(ports, C - C.T))
+
+
+def general_network(rng):
+    net = skew_network(rng)
+    C = net.coupling.C + 0.1 * np.eye(len(net.coupling.C))
+    return CoupledNetwork(net.subsystems, CouplingSpec(net.coupling.port_matrices, C))
+
+
+def relation_network(rng):
+    net = decouple_auto(random_separable(rng, (30, 30), m=1), Partition((30, 30)))
+    assert isinstance(net.coupling, LinearPortRelation)
+    return net
+
+
+def model_text(rng):
+    doc = {"kind": "linear", "model": "poroelastic", "params": {"dim_w": 6, "dim_p": 4}}
+    return json.dumps(doc, indent=1) + " " * doccache.MIN_BYTES
+
+
+# name -> text of a document of at least MIN_BYTES bytes
+DOCUMENTS = {
+    "linear": lambda rng: dump_document(random_linear_ph(rng, n=60, m=3, implicit=True)),
+    "feedthrough": lambda rng: dump_document(random_linear_ph(rng, n=60, m=3,
+                                                              feedthrough=True)),
+    "model": model_text,
+    "network-skew": lambda rng: dump_document(skew_network(rng)),
+    "network-general": lambda rng: dump_document(general_network(rng)),
+    "network-relation": lambda rng: dump_document(relation_network(rng)),
+    "phdae": lambda rng: dump_document(relation_network(rng), kind="phdae"),
+}
+
+
+def document(tmp_path, name, seed=0) -> Path:
+    path = tmp_path / f"{name}-{seed}.json"
+    path.write_text(DOCUMENTS[name](np.random.default_rng(seed)))
+    assert path.stat().st_size >= doccache.MIN_BYTES
+    return path
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_same_array(a, b):
+    assert type(a) is type(b) is np.ndarray and a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape and np.array_equal(bits(a), bits(b))
+    for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "WRITEABLE"):
+        assert a.flags[flag] == b.flags[flag]
+
+
+def assert_same_system(a, b):
+    assert type(a) is type(b)
+    for key in FIELDS:
+        assert_same_array(getattr(a, key), getattr(b, key))
+
+
+def assert_same(a, b):
+    """``a`` and ``b`` are of one type, coupling class, skewness and port
+    layout, and their matrices hold the same bits."""
+    assert type(a) is type(b)
+    if not isinstance(a, CoupledNetwork):
+        return assert_same_system(a, b)
+    assert len(a.subsystems) == len(b.subsystems)
+    for sa, sb in zip(a.subsystems, b.subsystems):
+        assert_same_system(sa, sb)
+    ca, cb = a.coupling, b.coupling
+    assert type(ca) is type(cb) and ca.layout == cb.layout
+    for pa, pb in zip(ca.port_matrices, cb.port_matrices):
+        assert_same_array(pa, pb)
+    if isinstance(ca, CouplingSpec):
+        assert ca.is_skew == cb.is_skew
+        assert_same_array(ca.C, cb.C)
+    else:
+        assert_same_array(ca.M, cb.M)
+        assert_same_array(ca.N, cb.N)
+
+
+def outcome(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_a_hit_is_the_parse(tmp_path, cache, parses, name):
+    path = document(tmp_path, name)
+    ref = parse_system_text(path.read_text())
+    miss = read(path)
+    assert len(parses) == 1 and len(entries(cache)) == 1
+    hit = read(path)
+    assert len(parses) == 1           # the hit parsed nothing
+    assert_same(miss, ref)
+    assert_same(hit, ref)
+
+
+def test_kinds_of_the_documents(tmp_path, cache):
+    kinds = {name: read(document(tmp_path, name)) for name in DOCUMENTS}
+    assert kinds["network-skew"].coupling.is_skew
+    assert not kinds["network-general"].coupling.is_skew
+    assert isinstance(kinds["phdae"].coupling, LinearPortRelation)
+    assert np.any(kinds["feedthrough"].P) and np.any(kinds["feedthrough"].N)
+
+
+def test_commands_give_the_same_output_on_a_hit(tmp_path, cache, capsys):
+    path = str(document(tmp_path, "feedthrough"))
+    separable = tmp_path / "separable.json"
+    separable.write_text(dump_document(random_separable(np.random.default_rng(4), (30, 30))))
+    for argv in (["validate", path],
+                 ["simulate", path, "--x0", ",".join(["0.1"] * 60), "--t1", "0.1", "-o", "-"],
+                 ["decouple", str(separable), "--partition", "30,30", "-o", "-"]):
+        first = outcome(argv, capsys)
+        assert first[0] == 0 and first[2] == ""
+        assert outcome(argv, capsys) == first
+
+
+def test_small_documents_are_not_cached(tmp_path, cache, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(dump_document(random_linear_ph(np.random.default_rng(1), n=10)))
+    assert path.stat().st_size < doccache.MIN_BYTES
+    assert main(["validate", str(path)]) == 0
+    assert not cache.exists()
+
+
+def test_refused_document_is_not_stored(tmp_path, cache, parses, capsys):
+    text = document(tmp_path, "linear").read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:-2] + ', "J": [[0]]}')   # a duplicate key
+    lines = [outcome(["validate", str(bad)], capsys) for _ in range(2)]
+    assert lines[0] == lines[1] == (1, "", f"phode: {bad}: duplicate key 'J'\n")
+    assert len(parses) == 2 and entries(cache) == []
+
+
+def test_structure_is_checked_on_every_load(tmp_path, cache, capsys):
+    # a document that parses is stored, and the check still fails it on a hit
+    doc = json.loads(document(tmp_path, "linear").read_text())
+    doc["R"][0][0] = -1e3
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", str(path), "--x0", ",".join(["1"] * 60), "-o", "-"]
+    first = outcome(argv, capsys)
+    assert first[0] == 2 and "structure validation failed" in first[2]
+    assert len(entries(cache)) == 1
+    assert outcome(argv, capsys) == first
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer digit limit")
+def test_lowered_digit_limit_still_refuses_a_long_integer(tmp_path, cache, capsys):
+    doc = json.loads(document(tmp_path, "linear").read_text())
+    doc["note"] = 10 ** 999           # 1000 digits, in a field no parser reads
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert outcome(["validate", str(path)], capsys)[0] == 0
+    assert len(entries(cache)) == 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert outcome(["validate", str(path)], capsys) == (
+            1, "", f"phode: {path}: integer of 1000 digits is too long (at most 640)\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(entries(cache)) == 1
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "foreign", "empty"])
+def test_damaged_entry_is_a_miss_and_is_rewritten(tmp_path, cache, parses, damage):
+    path = document(tmp_path, "network-relation")
+    read(path)
+    [entry] = entries(cache)
+    whole = entry.read_bytes()
+    if damage == "truncated":
+        entry.write_bytes(whole[:-8])
+    elif damage == "garbage":
+        entry.write_bytes(np.random.default_rng(2).bytes(len(whole)))
+    elif damage == "foreign":
+        # the whole entry of another document, under this document's name
+        other = document(tmp_path, "network-skew", seed=3)
+        read(other)
+        entry.write_bytes(next(e for e in entries(cache) if e != entry).read_bytes())
+    else:
+        entry.write_bytes(b"")
+    parsed = len(parses)
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert len(parses) == parsed + 1
+    assert entry.read_bytes() == whole
+
+
+def baseline(tmp_path, monkeypatch, capsys):
+    """(argv, outcome) of some commands on a big document, with a working cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "working"))
+    path = str(document(tmp_path, "network-skew"))
+    runs = [["validate", path], ["condense", path, "-o", "-"],
+            ["cosim", path, "--x0", ",".join(["0.1"] * 60), "--t1", "0.05", "-o", "-"],
+            ["simulate", path, "--x0", "1"]]     # a network where a system is expected
+    return [(argv, outcome(argv, capsys)) for argv in runs]
+
+
+def test_absent_location_is_created_0700(tmp_path, monkeypatch, capsys):
+    old = os.umask(0o022)
+    try:
+        expected = baseline(tmp_path, monkeypatch, capsys)
+        base = tmp_path / "absent" / "deeper"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(base))
+        assert [(argv, outcome(argv, capsys)) for argv, _ in expected] == expected
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((base / "phode").stat().st_mode) == 0o700
+    assert len(entries(base / "phode")) == 1
+
+
+@pytest.mark.parametrize("where", ["file", "phode-file", "relative"])
+def test_unusable_location_changes_nothing(tmp_path, monkeypatch, capsys, where):
+    expected = baseline(tmp_path, monkeypatch, capsys)
+    assert expected[0][1][0] == 0 and expected[-1][1][0] == 1
+    home = tmp_path / "home"
+    monkeypatch.setenv("HOME", str(home))
+    if where == "file":               # XDG_CACHE_HOME names a file
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a-file"))
+    elif where == "phode-file":       # the cache directory is a file
+        (tmp_path / "base").mkdir()
+        (tmp_path / "base" / "phode").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "base"))
+    else:                             # ignored for ~/.cache, which is a file
+        home.mkdir()
+        (home / ".cache").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+        monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert [(argv, outcome(argv, capsys)) for argv, _ in expected] == expected
+    assert not (tmp_path / "relative").exists()
+
+
+@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                    reason="permissions do not bind the superuser")
+def test_read_only_location_changes_nothing(tmp_path, monkeypatch, capsys):
+    expected = baseline(tmp_path, monkeypatch, capsys)
+    base = tmp_path / "ro"
+    base.mkdir(mode=0o500)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(base))
+    try:
+        for _ in range(2):
+            assert [(argv, outcome(argv, capsys)) for argv, _ in expected] == expected
+    finally:
+        base.chmod(0o700)
+
+
+def test_unopenable_cache_changes_nothing(tmp_path, monkeypatch, capsys, cache):
+    # every open of a path in the cache fails, as in a directory without read
+    # and write permission (which binds no superuser, so it is simulated)
+    expected = baseline(tmp_path, monkeypatch, capsys)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent))
+    cache.mkdir(parents=True, mode=0o700)
+
+    def guard(opener):
+        def guarded(file, *args, **kwargs):
+            if not isinstance(file, int) and Path(file).parent == cache:
+                raise PermissionError(13, "Permission denied", str(file))
+            return opener(file, *args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(doccache, "open", guard(open), raising=False)
+    monkeypatch.setattr(os, "open", guard(os.open))
+    for _ in range(2):
+        assert [(argv, outcome(argv, capsys)) for argv, _ in expected] == expected
+    assert list(cache.iterdir()) == []
+
+
+def planted(tmp_path, monkeypatch, folder) -> tuple:
+    """(path, entry): a big document and, in ``folder``, a whole entry of
+    its key that rebuilds another system, as another user could write it."""
+    path = document(tmp_path, "linear")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "own"))
+    read(path)
+    [entry] = entries(tmp_path / "own" / "phode")
+    whole = entry.read_bytes()
+    start = whole.index(b"\n") + 1                      # E[0, 0], plus one
+    shifted = np.frombuffer(whole, "<f8", 1, start) + 1
+    (folder / entry.name).write_bytes(whole[:start] + shifted.tobytes() + whole[start + 8:])
+    return path, folder / entry.name
+
+
+def test_planted_entry_is_a_hit_in_a_private_directory(tmp_path, monkeypatch):
+    # the entry of the tests below is read, when the directory is private
+    folder = tmp_path / "xdg" / "phode"
+    folder.mkdir(parents=True, mode=0o700)
+    path, _ = planted(tmp_path, monkeypatch, folder)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(folder.parent))
+    assert read(path).E[0, 0] == parse_system_text(path.read_text()).E[0, 0] + 1
+
+
+@pytest.mark.parametrize("mode", [0o777, 0o770, 0o707, 0o750, 0o1777])
+def test_directory_others_may_use_is_no_cache(tmp_path, monkeypatch, parses, mode):
+    folder = tmp_path / "shared" / "phode"
+    folder.mkdir(parents=True)
+    folder.chmod(mode)
+    path, entry = planted(tmp_path, monkeypatch, folder)
+    before = entry.read_bytes()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(folder.parent))
+    parsed = len(parses)
+    for _ in range(2):
+        assert_same(read(path), parse_system_text(path.read_text()))
+    assert len(parses) == parsed + 2                    # no hit, and nothing stored
+    assert entries(folder) == [entry] and entry.read_bytes() == before
+    assert stat.S_IMODE(folder.stat().st_mode) == mode
+
+
+def test_directory_of_another_user_is_no_cache(tmp_path, monkeypatch, parses):
+    folder = tmp_path / "xdg" / "phode"
+    folder.mkdir(parents=True, mode=0o700)
+    path, entry = planted(tmp_path, monkeypatch, folder)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(folder.parent))
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    parsed = len(parses)
+    for _ in range(2):
+        assert_same(read(path), parse_system_text(path.read_text()))
+    assert len(parses) == parsed + 2 and entries(folder) == [entry]
+
+
+def test_temporary_file_is_never_followed(tmp_path, cache, parses):
+    path = document(tmp_path, "linear")
+    key = doccache.key_of(path.read_bytes())
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"kept")
+    cache.mkdir(parents=True, mode=0o700)
+    link = cache / f".{key}.{os.getpid()}.tmp"
+    link.symlink_to(victim)
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert victim.read_bytes() == b"kept" and entries(cache) == []
+    assert link.is_symlink()
+
+
+def test_interrupted_write_leaves_no_temporary_file(tmp_path, cache, monkeypatch):
+    path = document(tmp_path, "network-relation")
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        read(path)
+    assert list(cache.iterdir()) == []
+
+
+def test_stale_temporary_files_are_deleted(tmp_path, cache):
+    cache.mkdir(parents=True, mode=0o700)
+    stale, fresh = cache / ".a.1.tmp", cache / ".b.2.tmp"
+    for f in (stale, fresh):
+        f.write_bytes(bytes(1000))
+    old = stale.stat().st_mtime_ns - (doccache.STALE_S + 1) * 10 ** 9
+    os.utime(stale, ns=(old, old))
+    read(document(tmp_path, "linear"))
+    assert not stale.exists() and fresh.exists() and len(entries(cache)) == 1
+
+
+def test_entries_stay_within_the_bound(tmp_path, cache, monkeypatch):
+    assert doccache.MAX_BYTES == 256 * 2 ** 20
+    paths = [document(tmp_path, "linear", seed) for seed in range(4)]
+    stored = []
+    for age, path in zip((30, 20, 10), paths):
+        read(path)
+        [entry] = set(entries(cache)) - set(stored)
+        mtime = entry.stat().st_mtime_ns - age * 10 ** 9
+        os.utime(entry, ns=(mtime, mtime))
+        stored.append(entry)
+    sizes = {e.stat().st_size for e in stored}
+    assert len(sizes) == 1
+    # room for three entries: storing a fourth deletes the oldest
+    monkeypatch.setattr(doccache, "MAX_BYTES", 3 * sizes.pop() + 1)
+    read(paths[3])
+    kept = entries(cache)
+    assert len(kept) == 3 and stored[0] not in kept and set(stored[1:]) <= set(kept)
+    assert sum(e.stat().st_size for e in kept) <= doccache.MAX_BYTES
+    # its document is a miss again, stored anew in place of the next oldest
+    read(paths[0])
+    assert set(entries(cache)) == set(kept) - {stored[1]} | {stored[0]}
+
+
+def test_a_miss_holds_the_text_not_the_bytes(tmp_path, cache, monkeypatch):
+    path = document(tmp_path, "linear")
+    size = path.stat().st_size
+    held = []
+
+    def measured(text):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return parse_system_text(text)
+
+    monkeypatch.setattr(phode.cli, "parse_system_text", measured)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        read(path)
+    finally:
+        tracemalloc.stop()
+    # the text alone is one byte a character (ASCII); with the bytes it is two
+    assert held and held[0] - start < 1.5 * size
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_newlines_are_read_as_read_text_reads_them(tmp_path, cache, capsys, newline):
+    text = document(tmp_path, "network-general").read_text()
+    path = tmp_path / "crlf.json"
+    path.write_bytes(text.replace("\n", newline).encode())
+    assert_same(read(path), parse_system_text(text))
+    assert_same(read(path), parse_system_text(text))
+    # a decode error names the line that read_text's newlines give
+    path.write_bytes(text.replace("\n", newline).encode()[:-3] + b"]")
+    with pytest.raises(phode.cli.CliError) as uncached:
+        phode.cli._read(str(path), parse_system_text)
+    assert "line 1:" not in str(uncached.value)
+    assert outcome(["validate", str(path)], capsys) == (1, "", f"phode: {uncached.value}\n")
+
+
+@pytest.mark.parametrize("body", [b"a\r\nb\rc\nd", b"\r\r\n\n\r", b"x\r", b"\r\n" * 40000,
+                                  "caf\u00e9\r\n\U0001f600\r".encode(), b""])
+def test_every_read_decodes_as_read_text(tmp_path, body):
+    # one decoder for every size and for every file _read reads
+    path = tmp_path / "text"
+    path.write_bytes(body)
+    assert phode.cli._read(str(path), lambda text: text) == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("body", [b"ab\xffcd", b"\r\n\xe9\r\n", b"ok\xe2\x82"])
+def test_every_read_fails_to_decode_where_read_text_fails(tmp_path, body):
+    path = tmp_path / "text"
+    path.write_bytes(body)
+    with pytest.raises(UnicodeDecodeError) as ref:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(phode.cli.CliError) as exc:
+        phode.cli._read(str(path), lambda text: text)
+    assert str(exc.value) == (f"{path}: not UTF-8 text: byte 0x{body[ref.value.start]:02x} "
+                              f"at position {ref.value.start}")
+
+
+def test_non_utf8_error_line_is_that_of_a_small_document(tmp_path, cache, capsys):
+    text = document(tmp_path, "linear").read_text()
+    lines = []
+    for name, body in (("big.json", text), ("small.json", text[:1000])):
+        path = tmp_path / name
+        path.write_bytes(body[:500].encode() + b"\xff" + body[500:].encode())
+        assert main(["validate", str(path)]) == 1
+        lines.append(capsys.readouterr().err.replace(name, "DOC"))
+    assert lines[0] == lines[1] == "phode: " + str(tmp_path / "DOC") + (
+        ": not UTF-8 text: byte 0xff at position 500\n")

@@ -390,6 +390,21 @@ class TestPipeline:
             assert_one_line_error(capsys, error)
             assert not out.exists()
 
+    def test_coupling_skew_to_5e_11_is_general_only(self, tmp_path, capsys):
+        # C + C^T is 5e-11 of C's largest entry: above SKEW_COUPLING_TOL, so
+        # skew mode refuses C, while its symmetric part (2.5e-11 I) leaves W
+        # semidefinite, and the general mode condenses into a valid system
+        assert phode.core.SKEW_COUPLING_TOL < 5e-11 < phode.core.STRUCTURE_TOL
+        net = write_json(tmp_path / "net.json",
+                         general_network_doc([[2.5e-11, 1.], [-1., 2.5e-11]]))
+        out = tmp_path / "m.json"
+        assert main(["condense", net, "--mode", "skew", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "not skew-symmetric; use condense_general")
+        assert not out.exists()
+        assert main(["condense", net, "--mode", "general", "-o", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [["condense", "--mode", "skew"],
                                       ["condense", "--mode", "general"],
                                       ["cosim", "--x0", "1,1"]], ids=["skew", "general", "cosim"])

@@ -10,11 +10,15 @@ SECONDS the ``run_seconds`` of ``BENCHMARK.json``.  The parent side is
 temporary directory; the change side is the checkout that holds this
 script, uncommitted edits included.  Odd pairs run the parent first, even
 pairs the change first, and each run compiles into a fresh bytecode cache
-of its own (see ``run_side``).  Every side keeps the result line of its
-run (the last line: ``correct``, ``attempted``, ``failed``, ``metrics``)
-and its ``known_defect_probes`` line; per workload the output has each
-side's medians and quartiles, per metric the number of pairs the change
-won (ties count for neither side), and a ``verdict`` per end-to-end metric
+of its own and starts from an empty document cache (see ``run_side``).
+Every side keeps the result line of its run (the last line: ``correct``,
+``attempted``, ``failed``, ``metrics``), its ``known_defect_probes``
+line and the wall time of each of its passes (``raw_pass_wall_s``); per
+workload the output has each side's medians and quartiles, per
+metric the number of pairs the change won (ties count for neither side),
+each side's median and quartiles of its runs' first pass
+(``first_pass_wall_s``, the pass on an empty document cache), and a
+``verdict`` per end-to-end metric
 (see ``verdict``): ``--claim METRIC@WORKLOAD`` names the metric the change
 claims to improve on that workload.  ``--traced N`` then runs N more
 alternating pairs per workload with ``--trace 1`` and keeps, under
@@ -80,6 +84,15 @@ def summarize(pairs: list, better: dict) -> dict:
             "change_wins": wins}
 
 
+def first_pass(pairs: list) -> dict:
+    """Per side the median and quartiles of the wall time of each run's
+    first pass (``raw_pass_wall_s[0]``, not scaled by the host's speed): the
+    pass that starts from an empty document cache."""
+    firsts = {s: [p[s]["raw_pass_wall_s"][0] for p in pairs] for s in SIDES}
+    return {s: {"median": float(np.median(v)), "quartiles": np.percentile(v, [25, 75]).tolist()}
+            for s, v in firsts.items()}
+
+
 def verdict(pairs: list, end_to_end: dict, claim: str | None = None) -> dict:
     """Per metric of one workload's pairs, ``end_to_end`` mapping a metric
     name to its ``BENCHMARK.json`` entry (``better``, ``bound``).
@@ -121,14 +134,18 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     directory of its own (``PYTHONPYCACHEPREFIX``), written by the run
     whatever ``PYTHONDONTWRITEBYTECODE`` says: a checkout's ``__pycache__``
     would otherwise give the change side compiled modules that the
-    unpacked parent lacks, and ``setup_s`` would favour it."""
+    unpacked parent lacks, and ``setup_s`` would favour it.  Its document
+    cache (``XDG_CACHE_HOME``, see phode.doccache) is fresh too, so that no
+    run reads the entries of another."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache, \
+            tempfile.TemporaryDirectory(prefix="bench-xdg-cache-") as xdg_cache:
         proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                                "--seed", str(seed), "--seconds", str(seconds),
                                "--trace", str(trace)],
                               cwd=tree, capture_output=True, text=True,
-                              env={**env, "PYTHONPYCACHEPREFIX": cache})
+                              env={**env, "PYTHONPYCACHEPREFIX": cache,
+                                   "XDG_CACHE_HOME": xdg_cache})
     try:
         return parse_output(proc.stdout)
     except ValueError:
@@ -145,6 +162,8 @@ def run_pair(trees: dict, workload: str, i: int, n: int, seed: int, seconds: flo
         print(f"bench_pairs: {workload}{label} pair {i}/{n} {side}", file=sys.stderr)
         sides[side] = run_side(trees[side], workload, seed, seconds, trace)
     runs = {s: sides[s].pop("run") for s in SIDES}
+    for s in SIDES:
+        sides[s]["raw_pass_wall_s"] = runs[s]["raw_pass_wall_s"]
     return {"pair": i, **sides}, {k: runs["change"][k] for k in HOST_KEYS}
 
 
@@ -214,7 +233,7 @@ def main(argv=None) -> int:
                 entry.update(summarize(pairs, better),
                              verdict=verdict(pairs, end_to_end,
                                              claim if workload == claim_workload else None),
-                             pairs=pairs)
+                             first_pass_wall_s=first_pass(pairs), pairs=pairs)
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
             for i in range(1, args.traced + 1):
                 traced.append(run_pair(trees, workload, i, args.traced, args.seed, seconds,
