@@ -13,7 +13,7 @@ import re
 import stat
 import sys as _sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -54,17 +54,31 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_USAGE)
 
 
-def _read(path: str, parse, cached: bool = False):
+@contextmanager
+def _about(path: str):
+    """A file that cannot be read or decoded as UTF-8, or whose content is
+    refused with a ValueError, is a usage error that names it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                       f"at position {exc.start}")
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}")
+
+
+def _read(path: str, parse, cached: bool = False, kind: str = doccache.SYSTEM):
     """``parse`` applied to the text of a file, decoded as UTF-8 with
     universal newlines (as ``Path.read_text`` decodes it); a file that
     cannot be read or decoded, or whose text ``parse`` refuses with a
-    ValueError, is a usage error.  With ``cached``, the result for a file of
-    at least ``doccache.MIN_BYTES`` is taken from, or stored in, the
-    document cache (see phode.doccache)."""
-    try:
+    ValueError, is a usage error (see ``_about``).  With ``cached``, the
+    result for a file of at least ``doccache.MIN_BYTES`` is taken from, or
+    stored in, the document cache under ``kind`` (see phode.doccache)."""
+    with _about(path):
         data = Path(path).read_bytes()
-        key = doccache.key_of(data) if cached and len(data) >= doccache.MIN_BYTES else None
-        obj = doccache.get(key)
+        key = (doccache.key_of(data, kind)
+               if cached and len(data) >= doccache.MIN_BYTES else None)
+        obj = doccache.get(key, kind)
         if obj is None:
             text = data.decode("utf-8")
             del data            # only the text stays alive while it is parsed
@@ -74,11 +88,6 @@ def _read(path: str, parse, cached: bool = False):
             del text
             doccache.put(key, obj)
         return obj
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                       f"at position {exc.start}")
-    except (OSError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}")
 
 
 @contextmanager
@@ -124,12 +133,21 @@ def _structure(obj) -> list:
 _WRITE_SLICE_CHARS = 2 ** 16
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, text: str, kind: str | None = None) -> str | None:
     """Write ``text`` to the file ``path``, or to standard output when path
     is None or "-", in slices of ``_WRITE_SLICE_CHARS`` characters; a file
     that cannot be written is a usage error.  An existing regular file is
     written over in place and then cut to the length that reached it, also
-    when a write fails; other targets are never truncated."""
+    when a write fails; other targets are never truncated.  With ``kind``,
+    returns the document cache key (see phode.doccache) of a file's text of
+    at least ``doccache.MIN_BYTES`` characters, hashed a slice at a time,
+    and None for any other target or text.  The key is of the UTF-8 text,
+    which is what the file receives of an ASCII text where a newline is
+    written as it is (POSIX)."""
+    h = None
+    if (kind is not None and path not in (None, "-") and os.linesep == "\n"
+            and len(text) >= doccache.MIN_BYTES):
+        h = doccache.hasher(kind)
     try:
         if path is None or path == "-":
             _write_slices(_sys.stdout, text)
@@ -138,7 +156,7 @@ def _write(path: str | None, text: str):
                 fd = f.fileno()
                 old = os.fstat(fd)
                 try:
-                    _write_slices(f, text)
+                    _write_slices(f, text, h)
                     f.flush()
                 finally:
                     # cut the old file's tail without another flush, which
@@ -147,15 +165,48 @@ def _write(path: str | None, text: str):
                         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         raise CliError(f"{path or '-'}: {exc}")
+    return None if h is None else h.hexdigest()
 
 
 def _open_untruncated(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_slices(f, text: str):
+def _write_slices(f, text: str, h=None):
     for a in range(0, len(text), _WRITE_SLICE_CHARS):
-        f.write(text[a:a + _WRITE_SLICE_CHARS])
+        piece = text[a:a + _WRITE_SLICE_CHARS]
+        f.write(piece)
+        if h is not None:
+            h.update(piece.encode())
+
+
+def _write_trajectory(path: str | None, traj: Trajectory, rep):
+    """Write the CSV of ``traj`` and its energy report ``rep`` (see
+    ``_write``); a file of at least ``doccache.MIN_BYTES`` bytes gets the
+    document cache entry of its table (see ``_store_table``)."""
+    _store_table(_write(path, write_trajectory(traj, rep), doccache.TRAJECTORY), traj, rep)
+
+
+def _store_table(key: str | None, traj: Trajectory, rep):
+    """Store under ``key`` (nothing when it is None) the table that
+    ``read_trajectory`` reads from the CSV of ``traj`` and ``rep``: t, the
+    states, H and the residuals after a leading 0.  An entry that is there
+    is kept, since a content key means its bytes are the same.  A table
+    that does not fit is not stored: no exit code depends on the cache."""
+    if key is None or doccache.has(key):
+        return
+    with suppress(MemoryError):
+        res = np.zeros(len(traj.t))
+        res[1:] = rep.residuals
+        table = np.column_stack([traj.t, traj.x, traj.H, res])
+        if np.all(np.isfinite(table)):      # read_trajectory refuses any other
+            doccache.put(key, table)
+
+
+def _trajectory_table(text: str) -> np.ndarray:
+    """The table of a trajectory CSV whose columns ``read_trajectory``
+    returns as views: t, the states, H and the residuals."""
+    return read_trajectory(text)[0].base
 
 
 def _cmd_validate(args):
@@ -221,8 +272,7 @@ def _cmd_simulate(args):
     x0 = _parse_x0(args.x0, obj.n)
     run = implicit_midpoint if args.method == "midpoint" else strang_split
     traj = run(obj, x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    rep = energy_report(traj, obj)
-    _write(args.output, write_trajectory(traj, rep))
+    _write_trajectory(args.output, traj, energy_report(traj, obj))
     return EXIT_OK
 
 
@@ -241,8 +291,7 @@ def _cmd_cosim(args):
         traj = dynamic_iteration(net, mode=args.mode, window=args.window,
                                  sweeps=args.sweeps, inner=inner,
                                  x0=x0, t0=args.t0, t1=args.t1, dt=args.dt)
-    rep = energy_report(traj, mono)
-    _write(args.output, write_trajectory(traj, rep))
+    _write_trajectory(args.output, traj, energy_report(traj, mono))
     # after the write, so that a failure stays the one line on stderr
     for w in caught:
         print(f"phode: warning: {w.message}", file=_sys.stderr)
@@ -251,14 +300,12 @@ def _cmd_cosim(args):
 
 def _cmd_report(args):
     obj = _load(args.system, LinearPHSystem)
-
-    def stored(text):
-        t, x, h, _ = read_trajectory(text)
-        zeros = np.zeros((len(t), obj.m))
-        return Trajectory(t=t, x=x, u=zeros, y=zeros, H=h, method="file")
-
-    rep = energy_report(_read(args.trajectory, stored), obj)
-    print(rep.summary())
+    table = _read(args.trajectory, _trajectory_table, cached=True, kind=doccache.TRAJECTORY)
+    zeros = np.zeros((len(table), obj.m))
+    with _about(args.trajectory):
+        traj = Trajectory(t=table[:, 0], x=table[:, 1:-2], u=zeros, y=zeros,
+                          H=table[:, -2], method="file")
+    print(energy_report(traj, obj).summary())
     return EXIT_OK
 
 

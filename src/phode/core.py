@@ -42,6 +42,13 @@ STRUCTURE_TOL = 1e-10
 #: relative tolerance of a skew coupling matrix C (C + C^T against C's
 #: largest entry), which decides whether condense_skew accepts C
 SKEW_COUPLING_TOL = 1e-12
+#: relative tolerance of a decoupling: of L's entries off the diagonal
+#: blocks (against L's largest entry), and of each block pair's port
+#: residual (against the larger of its two sides)
+DECOUPLE_TOL = 1e-12
+#: round-off margin of a decaying Hamiltonian: an undriven step may raise
+#: H by this much times 1 + |H| before energy_report flags it
+DECAY_TOL = 1e-12
 #: tolerance of a callback system's gradient compatibility, whose residual
 #: is that of a finite-difference gradient
 FD_COMPAT_TOL = 1e-6

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionError, LinearPHSystem, _clip, _rcond, _slices
+from .core import (DECOUPLE_TOL, E_RCOND_MIN, DimensionError, LinearPHSystem, _clip,
+                   _rcond, _slices)
 from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 
 
@@ -73,7 +74,7 @@ def apply_transform(sys: LinearPHSystem, T: np.ndarray) -> LinearPHSystem:
         raise DimensionError("transform matrix must be square")
     if len(t) != sys.n:
         raise DimensionError(f"transform matrix must be {sys.n}x{sys.n}, got {len(t)}x{len(t)}")
-    if _rcond(t) <= 1e-12:
+    if _rcond(t) <= E_RCOND_MIN:
         raise ValueError("transform matrix is singular or too ill-conditioned")
     if not sys.is_linear:
         raise TypeError("state transformations are executed on linear-constant systems only")
@@ -122,7 +123,7 @@ def _require_separable(sys: LinearPHSystem, ranges):
     # with E block-diagonal and regular blocks, L = E^{-T} Q inherits the
     # block structure; guard against descriptor corner cases anyway
     l_off = _offdiag(sys.L, ranges)
-    if np.max(np.abs(l_off), initial=0.0) > 1e-12 * np.max(np.abs(sys.L)):
+    if np.max(np.abs(l_off), initial=0.0) > DECOUPLE_TOL * np.max(np.abs(sys.L)):
         raise ValueError("effort matrix not block-diagonal w.r.t. the partition")
 
 
@@ -167,7 +168,7 @@ def decouple_auto(sys: LinearPHSystem, partition: Partition | Sequence[int]) -> 
 
 def _verify_blocks(sys: LinearPHSystem, ranges, ports, block, pairs):
     """Check Bhat_i C_ij Bhat_j^T = -(J_ij - R_ij) for each block pair (i, j)
-    to 1e-12 relative to the larger of the two sides; raise a
+    to ``DECOUPLE_TOL`` relative to the larger of the two sides; raise a
     :class:`VerificationFailure` for the worst pair that misses."""
     worst, worst_pair, worst_res = 0.0, None, None
     for i, j in pairs:
@@ -178,7 +179,7 @@ def _verify_blocks(sys: LinearPHSystem, ranges, ports, block, pairs):
         res = product + target
         mr = float(np.max(np.abs(res), initial=0.0))
         scale = max(np.max(np.abs(target), initial=0.0), np.max(np.abs(product), initial=0.0))
-        if mr > 1e-12 * scale and mr > worst:
+        if mr > DECOUPLE_TOL * scale and mr > worst:
             worst, worst_pair, worst_res = mr, (i, j), res
     if worst_pair is not None:
         raise VerificationFailure(f"ports do not reproduce off-diagonal block pair {worst_pair}",

@@ -1,18 +1,22 @@
-"""The command line's cache of parsed system documents, keyed by content.
+"""The command line's cache of parsed documents, keyed by content.
 
-A document's entry sits in ``$XDG_CACHE_HOME/phode`` (``~/.cache/phode``
-when the variable is unset or not an absolute path), named by the SHA-256
-of the document's bytes together with everything else its parse depends on:
-the source of the phode modules, the Python and NumPy versions and
+Two kinds of document have entries: a system document (``SYSTEM``), whose
+system or network every command that loads one stores, and a trajectory
+CSV (``TRAJECTORY``), whose table of values ``report`` stores and
+``simulate -o`` and ``cosim -o`` store as they write it.  An entry sits in
+``$XDG_CACHE_HOME/phode`` (``~/.cache/phode`` when the variable is unset
+or not an absolute path), named by the SHA-256 of the document's bytes
+together with its kind and everything else its parse depends on: the
+source of the phode modules, the Python and NumPy versions and
 ``sys.get_int_max_str_digits()``.  An entry is one line of JSON (the key,
-the kind of the document and the shape and memory order of each matrix)
-and then the matrices' float64 values, little-endian; a hit rebuilds the
-system or network through the constructors the parser calls.  An entry
-that cannot be read or does not match its key is a miss, and a cache
-location that cannot be read or written leaves every command as it is
-without one.  So does a directory that another user owns or that group or
-others may use at all, and a system without user ids: the cache is only
-ever a private one.
+the kind, the layout of a system or network and the shape and memory order
+of each matrix) and then the matrices' float64 values, little-endian; a
+hit rebuilds the system or network through the constructors the parser
+calls, or the table.  An entry that cannot be read or does not match its
+key and kind is a miss, and a cache location that cannot be read or
+written leaves every command as it is without one.  So does a directory
+that another user owns or that group or others may use at all, and a
+system without user ids: the cache is only ever a private one.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ STALE_S = 600
 _SUFFIX = ".entry"
 _TMP = ".tmp"
 _FIELDS = ("E", "J", "R", "B", "L", "P", "S", "N")
+#: the kinds of document: a system document (a system or network) and a
+#: trajectory CSV (its float64 table, a row per time step)
+SYSTEM, TRAJECTORY = "system", "trajectory"
 
 
 def directory() -> Path:
@@ -64,16 +71,26 @@ def _salt() -> bytes:
     return h.digest()
 
 
-def key_of(data: bytes) -> str | None:
-    """The name of the entry of a document's bytes, None when the package's
-    source cannot be read."""
+def hasher(kind: str):
+    """A SHA-256 object that has taken all of the key of a ``kind`` document
+    but its bytes, None when the package's source cannot be read."""
     import hashlib
     try:
         salt = _salt()
     except OSError:
         return None
     h = hashlib.sha256(salt)
-    h.update(b"%d\0" % getattr(sys, "get_int_max_str_digits", lambda: 0)())
+    h.update(b"%d\0%s\0" % (getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                             kind.encode()))
+    return h
+
+
+def key_of(data: bytes, kind: str = SYSTEM) -> str | None:
+    """The name of the entry of a ``kind`` document's bytes, None when the
+    package's source cannot be read."""
+    h = hasher(kind)
+    if h is None:
+        return None
     h.update(data)
     return h.hexdigest()
 
@@ -88,9 +105,18 @@ def _private(folder: Path) -> bool:
     return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o077
 
 
-def get(key: str | None):
-    """The system or network of the entry ``key``, None when ``key`` is None
-    or there is no whole entry of it in a private cache directory."""
+def has(key: str) -> bool:
+    """Whether there is a file of the entry ``key``, whole or not."""
+    try:
+        return (directory() / (key + _SUFFIX)).is_file()
+    except OSError:
+        return False
+
+
+def get(key: str | None, kind: str = SYSTEM):
+    """The system or network (``kind`` SYSTEM) or table (TRAJECTORY) of the
+    entry ``key``, None when ``key`` is None or there is no whole entry of
+    it and of that kind in a private cache directory."""
     if key is None:
         return None
     try:
@@ -101,8 +127,8 @@ def get(key: str | None):
             entry = f.read()
         start = entry.index(b"\n") + 1
         head = json.loads(entry[:start])
-        if head["key"] != key:
-            raise ValueError("entry of another key")
+        if head["key"] != key or head["kind"] != kind:
+            raise ValueError("entry of another key or kind")
         arrays = []
         for *shape, order in head["arrays"]:
             count = math.prod(shape)
@@ -111,6 +137,11 @@ def get(key: str | None):
             start += 8 * count
         if start != len(entry):
             raise ValueError("entry of another length")
+        if kind == TRAJECTORY:
+            [table] = arrays            # t, the states, H and the residuals
+            if table.ndim != 2 or table.shape[1] < 3:
+                raise ValueError("entry of another layout")
+            return table
         return _rebuild(head["subsystems"], head["coupling"], arrays)
     except (OSError, ValueError, LookupError, TypeError):
         return None
@@ -132,29 +163,34 @@ def _rebuild(subsystems: int | None, coupling: str | None, arrays: list):
 
 
 def _flatten(obj) -> tuple:
-    """(subsystems, coupling, arrays) of a system or network: None, None and
-    its eight matrices, or the subsystem count, "relation" or "spec", and
-    the subsystems' matrices, then the port matrices and C, or M and N."""
+    """The header fields and arrays of a table, system or network: a
+    table's kind and the table; a system's kind, None, None and its eight
+    matrices; a network's kind, subsystem count and "relation" or "spec",
+    and the subsystems' matrices, then the port matrices and C, or M and N."""
+    if isinstance(obj, np.ndarray):
+        return {"kind": TRAJECTORY}, [obj]
     if isinstance(obj, LinearPHSystem):
-        return None, None, [getattr(obj, k) for k in _FIELDS]
+        return ({"kind": SYSTEM, "subsystems": None, "coupling": None},
+                [getattr(obj, k) for k in _FIELDS])
     c = obj.coupling
     tail = [c.M, c.N] if isinstance(c, LinearPortRelation) else [c.C]
     arrays = [getattr(s, k) for s in obj.subsystems for k in _FIELDS]
-    return (len(obj.subsystems), "relation" if len(tail) == 2 else "spec",
+    return ({"kind": SYSTEM, "subsystems": len(obj.subsystems),
+             "coupling": "relation" if len(tail) == 2 else "spec"},
             arrays + list(c.port_matrices) + tail)
 
 
 def put(key: str | None, obj):
-    """Store the entry ``key`` of ``obj`` (nothing when ``key`` is None)
-    through a temporary file, then delete the oldest entries beyond
-    ``MAX_BYTES``."""
+    """Store the entry ``key`` of ``obj``, a system, network or table of
+    float64 values (nothing when ``key`` is None), through a temporary
+    file, then delete the oldest entries beyond ``MAX_BYTES``."""
     if key is None:
         return
-    subsystems, coupling, arrays = _flatten(obj)
+    fields, arrays = _flatten(obj)
     # an array that is Fortran-contiguous only is stored, and rebuilt, in that order
     orders = ["F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
               for a in arrays]
-    head = {"key": key, "subsystems": subsystems, "coupling": coupling,
+    head = {"key": key, **fields,
             "arrays": [[*a.shape, order] for a, order in zip(arrays, orders)]}
     folder = directory()
     tmp = folder / f".{key}.{os.getpid()}{_TMP}"

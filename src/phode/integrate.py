@@ -18,7 +18,7 @@ import numpy as np
 
 from . import coupling
 from .core import (CallbackPHSystem, DimensionError, LinearPHSystem,
-                   SingularFlowError, _rcond, _slices, E_RCOND_MIN, port_power)
+                   SingularFlowError, _rcond, _slices, DECAY_TOL, E_RCOND_MIN, port_power)
 from .coupling import CoupledNetwork
 
 # entries of each prebuilt lifted map and window map in dynamic_iteration
@@ -590,5 +590,5 @@ def energy_report(traj: Trajectory, sys: LinearPHSystem) -> EnergyReport:
                                  "leaves the floating-point range")
     diss_ok = True
     if not driven:
-        diss_ok = bool(np.all(np.diff(traj.H) <= 1e-12 * (1.0 + np.abs(traj.H[:-1]))))
+        diss_ok = bool(np.all(np.diff(traj.H) <= DECAY_TOL * (1.0 + np.abs(traj.H[:-1]))))
     return EnergyReport(residuals=res, dissipation_ok=diss_ok, driven=driven)

@@ -1,10 +1,13 @@
 """The command line's document cache (``phode.doccache``): a hit rebuilds
-exactly what ``parse_system_text`` gives, and a cache that is missing,
-damaged, unreadable or unwritable changes no output and no exit code."""
+exactly what ``parse_system_text`` or ``read_trajectory`` gives, and a
+cache that is missing, damaged, unreadable or unwritable changes no output
+and no exit code."""
 
+import dataclasses
 import json
 import os
 import stat
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -17,7 +20,8 @@ from phode import doccache
 from phode.cli import main
 from phode.coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 from phode.decoupling import Partition, decouple_auto
-from phode.fileio import dump_document, parse_system_text
+from phode.fileio import dump_document, parse_system_text, read_trajectory
+from phode.integrate import EnergyReport, Trajectory
 
 from util import random_linear_ph, random_separable
 
@@ -503,3 +507,220 @@ def test_non_utf8_error_line_is_that_of_a_small_document(tmp_path, cache, capsys
         lines.append(capsys.readouterr().err.replace(name, "DOC"))
     assert lines[0] == lines[1] == "phode: " + str(tmp_path / "DOC") + (
         ": not UTF-8 text: byte 0xff at position 500\n")
+
+
+# ---------------------------------------------------------------------------
+# trajectory tables: simulate -o and cosim -o store them, report reads them
+
+TRAJECTORY = doccache.TRAJECTORY
+
+
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """The texts that ``phode.cli.read_trajectory`` is called with."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return read_trajectory(text)
+
+    monkeypatch.setattr(phode.cli, "read_trajectory", counted)
+    return calls
+
+
+def read_table(path) -> np.ndarray:
+    return phode.cli._read(str(path), phode.cli._trajectory_table, cached=True, kind=TRAJECTORY)
+
+
+def big_system(tmp_path, seed=0) -> Path:
+    path = tmp_path / f"sys-{seed}.json"
+    path.write_text(dump_document(random_linear_ph(np.random.default_rng(seed), n=36, m=2)))
+    assert path.stat().st_size >= doccache.MIN_BYTES
+    return path
+
+
+def x0(n):
+    return ",".join(f"{0.1 * (i % 7) - 0.3:g}" for i in range(n))
+
+
+# name -> (argv of a run writing a CSV of at least MIN_BYTES, the document)
+def runs(tmp_path) -> dict:
+    system = str(big_system(tmp_path))
+    network = str(document(tmp_path, "network-skew"))
+    simulate = ["simulate", system, "--x0", x0(36), "--t1", "1"]
+    return {"midpoint": (simulate, system),
+            "strang": (simulate + ["--method", "strang"], system),
+            "cosim": (["cosim", network, "--x0", x0(60), "--t1", "1",
+                       "--mode", "gauss-seidel"], network)}
+
+
+def assert_same_columns(table, text):
+    """The columns of ``table`` are, bit for bit and stride for stride, the
+    arrays ``read_trajectory`` reads from ``text``."""
+    views = (table[:, 0], table[:, 1:-2], table[:, -2], table[:, -1])
+    for a, b in zip(views, read_trajectory(text)):
+        assert_same_array(a, b)
+        assert a.strides == b.strides
+
+
+@pytest.mark.parametrize("run", ["midpoint", "strang", "cosim"])
+def test_a_written_trajectory_is_a_hit_that_is_the_parse(tmp_path, cache, csv_parses, run):
+    argv, _ = runs(tmp_path)[run]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) >= doccache.MIN_BYTES and len(entries(cache)) == 2
+    # the writer's entry is the table of the file's bytes
+    stored = doccache.get(doccache.key_of(data, TRAJECTORY), TRAJECTORY)
+    assert_same_columns(stored, out.read_text())
+    assert read_trajectory(out.read_text())[0].base.shape == stored.shape
+    hit = read_table(out)
+    assert csv_parses == []
+    assert_same_columns(hit, out.read_text())
+
+
+def test_report_is_the_same_on_a_hit_and_without_a_cache(tmp_path, monkeypatch, cache,
+                                                          csv_parses, capsys):
+    argv, system = runs(tmp_path)["midpoint"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    report = ["report", str(out), system]
+    hit = outcome(report, capsys)
+    assert hit[0] == 0 and hit[2] == "" and csv_parses == []
+    (tmp_path / "a-file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a-file"))
+    assert outcome(report, capsys) == hit
+    assert len(csv_parses) == 1
+
+
+def test_an_edited_csv_misses(tmp_path, cache, csv_parses, capsys):
+    argv, system = runs(tmp_path)["midpoint"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    text = out.read_text()
+    lines = text.split("\n")
+    cells = lines[3].split(",")
+    # row 3's H, one digit changed: the same length, another value
+    digit = next(i for i, ch in enumerate(cells[-2]) if ch in "123456789")
+    cells[-2] = cells[-2][:digit] + str(int(cells[-2][digit]) % 9 + 1) + cells[-2][digit + 1:]
+    edited = "\n".join(lines[:3] + [",".join(cells)] + lines[4:])
+    assert len(edited) == len(text) and edited != text
+    out.write_text(edited)
+    table = read_table(out)
+    assert len(csv_parses) == 1
+    assert table[2, -2] == float(cells[-2]) != read_trajectory(text)[2][2]
+    assert_same_columns(table, edited)
+    # a cell that is no number: the row and column line, on every report
+    cells[-2] = "x" * len(cells[-2])
+    out.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]))
+    for _ in range(2):
+        code, stdout, err = outcome(["report", str(out), system], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"phode: {out}: row 3: non-numeric cell: ")
+        assert err.endswith(f"in column {len(cells) - 1}.\n")
+
+
+def test_a_repeated_time_is_refused_on_a_miss_and_on_a_hit(tmp_path, cache, csv_parses,
+                                                            capsys):
+    argv, system = runs(tmp_path)["midpoint"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", "-"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    out.write_text("\n".join(lines[:3] + lines[2:]))        # row 2 twice
+    assert out.stat().st_size >= doccache.MIN_BYTES
+    read_trajectory(out.read_text())                        # which the reader takes
+    expected = (1, "", f"phode: {out}: time grid must be strictly increasing\n")
+    assert outcome(["report", str(out), system], capsys) == expected
+    assert len(entries(cache)) == 2 and len(csv_parses) == 1
+    assert outcome(["report", str(out), system], capsys) == expected
+    assert len(csv_parses) == 1                             # the second was a hit
+
+
+def test_the_kind_is_in_the_key(tmp_path, cache, capsys):
+    argv, system = runs(tmp_path)["midpoint"]
+    assert outcome(["validate", system], capsys)[0] == 0    # cached as a system
+    assert len(entries(cache)) == 1
+    assert outcome(["report", system, system], capsys) == (
+        1, "", f"phode: {system}: unexpected trajectory header\n")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert len(entries(cache)) == 2                          # and the CSV's table
+    with pytest.raises(phode.cli.CliError) as uncached:     # the JSON line
+        phode.cli._read(str(out), parse_system_text)
+    assert "not valid JSON" in str(uncached.value)
+    assert outcome(["validate", str(out)], capsys) == (1, "", f"phode: {uncached.value}\n")
+    assert doccache.key_of(out.read_bytes()) != doccache.key_of(out.read_bytes(), TRAJECTORY)
+    # an entry is of the kind its header names, whatever its layout: one
+    # of a single table that names the system kind is no table
+    key = doccache.key_of(out.read_bytes(), TRAJECTORY)
+    entry = cache / f"{key}.entry"
+    whole = entry.read_bytes()
+    start = whole.index(b"\n")
+    head = json.loads(whole[:start])
+    assert_same_columns(doccache.get(key, TRAJECTORY), out.read_text())
+    entry.write_bytes(json.dumps({**head, "kind": "system"}).encode() + whole[start:])
+    assert doccache.get(key, TRAJECTORY) is None
+
+
+def test_standard_output_and_small_texts_store_nothing(tmp_path, cache, capsys):
+    argv, _ = runs(tmp_path)["midpoint"]
+    small = tmp_path / "small.json"
+    small.write_text(dump_document(random_linear_ph(np.random.default_rng(1), n=4)))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", "-"]) == 0
+    assert len(capsys.readouterr().out) >= doccache.MIN_BYTES
+    assert main(["simulate", str(small), "--x0", "1,0,0,0", "--t1", "1", "-o", str(out)]) == 0
+    assert out.stat().st_size < doccache.MIN_BYTES
+    assert main(["report", str(out), str(small)]) == 0
+    assert len(entries(cache)) == 1                          # the big document alone
+
+
+def test_an_entry_that_is_there_is_not_written_again(tmp_path, cache, capsys):
+    argv, _ = runs(tmp_path)["strang"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    [entry] = [e for e in entries(cache)
+               if e.name.startswith(doccache.key_of(out.read_bytes(), TRAJECTORY))]
+    old = entry.stat().st_mtime_ns - 10 ** 9
+    os.utime(entry, ns=(old, old))
+    assert main(argv + ["-o", str(out)]) == 0
+    assert entry.stat().st_mtime_ns == old
+    # a damaged entry is a miss of the reader, which writes it anew
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[:-8])
+    assert_same_columns(read_table(out), out.read_text())
+    assert entry.read_bytes() == whole
+
+
+def test_a_table_that_read_trajectory_refuses_is_not_stored(cache):
+    # a non-finite value, which read_trajectory refuses in the CSV
+    x = np.array([[1.0], [np.inf], [0.0]])
+    traj = Trajectory(t=np.arange(3.0), x=x, u=np.zeros((3, 0)), y=np.zeros((3, 0)),
+                      H=np.ones(3), method="midpoint")
+    rep = EnergyReport(residuals=np.zeros(2), dissipation_ok=True, driven=False)
+    phode.cli._store_table("0" * 64, traj, rep)
+    assert entries(cache) == []
+    phode.cli._store_table("0" * 64, dataclasses.replace(traj, x=np.ones((3, 1))), rep)
+    assert len(entries(cache)) == 1
+
+
+def test_a_table_that_does_not_fit_changes_nothing(tmp_path, cache, monkeypatch, capsys):
+    argv, system = runs(tmp_path)["cosim"]
+    out = tmp_path / "out.csv"
+    expected = outcome(argv + ["-o", "-"], capsys)
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(doccache, "put", no_memory)
+    assert outcome(argv + ["-o", str(out)], capsys) == (0, "", expected[2])
+    assert out.read_text() == expected[1]
+
+
+def test_importing_the_command_line_loads_no_hashlib():
+    # the first key of a process imports it, so a command on small files never does
+    code = "import sys, phode.cli; print('hashlib' in sys.modules)"
+    src = str(Path(phode.cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"

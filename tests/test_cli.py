@@ -616,6 +616,8 @@ class TestSimulateAndReport:
         csv = tmp_path / "t.csv"
         assert main(["simulate", TWO_MASS, "--x0", "1,0,0,0,0", "--t1", "0.1",
                      "-o", str(csv)]) == 0
+        # an 11-row CSV, under doccache.MIN_BYTES: report parses it, through
+        # the patched name, where a cached table would skip the parse
         monkeypatch.setattr(phode.cli, "read_trajectory", no_memory)
         assert main(["report", str(csv), TWO_MASS]) == 1
         assert_one_line_error(capsys, "out of memory")
@@ -1033,8 +1035,8 @@ class TestOutput:
         monkeypatch.setattr(phode.cli, "_WRITE_SLICE_CHARS", 7)
         slices = phode.cli._write_slices
 
-        def full_after_one_slice(f, text):
-            slices(f, text[:7])
+        def full_after_one_slice(f, text, h=None):
+            slices(f, text[:7], h)
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(phode.cli, "_write_slices", full_after_one_slice)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import phode.decoupling
 from phode.core import DimensionError, LinearPHSystem, validate_structure
 from phode.coupling import (CoupledNetwork, CouplingSpec, LinearPortRelation,
                             condense_general, condense_skew)
@@ -361,3 +362,36 @@ class TestFeedthroughRejected:
         with pytest.raises(ValueError, match="feedthrough"):
             decouple_with_ports(self.feedthrough_system(), (2, 2),
                                 [np.eye(2), np.eye(2)], {})
+
+
+class TestNamedTolerances:
+    """Each verdict of a decoupling is taken at its named tolerance: raising
+    the constant where the module reads it turns the refusal into a pass."""
+
+    def test_transform_condition_follows_e_rcond_min(self, monkeypatch):
+        t = np.diag([1.0, 1.0, 1.0, 1.0, 1e-11])            # rcond 1e-11
+        apply_transform(two_mass(), t)
+        monkeypatch.setattr(phode.decoupling, "E_RCOND_MIN", 1e-10)
+        with pytest.raises(ValueError, match="singular or too ill-conditioned"):
+            apply_transform(two_mass(), t)
+
+    def test_effort_block_test_follows_decouple_tol(self, monkeypatch):
+        # Q = E^T L underflows off the diagonal, so only L's own entries
+        # there, 1e-11 of its largest, show that the split drops them
+        sys = LinearPHSystem(E=1e-320 * np.eye(2), J=np.zeros((2, 2)), R=np.zeros((2, 2)),
+                             B=np.zeros((2, 1)), L=np.array([[1.0, 1e-11], [1e-11, 1.0]]))
+        assert not np.any(sys.Q[0, 1:])
+        with pytest.raises(ValueError, match="effort matrix not block-diagonal"):
+            decouple_auto(sys, (1, 1))
+        monkeypatch.setattr(phode.decoupling, "DECOUPLE_TOL", 1e-10)
+        assert isinstance(decouple_auto(sys, (1, 1)), CoupledNetwork)
+
+    def test_port_residual_follows_decouple_tol(self, monkeypatch):
+        # variant b's coupling block, 1e-11 off
+        ports = [np.array([[0.], [0.], [1.]]), np.array([[-1.], [0.]])]
+        blocks = {(0, 1): [[-1.0 - 1e-11]]}
+        with pytest.raises(VerificationFailure):
+            decouple_with_ports(two_mass(), (3, 2), ports, blocks)
+        monkeypatch.setattr(phode.decoupling, "DECOUPLE_TOL", 1e-10)
+        assert isinstance(decouple_with_ports(two_mass(), (3, 2), ports, blocks),
+                          CoupledNetwork)

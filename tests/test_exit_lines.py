@@ -589,6 +589,8 @@ CASES = {
                         TRAJECTORY_MEMORY, "write_trajectory"),
     "cosim-memory": (["cosim", "net.json", "--x0", "1,0", "--t1", "0.1"], 1,
                      TRAJECTORY_MEMORY, "write_trajectory"),
+    # t.csv is under doccache.MIN_BYTES, so report parses it through the
+    # patched read_trajectory; no cached table skips the parse
     "report-memory": (["report", "t.csv", "sys.json"], 1,
                       TRAJECTORY_MEMORY, "read_trajectory"),
 }

@@ -639,6 +639,16 @@ class TestEnergyReport:
         assert rep.max_residual <= 1e-10
         assert rep.dissipation_ok and not rep.driven
 
+    def test_decay_verdict_follows_decay_tol(self, monkeypatch):
+        sys = two_mass()
+        traj = implicit_midpoint(sys, x0=X0, t1=0.1, dt=0.01)
+        H = traj.H.copy()
+        H[5] = H[4] * (1 + 1e-11)          # a rise of 1e-11 of H, above the margin
+        risen = dataclasses.replace(traj, H=H)
+        assert not energy_report(risen, sys).dissipation_ok
+        monkeypatch.setattr(phode.integrate, "DECAY_TOL", 1e-10)
+        assert energy_report(risen, sys).dissipation_ok
+
     def test_explicit_euler_residuals_larger(self):
         sys = two_mass()
         t, xs = explicit_euler(sys, X0, 0.0, 5.0, 0.01)

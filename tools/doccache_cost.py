@@ -7,15 +7,28 @@ The jobs of the workload are generated by ``perfbench/workloads.py`` (read,
 never changed) in a temporary directory, ``XDG_CACHE_HOME`` is pointed at an
 empty temporary directory, and every job runs once through
 ``phode.cli.main`` (the cold pass), then once more (the warm pass).  Each
-pass counts the reads of documents of at least ``doccache.MIN_BYTES``
-bytes and the hits among them, and its wall time.  Then, for every distinct
-document that was read through the cache, three reads are timed (the median
-of ``--repeat``): ``plain`` is ``Path.read_text`` and ``parse_system_text``
-(the reader without a cache), ``miss`` is a read on an empty cache (key,
-lookup, decode, parse, store and eviction) and ``hit`` a read on the entry
-the miss stored.  ``first_key_s`` is what a process pays once, at its first
-key: importing ``hashlib`` and hashing the package's source, the median of
-``--repeat`` fresh processes.  Prints one JSON object.
+pass counts, per kind of document (``system`` documents and the
+``trajectory`` CSVs that ``report`` reads), the reads of at least
+``doccache.MIN_BYTES`` bytes and the hits among them, and its wall time.
+On the cold pass a CSV that ``simulate -o`` or ``cosim -o`` wrote is a hit
+already.
+
+Then, for every distinct document that was read through the cache, three
+reads are timed (the median of ``--repeat``): ``plain`` is the read without
+a cache (``Path.read_text`` and ``parse_system_text`` for a system
+document, ``phode.cli._read`` uncached for a CSV), ``miss`` a read on an
+empty cache (key, lookup, decode, parse, store and eviction) and ``hit`` a
+read on the entry the miss stored.  For every distinct CSV of at least
+``MIN_BYTES`` that a command wrote, ``render_s`` times ``write_trajectory``
+and ``write_s`` the write of its text without a key, and the writer's
+additions are timed on their own: ``key_s`` hashes the text a slice at a
+time as ``phode.cli._write`` does, ``has_s`` is the existence check that
+finds the entry (the mean of ``HAS_CALLS``) and ``store_s`` the check,
+table and store on an empty cache.  ``first_key_s`` is what a process pays
+once, at its first key (a ``phode simulate`` whose output is large pays it
+even when its document is small): importing ``hashlib`` and hashing the
+package's source, the median of ``--repeat`` fresh processes.  Prints one
+JSON object.
 """
 
 from __future__ import annotations
@@ -49,11 +62,15 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
 import phode.cli  # noqa: E402
 import workloads  # noqa: E402
 from phode import doccache  # noqa: E402
-from phode.fileio import parse_system_text  # noqa: E402
+from phode.fileio import parse_system_text, write_trajectory  # noqa: E402
 
 FIRST_KEY = ("import time; import phode.cli; from phode import doccache; "
              "t = time.perf_counter(); doccache.key_of(b''); "
              "print(time.perf_counter() - t)")
+KINDS = (doccache.SYSTEM, doccache.TRAJECTORY)
+# existence checks timed at once: one alone, right after the collection
+# that ``timed`` makes, reads about 0.2 ms of cold processor caches
+HAS_CALLS = 100
 
 
 def use_cache(folder: str):
@@ -89,30 +106,109 @@ def timed(calls: dict, repeat: int) -> dict:
     return {name: statistics.median(t) for name, t in times.items()}
 
 
+def slice_key(text: str) -> str:
+    """The key ``phode.cli._write`` computes of a CSV's text as it writes it."""
+    h = doccache.hasher(doccache.TRAJECTORY)
+    step = phode.cli._WRITE_SLICE_CHARS
+    for a in range(0, len(text), step):
+        h.update(text[a:a + step].encode())
+    return h.hexdigest()
+
+
+def summary(rows: list, keys: tuple) -> dict:
+    """The count, the totals of ``keys`` and the rows, largest first."""
+    return {"count": len(rows),
+            "total": {k: round(sum(r[k] for r in rows), 4) for k in keys},
+            "rows": [{k: round(v, 5) if k != "bytes" else v for k, v in r.items()}
+                     for r in sorted(rows, key=lambda r: -r["bytes"])]}
+
+
+def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
+    """The plain, miss and hit times of reading each of ``paths`` (bytes to
+    path) as ``kind`` documents with ``parse``."""
+    read, rows = phode.cli._read, []
+    for data, path in paths.items():
+        warm = tempfile.mkdtemp(dir=tmp)
+        use_cache(warm)
+        read(path, parse, True, kind)               # the entry of the hits
+
+        def cached():
+            read(path, parse, True, kind)
+
+        plain = ((lambda: parse_system_text(Path(path).read_text(encoding="utf-8")))
+                 if kind == doccache.SYSTEM else (lambda: read(path, parse)))
+        row = timed({"plain_s": (lambda: None, plain),
+                     "miss_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)), cached),
+                     "hit_s": (lambda: use_cache(warm), cached)}, repeat)
+        rows.append({"bytes": len(data), **row})
+    out = summary(rows, ("plain_s", "miss_s", "hit_s"))
+    out["miss_over_plain"] = (round(out["total"]["miss_s"] / out["total"]["plain_s"], 3)
+                              if rows else None)
+    return out
+
+
+def time_writes(outputs: dict, tmp: str, repeat: int) -> dict:
+    """The render and the write of each CSV of ``outputs`` (text to
+    trajectory and report) and what the writer adds to them: the key, the
+    existence check of an entry that is there and the store of one that is
+    not."""
+    rows = []
+    for text, (traj, rep) in outputs.items():
+        out, key = Path(tempfile.mkdtemp(dir=tmp), "out.csv"), slice_key(text)
+        warm = tempfile.mkdtemp(dir=tmp)
+        use_cache(warm)
+        phode.cli._store_table(key, traj, rep)
+        row = timed({"render_s": (lambda: None, lambda: write_trajectory(traj, rep)),
+                     "write_s": (lambda: None, lambda: phode.cli._write(str(out), text)),
+                     "key_s": (lambda: None, lambda: slice_key(text)),
+                     "has_s": (lambda: use_cache(warm), lambda: [
+                         phode.cli._store_table(key, traj, rep) for _ in range(HAS_CALLS)]),
+                     "store_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)),
+                                 lambda: phode.cli._store_table(key, traj, rep))}, repeat)
+        row["has_s"] /= HAS_CALLS
+        rows.append({"bytes": len(text), **row})
+    out = summary(rows, ("render_s", "write_s", "key_s", "has_s", "store_s"))
+    total = out["total"]
+    for name, adds in (("cold", total["key_s"] + total["store_s"]),
+                       ("warm", total["key_s"] + total["has_s"])):
+        out[f"{name}_adds_over_output"] = (
+            round(adds / (total["render_s"] + total["write_s"]), 3) if rows else None)
+    return out
+
+
 def measure(workload: str, seed: int, repeat: int) -> dict:
     out = {"workload": workload, "seed": seed, "min_bytes": doccache.MIN_BYTES}
-    reads, paths = [], {}
-    get, read = doccache.get, phode.cli._read
+    reads = []
+    paths = {kind: {} for kind in KINDS}
+    outputs = {}
+    get, read, write = doccache.get, phode.cli._read, phode.cli._write_trajectory
 
-    def counted_get(key):
-        obj = get(key)
+    def counted_get(key, kind=doccache.SYSTEM):
+        obj = get(key, kind)
         if key is not None:
-            reads.append(obj is not None)
+            reads.append((kind, obj is not None))
         return obj
 
-    def noted_read(path, parse, cached=False):
+    def noted_read(path, parse, cached=False, kind=doccache.SYSTEM):
         if cached and os.path.isfile(path) and os.path.getsize(path) >= doccache.MIN_BYTES:
-            paths.setdefault(Path(path).read_bytes(), path)
-        return read(path, parse, cached)
+            paths[kind].setdefault(Path(path).read_bytes(), path)
+        return read(path, parse, cached, kind)
+
+    def noted_write(path, traj, rep):
+        write(path, traj, rep)
+        if path not in (None, "-") and os.path.getsize(path) >= doccache.MIN_BYTES:
+            outputs.setdefault(Path(path).read_text(), (traj, rep))
 
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.ExitStack() as stack:
         stack.callback(setattr, doccache, "get", get)
         stack.callback(setattr, phode.cli, "_read", read)
+        stack.callback(setattr, phode.cli, "_write_trajectory", write)
         old = os.environ.get("XDG_CACHE_HOME")
         stack.callback(lambda: os.environ.pop("XDG_CACHE_HOME", None) if old is None
                        else use_cache(old))
         doccache.get, phode.cli._read = counted_get, noted_read
+        phode.cli._write_trajectory = noted_write
         use_cache(str(Path(tmp, "xdg")))
         work = Path(tmp, "work")
         work.mkdir()
@@ -120,35 +216,22 @@ def measure(workload: str, seed: int, repeat: int) -> dict:
         for name in ("cold", "warm"):
             reads.clear()
             wall = run_pass(wl.jobs)
-            out[f"{name}_pass"] = {"wall_s": round(wall, 4), "cached_reads": len(reads),
-                                   "hits": sum(reads)}
+            out[f"{name}_pass"] = {"wall_s": round(wall, 4), **{
+                kind: {"reads": sum(k == kind for k, _ in reads),
+                       "hits": sum(k == kind and hit for k, hit in reads)} for kind in KINDS}}
         doccache.get, phode.cli._read = get, read
-        docs = []
-        for data, path in paths.items():
-            warm = tempfile.mkdtemp(dir=tmp)
-            use_cache(warm)
-            read(path, parse_system_text, True)        # the entry of the hits
-
-            def cached():
-                read(path, parse_system_text, True)
-
-            row = timed({"plain_s": (lambda: None, lambda: parse_system_text(
-                             Path(path).read_text(encoding="utf-8"))),
-                         "miss_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)), cached),
-                         "hit_s": (lambda: use_cache(warm), cached)}, repeat)
-            docs.append({"bytes": len(data), **row})
-    out["documents"] = len(docs)
-    out["total"] = {k: round(sum(d[k] for d in docs), 4)
-                    for k in ("plain_s", "miss_s", "hit_s")}
-    out["miss_over_plain"] = round(out["total"]["miss_s"] / out["total"]["plain_s"], 3) \
-        if docs else None
+        phode.cli._write_trajectory = write
+        out["documents"] = time_reads(paths[doccache.SYSTEM], parse_system_text,
+                                      doccache.SYSTEM, tmp, repeat)
+        out["trajectories"] = time_reads(paths[doccache.TRAJECTORY],
+                                         phode.cli._trajectory_table,
+                                         doccache.TRAJECTORY, tmp, repeat)
+        out["writes"] = time_writes(outputs, tmp, repeat)
     firsts = [float(subprocess.run([sys.executable, "-c", FIRST_KEY], check=True,
                                    capture_output=True, text=True,
                                    env={**os.environ, "PYTHONPATH": str(ROOT / "src")}
                                    ).stdout) for _ in range(repeat)]
     out["first_key_s"] = round(statistics.median(firsts), 4)
-    out["per_document"] = [{k: round(v, 5) if k != "bytes" else v for k, v in d.items()}
-                           for d in sorted(docs, key=lambda d: -d["bytes"])]
     return out
 
 
