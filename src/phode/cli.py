@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LinearPHSystem, SingularFlowError, validate_structure
+from .core import LinearPHSystem, SingularFlowError, structure_failures, validate_structure
 from .coupling import CoupledNetwork, LinearPortRelation, condense_general, condense_skew
 from .decoupling import (Partition, VerificationFailure, decouple_auto,
                          decouple_with_ports)
@@ -104,28 +104,22 @@ def _refusal():
 
 def _load(path: str, kind=None):
     """The system or network of the document at ``path``, refused with exit
-    2 when a system in it fails its structure check; when ``kind`` is given
-    (LinearPHSystem or CoupledNetwork), a document of another kind is a
-    usage error, raised after the check."""
+    2 when a system in it fails one of the three structural checks (E's
+    reciprocal condition, which no verdict reads, is left to the commands
+    that use it); when ``kind`` is given (LinearPHSystem or CoupledNetwork),
+    a document of another kind is a usage error, raised after the check."""
     obj = _read(path, parse_system_text, cached=True)
-    for label, rep in _structure(obj):
-        if not rep.passed:
-            where = f"{label}: " if isinstance(obj, CoupledNetwork) else ""
-            raise CliError(f"{path}: structure validation failed: {where}{rep.failures()}",
+    network = isinstance(obj, CoupledNetwork)
+    for i, sub in enumerate(obj.subsystems if network else (obj,), 1):
+        failed = structure_failures(sub)
+        if failed:
+            where = f"subsystem {i}: " if network else ""
+            raise CliError(f"{path}: structure validation failed: {where}{failed}",
                            EXIT_VALIDATION)
     if kind is not None and not isinstance(obj, kind):
         name = "linear system" if kind is LinearPHSystem else "network"
         raise CliError(f"{path}: expected a {name} document")
     return obj
-
-
-def _structure(obj) -> list:
-    """(label, structure report) of each system of the document ``obj``:
-    "system" for a system, "subsystem i" for the i-th of a network."""
-    if isinstance(obj, CoupledNetwork):
-        return [(f"subsystem {i}", validate_structure(sub))
-                for i, sub in enumerate(obj.subsystems, 1)]
-    return [("system", validate_structure(obj))]
 
 
 # characters handed to one write call: each slice is copied and encoded on
@@ -141,13 +135,13 @@ def _write(path: str | None, text: str, kind: str | None = None) -> str | None:
     when a write fails; other targets are never truncated.  With ``kind``,
     returns the document cache key (see phode.doccache) of a file's text of
     at least ``doccache.MIN_BYTES`` characters, hashed a slice at a time,
-    and None for any other target or text.  The key is of the UTF-8 text,
-    which is what the file receives of an ASCII text where a newline is
-    written as it is (POSIX)."""
+    and None for any other target or text.  The key is of the text's ASCII
+    bytes, which are what the file receives of an ASCII text where a
+    newline is written as it is (POSIX); any other text gets none."""
     h = None
     if (kind is not None and path not in (None, "-") and os.linesep == "\n"
-            and len(text) >= doccache.MIN_BYTES):
-        h = doccache.hasher(kind)
+            and len(text) >= doccache.MIN_BYTES and text.isascii()):
+        h = doccache.hasher(kind, len(text))
     try:
         if path is None or path == "-":
             _write_slices(_sys.stdout, text)
@@ -210,7 +204,12 @@ def _trajectory_table(text: str) -> np.ndarray:
 
 
 def _cmd_validate(args):
-    reports = _structure(_read(args.system, parse_system_text, cached=True))
+    obj = _read(args.system, parse_system_text, cached=True)
+    if isinstance(obj, CoupledNetwork):
+        reports = [(f"subsystem {i}", validate_structure(sub))
+                   for i, sub in enumerate(obj.subsystems, 1)]
+    else:
+        reports = [("system", validate_structure(obj))]
     for label, rep in reports:
         print(f"== {label} ==")
         print(rep.summary())

@@ -88,8 +88,10 @@ def _slices(sizes) -> tuple:
 
 
 def _rcond(mat: np.ndarray) -> float:
-    """Reciprocal condition estimate (0 for rank-deficient matrices)."""
-    if mat.size == 0:
+    """Reciprocal condition estimate (0 for rank-deficient matrices); 1 for
+    an exact identity without an SVD, which gives exactly 1 there too."""
+    if mat.size == 0 or (mat.shape[0] == mat.shape[1] and np.count_nonzero(mat) == len(mat)
+                         and (mat.diagonal() == 1.0).all()):
         return 1.0
     s = np.linalg.svd(mat, compute_uv=False)
     if s[0] == 0.0:
@@ -247,12 +249,9 @@ class StructureReport:
 
     def _rows(self) -> list:
         """(name, ok, figure) of the three structural checks, then E regular."""
-        return [
-            ("Gamma skew-symmetric", self.skew_ok, f"max violation {self.skew_violation:.3e}"),
-            ("W positive semidefinite", self.psd_ok, f"min eigenvalue {self.min_eigenvalue:.3e}"),
-            ("gradient compatibility", self.compat_ok, f"max residual {self.compat_residual:.3e}"),
-            ("E regular", self.e_regular, f"rcond {self.e_rcond:.3e}"),
-        ]
+        return [*_check_rows(self.skew_ok, self.skew_violation, self.psd_ok,
+                             self.min_eigenvalue, self.compat_ok, self.compat_residual),
+                ("E regular", self.e_regular, f"rcond {self.e_rcond:.3e}")]
 
     def summary(self) -> str:
         return "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
@@ -260,7 +259,21 @@ class StructureReport:
 
     def failures(self) -> str:
         """The failed structural checks with their figures, on one line."""
-        return "; ".join(f"{name}: {detail}" for name, ok, detail in self._rows()[:3] if not ok)
+        return _failures(self._rows()[:3])
+
+
+def _check_rows(skew_ok, skew_violation, psd_ok, min_eigenvalue, compat_ok,
+                compat_residual) -> list:
+    """(name, ok, figure) of the three structural checks."""
+    return [
+        ("Gamma skew-symmetric", skew_ok, f"max violation {skew_violation:.3e}"),
+        ("W positive semidefinite", psd_ok, f"min eigenvalue {min_eigenvalue:.3e}"),
+        ("gradient compatibility", compat_ok, f"max residual {compat_residual:.3e}"),
+    ]
+
+
+def _failures(rows) -> str:
+    return "; ".join(f"{name}: {detail}" for name, ok, detail in rows if not ok)
 
 
 def _block2(a, b, c, d) -> np.ndarray:
@@ -325,8 +338,27 @@ def validate_structure(sys: PHSystem,
     checks.  Gamma and W are built once per state; with E, and L for a
     linear system, they hold every coefficient, so their finiteness is that
     of the system.  Every verdict is taken at ``STRUCTURE_TOL``, a callback
-    system's gradient compatibility at ``FD_COMPAT_TOL``.
+    system's gradient compatibility at ``FD_COMPAT_TOL``.  E's reciprocal
+    condition, the smallest over the states, is informational.
     """
+    figures, coeffs = _checks(sys, samples)
+    rc = sys.e_rcond if sys.is_linear else min(_rcond(E) for E, *_ in coeffs)
+    return StructureReport(*figures, e_regular=rc > E_RCOND_MIN, e_rcond=float(rc))
+
+
+def structure_failures(sys: LinearPHSystem) -> str:
+    """``validate_structure(sys).failures()`` of a linear system: its failed
+    structural checks with their figures, on one line ("" when all three
+    pass), without E's reciprocal condition, which no verdict reads and
+    which costs an SVD."""
+    figures, _ = _checks(sys, None)
+    return _failures(_check_rows(*figures))
+
+
+def _checks(sys: PHSystem, samples) -> tuple:
+    """The figures of the three structural checks of ``validate_structure``
+    (the first six fields of its report, in order) and the coefficients at
+    each state."""
     if sys.is_linear:
         states = [np.zeros(sys.n)]
     else:
@@ -359,24 +391,15 @@ def validate_structure(sys: PHSystem,
         res = float(np.abs(q - q.T).max()) if q.size else 0.0
         compat_ok = res <= STRUCTURE_TOL * (1.0 / es / ls + top)
         compat_res = res * es * ls
-        rc = sys.e_rcond
     else:
         compat_res = 0.0
-        rc = np.inf
         for x, (E, *_) in zip(states, coeffs):
             ez = E.T @ np.asarray(sys.effort(x), dtype=float)
             g = _fd_gradient(sys.hamiltonian, x)
             compat_res = max(compat_res,
                              float(np.linalg.norm(g - ez) / (1.0 + np.linalg.norm(ez))))
-            rc = min(rc, _rcond(E))
         compat_ok = compat_res <= FD_COMPAT_TOL
-
-    return StructureReport(
-        skew_ok=skew_ok, skew_violation=skew_viol * s,
-        psd_ok=psd_ok, min_eigenvalue=min_eig,
-        compat_ok=compat_ok, compat_residual=compat_res,
-        e_regular=rc > E_RCOND_MIN, e_rcond=float(rc),
-    )
+    return (skew_ok, skew_viol * s, psd_ok, min_eig, compat_ok, compat_res), coeffs
 
 
 def _check_input(sys, u):

@@ -8,15 +8,19 @@ CSV (``TRAJECTORY``), whose table of values ``report`` stores and
 or not an absolute path), named by the SHA-256 of the document's bytes
 together with its kind and everything else its parse depends on: the
 source of the phode modules, the Python and NumPy versions and
-``sys.get_int_max_str_digits()``.  An entry is one line of JSON (the key,
-the kind, the layout of a system or network and the shape and memory order
-of each matrix) and then the matrices' float64 values, little-endian; a
-hit rebuilds the system or network through the constructors the parser
-calls, or the table.  An entry that cannot be read or does not match its
-key and kind is a miss, and a cache location that cannot be read or
-written leaves every command as it is without one.  So does a directory
-that another user owns or that group or others may use at all, and a
-system without user ids: the cache is only ever a private one.
+``sys.get_int_max_str_digits()``; a document of at least ``SPLIT_BYTES``
+is keyed by the digests of its two halves, the second taken on a worker
+thread.  An entry is one line of JSON (the key, the kind, the layout of a
+system or network and the shape and memory order of each matrix), padded
+to a multiple of 8 bytes, and then the matrices' float64 values,
+little-endian.  A hit reads the entry into one buffer, whose aligned
+slices are the matrices, and rebuilds the system or network through the
+constructors the parser calls, or the table, without a copy.  An entry
+that cannot be read, is misaligned or does not match its key and kind is a
+miss, and a cache location that cannot be read or written leaves every
+command as it is without one.  So does a directory that another user owns
+or that group or others may use at all, and a system without user ids:
+the cache is only ever a private one.
 """
 
 from __future__ import annotations
@@ -37,8 +41,16 @@ import numpy as np
 from .core import LinearPHSystem
 from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 
-#: documents below this many bytes parse faster than a lookup takes
+#: documents below this many bytes are never cached: in a warm process a
+#: lookup and a hit (0.14 ms at 4.5 KB) cost less than the parse (0.26 ms),
+#: but a one-shot command pays about 5 ms at its first key and every store
+#: about 1-2 ms whatever its size, which a small document does not win back
 MIN_BYTES = 2 ** 16
+#: documents of at least this many bytes are keyed by the digests of their
+#: two halves, the second hashed on a worker thread: on a 2-core VM that
+#: takes 0.55 of the time of one SHA-256 from 1 MiB up, 0.6 at 512 KiB and
+#: 0.86 at 256 KiB
+SPLIT_BYTES = 2 ** 20
 #: bound of the total size of the entries; the oldest go first
 MAX_BYTES = 2 ** 28
 #: a temporary file this many seconds old was left by a write that was killed
@@ -71,9 +83,10 @@ def _salt() -> bytes:
     return h.digest()
 
 
-def hasher(kind: str):
-    """A SHA-256 object that has taken all of the key of a ``kind`` document
-    but its bytes, None when the package's source cannot be read."""
+def hasher(kind: str, length: int):
+    """An object that takes the ``length`` bytes of a ``kind`` document in
+    order, in any number of ``update`` calls, and whose ``hexdigest()`` is
+    then their ``key_of``; None when the package's source cannot be read."""
     import hashlib
     try:
         salt = _salt()
@@ -82,17 +95,90 @@ def hasher(kind: str):
     h = hashlib.sha256(salt)
     h.update(b"%d\0%s\0" % (getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                              kind.encode()))
-    return h
+    return h if length < SPLIT_BYTES else _Halves(h, length)
+
+
+class _Halves:
+    """The key of a document of at least ``SPLIT_BYTES`` bytes: the SHA-256
+    of the key's prefix ``head``, the length, and the digests of the first
+    ``length // 2`` bytes and of the rest (a two-leaf tree hash)."""
+
+    def __init__(self, head, length: int):
+        import hashlib
+        head.update(b"%d\0" % length)
+        self.head, self.left = head, length // 2        # bytes of the first half to come
+        self.first, self.second = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, data):
+        data = memoryview(data)
+        cut = min(self.left, len(data))
+        self.first.update(data[:cut])
+        self.second.update(data[cut:])
+        self.left -= cut
+
+    def hexdigest(self) -> str:
+        h = self.head.copy()
+        h.update(self.first.digest() + self.second.digest())
+        return h.hexdigest()
 
 
 def key_of(data: bytes, kind: str = SYSTEM) -> str | None:
     """The name of the entry of a ``kind`` document's bytes, None when the
-    package's source cannot be read."""
-    h = hasher(kind)
+    package's source cannot be read.  The second half of a document of at
+    least ``SPLIT_BYTES`` is hashed on the worker thread (hashlib releases
+    the interpreter lock) while this thread hashes the first."""
+    h = hasher(kind, len(data))
     if h is None:
         return None
-    h.update(data)
+    if not isinstance(h, _Halves):
+        h.update(data)
+        return h.hexdigest()
+    view, half = memoryview(data), h.left
+    rest = _Digest(view[half:])
+    h.first.update(view[:half])
+    h.second = rest.result()            # the digest of the second half, taken on the worker
     return h.hexdigest()
+
+
+class _Digest:
+    """The SHA-256 of ``data``, taken on the worker thread of the process."""
+
+    def __init__(self, data):
+        import threading
+        self.data, self.done, self.hash, self.error = data, threading.Event(), None, None
+        _worker(os.getpid()).put(self)
+
+    def run(self):
+        import hashlib
+        try:
+            self.hash = hashlib.sha256(self.data)
+        except Exception as exc:        # the worker goes on; result() raises it here
+            self.error = exc
+        finally:
+            self.done.set()
+
+    def result(self):
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.hash
+
+
+@functools.cache
+def _worker(pid: int):
+    """The queue of the worker thread of the process ``pid``, which runs
+    each ``_Digest`` put in it; started at the first call, so a child
+    process that a fork made starts its own."""
+    import queue
+    import threading
+    jobs = queue.SimpleQueue()
+
+    def serve():
+        while True:
+            jobs.get().run()
+
+    threading.Thread(target=serve, name="phode-doccache-key", daemon=True).start()
+    return jobs
 
 
 def _private(folder: Path) -> bool:
@@ -124,17 +210,24 @@ def get(key: str | None, kind: str = SYSTEM):
         if not _private(folder):
             return None
         with open(folder / (key + _SUFFIX), "rb") as f:
-            entry = f.read()
-        start = entry.index(b"\n") + 1
-        head = json.loads(entry[:start])
+            line = f.readline()
+            f.seek(0)
+            entry = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
+            if f.readinto(entry) != len(entry):
+                raise ValueError("entry of another length")
+        head = json.loads(line)
         if head["key"] != key or head["kind"] != kind:
             raise ValueError("entry of another key or kind")
+        # the matrices are views of the entry's buffer, aligned as its start
+        # is: the header line is padded to a multiple of 8 bytes
+        start = len(line)
+        if start % 8:
+            raise ValueError("misaligned entry")
         arrays = []
         for *shape, order in head["arrays"]:
-            count = math.prod(shape)
-            a = np.frombuffer(entry, "<f8", count, start).reshape(shape, order=order)
-            arrays.append(a.copy(order="K"))
-            start += 8 * count
+            end = start + 8 * math.prod(shape)
+            arrays.append(entry[start:end].view("<f8").reshape(shape, order=order))
+            start = end
         if start != len(entry):
             raise ValueError("entry of another length")
         if kind == TRAJECTORY:
@@ -203,7 +296,8 @@ def put(key: str | None, obj):
         return
     try:        # the temporary file goes whatever stops the write, an interrupt too
         with open(fd, "wb") as f:
-            f.write(json.dumps(head).encode() + b"\n")
+            line = json.dumps(head).encode()
+            f.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
             for a, order in zip(arrays, orders):
                 f.write(a.astype("<f8", copy=False).tobytes(order))
         os.replace(tmp, folder / (key + _SUFFIX))

@@ -4,11 +4,15 @@ cache that is missing, damaged, unreadable or unwritable changes no output
 and no exit code."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import select
+import signal
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -226,13 +230,47 @@ def test_lowered_digit_limit_still_refuses_a_long_integer(tmp_path, cache, capsy
     assert len(entries(cache)) == 1
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "foreign", "empty"])
+def matrices(obj) -> list:
+    """The matrices of a system or network, in the order of ``doccache._flatten``."""
+    return doccache._flatten(obj)[1]
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_a_hit_is_views_of_one_aligned_buffer(tmp_path, cache, name):
+    path = document(tmp_path, name)
+    ref = parse_system_text(path.read_text())
+    read(path)
+    [entry] = entries(cache)
+    hit = read(path)
+    got = matrices(hit)
+    buffer = got[0].base
+    assert type(buffer) is np.ndarray and buffer.dtype == np.uint8 and buffer.flags.owndata
+    assert buffer.nbytes == entry.stat().st_size
+    start = buffer.__array_interface__["data"][0]
+    for a, b in zip(got, matrices(ref), strict=True):
+        assert a.base is buffer and a.flags.aligned
+        assert a.shape == b.shape and a.strides == b.strides
+        assert np.array_equal(bits(a), bits(b))
+        assert (a.__array_interface__["data"][0] - start) % 8 == 0
+
+
+def misaligned(whole: bytes) -> bytes:
+    """``whole``, an entry, with its header line one byte past a multiple of 8."""
+    line, rest = whole.split(b"\n", 1)
+    line = line.rstrip(b" ")
+    return line + b" " * (-len(line) % 8) + b"\n" + rest
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "foreign", "empty", "misaligned"])
 def test_damaged_entry_is_a_miss_and_is_rewritten(tmp_path, cache, parses, damage):
     path = document(tmp_path, "network-relation")
     read(path)
     [entry] = entries(cache)
     whole = entry.read_bytes()
-    if damage == "truncated":
+    assert whole.index(b"\n") % 8 == 7                 # a header line of 8k bytes
+    if damage == "misaligned":
+        entry.write_bytes(misaligned(whole))
+    elif damage == "truncated":
         entry.write_bytes(whole[:-8])
     elif damage == "garbage":
         entry.write_bytes(np.random.default_rng(2).bytes(len(whole)))
@@ -512,7 +550,9 @@ def test_non_utf8_error_line_is_that_of_a_small_document(tmp_path, cache, capsys
 # ---------------------------------------------------------------------------
 # trajectory tables: simulate -o and cosim -o store them, report reads them
 
-TRAJECTORY = doccache.TRAJECTORY
+SYSTEM, TRAJECTORY = doccache.SYSTEM, doccache.TRAJECTORY
+# the integer digit limit that the key holds (0 before Python has one)
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 @pytest.fixture
@@ -577,6 +617,10 @@ def test_a_written_trajectory_is_a_hit_that_is_the_parse(tmp_path, cache, csv_pa
     hit = read_table(out)
     assert csv_parses == []
     assert_same_columns(hit, out.read_text())
+    # a view of the buffer that holds the whole entry, aligned
+    entry = cache / f"{doccache.key_of(data, TRAJECTORY)}.entry"
+    assert hit.base.dtype == np.uint8 and hit.base.nbytes == entry.stat().st_size
+    assert hit.flags.aligned
 
 
 def test_report_is_the_same_on_a_hit_and_without_a_cache(tmp_path, monkeypatch, cache,
@@ -717,10 +761,114 @@ def test_a_table_that_does_not_fit_changes_nothing(tmp_path, cache, monkeypatch,
     assert out.read_text() == expected[1]
 
 
-def test_importing_the_command_line_loads_no_hashlib():
-    # the first key of a process imports it, so a command on small files never does
-    code = "import sys, phode.cli; print('hashlib' in sys.modules)"
+def test_importing_the_command_line_loads_no_hashlib_and_starts_no_thread():
+    # the first key of a process imports it, and the first key of a large
+    # document starts the worker thread, so a command on small files does neither
+    code = ("import sys, threading, phode.cli; "
+            "print('hashlib' in sys.modules, threading.active_count())")
     src = str(Path(phode.cli.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False 1\n"
+
+
+def tree_key(data: bytes, kind: str) -> str:
+    """The key of a document of at least SPLIT_BYTES bytes, as its definition
+    reads: the SHA-256 of the salt, the digit limit, the kind, the length and
+    the digests of the first len // 2 bytes and of the rest."""
+    half = len(data) // 2
+    return hashlib.sha256(b"%s%d\0%s\0%d\0%s%s" % (
+        doccache._salt(), DIGITS(), kind.encode(), len(data),
+        hashlib.sha256(data[:half]).digest(), hashlib.sha256(data[half:]).digest())
+    ).hexdigest()
+
+
+def large_text(seed=0) -> str:
+    rng = np.random.default_rng(seed)
+    return "".join(f"{v:.17g}\n" for v in rng.standard_normal(doccache.SPLIT_BYTES // 10))
+
+
+def test_key_of_a_large_document_is_that_of_its_halves():
+    data = large_text().encode()
+    assert len(data) >= doccache.SPLIT_BYTES and len(data) % 2
+    for kind in (SYSTEM, TRAJECTORY):
+        assert doccache.key_of(data, kind) == tree_key(data, kind)
+    # taken with the worker thread, which the first such key started
+    assert "phode-doccache-key" in [t.name for t in threading.enumerate()]
+    # below the threshold the key is one SHA-256 of all of the key
+    small = data[:doccache.SPLIT_BYTES - 1]
+    assert doccache.key_of(small) == hashlib.sha256(b"%s%d\0%s\0%s" % (
+        doccache._salt(), DIGITS(), SYSTEM.encode(), small)).hexdigest()
+
+
+def test_an_edit_in_either_half_changes_the_key():
+    data = bytearray(large_text().encode())
+    keys = {doccache.key_of(bytes(data))}
+    for at in (10, len(data) // 2 - 1, len(data) // 2, len(data) - 10):
+        edited = data.copy()
+        edited[at] ^= 1
+        keys.add(doccache.key_of(bytes(edited)))
+    assert len(keys) == 5
+
+
+@pytest.mark.parametrize("step", [1000, 65536, 2 ** 19 + 7])
+def test_the_writers_key_is_that_of_the_file(tmp_path, monkeypatch, step):
+    # the writer's slices cut the halves anywhere; its key is key_of's
+    text = large_text(1)
+    monkeypatch.setattr(phode.cli, "_WRITE_SLICE_CHARS", step)
+    out = tmp_path / "out.csv"
+    key = phode.cli._write(str(out), text, TRAJECTORY)
+    assert key == doccache.key_of(out.read_bytes(), TRAJECTORY) == tree_key(
+        text.encode(), TRAJECTORY)
+
+
+def test_a_text_that_is_not_ascii_gets_no_key(tmp_path):
+    out = tmp_path / "out.csv"
+    text = "\u00e9" + "0\n" * doccache.MIN_BYTES
+    assert phode.cli._write(str(out), text, TRAJECTORY) is None
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_keys_taken_at_once_on_many_threads(monkeypatch):
+    # one worker hashes the second halves of all of them, in any order
+    texts = [large_text(seed).encode() for seed in range(6)]
+    want = [tree_key(data, SYSTEM) for data in texts]
+    got = [None] * (2 * len(texts))
+
+    def key(i):
+        got[i] = doccache.key_of(texts[i % len(texts)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=key, args=(i,)) for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want + want
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_keys_with_a_worker_of_its_own():
+    data = large_text().encode()
+    key = doccache.key_of(data)                 # the worker of this process runs
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                # pragma: no cover - the child
+        try:
+            os.write(w, doccache.key_of(data).encode())
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        ready, _, _ = select.select([r], [], [], 60)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        assert ready and os.read(r, 100).decode() == key
+    finally:
+        os.close(r)

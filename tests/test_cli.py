@@ -20,12 +20,12 @@ import phode.core
 import phode.coupling
 import phode.integrate
 from phode.cli import main
-from phode.coupling import condense_general, condense_skew
+from phode.coupling import CoupledNetwork, CouplingSpec, condense_general, condense_skew
 from phode.fileio import dump_document, parse_system_text, read_trajectory, write_trajectory
 from phode.integrate import dynamic_iteration, energy_report
 from phode.models import two_mass
 
-from util import random_linear_ph, random_separable
+from util import random_linear_ph, random_separable, svd_rcond
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_MASS = str(FIXTURES / "two_mass.json")
@@ -507,6 +507,79 @@ class TestLoadCheck:
         else:
             assert "structure validation failed" in err
         assert not out.exists()
+
+
+def flow_matrices(path) -> list:
+    """E of the system, or of each subsystem of the network, at ``path``."""
+    obj = parse_system_text(Path(path).read_text())
+    return [sub.E for sub in getattr(obj, "subsystems", (obj,))]
+
+
+def spy_svd(monkeypatch) -> list:
+    """The matrices of every ``np.linalg.svd`` call from now on."""
+    taken, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: taken.append(a) or svd(a, **kw))
+    return taken
+
+
+class TestSvdOfE:
+    """E's SVD is taken only where its reciprocal condition is used: by
+    ``validate``, which prints it, and by a run, which refuses a singular
+    E; the load check of every command takes none."""
+
+    @staticmethod
+    def documents(tmp_path) -> dict:
+        """A system, a network and a separable system (for decouple), each E
+        invertible and no identity, which would take no SVD at all."""
+        rng = np.random.default_rng(8)
+        subs = tuple(random_linear_ph(rng, n=k, m=0, implicit=True) for k in (2, 3))
+        ports = tuple(rng.standard_normal((k, 1)) for k in (2, 3))
+        sep = random_separable(rng, (2, 2))
+        objs = {"system": random_linear_ph(rng, n=4, m=1, implicit=True),
+                "network": CoupledNetwork(subs, CouplingSpec(ports, [[0., 1.], [-1., 0.]])),
+                "separable": replace(sep, E=2.0 * sep.E, L=0.5 * sep.L)}
+        paths = {name: str(tmp_path / f"{name}.json") for name in objs}
+        for name, obj in objs.items():
+            Path(paths[name]).write_text(dump_document(obj))
+        return paths
+
+    @pytest.mark.parametrize("command", ["report", "condense", "decouple", "cosim"])
+    def test_commands_take_no_svd_of_e(self, tmp_path, monkeypatch, capsys, command):
+        docs = self.documents(tmp_path)
+        traj = str(tmp_path / "traj.csv")
+        assert main(["simulate", docs["system"], "--x0=1,0,0,0", "--t1", "0.1", "-o", traj]) == 0
+        argv, path = {
+            "report": (["report", traj, docs["system"]], docs["system"]),
+            "condense": (["condense", docs["network"]], docs["network"]),
+            "decouple": (["decouple", docs["separable"], "--partition", "2,2"], docs["separable"]),
+            "cosim": (["cosim", docs["network"], "--x0=1,0,0,0,0", "--t1", "0.2",
+                       "--sweeps", "20"], docs["network"]),
+        }[command]
+        flows = flow_matrices(path)
+        taken = spy_svd(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert not [a for a in taken if any(np.array_equal(a, E) for E in flows)]
+
+    @pytest.mark.parametrize("name", ["system", "network"])
+    def test_validate_prints_the_rcond_of_one_svd(self, tmp_path, monkeypatch, capsys, name):
+        path = self.documents(tmp_path)[name]
+        flows = flow_matrices(path)
+        expected = [f"PASS  E regular: rcond {svd_rcond(E):.3e}" for E in flows]
+        taken = spy_svd(monkeypatch)
+        assert main(["validate", path]) == 0
+        assert [ln for ln in capsys.readouterr().out.splitlines() if "E regular" in ln] == expected
+        assert len(taken) == len(flows)
+        assert all(np.array_equal(a, E) for a, E in zip(taken, flows))
+
+    def test_simulate_takes_it_in_the_run_not_the_load(self, tmp_path, monkeypatch):
+        path = self.documents(tmp_path)["system"]
+        [E] = flow_matrices(path)
+        taken = spy_svd(monkeypatch)
+        system = phode.cli._load(path, phode.cli.LinearPHSystem)
+        assert taken == []
+        phode.integrate.implicit_midpoint(system, x0=np.ones(4), t1=0.1)
+        assert sum(np.array_equal(a, E) for a in taken) == 1
 
 
 class TestSimulateAndReport:

@@ -6,11 +6,11 @@ import pytest
 
 import phode.core
 from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem, SingularFlowError,
-                        StructureReport, _gamma_w, eval_dynamics, power_balance_residual,
-                        validate_structure)
+                        StructureReport, _gamma_w, _rcond, eval_dynamics,
+                        power_balance_residual, structure_failures, validate_structure)
 from phode.models import TwoMassParams, two_mass
 
-from util import random_linear_ph, random_skew, reference_validate_structure
+from util import random_linear_ph, random_skew, reference_validate_structure, svd_rcond
 
 
 def make(J, R, L=None, E=None, B=None, **kw):
@@ -201,7 +201,12 @@ class TestStructureOracle:
                 kinds.add("non-finite")
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                     validate_structure(sys, samples)
+                if sys.is_linear:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        structure_failures(sys)
                 continue
+            if sys.is_linear:       # the load check, before the report takes E's rcond
+                assert structure_failures(sys) == want.failures(), case
             got = validate_structure(sys, samples)
             assert np.array_equal(report_bits(got), report_bits(want)), (case, got, want)
             kinds.add("callback" if samples is not None else "linear")
@@ -209,6 +214,39 @@ class TestStructureOracle:
             if sys.is_linear and not np.isfinite(sys.Q).all():
                 kinds.add("Q overflow")
         assert kinds == {"non-finite", "callback", "linear", "passed", "failed", "Q overflow"}
+
+
+def count_svds(monkeypatch) -> list:
+    """The matrices of every ``np.linalg.svd`` call from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
+    return calls
+
+
+class TestRcond:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 150, 200, 399])
+    def test_identity_is_one_without_an_svd(self, monkeypatch, n):
+        # the SVD gives exactly 1 too, for every n from 1 to 399
+        eye = np.eye(n)
+        assert svd_rcond(eye) == 1.0
+        eye[np.triu_indices(n, 1)] = -0.0                   # still the identity
+        calls = count_svds(monkeypatch)
+        assert _rcond(eye) == 1.0 and calls == []
+
+    @pytest.mark.parametrize("mat", [
+        2.0 * np.eye(3), np.eye(3)[::-1], np.diag([1.0, 1.0, 0.0]),
+        np.diag([1.0, 1.0, np.nextafter(1.0, 2)]), np.eye(3) + np.diag([1e-300, 0.0], 1),
+        np.zeros((3, 3)), np.eye(3, 4),
+    ], ids=["2I", "permutation", "singular", "near", "tiny-off-diagonal", "zero", "rectangular"])
+    def test_anything_else_takes_the_svd(self, monkeypatch, mat):
+        calls = count_svds(monkeypatch)
+        assert _rcond(mat) == svd_rcond(mat) and len(calls) == 2
+
+    def test_the_load_check_takes_no_svd(self, monkeypatch):
+        sys = random_linear_ph(np.random.default_rng(5), n=6, implicit=True)
+        calls = count_svds(monkeypatch)
+        assert structure_failures(sys) == "" and calls == []
+        assert validate_structure(sys).e_rcond == svd_rcond(sys.E) and len(calls) == 2
 
 
 class TestCallbackVariant:

@@ -1,10 +1,12 @@
 """``tools/doccache_cost.py`` counts the hits of a cold and a warm pass per
 kind of document, times each cached document's and trajectory's read
-without a cache, on a miss and on a hit, and what the writer of a large
-trajectory CSV adds to its write."""
+without a cache, on a miss and on a hit, a document's load (hit and
+structure check), and what the writer of a large trajectory CSV adds to
+its write; a call under a millisecond is timed as the mean of many."""
 
 import importlib.util
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,10 @@ def test_cold_and_warm_passes_and_timed_reads(monkeypatch):
         row = out[name]["rows"][0]
         assert row["bytes"] >= doccache.MIN_BYTES
         assert all(row[k] > 0 for k in ("plain_s", "miss_s", "hit_s"))
+    # a stored system document costs a command its hit and its structure check
+    assert out["documents"]["rows"][0]["load_s"] > 0
+    assert "load_s" in out["documents"]["total"]
+    assert "load_s" not in out["trajectories"]["rows"][0]
     # the CSV on standard output is no large output
     assert out["writes"]["count"] == 1
     row = out["writes"]["rows"][0]
@@ -69,3 +75,15 @@ def test_timed_key_is_that_of_the_written_file(tmp_path):
     key = phode.cli._write(str(out), text, doccache.TRAJECTORY)
     assert key == doccache_cost.slice_key(text)
     assert key == doccache.key_of(out.read_bytes(), doccache.TRAJECTORY)
+
+
+def test_sub_millisecond_calls_are_timed_as_means():
+    assert doccache_cost.calls_for(lambda: None) == doccache_cost.MEAN_CALLS
+    assert doccache_cost.calls_for(lambda: time.sleep(2 * doccache_cost.MEAN_BELOW_S)) == 1
+    made, setups = [], []
+    out = doccache_cost.timed({"once": (lambda: setups.append("once"), lambda: made.append(1), 1),
+                               "mean": (lambda: setups.append("mean"),
+                                        lambda: made.append(2), 7)}, 3)
+    # each round sets up once and makes count calls; the time is per call
+    assert sorted(made) == [1] * 3 + [2] * 21 and len(setups) == 6
+    assert set(out) == {"once", "mean"} and all(v > 0 for v in out.values())

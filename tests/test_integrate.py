@@ -586,6 +586,35 @@ class TestWindowMaps:
         assert np.array_equal(a.x[:, 3:], c.x[:, :2])
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_step_windows_with_inputs_agree_across_paths(self, monkeypatch, mode, seed):
+        # one-step windows with 2 and 3 inputs per subsystem: the per-window
+        # path forms each window's forcing as a one-row product (BLAS gemv),
+        # which rounds apart from a row of implicit_midpoint's whole-run
+        # product (gemm) in most rows.  No path is bitwise that of another;
+        # over 200 seeded networks they agreed within 5.0e-15 relative
+        rng = np.random.default_rng(seed)
+        subs = tuple(random_linear_ph(rng, n=n, m=m) for n, m in ((3, 2), (4, 3)))
+        ports = tuple(0.3 * rng.standard_normal((sub.n, 1)) for sub in subs)
+        net = CoupledNetwork(subs, CouplingSpec(ports, 0.3 * random_skew(rng, 2)))
+        w = rng.standard_normal((5, 3))
+
+        def u(t):
+            return w @ np.array([np.sin(3 * t), np.cos(2 * t), 1.0])
+
+        x0 = rng.standard_normal(net.n)
+        kw = dict(u=u, x0=x0, t1=0.15, dt=0.01)     # 15 windows, a basis of 7 + 5
+        calls, _ = spy_relax(monkeypatch)
+        mapped = dynamic_iteration(net, mode=mode, window=0.01, sweeps=40, **kw).x
+        monkeypatch.setattr(phode.integrate, "_MAP_ENTRIES", 0)
+        per_window = dynamic_iteration(net, mode=mode, window=0.01, sweeps=40, **kw).x
+        assert calls == [12] + [1] * 15
+        mono = implicit_midpoint(condense_skew(net), **kw).x
+        assert relative_error(per_window, mapped) <= 1e-13
+        assert relative_error(per_window, mono) <= 1e-13
+        assert relative_error(mapped, mono) <= 1e-13
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_unconverged_run_warns_about_the_same_window_on_both_paths(
             self, monkeypatch, mode):
         net = fixed_size_network(np.random.default_rng(27), (3, 4, 2), (2, 1, 2))

@@ -11,7 +11,7 @@ import numpy as np
 
 from phode import coupling
 from phode.core import (E_RCOND_MIN, LinearPHSystem, StructureReport, _block2, _fd_gradient,
-                        _rcond, _slices)
+                        _slices)
 from phode.coupling import CoupledNetwork, CouplingSpec
 from phode.fileio import ParseError, _lines, network_to_doc, system_to_doc
 from phode.integrate import _inputs, _propagate, _propagator
@@ -293,6 +293,15 @@ def _oracle_psd_check(ws, tol):
     return lam >= -tol * (1.0 / s + norm), lam * s
 
 
+def svd_rcond(mat: np.ndarray) -> float:
+    """Reciprocal condition estimate from the SVD alone, which ``core._rcond``
+    skips for an exact identity (0 for rank-deficient matrices)."""
+    if mat.size == 0:
+        return 1.0
+    s = np.linalg.svd(mat, compute_uv=False)
+    return 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
+
+
 def reference_validate_structure(sys, samples=None, tol=1e-10):
     """``validate_structure`` as it was written before it built Gamma and W
     once and took each matrix's largest entry once: a finiteness pass per
@@ -329,7 +338,7 @@ def reference_validate_structure(sys, samples=None, tol=1e-10):
         res = float(np.max(np.abs(q - q.T))) if q.size else 0.0
         compat_ok = res <= tol * (1.0 / es / ls + np.max(np.abs(q), initial=0.0))
         compat_res = res * es * ls
-        rc = _rcond(sys.E)
+        rc = svd_rcond(sys.E)
     else:
         compat_res = 0.0
         rc = np.inf
@@ -338,7 +347,7 @@ def reference_validate_structure(sys, samples=None, tol=1e-10):
             g = _fd_gradient(sys.hamiltonian, x)
             compat_res = max(compat_res,
                              float(np.linalg.norm(g - ez) / (1.0 + np.linalg.norm(ez))))
-            rc = min(rc, _rcond(E))
+            rc = min(rc, svd_rcond(E))
         compat_ok = compat_res <= max(tol, 1e-6)
     return StructureReport(
         skew_ok=skew_ok, skew_violation=skew_viol * s,

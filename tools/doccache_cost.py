@@ -18,17 +18,20 @@ reads are timed (the median of ``--repeat``): ``plain`` is the read without
 a cache (``Path.read_text`` and ``parse_system_text`` for a system
 document, ``phode.cli._read`` uncached for a CSV), ``miss`` a read on an
 empty cache (key, lookup, decode, parse, store and eviction) and ``hit`` a
-read on the entry the miss stored.  For every distinct CSV of at least
-``MIN_BYTES`` that a command wrote, ``render_s`` times ``write_trajectory``
-and ``write_s`` the write of its text without a key, and the writer's
+read on the entry the miss stored; for a system document ``load`` is what
+a command pays for it on that entry, the hit and the structure check
+(``phode.cli._load``).  For every distinct CSV of at least ``MIN_BYTES``
+that a command wrote, ``render_s`` times ``write_trajectory`` and
+``write_s`` the write of its text without a key, and the writer's
 additions are timed on their own: ``key_s`` hashes the text a slice at a
 time as ``phode.cli._write`` does, ``has_s`` is the existence check that
-finds the entry (the mean of ``HAS_CALLS``) and ``store_s`` the check,
-table and store on an empty cache.  ``first_key_s`` is what a process pays
-once, at its first key (a ``phode simulate`` whose output is large pays it
-even when its document is small): importing ``hashlib`` and hashing the
-package's source, the median of ``--repeat`` fresh processes.  Prints one
-JSON object.
+finds the entry and ``store_s`` the check, table and store on an empty
+cache.  ``has_s``, and each ``hit_s``, ``load_s`` and ``key_s`` of which one
+call takes under ``MEAN_BELOW_S``, is the mean of ``MEAN_CALLS`` calls in a
+row.  ``first_key_s`` is what a process pays once, at its first key (a
+``phode simulate`` whose output is large pays it even when its document is
+small): importing ``hashlib`` and hashing the package's source, the median
+of ``--repeat`` fresh processes.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ FIRST_KEY = ("import time; import phode.cli; from phode import doccache; "
              "t = time.perf_counter(); doccache.key_of(b''); "
              "print(time.perf_counter() - t)")
 KINDS = (doccache.SYSTEM, doccache.TRAJECTORY)
-# existence checks timed at once: one alone, right after the collection
-# that ``timed`` makes, reads about 0.2 ms of cold processor caches
-HAS_CALLS = 100
+# calls timed at once, as their mean, where one takes under ``MEAN_BELOW_S``:
+# one alone, right after the collection that ``timed`` makes, reads about
+# 0.2 ms of cold processor caches
+MEAN_CALLS = 100
+MEAN_BELOW_S = 1e-3
 
 
 def use_cache(folder: str):
@@ -90,25 +95,36 @@ def run_pass(jobs) -> float:
 
 
 def timed(calls: dict, repeat: int) -> dict:
-    """Median seconds of ``repeat`` runs of each ``calls[name]`` (a pair of
-    setup and call, only the call timed), the runs of the calls interleaved
-    and their order reversed every other round, so that drift of the host
-    and of the heap falls on all of them alike."""
+    """Median seconds of ``repeat`` runs of each ``calls[name]`` (setup,
+    call and count: after the setup, ``count`` calls in a row are timed and
+    their mean kept), the runs of the calls interleaved and their order
+    reversed every other round, so that drift of the host and of the heap
+    falls on all of them alike."""
     times = {name: [] for name in calls}
     for r in range(repeat):
         for name in (list(calls) if r % 2 == 0 else list(calls)[::-1]):
-            setup, call = calls[name]
+            setup, call, count = calls[name]
             setup()
             gc.collect()
             t0 = time.perf_counter()
-            call()
-            times[name].append(time.perf_counter() - t0)
+            for _ in range(count):
+                call()
+            times[name].append((time.perf_counter() - t0) / count)
     return {name: statistics.median(t) for name, t in times.items()}
+
+
+def calls_for(call) -> int:
+    """How many calls of ``call`` ``timed`` takes at once: ``MEAN_CALLS``
+    when one (after a first, untimed) takes under ``MEAN_BELOW_S``, else 1."""
+    call()
+    t0 = time.perf_counter()
+    call()
+    return MEAN_CALLS if time.perf_counter() - t0 < MEAN_BELOW_S else 1
 
 
 def slice_key(text: str) -> str:
     """The key ``phode.cli._write`` computes of a CSV's text as it writes it."""
-    h = doccache.hasher(doccache.TRAJECTORY)
+    h = doccache.hasher(doccache.TRAJECTORY, len(text))
     step = phode.cli._WRITE_SLICE_CHARS
     for a in range(0, len(text), step):
         h.update(text[a:a + step].encode())
@@ -125,7 +141,8 @@ def summary(rows: list, keys: tuple) -> dict:
 
 def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
     """The plain, miss and hit times of reading each of ``paths`` (bytes to
-    path) as ``kind`` documents with ``parse``."""
+    path) as ``kind`` documents with ``parse``, and for a system document
+    the load: a hit and the structure check (``phode.cli._load``)."""
     read, rows = phode.cli._read, []
     for data, path in paths.items():
         warm = tempfile.mkdtemp(dir=tmp)
@@ -137,11 +154,18 @@ def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
 
         plain = ((lambda: parse_system_text(Path(path).read_text(encoding="utf-8")))
                  if kind == doccache.SYSTEM else (lambda: read(path, parse)))
-        row = timed({"plain_s": (lambda: None, plain),
-                     "miss_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)), cached),
-                     "hit_s": (lambda: use_cache(warm), cached)}, repeat)
-        rows.append({"bytes": len(data), **row})
-    out = summary(rows, ("plain_s", "miss_s", "hit_s"))
+        calls = {"plain_s": (lambda: None, plain, 1),
+                 "miss_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)), cached, 1),
+                 "hit_s": (lambda: use_cache(warm), cached, calls_for(cached))}
+        if kind == doccache.SYSTEM:
+            def load():     # a document that fails the check is refused after it
+                with contextlib.suppress(phode.cli.CliError):
+                    phode.cli._load(path)
+
+            calls["load_s"] = (lambda: use_cache(warm), load, calls_for(load))
+        rows.append({"bytes": len(data), **timed(calls, repeat)})
+    out = summary(rows, ("plain_s", "miss_s", "hit_s")
+                  + (("load_s",) if kind == doccache.SYSTEM else ()))
     out["miss_over_plain"] = (round(out["total"]["miss_s"] / out["total"]["plain_s"], 3)
                               if rows else None)
     return out
@@ -158,14 +182,16 @@ def time_writes(outputs: dict, tmp: str, repeat: int) -> dict:
         warm = tempfile.mkdtemp(dir=tmp)
         use_cache(warm)
         phode.cli._store_table(key, traj, rep)
-        row = timed({"render_s": (lambda: None, lambda: write_trajectory(traj, rep)),
-                     "write_s": (lambda: None, lambda: phode.cli._write(str(out), text)),
-                     "key_s": (lambda: None, lambda: slice_key(text)),
-                     "has_s": (lambda: use_cache(warm), lambda: [
-                         phode.cli._store_table(key, traj, rep) for _ in range(HAS_CALLS)]),
+        def store_table():
+            phode.cli._store_table(key, traj, rep)
+
+        row = timed({"render_s": (lambda: None, lambda: write_trajectory(traj, rep), 1),
+                     "write_s": (lambda: None, lambda: phode.cli._write(str(out), text), 1),
+                     "key_s": (lambda: None, lambda: slice_key(text),
+                               calls_for(lambda: slice_key(text))),
+                     "has_s": (lambda: use_cache(warm), store_table, MEAN_CALLS),
                      "store_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)),
-                                 lambda: phode.cli._store_table(key, traj, rep))}, repeat)
-        row["has_s"] /= HAS_CALLS
+                                 store_table, 1)}, repeat)
         rows.append({"bytes": len(text), **row})
     out = summary(rows, ("render_s", "write_s", "key_s", "has_s", "store_s"))
     total = out["total"]
