@@ -173,6 +173,14 @@ class LinearPHSystem:
         """Reciprocal condition estimate of E (one SVD, computed once)."""
         return _rcond(self.E)
 
+    @cached_property
+    def structure(self) -> tuple:
+        """The figures of the three structural checks (see ``_checks``) and
+        whether every verdict is decisive; computed once, or put back by the
+        document cache."""
+        figures, decisive, _ = _checks(self, None)
+        return figures, decisive
+
 
 @dataclass(frozen=True)
 class CallbackPHSystem:
@@ -315,15 +323,23 @@ def _scaled(mats) -> tuple:
     return ([a / s for a in mats] if s > 1 else list(mats)), s, top / s
 
 
+def _decisive(figure: float, bound: float) -> bool:
+    """Whether the verdict ``figure <= bound`` holds or fails by a factor
+    of 2: a rounding that differs by less cannot flip it."""
+    return figure <= 0.5 * bound or figure >= 2.0 * bound
+
+
 def _psd_check(ws) -> tuple:
     """Whether the symmetric parts of the matrices ``ws`` are positive
     semidefinite, by the rule lambda_min >= -STRUCTURE_TOL (1 + max ||W||_F)
-    over all of them, and lambda_min (-inf where it leaves the float
-    range).  The rule runs on the matrices divided by ``_scaled``'s s."""
+    over all of them, lambda_min (-inf where it leaves the float range) and
+    whether the verdict is decisive.  The rule runs on the matrices divided
+    by ``_scaled``'s s."""
     ws, s, _ = _scaled(ws)
     lam = min(_min_eig_sym(w) for w in ws)
     norm = max(float(np.linalg.norm(w)) for w in ws)
-    return lam >= -STRUCTURE_TOL * (1.0 / s + norm), lam * s
+    bound = STRUCTURE_TOL * (1.0 / s + norm)
+    return lam >= -bound, lam * s, _decisive(-lam, bound)
 
 
 def validate_structure(sys: PHSystem,
@@ -341,8 +357,11 @@ def validate_structure(sys: PHSystem,
     system's gradient compatibility at ``FD_COMPAT_TOL``.  E's reciprocal
     condition, the smallest over the states, is informational.
     """
-    figures, coeffs = _checks(sys, samples)
-    rc = sys.e_rcond if sys.is_linear else min(_rcond(E) for E, *_ in coeffs)
+    if sys.is_linear:
+        (figures, _), rc = sys.structure, sys.e_rcond
+    else:
+        figures, _, coeffs = _checks(sys, samples)
+        rc = min(_rcond(E) for E, *_ in coeffs)
     return StructureReport(*figures, e_regular=rc > E_RCOND_MIN, e_rcond=float(rc))
 
 
@@ -351,14 +370,13 @@ def structure_failures(sys: LinearPHSystem) -> str:
     structural checks with their figures, on one line ("" when all three
     pass), without E's reciprocal condition, which no verdict reads and
     which costs an SVD."""
-    figures, _ = _checks(sys, None)
-    return _failures(_check_rows(*figures))
+    return _failures(_check_rows(*sys.structure[0]))
 
 
 def _checks(sys: PHSystem, samples) -> tuple:
     """The figures of the three structural checks of ``validate_structure``
-    (the first six fields of its report, in order) and the coefficients at
-    each state."""
+    (the first six fields of its report, in order), whether every verdict
+    is decisive (see ``_decisive``) and the coefficients at each state."""
     if sys.is_linear:
         states = [np.zeros(sys.n)]
     else:
@@ -373,8 +391,9 @@ def _checks(sys: PHSystem, samples) -> tuple:
         raise ValueError("system coefficients contain non-finite entries")
     gammas, s, a_scale = _scaled(gammas)
     skew_viol = max(_skew_violation(g) for g in gammas)
-    skew_ok = skew_viol <= STRUCTURE_TOL * (1.0 / s + a_scale)
-    psd_ok, min_eig = _psd_check(ws)
+    skew_bound = STRUCTURE_TOL * (1.0 / s + a_scale)
+    skew_ok = skew_viol <= skew_bound
+    psd_ok, min_eig, decisive = _psd_check(ws)
 
     if sys.is_linear:
         # exact identity Q x = E^T L x requires E^T L symmetric; checked on Q
@@ -387,19 +406,21 @@ def _checks(sys: PHSystem, samples) -> tuple:
             (e,), es, _ = _scaled([sys.E])
             (el,), ls, _ = _scaled([sys.L])
             q = e.T @ el
-            top = np.abs(q).max(initial=0.0)
+            top = float(np.abs(q).max(initial=0.0))
         res = float(np.abs(q - q.T).max()) if q.size else 0.0
-        compat_ok = res <= STRUCTURE_TOL * (1.0 / es / ls + top)
+        compat_bound = STRUCTURE_TOL * (1.0 / es / ls + top)
         compat_res = res * es * ls
     else:
-        compat_res = 0.0
+        res, compat_bound = 0.0, FD_COMPAT_TOL
         for x, (E, *_) in zip(states, coeffs):
             ez = E.T @ np.asarray(sys.effort(x), dtype=float)
             g = _fd_gradient(sys.hamiltonian, x)
-            compat_res = max(compat_res,
-                             float(np.linalg.norm(g - ez) / (1.0 + np.linalg.norm(ez))))
-        compat_ok = compat_res <= FD_COMPAT_TOL
-    return (skew_ok, skew_viol * s, psd_ok, min_eig, compat_ok, compat_res), coeffs
+            res = max(res, float(np.linalg.norm(g - ez) / (1.0 + np.linalg.norm(ez))))
+        compat_res = res
+    compat_ok = res <= compat_bound
+    decisive = decisive and _decisive(skew_viol, skew_bound) and _decisive(res, compat_bound)
+    return ((skew_ok, skew_viol * s, psd_ok, min_eig, compat_ok, compat_res), decisive,
+            coeffs)
 
 
 def _check_input(sys, u):

@@ -224,7 +224,7 @@ def condense_general(net: CoupledNetwork) -> LinearPHSystem:
 def _require_psd_w(mono: LinearPHSystem) -> LinearPHSystem:
     """``mono``, or a :class:`StructureFailure` when its W fails the
     semidefiniteness check of :func:`~phode.core.validate_structure`."""
-    ok, lam = _psd_check([_block2(mono.R, mono.P, mono.P.T, mono.S)])
+    ok, lam, _ = _psd_check([_block2(mono.R, mono.P, mono.P.T, mono.S)])
     if not ok:
         raise StructureFailure("assembled W = [[R, P], [P^T, S]] is indefinite", lam)
     return mono

@@ -11,16 +11,21 @@ source of the phode modules, the Python and NumPy versions and
 ``sys.get_int_max_str_digits()``; a document of at least ``SPLIT_BYTES``
 is keyed by the digests of its two halves, the second taken on a worker
 thread.  An entry is one line of JSON (the key, the kind, the layout of a
-system or network and the shape and memory order of each matrix), padded
-to a multiple of 8 bytes, and then the matrices' float64 values,
-little-endian.  A hit reads the entry into one buffer, whose aligned
-slices are the matrices, and rebuilds the system or network through the
-constructors the parser calls, or the table, without a copy.  An entry
-that cannot be read, is misaligned or does not match its key and kind is a
-miss, and a cache location that cannot be read or written leaves every
-command as it is without one.  So does a directory that another user owns
-or that group or others may use at all, and a system without user ids:
-the cache is only ever a private one.
+system or network, the figures of each system's structural checks and the
+shape and memory order of each matrix), padded to a multiple of 8 bytes,
+and then the matrices' float64 values, little-endian.  A system's figures
+(``LinearPHSystem.structure``, computed when the entry is stored) are
+recorded only when every verdict holds or fails by a factor of 2, so that
+no other rounding of the checks could flip one; a system without them is
+checked again at every load.  A hit reads the entry into one buffer, whose
+aligned slices are the matrices, rebuilds the system or network through
+the constructors the parser calls, or the table, without a copy, puts the
+recorded figures back on its systems and refreshes the entry's mtime.  An
+entry that cannot be read, is misaligned or does not match its key and
+kind is a miss, and a cache location that cannot be read or written leaves
+every command as it is without one.  So does a directory that another
+user owns or that group or others may use at all, and a system without
+user ids: the cache is only ever a private one.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ MIN_BYTES = 2 ** 16
 #: takes 0.55 of the time of one SHA-256 from 1 MiB up, 0.6 at 512 KiB and
 #: 0.86 at 256 KiB
 SPLIT_BYTES = 2 ** 20
-#: bound of the total size of the entries; the oldest go first
+#: bound of the total size of the entries; the least recently used (by
+#: mtime, which a hit refreshes) go first
 MAX_BYTES = 2 ** 28
 #: a temporary file this many seconds old was left by a write that was killed
 STALE_S = 600
@@ -200,16 +206,18 @@ def has(key: str) -> bool:
 
 
 def get(key: str | None, kind: str = SYSTEM):
-    """The system or network (``kind`` SYSTEM) or table (TRAJECTORY) of the
-    entry ``key``, None when ``key`` is None or there is no whole entry of
-    it and of that kind in a private cache directory."""
+    """The system or network (``kind`` SYSTEM), with its recorded figures,
+    or table (TRAJECTORY) of the entry ``key``, None when ``key`` is None or
+    there is no whole entry of it and of that kind in a private cache
+    directory.  A hit refreshes the entry's mtime where it can."""
     if key is None:
         return None
     try:
         folder = directory()
         if not _private(folder):
             return None
-        with open(folder / (key + _SUFFIX), "rb") as f:
+        path = folder / (key + _SUFFIX)
+        with open(path, "rb") as f:
             line = f.readline()
             f.seek(0)
             entry = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
@@ -231,13 +239,34 @@ def get(key: str | None, kind: str = SYSTEM):
         if start != len(entry):
             raise ValueError("entry of another length")
         if kind == TRAJECTORY:
-            [table] = arrays            # t, the states, H and the residuals
-            if table.ndim != 2 or table.shape[1] < 3:
+            [obj] = arrays              # t, the states, H and the residuals
+            if obj.ndim != 2 or obj.shape[1] < 3:
                 raise ValueError("entry of another layout")
-            return table
-        return _rebuild(head["subsystems"], head["coupling"], arrays)
+        else:
+            obj = _rebuild(head["subsystems"], head["coupling"], arrays)
+            _restore_structure(obj, head["structure"])
     except (OSError, ValueError, LookupError, TypeError):
         return None
+    with contextlib.suppress(OSError):      # a read-only cache keeps its order
+        os.utime(path)
+    return obj
+
+
+def _systems(obj) -> tuple:
+    return obj.subsystems if isinstance(obj, CoupledNetwork) else (obj,)
+
+
+def _restore_structure(obj, figures: list):
+    """Put the recorded ``figures`` of each system of ``obj`` back as its
+    ``structure``; a null leaves the system to be checked at its load."""
+    systems = _systems(obj)
+    if len(figures) != len(systems):
+        raise ValueError("entry of another layout")
+    for sub, fig in zip(systems, figures):
+        if fig is not None:
+            if len(fig) != 6 or [type(v) for v in fig] != [bool, float] * 3:
+                raise ValueError("entry of another layout")
+            vars(sub)["structure"] = tuple(fig), True      # the cached_property's slot
 
 
 def _rebuild(subsystems: int | None, coupling: str | None, arrays: list):
@@ -257,26 +286,38 @@ def _rebuild(subsystems: int | None, coupling: str | None, arrays: list):
 
 def _flatten(obj) -> tuple:
     """The header fields and arrays of a table, system or network: a
-    table's kind and the table; a system's kind, None, None and its eight
-    matrices; a network's kind, subsystem count and "relation" or "spec",
-    and the subsystems' matrices, then the port matrices and C, or M and N."""
+    table's kind and the table; a system's kind, None, None, its recorded
+    figures (see ``_recorded``) and its eight matrices; a network's kind,
+    subsystem count, "relation" or "spec" and its subsystems' figures, and
+    the subsystems' matrices, then the port matrices and C, or M and N."""
     if isinstance(obj, np.ndarray):
         return {"kind": TRAJECTORY}, [obj]
+    fields = {"kind": SYSTEM, "structure": [_recorded(s) for s in _systems(obj)]}
     if isinstance(obj, LinearPHSystem):
-        return ({"kind": SYSTEM, "subsystems": None, "coupling": None},
+        return ({**fields, "subsystems": None, "coupling": None},
                 [getattr(obj, k) for k in _FIELDS])
     c = obj.coupling
     tail = [c.M, c.N] if isinstance(c, LinearPortRelation) else [c.C]
     arrays = [getattr(s, k) for s in obj.subsystems for k in _FIELDS]
-    return ({"kind": SYSTEM, "subsystems": len(obj.subsystems),
+    return ({**fields, "subsystems": len(obj.subsystems),
              "coupling": "relation" if len(tail) == 2 else "spec"},
             arrays + list(c.port_matrices) + tail)
+
+
+def _recorded(sys: LinearPHSystem) -> list | None:
+    """The six figures of ``sys.structure`` when every verdict is decisive,
+    else None; None too for non-finite coefficients, refused at each load."""
+    try:
+        figures, decisive = sys.structure
+    except ValueError:
+        return None
+    return list(figures) if decisive else None
 
 
 def put(key: str | None, obj):
     """Store the entry ``key`` of ``obj``, a system, network or table of
     float64 values (nothing when ``key`` is None), through a temporary
-    file, then delete the oldest entries beyond ``MAX_BYTES``."""
+    file, then delete the least recently used entries beyond ``MAX_BYTES``."""
     if key is None:
         return
     fields, arrays = _flatten(obj)
@@ -310,9 +351,9 @@ def put(key: str | None, obj):
 
 
 def _evict(folder: Path):
-    """Delete the oldest entries of ``folder`` (by mtime) until the rest
-    hold at most ``MAX_BYTES``, and every temporary file older than
-    ``STALE_S``."""
+    """Delete the least recently used entries of ``folder`` (the oldest by
+    mtime, which a hit refreshes) until the rest hold at most
+    ``MAX_BYTES``, and every temporary file older than ``STALE_S``."""
     entries = []
     stale = time.time_ns() - STALE_S * 10 ** 9
     with os.scandir(folder) as it:

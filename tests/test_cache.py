@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import phode.cli
+import phode.core
 from phode import doccache
 from phode.cli import main
 from phode.coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
@@ -27,7 +28,7 @@ from phode.decoupling import Partition, decouple_auto
 from phode.fileio import dump_document, parse_system_text, read_trajectory
 from phode.integrate import EnergyReport, Trajectory
 
-from util import random_linear_ph, random_separable
+from util import figure_bits, random_linear_ph, random_separable
 
 FIELDS = ("E", "J", "R", "B", "L", "P", "S", "N")
 
@@ -479,6 +480,38 @@ def test_entries_stay_within_the_bound(tmp_path, cache, monkeypatch):
     assert set(entries(cache)) == set(kept) - {stored[1]} | {stored[0]}
 
 
+def test_an_entry_that_hits_outlives_a_newer_one_that_does_not(tmp_path, cache,
+                                                               monkeypatch, parses):
+    paths = [document(tmp_path, "linear", seed) for seed in range(4)]
+    stored = []
+    for age, path in zip((30, 20, 10), paths):
+        read(path)
+        [entry] = set(entries(cache)) - set(stored)
+        mtime = entry.stat().st_mtime_ns - age * 10 ** 9
+        os.utime(entry, ns=(mtime, mtime))
+        stored.append(entry)
+    read(paths[0])                  # a hit on the oldest entry
+    assert len(parses) == 3
+    monkeypatch.setattr(doccache, "MAX_BYTES", 3 * stored[0].stat().st_size + 1)
+    read(paths[3])
+    # the entry stored second, which never hit, is now the least recently used
+    assert set(stored) - set(entries(cache)) == {stored[1]}
+    read(paths[0])
+    assert len(parses) == 4
+
+
+def test_a_hit_that_cannot_refresh_its_entry_is_a_hit(tmp_path, cache, monkeypatch, parses):
+    path = document(tmp_path, "linear")
+    miss = read(path)
+
+    def refused(*args, **kwargs):
+        raise PermissionError("read-only file system")
+
+    monkeypatch.setattr(os, "utime", refused)
+    assert_same(read(path), miss)
+    assert len(parses) == 1
+
+
 def test_a_miss_holds_the_text_not_the_bytes(tmp_path, cache, monkeypatch):
     path = document(tmp_path, "linear")
     size = path.stat().st_size
@@ -872,3 +905,141 @@ def test_a_forked_child_keys_with_a_worker_of_its_own():
         assert ready and os.read(r, 100).decode() == key
     finally:
         os.close(r)
+
+
+# --- the structural checks' figures in an entry ---------------------------
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The systems that ``phode.core._checks`` is called on."""
+    calls, run = [], phode.core._checks
+
+    def counted(sys, samples):
+        calls.append(sys)
+        return run(sys, samples)
+
+    monkeypatch.setattr(phode.core, "_checks", counted)
+    return calls
+
+
+def header(entry: Path) -> dict:
+    return json.loads(entry.read_bytes().split(b"\n", 1)[0])
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_a_hit_runs_no_structural_check(tmp_path, cache, checks, name):
+    path = document(tmp_path, name)
+    miss = read(path)
+    systems = doccache._systems(miss)
+    assert len(checks) == len(systems)          # the store checks each system once
+    want = [figure_bits(s.structure[0]) for s in systems]
+    assert [figure_bits(f) for f in header(entries(cache)[0])["structure"]] == want
+    hit = read(path)
+    assert [figure_bits(s.structure[0]) for s in doccache._systems(hit)] == want
+    assert len(checks) == len(systems)
+
+
+def psd_edge_document(tmp_path, factor: float) -> Path:
+    """A document of a system whose W has lambda_min = -factor tau, tau the
+    bound of the semidefiniteness rule; its other checks pass by far."""
+    rng = np.random.default_rng(7)
+    base = random_linear_ph(rng, n=60, m=3)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    eigenvalues = np.ones(60)
+    eigenvalues[0] = 0.0
+    tau = phode.core.STRUCTURE_TOL * (1.0 + np.linalg.norm(eigenvalues))
+    eigenvalues[0] = -factor * tau
+    R = (q * eigenvalues) @ q.T
+    sys = dataclasses.replace(base, R=0.5 * (R + R.T))
+    assert np.abs(sys.R).max() < 2                      # no scaling
+    path = tmp_path / f"edge-{factor}.json"
+    path.write_text(dump_document(sys))
+    assert path.stat().st_size >= doccache.MIN_BYTES
+    return path
+
+
+@pytest.mark.parametrize("factor", [0.75, 1.5])
+def test_an_undecided_system_is_checked_at_every_load(tmp_path, cache, checks, capsys,
+                                                      factor):
+    path = psd_edge_document(tmp_path, factor)
+    (_, _, psd_ok, *_), decisive, _ = phode.core._checks(parse_system_text(path.read_text()),
+                                                         None)
+    assert psd_ok == (factor < 1) and not decisive
+    checks.clear()
+    argv = ["simulate", str(path), "--x0", x0(60), "--t1", "0.05"]
+    first = outcome(argv, capsys)
+    assert first[0] == (0 if factor < 1 else 2)
+    assert header(entries(cache)[0])["structure"] == [None]
+    assert len(checks) == 1
+    assert outcome(argv, capsys) == first
+    assert len(checks) == 2
+
+
+@pytest.mark.parametrize("name", ["linear", "network-skew"])
+def test_a_failing_document_replays_its_exit_line_from_a_hit(tmp_path, cache, checks,
+                                                             capsys, name):
+    doc = json.loads(document(tmp_path, name).read_text())
+    (doc["subsystems"][1] if "subsystems" in doc else doc)["R"][0][0] = -1e3
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(doc))
+    argv = ["condense" if "subsystems" in doc else "decouple", str(path), "--partition", "60"]
+    argv = argv[:2] if "subsystems" in doc else argv
+    first = outcome(argv, capsys)
+    where = "subsystem 2: " if "subsystems" in doc else ""
+    assert first[0] == 2 and first[2].startswith(
+        f"phode: {path}: structure validation failed: {where}W positive semidefinite")
+    assert header(entries(cache)[0])["structure"][-1][2] is False
+    checked = len(checks)
+    assert outcome(argv, capsys) == first
+    assert len(checks) == checked
+
+
+def with_header(entry: Path, change):
+    """Rewrite the header line of ``entry`` through ``change`` (a function
+    that edits its JSON object), padded as ``doccache.put`` pads it."""
+    line, rest = entry.read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    change(head)
+    line = json.dumps(head).encode()
+    entry.write_bytes(line + b" " * (-(len(line) + 1) % 8) + b"\n" + rest)
+
+
+FIGURE_DAMAGES = {
+    "missing": lambda h: h.pop("structure"),
+    "not a list": lambda h: h.update(structure=1),
+    "one more": lambda h: h["structure"].append(None),
+    "one fewer": lambda h: h["structure"].pop(),
+    "five figures": lambda h: h["structure"][0].pop(),
+    "seven figures": lambda h: h["structure"][0].append(0.0),
+    "an integer figure": lambda h: h["structure"][1].__setitem__(1, 0),
+    "a number for a verdict": lambda h: h["structure"][0].__setitem__(0, 1),
+    "a string": lambda h: h["structure"].__setitem__(0, "passed"),
+}
+
+
+@pytest.mark.parametrize("damage", list(FIGURE_DAMAGES))
+def test_damaged_figures_are_a_miss(tmp_path, cache, parses, checks, damage):
+    path = document(tmp_path, "network-skew")
+    read(path)
+    [entry] = entries(cache)
+    whole = entry.read_bytes()
+    assert all(f is not None for f in header(entry)["structure"])
+    with_header(entry, FIGURE_DAMAGES[damage])
+    assert entry.read_bytes() != whole
+    checks.clear()
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert len(parses) == 2 and len(checks) == 2
+    assert entry.read_bytes() == whole
+
+
+@pytest.mark.parametrize("name", ["linear", "network-relation"])
+def test_validate_prints_the_same_bytes_on_a_cold_and_a_warm_cache(tmp_path, monkeypatch,
+                                                                   cache, checks, capsys,
+                                                                   name):
+    argv = ["validate", str(document(tmp_path, name))]
+    cold = outcome(argv, capsys)
+    checks.clear()
+    assert outcome(argv, capsys) == cold and checks == []
+    (tmp_path / "a-file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a-file"))
+    assert outcome(argv, capsys) == cold

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import phode.core
+from phode import doccache
 from phode.core import (CallbackPHSystem, DimensionError, LinearPHSystem, SingularFlowError,
                         StructureReport, _gamma_w, _rcond, eval_dynamics,
                         power_balance_residual, structure_failures, validate_structure)
 from phode.models import TwoMassParams, two_mass
 
-from util import random_linear_ph, random_skew, reference_validate_structure, svd_rcond
+from util import (figure_bits, random_linear_ph, random_skew, reference_validate_structure,
+                  svd_rcond)
 
 
 def make(J, R, L=None, E=None, B=None, **kw):
@@ -214,6 +216,25 @@ class TestStructureOracle:
             if sys.is_linear and not np.isfinite(sys.Q).all():
                 kinds.add("Q overflow")
         assert kinds == {"non-finite", "callback", "linear", "passed", "failed", "Q overflow"}
+
+    def test_stored_figures_are_those_of_the_checks(self, tmp_path, monkeypatch):
+        # the cases of test_same_report_bits, each through a document cache
+        # entry: a hit carries the figures of a decisive system bit for bit
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        rng = np.random.default_rng(30)
+        kinds = set()
+        for case in range(2400):
+            sys, samples = oracle_case(rng)
+            if samples is not None or not all(np.isfinite(a).all() for a in sys.coefficients()):
+                continue
+            figures, decisive, _ = phode.core._checks(sys, None)
+            doccache.put("oracle", sys)
+            hit = doccache.get("oracle")
+            assert ("structure" in vars(hit)) == decisive, case
+            assert figure_bits(hit.structure[0]) == figure_bits(figures), case
+            assert structure_failures(hit) == reference_validate_structure(sys).failures()
+            kinds.add((decisive, figures[0] and figures[2] and figures[4]))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def count_svds(monkeypatch) -> list:

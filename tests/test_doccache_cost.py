@@ -1,6 +1,7 @@
 """``tools/doccache_cost.py`` counts the hits of a cold and a warm pass per
-kind of document, times each cached document's and trajectory's read
-without a cache, on a miss and on a hit, a document's load (hit and
+kind of document and the structural checks of each pass, times each
+cached document's and trajectory's read without a cache, on a miss and on
+a hit, its key on one thread and on two, a document's load (hit and
 structure check), and what the writer of a large trajectory CSV adds to
 its write; a call under a millisecond is timed as the mean of many."""
 
@@ -10,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import phode.cli
 from phode import doccache
@@ -50,11 +52,15 @@ def test_cold_and_warm_passes_and_timed_reads(monkeypatch):
     assert out["cold_pass"]["trajectory"] == {"reads": 2, "hits": 2}
     assert out["warm_pass"]["system"] == {"reads": 2, "hits": 2}
     assert out["warm_pass"]["trajectory"] == {"reads": 2, "hits": 2}
+    # the small document is checked at each of its five loads, the big one
+    # once, when its entry is stored: its hits take the entry's figures
+    assert out["cold_pass"]["checks"] == 6 and out["warm_pass"]["checks"] == 5
     for name in ("documents", "trajectories"):
         assert out[name]["count"] == 1 and len(out[name]["rows"]) == 1
         row = out[name]["rows"][0]
         assert row["bytes"] >= doccache.MIN_BYTES
-        assert all(row[k] > 0 for k in ("plain_s", "miss_s", "hit_s"))
+        assert all(row[k] > 0 for k in ("plain_s", "miss_s", "hit_s", "key_1t_s", "key_2t_s"))
+        assert {"key_1t_s", "key_2t_s"} <= set(out[name]["total"])
     # a stored system document costs a command its hit and its structure check
     assert out["documents"]["rows"][0]["load_s"] > 0
     assert "load_s" in out["documents"]["total"]
@@ -75,6 +81,15 @@ def test_timed_key_is_that_of_the_written_file(tmp_path):
     key = phode.cli._write(str(out), text, doccache.TRAJECTORY)
     assert key == doccache_cost.slice_key(text)
     assert key == doccache.key_of(out.read_bytes(), doccache.TRAJECTORY)
+
+
+@pytest.mark.parametrize("size", [10, 2 ** 12, 2 ** 12 + 1])
+def test_one_thread_key_is_the_key(monkeypatch, size):
+    # documents of SPLIT_BYTES and more are keyed by their two halves
+    monkeypatch.setattr(doccache, "SPLIT_BYTES", 2 ** 12)
+    data = np.random.default_rng(size).bytes(size)
+    for kind in doccache_cost.KINDS:
+        assert doccache_cost.key_one_thread(data, kind) == doccache.key_of(data, kind)
 
 
 def test_sub_millisecond_calls_are_timed_as_means():

@@ -293,6 +293,11 @@ def _oracle_psd_check(ws, tol):
     return lam >= -tol * (1.0 / s + norm), lam * s
 
 
+def figure_bits(figures) -> list:
+    """The booleans and the bits of the floats of six figures."""
+    return [v if type(v) is bool else np.float64(v).view(np.int64) for v in figures]
+
+
 def svd_rcond(mat: np.ndarray) -> float:
     """Reciprocal condition estimate from the SVD alone, which ``core._rcond``
     skips for an exact identity (0 for rank-deficient matrices)."""

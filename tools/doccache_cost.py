@@ -9,8 +9,10 @@ empty temporary directory, and every job runs once through
 ``phode.cli.main`` (the cold pass), then once more (the warm pass).  Each
 pass counts, per kind of document (``system`` documents and the
 ``trajectory`` CSVs that ``report`` reads), the reads of at least
-``doccache.MIN_BYTES`` bytes and the hits among them, and its wall time.
-On the cold pass a CSV that ``simulate -o`` or ``cosim -o`` wrote is a hit
+``doccache.MIN_BYTES`` bytes and the hits among them, the structural checks
+it runs (``checks``: calls of ``phode.core._checks``, which a hit whose
+entry records its systems' figures does not make) and its wall time.  On
+the cold pass a CSV that ``simulate -o`` or ``cosim -o`` wrote is a hit
 already.
 
 Then, for every distinct document that was read through the cache, three
@@ -20,13 +22,17 @@ document, ``phode.cli._read`` uncached for a CSV), ``miss`` a read on an
 empty cache (key, lookup, decode, parse, store and eviction) and ``hit`` a
 read on the entry the miss stored; for a system document ``load`` is what
 a command pays for it on that entry, the hit and the structure check
-(``phode.cli._load``).  For every distinct CSV of at least ``MIN_BYTES``
+(``phode.cli._load``).  ``key_2t_s`` times the document's key as
+``doccache.key_of`` takes it, the second half of a document of at least
+``doccache.SPLIT_BYTES`` hashed on the worker thread, and ``key_1t_s`` the
+same key with every byte hashed on the calling thread; below
+``SPLIT_BYTES`` the two are one SHA-256.  For every distinct CSV of at least ``MIN_BYTES``
 that a command wrote, ``render_s`` times ``write_trajectory`` and
 ``write_s`` the write of its text without a key, and the writer's
 additions are timed on their own: ``key_s`` hashes the text a slice at a
 time as ``phode.cli._write`` does, ``has_s`` is the existence check that
 finds the entry and ``store_s`` the check, table and store on an empty
-cache.  ``has_s``, and each ``hit_s``, ``load_s`` and ``key_s`` of which one
+cache.  ``has_s``, and each ``hit_s``, ``load_s`` and key time of which one
 call takes under ``MEAN_BELOW_S``, is the mean of ``MEAN_CALLS`` calls in a
 row.  ``first_key_s`` is what a process pays once, at its first key (a
 ``phode simulate`` whose output is large pays it even when its document is
@@ -63,6 +69,7 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
         sys.path.insert(0, str(_path))
 
 import phode.cli  # noqa: E402
+import phode.core  # noqa: E402
 import workloads  # noqa: E402
 from phode import doccache  # noqa: E402
 from phode.fileio import parse_system_text, write_trajectory  # noqa: E402
@@ -131,6 +138,13 @@ def slice_key(text: str) -> str:
     return h.hexdigest()
 
 
+def key_one_thread(data: bytes, kind: str) -> str:
+    """``doccache.key_of(data, kind)`` with every byte hashed on this thread."""
+    h = doccache.hasher(kind, len(data))
+    h.update(data)
+    return h.hexdigest()
+
+
 def summary(rows: list, keys: tuple) -> dict:
     """The count, the totals of ``keys`` and the rows, largest first."""
     return {"count": len(rows),
@@ -141,8 +155,9 @@ def summary(rows: list, keys: tuple) -> dict:
 
 def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
     """The plain, miss and hit times of reading each of ``paths`` (bytes to
-    path) as ``kind`` documents with ``parse``, and for a system document
-    the load: a hit and the structure check (``phode.cli._load``)."""
+    path) as ``kind`` documents with ``parse``, its key on one thread and
+    on two, and for a system document the load: a hit and the structure
+    check (``phode.cli._load``)."""
     read, rows = phode.cli._read, []
     for data, path in paths.items():
         warm = tempfile.mkdtemp(dir=tmp)
@@ -154,9 +169,17 @@ def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
 
         plain = ((lambda: parse_system_text(Path(path).read_text(encoding="utf-8")))
                  if kind == doccache.SYSTEM else (lambda: read(path, parse)))
+        def key_1t():
+            key_one_thread(data, kind)
+
+        def key_2t():
+            doccache.key_of(data, kind)
+
         calls = {"plain_s": (lambda: None, plain, 1),
                  "miss_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)), cached, 1),
-                 "hit_s": (lambda: use_cache(warm), cached, calls_for(cached))}
+                 "hit_s": (lambda: use_cache(warm), cached, calls_for(cached)),
+                 "key_1t_s": (lambda: None, key_1t, calls_for(key_1t)),
+                 "key_2t_s": (lambda: None, key_2t, calls_for(key_2t))}
         if kind == doccache.SYSTEM:
             def load():     # a document that fails the check is refused after it
                 with contextlib.suppress(phode.cli.CliError):
@@ -164,7 +187,7 @@ def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
 
             calls["load_s"] = (lambda: use_cache(warm), load, calls_for(load))
         rows.append({"bytes": len(data), **timed(calls, repeat)})
-    out = summary(rows, ("plain_s", "miss_s", "hit_s")
+    out = summary(rows, ("plain_s", "miss_s", "hit_s", "key_1t_s", "key_2t_s")
                   + (("load_s",) if kind == doccache.SYSTEM else ()))
     out["miss_over_plain"] = (round(out["total"]["miss_s"] / out["total"]["plain_s"], 3)
                               if rows else None)
@@ -208,6 +231,11 @@ def measure(workload: str, seed: int, repeat: int) -> dict:
     paths = {kind: {} for kind in KINDS}
     outputs = {}
     get, read, write = doccache.get, phode.cli._read, phode.cli._write_trajectory
+    checks, checked = phode.core._checks, []
+
+    def counted_checks(*args):
+        checked.append(1)
+        return checks(*args)
 
     def counted_get(key, kind=doccache.SYSTEM):
         obj = get(key, kind)
@@ -228,12 +256,14 @@ def measure(workload: str, seed: int, repeat: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.ExitStack() as stack:
         stack.callback(setattr, doccache, "get", get)
+        stack.callback(setattr, phode.core, "_checks", checks)
         stack.callback(setattr, phode.cli, "_read", read)
         stack.callback(setattr, phode.cli, "_write_trajectory", write)
         old = os.environ.get("XDG_CACHE_HOME")
         stack.callback(lambda: os.environ.pop("XDG_CACHE_HOME", None) if old is None
                        else use_cache(old))
         doccache.get, phode.cli._read = counted_get, noted_read
+        phode.core._checks = counted_checks
         phode.cli._write_trajectory = noted_write
         use_cache(str(Path(tmp, "xdg")))
         work = Path(tmp, "work")
@@ -241,12 +271,13 @@ def measure(workload: str, seed: int, repeat: int) -> dict:
         wl = workloads.WORKLOADS[workload](np.random.default_rng(seed), work)
         for name in ("cold", "warm"):
             reads.clear()
+            checked.clear()
             wall = run_pass(wl.jobs)
-            out[f"{name}_pass"] = {"wall_s": round(wall, 4), **{
+            out[f"{name}_pass"] = {"wall_s": round(wall, 4), "checks": len(checked), **{
                 kind: {"reads": sum(k == kind for k, _ in reads),
                        "hits": sum(k == kind and hit for k, hit in reads)} for kind in KINDS}}
         doccache.get, phode.cli._read = get, read
-        phode.cli._write_trajectory = write
+        phode.cli._write_trajectory, phode.core._checks = write, checks
         out["documents"] = time_reads(paths[doccache.SYSTEM], parse_system_text,
                                       doccache.SYSTEM, tmp, repeat)
         out["trajectories"] = time_reads(paths[doccache.TRAJECTORY],
