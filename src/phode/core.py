@@ -175,9 +175,8 @@ class LinearPHSystem:
 
     @cached_property
     def structure(self) -> tuple:
-        """The figures of the three structural checks (see ``_checks``) and
-        whether every verdict is decisive; computed once, or put back by the
-        document cache."""
+        """The figures of the structural checks (``_checks``) and whether every
+        verdict is decisive; computed once, or put back by the document cache."""
         figures, decisive, _ = _checks(self, None)
         return figures, decisive
 

@@ -244,7 +244,12 @@ def get(key: str | None, kind: str = SYSTEM):
                 raise ValueError("entry of another layout")
         else:
             obj = _rebuild(head["subsystems"], head["coupling"], arrays)
-            _restore_structure(obj, head["structure"])
+            # recorded figures stand in for the checks; a null leaves them to the load
+            for sub, fig in zip(_systems(obj), head["structure"], strict=True):
+                if fig is not None:
+                    if [type(v) for v in fig] != [bool, float] * 3:
+                        raise ValueError("entry of another layout")
+                    vars(sub)["structure"] = tuple(fig), True   # the cached_property's slot
     except (OSError, ValueError, LookupError, TypeError):
         return None
     with contextlib.suppress(OSError):      # a read-only cache keeps its order
@@ -254,19 +259,6 @@ def get(key: str | None, kind: str = SYSTEM):
 
 def _systems(obj) -> tuple:
     return obj.subsystems if isinstance(obj, CoupledNetwork) else (obj,)
-
-
-def _restore_structure(obj, figures: list):
-    """Put the recorded ``figures`` of each system of ``obj`` back as its
-    ``structure``; a null leaves the system to be checked at its load."""
-    systems = _systems(obj)
-    if len(figures) != len(systems):
-        raise ValueError("entry of another layout")
-    for sub, fig in zip(systems, figures):
-        if fig is not None:
-            if len(fig) != 6 or [type(v) for v in fig] != [bool, float] * 3:
-                raise ValueError("entry of another layout")
-            vars(sub)["structure"] = tuple(fig), True      # the cached_property's slot
 
 
 def _rebuild(subsystems: int | None, coupling: str | None, arrays: list):
