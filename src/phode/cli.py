@@ -12,9 +12,9 @@ import os
 import re
 import stat
 import sys as _sys
+import time
 import warnings
 from contextlib import contextmanager, suppress
-from pathlib import Path
 
 import numpy as np
 
@@ -73,9 +73,16 @@ def _read(path: str, parse, cached: bool = False, kind: str = doccache.SYSTEM):
     cannot be read or decoded, or whose text ``parse`` refuses with a
     ValueError, is a usage error (see ``_about``).  With ``cached``, the
     result for a file of at least ``doccache.MIN_BYTES`` is taken from, or
-    stored in, the document cache under ``kind`` (see phode.doccache)."""
+    stored in, the document cache under ``kind``, and a settled file is
+    found by its status without a read (see phode.doccache)."""
     with _about(path):
-        data = Path(path).read_bytes()
+        now = time.time_ns()            # before the open, whose status it dates
+        with open(path, "rb") as f:
+            memo = doccache.memo_of(os.fstat(f.fileno()), kind, now) if cached else None
+            obj = doccache.recall(memo, kind)
+            if obj is not None:
+                return obj
+            data = f.read()
         key = (doccache.key_of(data, kind)
                if cached and len(data) >= doccache.MIN_BYTES else None)
         obj = doccache.get(key, kind)
@@ -87,6 +94,7 @@ def _read(path: str, parse, cached: bool = False, kind: str = doccache.SYSTEM):
             obj = parse(text)
             del text
             doccache.put(key, obj)
+        doccache.remember(memo, key)
         return obj
 
 
@@ -141,7 +149,7 @@ def _write(path: str | None, text: str, kind: str | None = None) -> str | None:
     h = None
     if (kind is not None and path not in (None, "-") and os.linesep == "\n"
             and len(text) >= doccache.MIN_BYTES and text.isascii()):
-        h = doccache.hasher(kind, len(text))
+        h = doccache.hasher(kind)
     try:
         if path is None or path == "-":
             _write_slices(_sys.stdout, text)

@@ -8,12 +8,11 @@ CSV (``TRAJECTORY``), whose table of values ``report`` stores and
 or not an absolute path), named by the SHA-256 of the document's bytes
 together with its kind and everything else its parse depends on: the
 source of the phode modules, the Python and NumPy versions and
-``sys.get_int_max_str_digits()``; a document of at least ``SPLIT_BYTES``
-is keyed by the digests of its two halves, the second taken on a worker
-thread.  An entry is one line of JSON (the key, the kind, the layout of a
-system or network, the figures of each system's structural checks and the
-shape and memory order of each matrix), padded to a multiple of 8 bytes,
-and then the matrices' float64 values, little-endian.  A system's figures
+``sys.get_int_max_str_digits()``.  An entry is one line of JSON (the key,
+the kind, the layout of a system or network, the figures of each system's
+structural checks and the shape and memory order of each matrix), padded
+to a multiple of 8 bytes, and then the matrices' float64 values,
+little-endian.  A system's figures
 (``LinearPHSystem.structure``, computed when the entry is stored) are
 recorded only when every verdict holds or fails by a factor of 2, so that
 no other rounding of the checks could flip one; a system without them is
@@ -26,6 +25,16 @@ kind is a miss, and a cache location that cannot be read or written leaves
 every command as it is without one.  So does a directory that another
 user owns or that group or others may use at all, and a system without
 user ids: the cache is only ever a private one.
+
+A settled file (``memo_of``) is found by its status, not its bytes: the
+read that keys it leaves a memo, a file named by the key of the file's
+device, inode, size, mtime and ctime that holds the 64 hex digits of its
+entry's key, so that a later read with the same status costs an ``fstat``,
+the memo and the entry.  A write after the status was taken moves the
+file's ctime past the clock reading that dated it, less a tick, so its next
+status names another memo; only a clock set back by more than
+``SETTLED_NS``, or a filesystem whose ctime does not move on a write, could
+serve a stale one.  Eviction counts memos with the entries.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import os
 import stat
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +60,16 @@ from .coupling import CoupledNetwork, CouplingSpec, LinearPortRelation
 #: but a one-shot command pays about 5 ms at its first key and every store
 #: about 1-2 ms whatever its size, which a small document does not win back
 MIN_BYTES = 2 ** 16
-#: documents of at least this many bytes are keyed by the digests of their
-#: two halves, the second hashed on a worker thread: on a 2-core VM that
-#: takes 0.55 of the time of one SHA-256 from 1 MiB up, 0.6 at 512 KiB and
-#: 0.86 at 256 KiB
-SPLIT_BYTES = 2 ** 20
-#: bound of the total size of the entries; the least recently used (by
-#: mtime, which a hit refreshes) go first
+#: a file whose mtime and ctime are this many ns older than the clock is
+#: settled: more than FAT's 2 s mtime and any clock tick
+SETTLED_NS = 3 * 10 ** 9
+#: bound of the total size of the entries and memos; the least recently
+#: used (by mtime, which a hit refreshes) go first
 MAX_BYTES = 2 ** 28
 #: a temporary file this many seconds old was left by a write that was killed
 STALE_S = 600
 _SUFFIX = ".entry"
+_MEMO = ".memo"
 _TMP = ".tmp"
 _FIELDS = ("E", "J", "R", "B", "L", "P", "S", "N")
 #: the kinds of document: a system document (a system or network) and a
@@ -89,10 +97,10 @@ def _salt() -> bytes:
     return h.digest()
 
 
-def hasher(kind: str, length: int):
-    """An object that takes the ``length`` bytes of a ``kind`` document in
-    order, in any number of ``update`` calls, and whose ``hexdigest()`` is
-    then their ``key_of``; None when the package's source cannot be read."""
+def hasher(kind: str):
+    """A SHA-256 that has taken the prefix of every ``kind`` key: the salt,
+    the digit limit and the kind; None when the package's source cannot be
+    read."""
     import hashlib
     try:
         salt = _salt()
@@ -101,90 +109,30 @@ def hasher(kind: str, length: int):
     h = hashlib.sha256(salt)
     h.update(b"%d\0%s\0" % (getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                              kind.encode()))
-    return h if length < SPLIT_BYTES else _Halves(h, length)
-
-
-class _Halves:
-    """The key of a document of at least ``SPLIT_BYTES`` bytes: the SHA-256
-    of the key's prefix ``head``, the length, and the digests of the first
-    ``length // 2`` bytes and of the rest (a two-leaf tree hash)."""
-
-    def __init__(self, head, length: int):
-        import hashlib
-        head.update(b"%d\0" % length)
-        self.head, self.left = head, length // 2        # bytes of the first half to come
-        self.first, self.second = hashlib.sha256(), hashlib.sha256()
-
-    def update(self, data):
-        data = memoryview(data)
-        cut = min(self.left, len(data))
-        self.first.update(data[:cut])
-        self.second.update(data[cut:])
-        self.left -= cut
-
-    def hexdigest(self) -> str:
-        h = self.head.copy()
-        h.update(self.first.digest() + self.second.digest())
-        return h.hexdigest()
+    return h
 
 
 def key_of(data: bytes, kind: str = SYSTEM) -> str | None:
     """The name of the entry of a ``kind`` document's bytes, None when the
-    package's source cannot be read.  The second half of a document of at
-    least ``SPLIT_BYTES`` is hashed on the worker thread (hashlib releases
-    the interpreter lock) while this thread hashes the first."""
-    h = hasher(kind, len(data))
+    package's source cannot be read."""
+    h = hasher(kind)
     if h is None:
         return None
-    if not isinstance(h, _Halves):
-        h.update(data)
-        return h.hexdigest()
-    view, half = memoryview(data), h.left
-    rest = _Digest(view[half:])
-    h.first.update(view[:half])
-    h.second = rest.result()            # the digest of the second half, taken on the worker
+    h.update(data)
     return h.hexdigest()
 
 
-class _Digest:
-    """The SHA-256 of ``data``, taken on the worker thread of the process."""
-
-    def __init__(self, data):
-        import threading
-        self.data, self.done, self.hash, self.error = data, threading.Event(), None, None
-        _worker(os.getpid()).put(self)
-
-    def run(self):
-        import hashlib
-        try:
-            self.hash = hashlib.sha256(self.data)
-        except Exception as exc:        # the worker goes on; result() raises it here
-            self.error = exc
-        finally:
-            self.done.set()
-
-    def result(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.hash
-
-
-@functools.cache
-def _worker(pid: int):
-    """The queue of the worker thread of the process ``pid``, which runs
-    each ``_Digest`` put in it; started at the first call, so a child
-    process that a fork made starts its own."""
-    import queue
-    import threading
-    jobs = queue.SimpleQueue()
-
-    def serve():
-        while True:
-            jobs.get().run()
-
-    threading.Thread(target=serve, name="phode-doccache-key", daemon=True).start()
-    return jobs
+def memo_of(st: os.stat_result, kind: str, now: int) -> str | None:
+    """The name of the memo of a ``kind`` document whose file has the status
+    ``st``, None unless it is a regular file of at least ``MIN_BYTES`` whose
+    mtime and ctime are ``SETTLED_NS`` older than ``now``, a
+    ``time.time_ns()`` taken before the file was opened: the key of the
+    status."""
+    if not (stat.S_ISREG(st.st_mode) and st.st_size >= MIN_BYTES
+            and max(st.st_mtime_ns, st.st_ctime_ns) <= now - SETTLED_NS):
+        return None
+    return key_of(b"status\0%d\0%d\0%d\0%d\0%d" % (
+        st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns), kind)
 
 
 def _private(folder: Path) -> bool:
@@ -257,6 +205,35 @@ def get(key: str | None, kind: str = SYSTEM):
     return obj
 
 
+def recall(memo: str | None, kind: str = SYSTEM):
+    """``get`` of the key that the memo ``memo`` (see ``memo_of``) holds,
+    None when ``memo`` is None or names no memo.  A hit refreshes the
+    memo's mtime where it can."""
+    if memo is None:
+        return None
+    path = directory() / (memo + _MEMO)
+    try:
+        with open(path, "rb") as f:
+            key = f.read(65)
+    except OSError:
+        return None
+    if len(key) != 64 or key.strip(b"0123456789abcdef"):
+        return None
+    obj = get(key.decode(), kind)           # which refuses a directory that is not private
+    if obj is not None:
+        with contextlib.suppress(OSError):
+            os.utime(path)
+    return obj
+
+
+def remember(memo: str | None, key: str | None):
+    """Record ``key`` in the memo ``memo`` (nothing when either is None),
+    through a temporary file.  The directory is not scanned: the next
+    ``put`` counts the memo with the entries it may delete."""
+    if memo is not None and key is not None:
+        _replace(directory(), memo, _MEMO, [key.encode()])
+
+
 def _systems(obj) -> tuple:
     return obj.subsystems if isinstance(obj, CoupledNetwork) else (obj,)
 
@@ -318,33 +295,46 @@ def put(key: str | None, obj):
               for a in arrays]
     head = {"key": key, **fields,
             "arrays": [[*a.shape, order] for a, order in zip(arrays, orders)]}
+    line = json.dumps(head).encode()
+    line += b" " * (-(len(line) + 1) % 8) + b"\n"
+    chunks = chain([line], (a.astype("<f8", copy=False).tobytes(order)
+                            for a, order in zip(arrays, orders)))
     folder = directory()
-    tmp = folder / f".{key}.{os.getpid()}{_TMP}"
+    if _replace(folder, key, _SUFFIX, chunks):
+        with contextlib.suppress(OSError):
+            _evict(folder)
+
+
+def _replace(folder: Path, stem: str, suffix: str, chunks) -> bool:
+    """Write the byte strings ``chunks`` to the file ``stem + suffix`` of
+    ``folder``, made 0o700 when absent, through a new temporary file moved
+    into place; whether it was written, never in a directory that is not
+    private.  The temporary file goes whatever stops the write, an
+    interrupt too."""
+    tmp = folder / f".{stem}.{os.getpid()}{_TMP}"
     try:
         folder.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not _private(folder):
-            return
+            return False
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o600)
     except OSError:
-        return
-    try:        # the temporary file goes whatever stops the write, an interrupt too
+        return False
+    try:
         with open(fd, "wb") as f:
-            line = json.dumps(head).encode()
-            f.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
-            for a, order in zip(arrays, orders):
-                f.write(a.astype("<f8", copy=False).tobytes(order))
-        os.replace(tmp, folder / (key + _SUFFIX))
-        _evict(folder)
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, folder / (stem + suffix))
+        return True
     except OSError:
-        pass
+        return False
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
 
 
 def _evict(folder: Path):
-    """Delete the least recently used entries of ``folder`` (the oldest by
-    mtime, which a hit refreshes) until the rest hold at most
+    """Delete the least recently used entries and memos of ``folder`` (the
+    oldest by mtime, which a hit refreshes) until the rest hold at most
     ``MAX_BYTES``, and every temporary file older than ``STALE_S``."""
     entries = []
     stale = time.time_ns() - STALE_S * 10 ** 9
@@ -353,7 +343,7 @@ def _evict(folder: Path):
             if not e.is_file(follow_symlinks=False):
                 continue
             st = e.stat(follow_symlinks=False)
-            if e.name.endswith(_SUFFIX):
+            if e.name.endswith((_SUFFIX, _MEMO)):
                 entries.append((st.st_mtime_ns, e.name, st.st_size))
             elif e.name.endswith(_TMP) and st.st_mtime_ns < stale:
                 (folder / e.name).unlink(missing_ok=True)

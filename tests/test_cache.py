@@ -7,13 +7,13 @@ import dataclasses
 import hashlib
 import json
 import os
-import select
-import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -794,64 +794,42 @@ def test_a_table_that_does_not_fit_changes_nothing(tmp_path, cache, monkeypatch,
     assert out.read_text() == expected[1]
 
 
-def test_importing_the_command_line_loads_no_hashlib_and_starts_no_thread():
-    # the first key of a process imports it, and the first key of a large
-    # document starts the worker thread, so a command on small files does neither
-    code = ("import sys, threading, phode.cli; "
-            "print('hashlib' in sys.modules, threading.active_count())")
+def test_importing_the_command_line_loads_no_hashlib():
+    # the first key of a process imports it, so a command on small files does not
+    code = "import sys, phode.cli; print('hashlib' in sys.modules)"
     src = str(Path(phode.cli.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout == "False 1\n"
+    assert proc.stdout == "False\n"
 
 
-def tree_key(data: bytes, kind: str) -> str:
-    """The key of a document of at least SPLIT_BYTES bytes, as its definition
-    reads: the SHA-256 of the salt, the digit limit, the kind, the length and
-    the digests of the first len // 2 bytes and of the rest."""
-    half = len(data) // 2
-    return hashlib.sha256(b"%s%d\0%s\0%d\0%s%s" % (
-        doccache._salt(), DIGITS(), kind.encode(), len(data),
-        hashlib.sha256(data[:half]).digest(), hashlib.sha256(data[half:]).digest())
-    ).hexdigest()
+def prefix_key(data: bytes, kind: str) -> str:
+    """The key as its definition reads: the SHA-256 of the salt, the digit
+    limit, the kind and the bytes."""
+    return hashlib.sha256(b"%s%d\0%s\0%s" % (
+        doccache._salt(), DIGITS(), kind.encode(), data)).hexdigest()
 
 
 def large_text(seed=0) -> str:
     rng = np.random.default_rng(seed)
-    return "".join(f"{v:.17g}\n" for v in rng.standard_normal(doccache.SPLIT_BYTES // 10))
+    return "".join(f"{v:.17g}\n" for v in rng.standard_normal(2 ** 20 // 10))
 
 
-def test_key_of_a_large_document_is_that_of_its_halves():
+def test_a_key_is_one_sha256_and_starts_no_thread():
     data = large_text().encode()
-    assert len(data) >= doccache.SPLIT_BYTES and len(data) % 2
+    threads = threading.active_count()
     for kind in (SYSTEM, TRAJECTORY):
-        assert doccache.key_of(data, kind) == tree_key(data, kind)
-    # taken with the worker thread, which the first such key started
-    assert "phode-doccache-key" in [t.name for t in threading.enumerate()]
-    # below the threshold the key is one SHA-256 of all of the key
-    small = data[:doccache.SPLIT_BYTES - 1]
-    assert doccache.key_of(small) == hashlib.sha256(b"%s%d\0%s\0%s" % (
-        doccache._salt(), DIGITS(), SYSTEM.encode(), small)).hexdigest()
-
-
-def test_an_edit_in_either_half_changes_the_key():
-    data = bytearray(large_text().encode())
-    keys = {doccache.key_of(bytes(data))}
-    for at in (10, len(data) // 2 - 1, len(data) // 2, len(data) - 10):
-        edited = data.copy()
-        edited[at] ^= 1
-        keys.add(doccache.key_of(bytes(edited)))
-    assert len(keys) == 5
+        assert doccache.key_of(data, kind) == prefix_key(data, kind)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("step", [1000, 65536, 2 ** 19 + 7])
 def test_the_writers_key_is_that_of_the_file(tmp_path, monkeypatch, step):
-    # the writer's slices cut the halves anywhere; its key is key_of's
     text = large_text(1)
     monkeypatch.setattr(phode.cli, "_WRITE_SLICE_CHARS", step)
     out = tmp_path / "out.csv"
     key = phode.cli._write(str(out), text, TRAJECTORY)
-    assert key == doccache.key_of(out.read_bytes(), TRAJECTORY) == tree_key(
+    assert key == doccache.key_of(out.read_bytes(), TRAJECTORY) == prefix_key(
         text.encode(), TRAJECTORY)
 
 
@@ -860,51 +838,6 @@ def test_a_text_that_is_not_ascii_gets_no_key(tmp_path):
     text = "\u00e9" + "0\n" * doccache.MIN_BYTES
     assert phode.cli._write(str(out), text, TRAJECTORY) is None
     assert out.read_text(encoding="utf-8") == text
-
-
-def test_keys_taken_at_once_on_many_threads(monkeypatch):
-    # one worker hashes the second halves of all of them, in any order
-    texts = [large_text(seed).encode() for seed in range(6)]
-    want = [tree_key(data, SYSTEM) for data in texts]
-    got = [None] * (2 * len(texts))
-
-    def key(i):
-        got[i] = doccache.key_of(texts[i % len(texts)])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=key, args=(i,)) for i in range(len(got))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got == want + want
-
-
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_keys_with_a_worker_of_its_own():
-    data = large_text().encode()
-    key = doccache.key_of(data)                 # the worker of this process runs
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:                                # pragma: no cover - the child
-        try:
-            os.write(w, doccache.key_of(data).encode())
-        finally:
-            os._exit(0)
-    os.close(w)
-    try:
-        ready, _, _ = select.select([r], [], [], 60)
-        if not ready:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        assert ready and os.read(r, 100).decode() == key
-    finally:
-        os.close(r)
 
 
 # --- the structural checks' figures in an entry ---------------------------
@@ -1043,3 +976,274 @@ def test_validate_prints_the_same_bytes_on_a_cold_and_a_warm_cache(tmp_path, mon
     (tmp_path / "a-file").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a-file"))
     assert outcome(argv, capsys) == cold
+
+
+# ---------------------------------------------------------------------------
+# the status memo: a settled file is found by its status, without a read
+
+def memos(folder: Path) -> list:
+    return sorted(folder.glob("*.memo")) if folder.is_dir() else []
+
+
+# how far ``move_clock`` moves the clock: every file written before is settled
+SHIFT_NS = doccache.SETTLED_NS + 10 ** 9
+
+
+def move_clock(monkeypatch):
+    """Move the clock that ``phode.cli._read`` dates a file's status by
+    forward by ``SHIFT_NS``."""
+    monkeypatch.setattr(phode.cli, "time",
+                        types.SimpleNamespace(time_ns=lambda: time.time_ns() + SHIFT_NS))
+
+
+@pytest.fixture
+def later(monkeypatch):
+    move_clock(monkeypatch)
+
+
+@pytest.fixture
+def keys(monkeypatch):
+    """The kinds of the documents that ``doccache.key_of`` keys; the file
+    statuses it keys for ``memo_of`` are shorter than ``MIN_BYTES``."""
+    calls, key_of = [], doccache.key_of
+
+    def counted(data, kind=SYSTEM):
+        if len(data) >= doccache.MIN_BYTES:
+            calls.append(kind)
+        return key_of(data, kind)
+
+    monkeypatch.setattr(doccache, "key_of", counted)
+    return calls
+
+
+@pytest.fixture
+def bytes_read(monkeypatch):
+    """The sizes of the reads from the files that ``phode.cli`` opens to read."""
+    sizes = []
+
+    class Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def read(self, *args):
+            data = self.f.read(*args)
+            sizes.append(len(data))
+            return data
+
+    def opened(path, mode="r", **kwargs):
+        f = open(path, mode, **kwargs)
+        return Counted(f) if mode == "rb" else f
+
+    monkeypatch.setattr(phode.cli, "open", opened, raising=False)
+    return sizes
+
+
+def edited(text: str) -> str:
+    """``text`` with one digit of a number in its second half changed: a
+    document of the same length and other values."""
+    at = next(i for i in range(len(text) // 2, len(text))
+              if text[i] in "12345678" and text[i - 1].isdigit())
+    return text[:at] + str(int(text[at]) + 1) + text[at + 1:]
+
+
+@pytest.mark.parametrize("name", ["linear", "network-relation"])
+def test_a_settled_read_keys_and_reads_nothing(tmp_path, cache, parses, later, keys,
+                                               bytes_read, name):
+    path = document(tmp_path, name)
+    ref = parse_system_text(path.read_text())
+    assert_same(read(path), ref)                    # the miss records the memo
+    [memo] = memos(cache)
+    assert memo.name == doccache.memo_of(path.stat(), SYSTEM,
+                                         time.time_ns() + SHIFT_NS) + ".memo"
+    assert memo.read_bytes() == prefix_key(path.read_bytes(), SYSTEM).encode()
+    assert stat.S_IMODE(memo.stat().st_mode) == 0o600
+    assert list(cache.glob(".*")) == []             # no temporary file is left
+    keys.clear()
+    bytes_read.clear()
+    assert_same(read(path), ref)
+    assert keys == [] and bytes_read == [] and len(parses) == 1
+
+
+def test_a_same_size_rewrite_is_not_served_stale_at_the_real_clock(tmp_path, cache,
+                                                                   monkeypatch, parses):
+    monkeypatch.setattr(doccache, "SETTLED_NS", 10 ** 8)
+    path = document(tmp_path, "linear")
+    text = path.read_text()
+    time.sleep(0.2)
+    read(path)
+    read(path)
+    assert len(memos(cache)) == 1 and len(parses) == 1     # the second was the memo's
+    new = edited(text)
+    path.write_text(new)
+    assert path.stat().st_size == len(text)
+    assert_same(read(path), parse_system_text(new))         # not settled: keyed
+    time.sleep(0.2)
+    for _ in range(2):                                      # settled: a memo of its own
+        assert_same(read(path), parse_system_text(new))
+    assert len(memos(cache)) == 2 and len(parses) == 2
+
+
+def test_an_old_mtime_does_not_settle_a_file_just_written(tmp_path, cache, parses):
+    # as cp -p, tar and rsync -t leave a copy: its ctime is that of the write
+    path = document(tmp_path, "linear")
+    old = path.stat().st_mtime_ns - 2 * SHIFT_NS
+    os.utime(path, ns=(old, old))
+    for _ in range(2):
+        read(path)
+    assert memos(cache) == [] and len(entries(cache)) == 1 and len(parses) == 1
+
+
+def test_a_same_size_rewrite_with_its_old_mtime_is_not_served_stale(tmp_path, cache,
+                                                                    later, parses):
+    path = document(tmp_path, "linear")
+    text = path.read_text()
+    read(path)
+    old = path.stat()
+    new = edited(text)
+    path.write_text(new)
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    st = path.stat()
+    # only the ctime tells the two apart
+    assert (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns) == (
+        old.st_dev, old.st_ino, old.st_size, old.st_mtime_ns)
+    assert_same(read(path), parse_system_text(new))
+    assert len(parses) == 2 and len(memos(cache)) == 2
+
+
+def test_a_memo_whose_entry_is_gone_falls_back_to_the_bytes(tmp_path, cache, later,
+                                                             parses, keys):
+    path = document(tmp_path, "network-skew")
+    read(path)
+    [memo], [entry] = memos(cache), entries(cache)
+    entry.unlink()
+    keys.clear()
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert keys == [SYSTEM] and len(parses) == 2
+    assert entries(cache) == [entry] and memos(cache) == [memo]
+
+
+@pytest.mark.parametrize("damage", [b"", b"0" * 63, b"g" * 64, b"../" + b"0" * 61])
+def test_a_damaged_memo_falls_back_to_the_bytes(tmp_path, cache, later, parses, keys,
+                                                damage):
+    path = document(tmp_path, "linear")
+    read(path)
+    [memo] = memos(cache)
+    whole = memo.read_bytes()
+    memo.write_bytes(damage)
+    keys.clear()
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert keys == [SYSTEM] and len(parses) == 1            # the entry's hit
+    assert memo.read_bytes() == whole                       # written anew
+
+
+def test_a_changed_salt_misses_the_memo(tmp_path, cache, monkeypatch, later, parses, keys):
+    path = document(tmp_path, "linear")
+    read(path)
+    [memo] = memos(cache)
+    monkeypatch.setattr(doccache, "_salt", lambda: b"another source")
+    keys.clear()
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert keys == [SYSTEM] and len(parses) == 2
+    assert len(memos(cache)) == 2 and memo in memos(cache)
+
+
+def test_a_fifo_or_a_small_file_gets_no_memo(tmp_path, cache, later, parses):
+    small = tmp_path / "small.json"
+    small.write_text(dump_document(random_linear_ph(np.random.default_rng(1), n=4)))
+    assert small.stat().st_size < doccache.MIN_BYTES
+    for _ in range(2):
+        read(small)
+    assert memos(cache) == entries(cache) == [] and len(parses) == 2
+    text = document(tmp_path, "linear").read_text()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for _ in range(2):
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            assert_same(read(fifo), parse_system_text(text))
+        finally:
+            writer.join(timeout=60)
+    # the second read is a hit of the entry the first stored, by its key
+    assert memos(cache) == [] and len(entries(cache)) == 1 and len(parses) == 3
+
+
+def test_report_of_a_settled_csv_takes_the_memo(tmp_path, cache, monkeypatch, csv_parses,
+                                                keys, capsys):
+    argv, system = runs(tmp_path)["midpoint"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    report = ["report", str(out), system]
+    fresh = outcome(report, capsys)
+    # a CSV just written, and the document just made, are not settled
+    assert fresh[0] == 0 and memos(cache) == [] and csv_parses == []
+    move_clock(monkeypatch)
+    assert outcome(report, capsys) == fresh             # which records their memos
+    assert len(memos(cache)) == 2
+    keys.clear()
+    assert outcome(report, capsys) == fresh
+    assert keys == [] and csv_parses == []
+
+
+def test_memos_are_evicted_with_the_entries_by_last_use(tmp_path, cache, monkeypatch,
+                                                        later, parses):
+    paths = [document(tmp_path, "linear", seed) for seed in range(3)]
+    made = []
+    # seconds back: the first's entry and memo, the second's entry, and its
+    # memo, the oldest file of all
+    for ages, path in zip(((100, 90), (50, 120)), paths):
+        read(path)
+        [entry] = set(entries(cache)) - set(made)
+        [memo] = set(memos(cache)) - set(made)
+        for f, back in zip((entry, memo), ages):
+            mtime = f.stat().st_mtime_ns - back * 10 ** 9
+            os.utime(f, ns=(mtime, mtime))
+        made += [entry, memo]
+    e0, m0, e1, m1 = made
+    read(paths[0])                  # a memo hit refreshes the memo and the entry
+    assert len(parses) == 2
+    size = e0.stat().st_size
+    assert m0.stat().st_size == 64 and e1.stat().st_size == size
+    # room for two entries and their memos: the third entry's store deletes
+    # the least recently used memo, then the entry after it
+    monkeypatch.setattr(doccache, "MAX_BYTES", 2 * size + 100)
+    read(paths[2])
+    left = set(entries(cache) + memos(cache))
+    assert {e0, m0} <= left and not {e1, m1} & left and len(left) == 4
+
+
+def test_storing_a_memo_scans_no_directory(tmp_path, cache, monkeypatch, parses):
+    path = document(tmp_path, "linear")
+    scans, scandir = [], os.scandir
+
+    def counted(*args):
+        scans.append(args)
+        return scandir(*args)
+
+    monkeypatch.setattr(os, "scandir", counted)
+    read(path)              # at the real clock: the store scans, no memo
+    assert len(scans) == 1
+    move_clock(monkeypatch)
+    scans.clear()
+    read(path)              # an entry hit, which records the memo
+    assert scans == []
+    monkeypatch.undo()
+    assert len(memos(cache)) == 1 and len(parses) == 1
+
+
+def test_a_memo_in_a_directory_others_may_use_is_not_read(tmp_path, cache, later, parses):
+    path = document(tmp_path, "linear")
+    read(path)
+    assert len(memos(cache)) == 1
+    cache.chmod(0o755)
+    assert_same(read(path), parse_system_text(path.read_text()))
+    assert len(parses) == 2

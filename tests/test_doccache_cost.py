@@ -1,9 +1,10 @@
-"""``tools/doccache_cost.py`` counts the hits of a cold and a warm pass per
-kind of document and the structural checks of each pass, times each
-cached document's and trajectory's read without a cache, on a miss and on
-a hit, its key on one thread and on two, a document's load (hit and
-structure check), and what the writer of a large trajectory CSV adds to
-its write; a call under a millisecond is timed as the mean of many."""
+"""``tools/doccache_cost.py`` counts the hits and the status hits of a cold,
+a warm and two settled passes per kind of document and the structural
+checks of each pass, times each cached document's and trajectory's read
+without a cache, on a miss, on a hit and by its settled file's status, its
+key, a document's load (hit and structure check), and what the writer of
+a large trajectory CSV adds to its write; a call under a millisecond is
+timed as the mean of many."""
 
 import importlib.util
 import os
@@ -11,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import phode.cli
 from phode import doccache
@@ -42,25 +42,31 @@ def two_reads(rng, work):
     return doccache_cost.workloads.Workload(jobs)
 
 
-def test_cold_and_warm_passes_and_timed_reads(monkeypatch):
+def test_passes_and_timed_reads(monkeypatch):
     monkeypatch.setitem(doccache_cost.workloads.WORKLOADS, "two-reads", two_reads)
+    monkeypatch.setattr(doccache, "SETTLED_NS", 2 * 10 ** 8)
     before = os.environ.get("XDG_CACHE_HOME")
     out = doccache_cost.measure("two-reads", 1, 1)
     assert os.environ.get("XDG_CACHE_HOME") == before
-    # the CSV that simulate wrote is a hit at its first report
-    assert out["cold_pass"]["system"] == {"reads": 2, "hits": 1}
-    assert out["cold_pass"]["trajectory"] == {"reads": 2, "hits": 2}
-    assert out["warm_pass"]["system"] == {"reads": 2, "hits": 2}
-    assert out["warm_pass"]["trajectory"] == {"reads": 2, "hits": 2}
+    # the CSV that simulate wrote is a hit at its first report, but never
+    # settled: each pass writes it anew
+    assert out["cold_pass"]["system"] == {"reads": 2, "hits": 1, "status_hits": 0}
+    for name in ("cold", "warm", "memo", "settled"):
+        assert out[f"{name}_pass"]["trajectory"] == {"reads": 2, "hits": 2, "status_hits": 0}
+    assert out["warm_pass"]["system"] == {"reads": 2, "hits": 2, "status_hits": 0}
+    # once the big document is settled, its first read records its memo
+    assert out["memo_pass"]["system"] == {"reads": 2, "hits": 2, "status_hits": 1}
+    assert out["settled_pass"]["system"] == {"reads": 2, "hits": 2, "status_hits": 2}
     # the small document is checked at each of its five loads, the big one
     # once, when its entry is stored: its hits take the entry's figures
-    assert out["cold_pass"]["checks"] == 6 and out["warm_pass"]["checks"] == 5
+    assert out["cold_pass"]["checks"] == 6
+    assert out["warm_pass"]["checks"] == out["settled_pass"]["checks"] == 5
     for name in ("documents", "trajectories"):
         assert out[name]["count"] == 1 and len(out[name]["rows"]) == 1
         row = out[name]["rows"][0]
         assert row["bytes"] >= doccache.MIN_BYTES
-        assert all(row[k] > 0 for k in ("plain_s", "miss_s", "hit_s", "key_1t_s", "key_2t_s"))
-        assert {"key_1t_s", "key_2t_s"} <= set(out[name]["total"])
+        assert all(row[k] > 0 for k in ("plain_s", "miss_s", "hit_s", "status_s", "key_s"))
+        assert {"status_s", "key_s"} <= set(out[name]["total"])
     # a stored system document costs a command its hit and its structure check
     assert out["documents"]["rows"][0]["load_s"] > 0
     assert "load_s" in out["documents"]["total"]
@@ -83,15 +89,6 @@ def test_timed_key_is_that_of_the_written_file(tmp_path):
     assert key == doccache.key_of(out.read_bytes(), doccache.TRAJECTORY)
 
 
-@pytest.mark.parametrize("size", [10, 2 ** 12, 2 ** 12 + 1])
-def test_one_thread_key_is_the_key(monkeypatch, size):
-    # documents of SPLIT_BYTES and more are keyed by their two halves
-    monkeypatch.setattr(doccache, "SPLIT_BYTES", 2 ** 12)
-    data = np.random.default_rng(size).bytes(size)
-    for kind in doccache_cost.KINDS:
-        assert doccache_cost.key_one_thread(data, kind) == doccache.key_of(data, kind)
-
-
 def test_sub_millisecond_calls_are_timed_as_means():
     assert doccache_cost.calls_for(lambda: None) == doccache_cost.MEAN_CALLS
     assert doccache_cost.calls_for(lambda: time.sleep(2 * doccache_cost.MEAN_BELOW_S)) == 1
@@ -102,3 +99,14 @@ def test_sub_millisecond_calls_are_timed_as_means():
     # each round sets up once and makes count calls; the time is per call
     assert sorted(made) == [1] * 3 + [2] * 21 and len(setups) == 6
     assert set(out) == {"once", "mean"} and all(v > 0 for v in out.values())
+
+
+def test_clocks_settle_every_file_or_none(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    doc = tmp_path / "big.json"
+    doc.write_text(dump_document(random_linear_ph(np.random.default_rng(0), n=60, m=3)))
+    for settled, memos in ((False, 0), (True, 1)):
+        with doccache_cost.clock_at(settled):
+            phode.cli._read(str(doc), phode.cli.parse_system_text, True)
+        assert len(list((tmp_path / "xdg" / "phode").glob("*.memo"))) == memos
+    assert phode.cli.time is time

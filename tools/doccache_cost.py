@@ -6,38 +6,42 @@ costs on one benchmark workload.
 The jobs of the workload are generated by ``perfbench/workloads.py`` (read,
 never changed) in a temporary directory, ``XDG_CACHE_HOME`` is pointed at an
 empty temporary directory, and every job runs once through
-``phode.cli.main`` (the cold pass), then once more (the warm pass).  Each
-pass counts, per kind of document (``system`` documents and the
-``trajectory`` CSVs that ``report`` reads), the reads of at least
-``doccache.MIN_BYTES`` bytes and the hits among them, the structural checks
-it runs (``checks``: calls of ``phode.core._checks``, which a hit whose
-entry records its systems' figures does not make) and its wall time.  On
-the cold pass a CSV that ``simulate -o`` or ``cosim -o`` wrote is a hit
-already.
+``phode.cli.main`` (the cold pass), then once more (the warm pass); then,
+once every input is settled (its mtime and ctime ``doccache.SETTLED_NS``
+old), twice more: the memo pass, whose first read of each settled file
+records its memo, and the settled pass.  Each pass counts, per kind of
+document (``system`` documents and the ``trajectory`` CSVs that ``report``
+reads), the reads of at least ``doccache.MIN_BYTES`` bytes, the hits among
+them and the status hits among those (found by the file's status, not its
+bytes), the structural checks it runs (``checks``: calls of
+``phode.core._checks``, which a hit whose entry records its systems'
+figures does not make) and its wall time.  On the cold pass a CSV that
+``simulate -o`` or ``cosim -o`` wrote is a hit already; a CSV that a pass
+rewrites is never settled when it is read.
 
-Then, for every distinct document that was read through the cache, three
+Then, for every distinct document that was read through the cache, these
 reads are timed (the median of ``--repeat``): ``plain`` is the read without
 a cache (``Path.read_text`` and ``parse_system_text`` for a system
 document, ``phode.cli._read`` uncached for a CSV), ``miss`` a read on an
 empty cache (key, lookup, decode, parse, store and eviction) and ``hit`` a
-read on the entry the miss stored; for a system document ``load`` is what
+read on the entry the miss stored, both of a file that is not settled;
+``status`` is the read of a settled file whose memo is there (an
+``fstat``, the memo and the entry); for a system document ``load`` is what
 a command pays for it on that entry, the hit and the structure check
-(``phode.cli._load``).  ``key_2t_s`` times the document's key as
-``doccache.key_of`` takes it, the second half of a document of at least
-``doccache.SPLIT_BYTES`` hashed on the worker thread, and ``key_1t_s`` the
-same key with every byte hashed on the calling thread; below
-``SPLIT_BYTES`` the two are one SHA-256.  For every distinct CSV of at least ``MIN_BYTES``
+(``phode.cli._load``).  ``key_s`` times the document's key
+(``doccache.key_of``).  For every distinct CSV of at least ``MIN_BYTES``
 that a command wrote, ``render_s`` times ``write_trajectory`` and
 ``write_s`` the write of its text without a key, and the writer's
 additions are timed on their own: ``key_s`` hashes the text a slice at a
 time as ``phode.cli._write`` does, ``has_s`` is the existence check that
 finds the entry and ``store_s`` the check, table and store on an empty
-cache.  ``has_s``, and each ``hit_s``, ``load_s`` and key time of which one
-call takes under ``MEAN_BELOW_S``, is the mean of ``MEAN_CALLS`` calls in a
-row.  ``first_key_s`` is what a process pays once, at its first key (a
-``phode simulate`` whose output is large pays it even when its document is
-small): importing ``hashlib`` and hashing the package's source, the median
-of ``--repeat`` fresh processes.  Prints one JSON object.
+cache.  ``has_s``, and each ``hit_s``, ``status_s``, ``load_s`` and key
+time of which one call takes under ``MEAN_BELOW_S``, is the mean of
+``MEAN_CALLS`` calls in a row.  ``first_key_s`` is what a process pays
+once, at its first key (a ``phode simulate`` whose output is large pays it
+even when its document is small): importing ``hashlib`` and hashing the
+package's source, the median of ``--repeat`` fresh processes.  Prints one
+JSON object.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import types  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -83,6 +88,7 @@ KINDS = (doccache.SYSTEM, doccache.TRAJECTORY)
 # 0.2 ms of cold processor caches
 MEAN_CALLS = 100
 MEAN_BELOW_S = 1e-3
+PASSES = ("cold", "warm", "memo", "settled")
 
 
 def use_cache(folder: str):
@@ -99,6 +105,20 @@ def run_pass(jobs) -> float:
             phode.cli.main(job.argv)
             wall += time.perf_counter() - t0
     return wall
+
+
+@contextlib.contextmanager
+def clock_at(settled: bool):
+    """Within, ``phode.cli._read`` dates a file's status by a clock at which
+    every file written before is settled (``SETTLED_NS`` and a second
+    ahead), or none is (the epoch)."""
+    real, ahead = phode.cli.time, doccache.SETTLED_NS + 10 ** 9
+    phode.cli.time = types.SimpleNamespace(
+        time_ns=(lambda: time.time_ns() + ahead) if settled else (lambda: 0))
+    try:
+        yield
+    finally:
+        phode.cli.time = real
 
 
 def timed(calls: dict, repeat: int) -> dict:
@@ -131,17 +151,10 @@ def calls_for(call) -> int:
 
 def slice_key(text: str) -> str:
     """The key ``phode.cli._write`` computes of a CSV's text as it writes it."""
-    h = doccache.hasher(doccache.TRAJECTORY, len(text))
+    h = doccache.hasher(doccache.TRAJECTORY)
     step = phode.cli._WRITE_SLICE_CHARS
     for a in range(0, len(text), step):
         h.update(text[a:a + step].encode())
-    return h.hexdigest()
-
-
-def key_one_thread(data: bytes, kind: str) -> str:
-    """``doccache.key_of(data, kind)`` with every byte hashed on this thread."""
-    h = doccache.hasher(kind, len(data))
-    h.update(data)
     return h.hexdigest()
 
 
@@ -154,40 +167,44 @@ def summary(rows: list, keys: tuple) -> dict:
 
 
 def time_reads(paths: dict, parse, kind: str, tmp: str, repeat: int) -> dict:
-    """The plain, miss and hit times of reading each of ``paths`` (bytes to
-    path) as ``kind`` documents with ``parse``, its key on one thread and
-    on two, and for a system document the load: a hit and the structure
-    check (``phode.cli._load``)."""
+    """The plain, miss, hit and status times of reading each of ``paths``
+    (bytes to path) as ``kind`` documents with ``parse``, its key, and for a
+    system document the load: a hit and the structure check
+    (``phode.cli._load``)."""
     read, rows = phode.cli._read, []
     for data, path in paths.items():
         warm = tempfile.mkdtemp(dir=tmp)
         use_cache(warm)
         read(path, parse, True, kind)               # the entry of the hits
+        with clock_at(True):
+            read(path, parse, True, kind)           # and the memo of the status reads
 
         def cached():
-            read(path, parse, True, kind)
+            with clock_at(False):
+                read(path, parse, True, kind)
+
+        def settled():
+            with clock_at(True):
+                read(path, parse, True, kind)
+
+        def key():
+            doccache.key_of(data, kind)
 
         plain = ((lambda: parse_system_text(Path(path).read_text(encoding="utf-8")))
                  if kind == doccache.SYSTEM else (lambda: read(path, parse)))
-        def key_1t():
-            key_one_thread(data, kind)
-
-        def key_2t():
-            doccache.key_of(data, kind)
-
         calls = {"plain_s": (lambda: None, plain, 1),
                  "miss_s": (lambda: use_cache(tempfile.mkdtemp(dir=tmp)), cached, 1),
                  "hit_s": (lambda: use_cache(warm), cached, calls_for(cached)),
-                 "key_1t_s": (lambda: None, key_1t, calls_for(key_1t)),
-                 "key_2t_s": (lambda: None, key_2t, calls_for(key_2t))}
+                 "status_s": (lambda: use_cache(warm), settled, calls_for(settled)),
+                 "key_s": (lambda: None, key, calls_for(key))}
         if kind == doccache.SYSTEM:
             def load():     # a document that fails the check is refused after it
-                with contextlib.suppress(phode.cli.CliError):
+                with contextlib.suppress(phode.cli.CliError), clock_at(False):
                     phode.cli._load(path)
 
             calls["load_s"] = (lambda: use_cache(warm), load, calls_for(load))
         rows.append({"bytes": len(data), **timed(calls, repeat)})
-    out = summary(rows, ("plain_s", "miss_s", "hit_s", "key_1t_s", "key_2t_s")
+    out = summary(rows, ("plain_s", "miss_s", "hit_s", "status_s", "key_s")
                   + (("load_s",) if kind == doccache.SYSTEM else ()))
     out["miss_over_plain"] = (round(out["total"]["miss_s"] / out["total"]["plain_s"], 3)
                               if rows else None)
@@ -227,25 +244,33 @@ def time_writes(outputs: dict, tmp: str, repeat: int) -> dict:
 
 def measure(workload: str, seed: int, repeat: int) -> dict:
     out = {"workload": workload, "seed": seed, "min_bytes": doccache.MIN_BYTES}
-    reads = []
+    reads, hits, status_hits = [], [], []
     paths = {kind: {} for kind in KINDS}
     outputs = {}
-    get, read, write = doccache.get, phode.cli._read, phode.cli._write_trajectory
+    get, recall = doccache.get, doccache.recall
+    read, write = phode.cli._read, phode.cli._write_trajectory
     checks, checked = phode.core._checks, []
 
     def counted_checks(*args):
         checked.append(1)
         return checks(*args)
 
-    def counted_get(key, kind=doccache.SYSTEM):
+    def counted_get(key, kind=doccache.SYSTEM):     # a status hit's get too
         obj = get(key, kind)
-        if key is not None:
-            reads.append((kind, obj is not None))
+        if obj is not None:
+            hits.append(kind)
+        return obj
+
+    def counted_recall(memo, kind=doccache.SYSTEM):
+        obj = recall(memo, kind)
+        if obj is not None:
+            status_hits.append(kind)
         return obj
 
     def noted_read(path, parse, cached=False, kind=doccache.SYSTEM):
         if cached and os.path.isfile(path) and os.path.getsize(path) >= doccache.MIN_BYTES:
             paths[kind].setdefault(Path(path).read_bytes(), path)
+            reads.append(kind)
         return read(path, parse, cached, kind)
 
     def noted_write(path, traj, rep):
@@ -256,27 +281,32 @@ def measure(workload: str, seed: int, repeat: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.ExitStack() as stack:
         stack.callback(setattr, doccache, "get", get)
+        stack.callback(setattr, doccache, "recall", recall)
         stack.callback(setattr, phode.core, "_checks", checks)
         stack.callback(setattr, phode.cli, "_read", read)
         stack.callback(setattr, phode.cli, "_write_trajectory", write)
         old = os.environ.get("XDG_CACHE_HOME")
         stack.callback(lambda: os.environ.pop("XDG_CACHE_HOME", None) if old is None
                        else use_cache(old))
-        doccache.get, phode.cli._read = counted_get, noted_read
+        doccache.get, doccache.recall, phode.cli._read = counted_get, counted_recall, noted_read
         phode.core._checks = counted_checks
         phode.cli._write_trajectory = noted_write
         use_cache(str(Path(tmp, "xdg")))
         work = Path(tmp, "work")
         work.mkdir()
         wl = workloads.WORKLOADS[workload](np.random.default_rng(seed), work)
-        for name in ("cold", "warm"):
-            reads.clear()
-            checked.clear()
+        # a tick beyond the settle time of the last input written
+        settled = time.time_ns() + doccache.SETTLED_NS + 10 ** 8
+        for name in PASSES:
+            if name == "memo":
+                time.sleep(max(0, settled - time.time_ns()) / 1e9)
+            for counts in (reads, hits, status_hits, checked):
+                counts.clear()
             wall = run_pass(wl.jobs)
             out[f"{name}_pass"] = {"wall_s": round(wall, 4), "checks": len(checked), **{
-                kind: {"reads": sum(k == kind for k, _ in reads),
-                       "hits": sum(k == kind and hit for k, hit in reads)} for kind in KINDS}}
-        doccache.get, phode.cli._read = get, read
+                kind: {"reads": reads.count(kind), "hits": hits.count(kind),
+                       "status_hits": status_hits.count(kind)} for kind in KINDS}}
+        doccache.get, doccache.recall, phode.cli._read = get, recall, read
         phode.cli._write_trajectory, phode.core._checks = write, checks
         out["documents"] = time_reads(paths[doccache.SYSTEM], parse_system_text,
                                       doccache.SYSTEM, tmp, repeat)
